@@ -13,6 +13,15 @@ identifies them with degenerate tensors).  Conormalizing additionally kills
 the symbols whose phi misses a value in {1,...,r}; what survives is exactly
 the normal-form basis used throughout the operad layer.
 
+Enumeration is a depth-first search over f, one position at a time, that
+only ever extends prefixes with a completion.  A value that would repeat
+across an equal step of phi is skipped (condition (d)); a prefix whose
+remaining positions can no longer reach every unseen value is cut (onto);
+under a complexity bound n, a change counter per pair of values is kept and a
+prefix is cut as soon as one exceeds n.  Appending v adds one change to the
+pair {u, v} exactly when u occurred after the last v.  Results are sorted on
+the plain tuple key (k, f, phi, r), which is the dataclass order, and cached.
+
 The kernel form of the conormalization has an explicit section given by the
 operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` applies
 it symbolically and is the engine behind both composition pipelines.
@@ -21,6 +30,7 @@ it symbolically and is the engine behind both composition pipelines.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import attrgetter
 
 from .intmat import IntMatrix
 from .complexes import GradedIntComplex
@@ -41,10 +51,6 @@ class NormalizationFailure(Exception):
 INFINITY = None   # complexity bound "no bound"
 
 
-def _within(n, value):
-    return n is None or value <= n
-
-
 @dataclass(frozen=True, order=True)
 class Symbol:
     """A basis symbol (f, phi) at arity k and cosimplicial level r."""
@@ -54,13 +60,14 @@ class Symbol:
     r: int
 
     def __post_init__(self):
-        assert self.k >= 1 and self.r >= 0
-        assert len(self.f) == len(self.phi) >= 1
-        for v in self.f:
-            if not 1 <= v <= self.k:
-                raise ValueOutOfRange(v)
-        assert all(0 <= p <= self.r for p in self.phi)
-        assert all(a <= b for a, b in zip(self.phi, self.phi[1:]))
+        k, f, phi = self.k, self.f, self.phi
+        if not (k >= 1 and self.r >= 0 and len(f) == len(phi) >= 1):
+            raise AssertionError("bad shape", self)
+        if min(f) < 1 or max(f) > k:
+            raise ValueOutOfRange(next(v for v in f if not 1 <= v <= k))
+        # a sorted phi lies in [0, r] when its two ends do
+        if list(phi) != sorted(phi) or phi[0] < 0 or phi[-1] > self.r:
+            raise AssertionError("phi not order-preserving into [r]", self)
 
     @property
     def q(self):
@@ -112,6 +119,10 @@ def _sym(k, f, phi, r):
     return out
 
 
+# The dataclass order of Symbol as a plain tuple, for C-level sorting.
+symbol_key = attrgetter("k", "f", "phi", "r")
+
+
 def complexity(seq):
     """Mixing measure of a sequence with values in {1..k}: the maximum over
     all two-value subsequences of the number of adjacent changes.  Empty and
@@ -137,42 +148,95 @@ def complexity(seq):
 
 def _phis(q, r, cover):
     """Order-preserving [q] -> [r]; if cover, the image must contain
-    {1,...,r} (condition (b))."""
+    {1,...,r} (condition (b)).  A covering phi is built directly from its
+    image, {0..r} or {1..r}, and the positions where its value steps up."""
+    if not cover:
+        return [tuple(c - t for t, c in enumerate(comb))
+                for comb in combinations(range(q + 1 + r), q + 1)]
     out = []
-    for comb in combinations(range(q + 1 + r), q + 1):
-        vals = tuple(c - t for t, c in enumerate(comb))
-        if not cover or set(range(1, r + 1)) <= set(vals):
-            out.append(vals)
-    return out
-
-
-def _fs(k, phi, onto, n):
-    """Functions [q] -> {1..k} compatible with condition (d) along phi,
-    onto if requested, complexity <= n."""
-    q1 = len(phi)
-    out = []
-    stack = [()]
-    while stack:
-        pre = stack.pop()
-        if len(pre) == q1:
-            if (not onto or len(set(pre)) == k) and _within(n, complexity(pre)):
-                out.append(pre)
+    for image in (range(r + 1), range(1, r + 1)):
+        if not image:
             continue
-        t = len(pre)
-        for v in range(k, 0, -1):
-            if t > 0 and phi[t] == phi[t - 1] and pre[-1] == v:
-                continue
-            stack.append(pre + (v,))
+        for steps in combinations(range(1, q + 1), len(image) - 1):
+            ends = (0,) + steps + (q + 1,)
+            out.append(tuple(v for v, a, b in zip(image, ends, ends[1:])
+                             for _ in range(b - a)))
     return out
+
+
+def _fs(k, phi, n):
+    """Onto functions [q] -> {1..k} compatible with condition (d) along phi
+    and of complexity <= n, in lexicographic order.
+
+    Depth-first over positions.  A prefix is cut as soon as its remaining
+    positions cannot reach every unseen value, or (when n is not None) as
+    soon as a pair {u, v} has more than n changes: appending v adds one
+    change to {u, v} exactly when u's last position comes after v's.  With
+    n None no counters are kept.  ``complexity`` is the reference."""
+    q1 = len(phi)
+    if n is not None and n < 0:
+        return []
+    out = []
+    seq = [0] * q1
+    last = [-1] * (k + 1)           # last position of each value, -1 unseen
+    repeat = [t > 0 and phi[t] == phi[t - 1] for t in range(q1)]
+    values = range(1, k + 1)
+    changes = None if n is None else [[0] * (k + 1) for _ in range(k + 1)]
+
+    def grow(t, unseen):
+        prev = seq[t - 1] if t else 0
+        slack = q1 - 1 - t          # positions after t
+        for v in values:
+            if v == prev and repeat[t]:
+                continue
+            lv = last[v]
+            rest = unseen - 1 if lv < 0 else unseen
+            if rest > slack:
+                continue
+            bumped = ()
+            if changes is not None and v != prev:
+                bumped = [u for u in values if last[u] > lv]
+                row = changes[v]
+                if any(row[u] >= n for u in bumped):
+                    continue
+                for u in bumped:
+                    row[u] += 1
+                    changes[u][v] += 1
+            seq[t] = v
+            if slack:
+                last[v] = t
+                grow(t + 1, rest)
+                last[v] = lv
+            else:
+                out.append(tuple(seq))
+            for u in bumped:
+                row[u] -= 1
+                changes[u][v] -= 1
+
+    grow(0, k)
+    return out
+
+
+def _symbols(k, q, r, n, cover):
+    """Sorted tuple of the symbols (f, phi) at arity k, size q + 1 and level
+    r, onto and interleaved, of complexity <= n.  ``_fs`` sees phi only
+    through its equal steps, so phis sharing them share one search; k and r
+    are fixed, so sorting on (f, phi) is sorting on the dataclass order."""
+    found = {}
+    pairs = []
+    for phi in _phis(q, r, cover):
+        steps = tuple(a == b for a, b in zip(phi, phi[1:]))
+        fs = found.get(steps)
+        if fs is None:
+            fs = found[steps] = _fs(k, phi, n)
+        pairs.extend((f, phi) for f in fs)
+    pairs.sort()
+    return tuple(_sym(k, f, phi, r) for f, phi in pairs)
 
 
 @lru_cache(maxsize=4096)
 def _enumerate_cached(k, q, r, n):
-    out = []
-    for phi in _phis(q, r, cover=True):
-        for f in _fs(k, phi, onto=True, n=n):
-            out.append(_sym(k, f, phi, r))
-    return tuple(sorted(out))
+    return _symbols(k, q, r, n, cover=True)
 
 
 def enumerate_symbols(k, q, r, n=INFINITY):
@@ -182,20 +246,17 @@ def enumerate_symbols(k, q, r, n=INFINITY):
     return list(_enumerate_cached(k, q, r, n))
 
 
+@lru_cache(maxsize=4096)
+def _box_basis_cached(k, q, r, n):
+    return _symbols(k, q, r, n, cover=False)
+
+
 def box_basis(k, q, r, n=INFINITY):
     """Basis of the k-fold box product at level [r], internal degree q+1-k:
-    conditions (a), (c), (d) but no constraint on the image of phi."""
+    conditions (a), (c), (d) but no constraint on the image of phi.  A fresh
+    list over a cached tuple, in the same order as enumerate_symbols."""
     assert k >= 1 and q >= 0 and r >= 0
-    out = []
-    for phi in _phis(q, r, cover=False):
-        for f in _fs(k, phi, onto=True, n=n):
-            out.append(_sym(k, f, phi, r))
-    return sorted(out)
-
-
-def max_complexity(q):
-    """The largest complexity a sequence of length q+1 can have."""
-    return q
+    return list(_box_basis_cached(k, q, r, n))
 
 
 # -- colimit canonicalization ----------------------------------------------
@@ -244,32 +305,42 @@ def act_codegeneracy(sym, i):
     return act_ordered(sym, vals, sym.r - 1)
 
 
+def _faces(sym):
+    """(position, sign, face) for each face of the internal boundary that
+    survives condition (d).  Removing position t of an interleaved symbol
+    creates only the adjacency (t-1, t+1), so only that pair is checked;
+    other symbols get the full check."""
+    f, phi, k, q = sym.f, sym.phi, sym.k, sym.q
+    sizes = [0] * k
+    pos_in_fiber = []
+    for v in f:
+        pos_in_fiber.append(sizes[v - 1])
+        sizes[v - 1] += 1
+    prefix = [0] * (k + 1)
+    for i in range(k):
+        prefix[i + 1] = prefix[i] + sizes[i] - 1
+    clean = sym.interleaved()
+    out = []
+    for t in range(q + 1):
+        i = f[t]
+        if sizes[i - 1] < 2:
+            continue
+        face = Symbol(k, f[:t] + f[t + 1:], phi[:t] + phi[t + 1:], sym.r)
+        if clean:
+            if 0 < t < q and phi[t - 1] == phi[t + 1] and f[t - 1] == f[t + 1]:
+                continue
+        elif not face.interleaved():
+            continue
+        sign = -1 if (prefix[i - 1] + pos_in_fiber[t]) % 2 else 1
+        out.append((t, sign, face))
+    return out
+
+
 def internal_boundary(sym):
     """Boundary of the tensor of top simplices, canonicalized in the
     colimit; a list of (coefficient, Symbol) at level r, degree one lower.
     Condition (b) is not imposed here (box level, not conormalized)."""
-    out = []
-    sizes = sym.fiber_sizes()
-    degs = sym.fiber_degrees()
-    prefix = [0] * (sym.k + 1)
-    for i in range(sym.k):
-        prefix[i + 1] = prefix[i] + degs[i]
-    pos_in_fiber = {}
-    seen = [0] * sym.k
-    for t, v in enumerate(sym.f):
-        pos_in_fiber[t] = seen[v - 1]
-        seen[v - 1] += 1
-    for t in range(sym.q + 1):
-        i = sym.f[t]
-        if sizes[i - 1] < 2:
-            continue
-        sign = -1 if (prefix[i - 1] + pos_in_fiber[t]) % 2 else 1
-        f2 = sym.f[:t] + sym.f[t + 1:]
-        phi2 = sym.phi[:t] + sym.phi[t + 1:]
-        face = Symbol(sym.k, f2, phi2, sym.r)
-        if face.interleaved():
-            out.append((sign, face))
-    return out
+    return [(sign, face) for _, sign, face in _faces(sym)]
 
 
 def t_boundary(sym, level_cap=None):
@@ -277,12 +348,17 @@ def t_boundary(sym, level_cap=None):
     internal boundary with non-covering phis killed, plus the coface part
     induced by d^0 with sign -(-1)^degree.  ``level_cap`` drops the coface
     part past the truncation level (quotient truncation)."""
-    assert sym.phi_covers()
+    if not sym.phi_covers():
+        raise AssertionError("t_boundary needs a covering phi", sym)
+    phi, q = sym.phi, sym.q
     out = {}
-    for sign, face in internal_boundary(sym):
-        if face.phi_covers():
+    for t, sign, face in _faces(sym):
+        # phi covers, so dropping position t uncovers phi[t] unless it is 0
+        # or repeated next door (equal values of a sorted phi are adjacent)
+        p = phi[t]
+        if p == 0 or (t > 0 and phi[t - 1] == p) or (t < q and phi[t + 1] == p):
             out[face] = out.get(face, 0) + sign
-    if 0 in sym.phi and (level_cap is None or sym.r + 1 <= level_cap):
+    if 0 in phi and (level_cap is None or sym.r + 1 <= level_cap):
         sign = 1 if sym.total_degree % 2 else -1
         lifted = act_coface(sym, 0)
         assert lifted.phi_covers()
@@ -452,14 +528,20 @@ def conormalized_basis(k, n, q_cap):
             full = box_basis(k, q, r, n)
             if not full:
                 continue
-            killed = set()
+            # a coface moves phi and keeps f: group the lower basis by phi
+            # and map each phi once; killed[phi] lists the sets of f over it
+            killed = {}
             if r >= 1:
-                lower = box_basis(k, q, r - 1, n)
+                lower = {}
+                for s in box_basis(k, q, r - 1, n):
+                    lower.setdefault(s.phi, set()).add(s.f)
                 for i in range(1, r + 1):
                     vals = tuple(j if j < i else j + 1 for j in range(r))
-                    for s in lower:
-                        killed.add((s.f, tuple(vals[p] for p in s.phi)))
-            survivors = tuple(s for s in full if (s.f, s.phi) not in killed)
+                    for phi, fs in lower.items():
+                        image = tuple(vals[p] for p in phi)
+                        killed.setdefault(image, []).append(fs)
+            survivors = tuple(s for s in full if not any(
+                s.f in fs for fs in killed.get(s.phi, ())))
             if survivors:
                 out[(q, r)] = survivors
     return out

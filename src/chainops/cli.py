@@ -349,6 +349,8 @@ def config_from_args(args):
     cfg.p_max = getattr(args, "pmax", 3)
     cfg.max_dim = getattr(args, "max_dim", None)
     if args.command == "enumerate-basis":
+        if args.max_complexity is not None and args.max_complexity < 1:
+            raise ConfigError("--max-complexity must be a positive integer")
         cfg.n = args.max_complexity
         cfg.family = "T" if args.max_complexity is None else "Tn"
         cfg.paths["q"] = args.q

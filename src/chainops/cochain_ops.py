@@ -225,10 +225,6 @@ def _restriction_map(f, g, phi):
     return out
 
 
-def _fiber_element(system, values, level_basis_pool):
-    return level_basis_pool[len(values) - 1 if values else None]
-
-
 def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     """Exhaustive verification of the cup/join/fiberwise-operation
     identities on all normalized basis cochains of W, within level caps.

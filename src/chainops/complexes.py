@@ -16,12 +16,17 @@ class DegreeOutsideWindow(Exception):
     pass
 
 
+class NotSquareZero(AssertionError):
+    """d o d != 0.  Raised explicitly, so the check also runs under
+    ``python -O``; an AssertionError, as the check used to be an assert."""
+
+
 class GradedIntComplex:
     """Graded free abelian group with integer differentials.
 
     basis[d] is an ordered tuple of hashable labels, for every d in the
     closed truncation window [lo, hi].  diff[d] : C_d -> C_{d-1} for
-    lo < d <= hi.  d о d = 0 is asserted on construction.
+    lo < d <= hi.  d o d = 0 is checked on construction (NotSquareZero).
     """
 
     def __init__(self, window, basis, diff, regrade=None, check=True):
@@ -49,7 +54,9 @@ class GradedIntComplex:
         lo, hi = self.window
         for d in range(lo + 2, hi + 1):
             prod = self.diff[d - 1] * self.diff[d]
-            assert prod.is_zero(), "d o d != 0 between degrees %d -> %d" % (d, d - 2)
+            if not prod.is_zero():
+                raise NotSquareZero(
+                    "d o d != 0 between degrees %d -> %d" % (d, d - 2))
 
     def degrees(self):
         lo, hi = self.window

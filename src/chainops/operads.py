@@ -25,7 +25,7 @@ from . import boxprod
 from .boxprod import (INFINITY, NormalizationFailure, Symbol, act_perm,
                       apply_tuple, enumerate_symbols, ker_expand,
                       ker_expand_checked, koszul_sign, NatTransform,
-                      t_boundary)
+                      symbol_key, t_boundary)
 from .intmat import IntMatrix
 from .complexes import GradedIntComplex
 
@@ -222,9 +222,6 @@ class TruncatedChainOperad:
     def sigma(self, vec, sigma):
         return act_perm_vec(vec, sigma)
 
-    def in_window(self, vec):
-        return all(s.q <= self.q_cap for s in vec)
-
 
 def symbol_complex(k, n, q_cap):
     """Subcomplex of the conormalized box product spanned by the symbols
@@ -237,7 +234,8 @@ def symbol_complex(k, n, q_cap):
     if not by_degree:
         raise BoundsExceededError((k, q_cap))
     lo, hi = min(by_degree) - 2, max(by_degree) + 2
-    basis = {d: tuple(sorted(by_degree.get(d, ()))) for d in range(lo, hi + 1)}
+    basis = {d: tuple(sorted(by_degree.get(d, ()), key=symbol_key))
+             for d in range(lo, hi + 1)}
     index = {d: {s: i for i, s in enumerate(basis[d])} for d in basis}
     diff = {}
     for d in range(lo + 1, hi + 1):
@@ -263,7 +261,7 @@ def level_truncated_complex(k, n, level_cap, degree_window):
             if q < k - 1:
                 continue
             syms.extend(enumerate_symbols(k, q, r, n))
-        basis[d] = tuple(sorted(syms))
+        basis[d] = tuple(sorted(syms, key=symbol_key))
     index = {d: {s: i for i, s in enumerate(basis[d])} for d in basis}
     diff = {}
     for d in range(lo + 1, hi + 1):

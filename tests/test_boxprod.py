@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from chainops import boxprod, intmat
+from chainops import intmat
 from chainops.boxprod import (INFINITY, Symbol, ValueOutOfRange, act_coface,
                               act_codegeneracy, act_perm, box_basis,
                               box_level, box_cosimplicial, canonical_form,
@@ -64,8 +64,8 @@ def test_enumeration_monotone_in_complexity():
             assert prev <= cur
             prev = cur
         assert prev == set(enumerate_symbols(k, q, r, INFINITY))
-        # the filtration exhausts at the largest possible complexity
-        assert set(enumerate_symbols(k, q, r, boxprod.max_complexity(q))) == prev
+        # the filtration exhausts at the largest possible complexity, q
+        assert set(enumerate_symbols(k, q, r, q)) == prev
 
 
 def test_brute_force_symbol_counts():
@@ -84,6 +84,81 @@ def test_brute_force_symbol_counts():
                     continue
                 brute.append(Symbol(k, f, phi, r))
         assert sorted(brute) == list(enumerate_symbols(k, q, r))
+
+
+def _reference_bases(k, q, r):
+    """Brute force: every (f, phi) from itertools.product that is onto and
+    interleaved, sorted by the dataclass order; with complexity(f) and
+    whether phi covers {1..r}."""
+    onto = [f for f in product(range(1, k + 1), repeat=q + 1)
+            if set(f) == set(range(1, k + 1))]
+    phis = [phi for phi in product(range(r + 1), repeat=q + 1)
+            if all(a <= b for a, b in zip(phi, phi[1:]))]
+    syms = sorted(Symbol(k, f, phi, r) for f in onto for phi in phis
+                  if all(phi[i] != phi[i + 1] or f[i] != f[i + 1]
+                         for i in range(q)))
+    return [(s, complexity(s.f), set(range(1, r + 1)) <= set(s.phi))
+            for s in syms]
+
+
+@pytest.mark.parametrize("k,q_max", [(1, 5), (2, 5), (3, 5), (4, 4)])
+def test_enumeration_equals_brute_force_in_order(k, q_max):
+    # the pruned search against an exhaustive filter, as ordered lists, for
+    # every complexity bound that cuts anything and for no bound at all
+    for q in range(q_max + 1):
+        for r in range(4):
+            ref = _reference_bases(k, q, r)
+            for n in [INFINITY] + list(range(1, q + 1)):
+                box = [s for s, c, _ in ref if n is None or c <= n]
+                assert box_basis(k, q, r, n) == box, (k, q, r, n)
+                conormal = [s for s, c, cover in ref
+                            if cover and (n is None or c <= n)]
+                assert enumerate_symbols(k, q, r, n) == conormal, (k, q, r, n)
+
+
+def test_box_basis_returns_fresh_lists():
+    first = box_basis(2, 3, 1)
+    first.clear()
+    assert box_basis(2, 3, 1) and box_basis(2, 3, 1) is not box_basis(2, 3, 1)
+
+
+def _reference_internal_boundary(sym):
+    """Every face of a fiber of size >= 2 with its Koszul sign, each face
+    checked in full for condition (d)."""
+    f, phi = sym.f, sym.phi
+    sizes = [f.count(i + 1) for i in range(sym.k)]
+    out = []
+    for t, v in enumerate(f):
+        if sizes[v - 1] < 2:
+            continue
+        sign = (-1) ** (sum(s - 1 for s in sizes[:v - 1]) + f[:t].count(v))
+        face = Symbol(sym.k, f[:t] + f[t + 1:], phi[:t] + phi[t + 1:], sym.r)
+        if face.interleaved():
+            out.append((sign, face))
+    return out
+
+
+def test_internal_boundary_equals_full_check():
+    # every symbol with k <= 3, q <= 5, r <= 2, interleaved or not; on the
+    # covering ones t_boundary without its coface part keeps exactly the
+    # covering faces
+    for k in range(1, 4):
+        for q in range(6):
+            for r in range(3):
+                for f in product(range(1, k + 1), repeat=q + 1):
+                    for phi in product(range(r + 1), repeat=q + 1):
+                        if any(a > b for a, b in zip(phi, phi[1:])):
+                            continue
+                        sym = Symbol(k, f, phi, r)
+                        want = _reference_internal_boundary(sym)
+                        assert internal_boundary(sym) == want, sym
+                        if sym.phi_covers():
+                            covering = {}
+                            for c, face in want:
+                                if face.phi_covers():
+                                    covering[face] = covering.get(face, 0) + c
+                            assert t_boundary(sym, level_cap=r) == {
+                                s: c for s, c in covering.items() if c}, sym
 
 
 # -- the colimit oracle -------------------------------------------------------

@@ -107,3 +107,11 @@ def test_reports_deterministic(capsys):
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_invalid_max_complexity_named(capsys):
+    code = main(["enumerate-basis", "--k", "2", "--q", "1", "--r", "0",
+                 "--max-complexity", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--max-complexity" in err and "--n " not in err

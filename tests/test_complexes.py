@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chainops
 from chainops.intmat import IntMatrix
 from chainops.complexes import (DegreeOutsideWindow, GradedIntComplex, ChainMap,
-                                point_complex, tensor)
+                                NotSquareZero, point_complex, tensor)
 
 
 def interval_complex():
@@ -84,6 +88,29 @@ def test_dd_zero_enforced():
            2: IntMatrix.from_rows([[1], [1]])}
     with pytest.raises(AssertionError):
         GradedIntComplex((0, 2), {0: ("a", "b"), 1: ("x", "y"), 2: ("u",)}, bad)
+
+
+def test_dd_zero_enforced_under_optimize():
+    # python -O strips assert statements; the d o d check must still fire
+    script = "\n".join([
+        "from chainops.intmat import IntMatrix",
+        "from chainops.complexes import GradedIntComplex, NotSquareZero",
+        "assert False, 'asserts are live'",
+        "bad = {1: IntMatrix.from_rows([[1], [0]]),",
+        "       2: IntMatrix.from_rows([[1], [1]])}",
+        "try:",
+        "    GradedIntComplex((0, 2), {0: ('a', 'b'), 1: ('x', 'y'),",
+        "                              2: ('u',)}, bad)",
+        "except NotSquareZero as exc:",
+        "    print('rejected:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: d o d != 0")
+    assert issubclass(NotSquareZero, AssertionError)
 
 
 def test_tensor_with_point():
