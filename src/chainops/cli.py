@@ -53,6 +53,8 @@ class RunConfig:
                 raise ConfigError("--%s must be positive" % name)
         if self.resolution < 2:
             raise ConfigError("--resolution must be at least 2")
+        if self.p_max < 0:
+            raise ConfigError("--pmax must be non-negative")
         return self
 
     @property
@@ -188,14 +190,26 @@ def _load_algebra(spec):
                "m2": hochschild.matrix2_mod2}
     if spec in builtin:
         return builtin[spec]()
-    with open(spec) as fh:
-        return hochschild.FiniteRankAlgebra.from_json(fh.read())
+    try:
+        with open(spec) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError("cannot read algebra file %r: %s" %
+                          (spec, exc.strerror))
+    try:
+        return hochschild.FiniteRankAlgebra.from_json(text)
+    except (hochschild.InvalidAlgebra, ValueError, TypeError) as exc:
+        raise ConfigError("invalid algebra file %r: %s" % (spec, exc))
 
 
 def cmd_hochschild(cfg):
-    from .hochschild import gerstenhaber_report, hochschild_cohomology
+    from .hochschild import (InfeasibleSize, gerstenhaber_report,
+                             hochschild_cohomology)
     R = _load_algebra(cfg.paths["algebra"])
-    groups = hochschild_cohomology(R, cfg.p_max)
+    try:
+        groups = hochschild_cohomology(R, cfg.p_max)
+    except InfeasibleSize as exc:
+        raise ConfigError("--pmax %d is too large: %s" % (cfg.p_max, exc))
     lines = ["Hochschild cohomology of %s through degree %d" % (R.name, cfg.p_max)]
     for p in range(cfg.p_max + 1):
         betti, tors = groups[p]

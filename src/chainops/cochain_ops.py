@@ -10,10 +10,13 @@ empty level is a copy of the integers with distinguished element eps, which
 the operations consume on empty fibers.
 """
 
+import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import delta
 from .delta import FinOrd, OrderedMap
+from .operads import CheckItem
 
 
 class LevelMismatch(Exception):
@@ -23,7 +26,9 @@ class LevelMismatch(Exception):
 @dataclass(frozen=True)
 class CochainElement:
     """Integer function on the simplices of one level; ``level`` is the
-    skeletal dimension m, or None for the empty level."""
+    skeletal dimension m, or None for the empty level.  The sorted values
+    are the canonical form (equality, hashing, reports); ``value`` reads a
+    dict built from them on first use."""
     level: object               # int >= 0 or None
     values: tuple               # sorted ((cell, value), ...), zeros dropped
 
@@ -32,11 +37,12 @@ class CochainElement:
         vals = tuple(sorted((c, v) for c, v in mapping.items() if v))
         return cls(level, vals)
 
+    @cached_property
+    def _lookup(self):
+        return dict(self.values)
+
     def value(self, cell):
-        for c, v in self.values:
-            if c == cell:
-                return v
-        return 0
+        return self._lookup.get(cell, 0)
 
     def as_dict(self):
         return dict(self.values)
@@ -54,12 +60,15 @@ class CochainElement:
 
 class AugmentedCochainSystem:
     """Levels of integer cochains on a finite simplicial set, with the full
-    action of ordered maps and the fiberwise operations."""
+    action of ordered maps and the fiberwise operations.  Faces and the
+    action on cells are memoized for the life of the system."""
 
     def __init__(self, W, level_cap):
         self.W = W
         self.level_cap = level_cap
         self._cells = {m: W.cells(m) for m in range(level_cap + 1)}
+        self._faces = {}        # (cell, subset) -> W.restrict(cell, subset)
+        self._acted = {}        # (cell, alpha) -> W.act(cell, alpha)
 
     def cells(self, m):
         if m is None:
@@ -89,15 +98,29 @@ class AugmentedCochainSystem:
     def restrict(self, cell, subset):
         """sigma(U): the face spanned by a subset of the vertex positions;
         the empty subset gives the augmentation point (returned as ())."""
+        subset = tuple(subset)
         if not subset:
             return ()
-        return self.W.restrict(cell, tuple(subset))
+        key = (cell, subset)
+        face = self._faces.get(key)
+        if face is None:
+            face = self._faces[key] = self.W.restrict(cell, subset)
+        return face
+
+    def act(self, cell, alpha):
+        """The cell sigma o alpha, as ``W.act``."""
+        key = (cell, alpha)
+        out = self._acted.get(key)
+        if out is None:
+            out = self._acted[key] = self.W.act(cell, alpha)
+        return out
 
     def pushforward(self, x, alpha):
         """The map of cochain levels induced by an ordered map of levels:
-        (alpha_* x)(sigma) = x(sigma o alpha)."""
+        (alpha_* x)(sigma) = x(sigma o alpha).  Empty sources and targets
+        are the augmentation level."""
         src_level = alpha.source.level if alpha.source.size else None
-        tgt_level = alpha.target.level
+        tgt_level = alpha.target.level if alpha.target.size else None
         if x.level != src_level:
             raise LevelMismatch((x.level, src_level))
         if src_level is None:
@@ -106,7 +129,7 @@ class AugmentedCochainSystem:
                 tgt_level, {cell: c for cell in self.cells(tgt_level)})
         out = {}
         for cell in self.cells(tgt_level):
-            v = x.value(self.W.act(cell, alpha))
+            v = x.value(self.act(cell, alpha))
             if v:
                 out[cell] = v
         return CochainElement.make(tgt_level, out)
@@ -177,18 +200,6 @@ class AugmentedCochainSystem:
 
 
 # -- identity verification ----------------------------------------------------
-
-@dataclass
-class CheckItem:
-    name: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-
-    def record(self, ok, witness):
-        self.instances += 1
-        if not ok:
-            self.failures.append(witness)
-
 
 @dataclass
 class CochainReport:
@@ -314,8 +325,6 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
                         it_cup_join.record(
                             sys_.cup(x, y) == sys_.codegeneracy(lhs, p),
                             ("cup-from-join", p, q, x, y))
-            if q == 0:
-                pass
         if p + 1 <= M:
             for x in bases(p):
                 lhs = sys_.codegeneracy(sys_.sqcup(x, e), p)
@@ -356,8 +365,8 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
                                         eps.scale(val), _empty_map(tgt))
                                 else:
                                     lhs = eps.scale(val)
-                            xs2 = _push_fiber(sys_, x, phis[0])
-                            ys2 = _push_fiber(sys_, y, phis[1])
+                            xs2 = sys_.pushforward(x, phis[0])
+                            ys2 = sys_.pushforward(y, phis[1])
                             rhs = angle(g, [xs2, ys2])
                             it_nat.record(lhs == rhs,
                                         ("naturality", phi.values, g, x, y))
@@ -408,15 +417,6 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     return report
 
 
-def _push_fiber(system, x, phi):
-    if phi.source.size == 0:
-        # map between augmentation points, or into a nonempty fiber
-        if phi.target.size == 0:
-            return x
-        return system.pushforward(x, phi)
-    return system.pushforward(x, phi)
-
-
 def _empty_map(tgt):
     return OrderedMap(FinOrd(0), tgt, ())
 
@@ -432,7 +432,6 @@ def sampled_decomposition_check(W, seed=0, max_level=5, samples=60,
                                 level_cap=None):
     """Decomposition check on sampled three-valued functions with larger
     sources: the 3-ary operation equals a composite of 2-ary ones."""
-    import random
     rng = random.Random(seed)
     if level_cap is None:
         level_cap = max_level + 1

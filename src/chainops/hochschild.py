@@ -10,7 +10,9 @@ cochains found by linear algebra, never asserted symbolically.
 """
 
 import json
+import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import intmat
@@ -21,24 +23,43 @@ class InfeasibleSize(Exception):
     pass
 
 
+class InvalidAlgebra(AssertionError):
+    """Structure constants that are malformed, not unital or not
+    associative.  Raised explicitly, so the checks also run under
+    ``python -O``; an AssertionError, as the checks used to be asserts."""
+
+
 class FiniteRankAlgebra:
     """Associative unital algebra by structure constants over Z or Z/p."""
 
     def __init__(self, structure, unit, prime=0, name="R"):
-        self.n = len(structure)
+        self.n = n = len(structure)
         self.prime = prime
         self.name = name
-        assert prime == 0 or prime >= 2
+        if not (prime == 0 or prime >= 2):
+            raise InvalidAlgebra("the prime must be 0 or at least 2")
+        if len(unit) != n or any(len(row) != n or any(len(v) != n for v in row)
+                                 for row in structure):
+            raise InvalidAlgebra("structure constants must be a rank x rank "
+                                 "table of vectors of length rank, and the "
+                                 "unit a vector of length rank")
         self.structure = tuple(
             tuple(tuple(self._red(c) for c in structure[i][j])
-                  for j in range(self.n))
-            for i in range(self.n))
+                  for j in range(n))
+            for i in range(n))
         self.unit = tuple(self._red(c) for c in unit)
-        for i in range(self.n):
-            assert len(structure[i]) == self.n
-            for j in range(self.n):
-                assert len(structure[i][j]) == self.n
         self._check_axioms()
+        # sparse structure constants: (i, j) -> [(t, c)] with e_i e_j having
+        # coefficient c at e_t, and their preimages t -> [(i, j, c)]
+        self.products = tuple(
+            tuple(tuple((t, c) for t, c in enumerate(v) if c) for v in row)
+            for row in self.structure)
+        preimages = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for t, c in self.products[i][j]:
+                    preimages[t].append((i, j, c))
+        self.preimages = tuple(tuple(pre) for pre in preimages)
 
     def _red(self, c):
         return c % self.prime if self.prime else int(c)
@@ -62,16 +83,18 @@ class FiniteRankAlgebra:
         return self.reduce_vec(out)
 
     def _check_axioms(self):
-        e = [(1 if t == i else 0 for t in range(self.n)) for i in range(3)]
         basis = [tuple(1 if t == i else 0 for t in range(self.n))
                  for i in range(self.n)]
         for x in basis:
-            assert self.mult(self.unit, x) == x, "left unit fails"
-            assert self.mult(x, self.unit) == x, "right unit fails"
+            if self.mult(self.unit, x) != x:
+                raise InvalidAlgebra("left unit fails")
+            if self.mult(x, self.unit) != x:
+                raise InvalidAlgebra("right unit fails")
             for y in basis:
                 for z in basis:
-                    assert self.mult(self.mult(x, y), z) == \
-                        self.mult(x, self.mult(y, z)), "associativity fails"
+                    if self.mult(self.mult(x, y), z) != \
+                            self.mult(x, self.mult(y, z)):
+                        raise InvalidAlgebra("associativity fails")
 
     def to_json(self):
         return json.dumps({
@@ -84,6 +107,9 @@ class FiniteRankAlgebra:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        if not isinstance(obj, dict) or not {"structure", "unit"} <= set(obj):
+            raise InvalidAlgebra('an algebra is a JSON object with '
+                                 '"structure" and "unit"')
         prime = obj.get("p", 0) if obj.get("ring") != "Z" else 0
         return cls(obj["structure"], obj["unit"], prime)
 
@@ -124,7 +150,9 @@ def matrix2_mod2():
 
 @dataclass(frozen=True)
 class HochschildCochain:
-    """Multilinear map R^{tensor p} -> R as a table on basis tuples."""
+    """Multilinear map R^{tensor p} -> R as a table on basis tuples.  The
+    sorted table is the canonical form (equality, hashing, reports);
+    ``value`` reads a dict built from it on first use."""
     algebra: FiniteRankAlgebra
     degree: int
     table: tuple    # sorted ((index tuple, value vector), ...), zeros dropped
@@ -138,11 +166,13 @@ class HochschildCochain:
                 table.append((tuple(key), vec))
         return cls(algebra, degree, tuple(sorted(table)))
 
+    @cached_property
+    def _lookup(self):
+        return dict(self.table)
+
     def value(self, key):
-        for k, v in self.table:
-            if k == key:
-                return v
-        return (0,) * self.algebra.n
+        v = self._lookup.get(key)
+        return v if v is not None else (0,) * self.algebra.n
 
     def as_dict(self):
         return dict(self.table)
@@ -181,34 +211,39 @@ def unit_cochain(R):
 
 def hochschild_differential(rho):
     """The bar differential: outer multiplications on both ends and the
-    alternating inner multiplications."""
+    alternating inner multiplications.  Each entry (k, v) of rho's table is
+    pushed forward to the keys whose terms read it: (a,) + k, k + (a,), and
+    k with k[i-1] replaced by a preimage (a, b) under the multiplication, so
+    the cost is linear in the support of rho."""
     R = rho.algebra
     p = rho.degree
+    n = R.n
+    products = R.products
     out = {}
 
-    def add(key, vec, sign):
-        cur = out.setdefault(key, [0] * R.n)
-        for t in range(R.n):
-            cur[t] += sign * vec[t]
+    def add(key, terms, sign):
+        cur = out.get(key)
+        if cur is None:
+            cur = out[key] = [0] * n
+        for s, c in terms:
+            cur[s] += sign * c
 
-    basis = [tuple(1 if s == i else 0 for s in range(R.n)) for i in range(R.n)]
-    for key in product(range(R.n), repeat=p + 1):
-        # r_1 * rho(r_2 ... r_{p+1})
-        add(key, R.mult(basis[key[0]], rho.value(key[1:])), 1)
-        # inner multiplications
+    right_sign = -1 if (p + 1) % 2 else 1
+    for k, v in rho.table:
+        support = [(t, x) for t, x in enumerate(v) if x]
+        for a in range(n):
+            # r_1 * rho(r_2 ... r_{p+1}) with r_1 = e_a
+            add((a,) + k, [(s, c * x) for t, x in support
+                           for s, c in products[a][t]], 1)
+            # rho(r_1 ... r_p) * r_{p+1} with r_{p+1} = e_a
+            add(k + (a,), [(s, c * x) for t, x in support
+                           for s, c in products[t][a]], right_sign)
+        # inner multiplications r_i r_{i+1} = ... + c e_{k[i-1]}
         for i in range(1, p + 1):
-            prod_vec = R.basis_product(key[i - 1], key[i])
-            acc = [0] * R.n
-            for t, c in enumerate(prod_vec):
-                if c:
-                    sub = key[:i - 1] + (t,) + key[i + 1:]
-                    v = rho.value(sub)
-                    for s in range(R.n):
-                        acc[s] += c * v[s]
-            add(key, tuple(acc), -1 if i % 2 else 1)
-        # rho(r_1 ... r_p) * r_{p+1}
-        add(key, R.mult(rho.value(key[:-1]), basis[key[p]]),
-            -1 if (p + 1) % 2 else 1)
+            head, tail = k[:i - 1], k[i:]
+            sign = -1 if i % 2 else 1
+            for a, b, c in R.preimages[k[i - 1]]:
+                add(head + (a, b) + tail, [(t, c * x) for t, x in support], sign)
     return HochschildCochain.make(R, p + 1, out)
 
 
@@ -229,23 +264,30 @@ def hochschild_cup(r1, r2):
 
 def circle_product(r1, r2):
     """Sum of single insertions of r2 into the slots of r1, with the usual
-    alternating sign per slot."""
+    alternating sign per slot: each entry of r1 meets, in each slot i, the
+    entries of r2 whose value has a coordinate at r1's index there."""
     R = r1.algebra
     p, q = r1.degree, r2.degree
+    n = R.n
+    # t -> [(k2, c)]: r2(k2) has coefficient c at e_t
+    inserts = [[] for _ in range(n)]
+    for k2, v2 in r2.table:
+        for t, c in enumerate(v2):
+            if c:
+                inserts[t].append((k2, c))
     out = {}
-    for key in product(range(R.n), repeat=p + q - 1 if p + q >= 1 else 0):
-        acc = [0] * R.n
+    for k1, v1 in r1.table:
         for i in range(1, p + 1):
-            inner = r2.value(key[i - 1:i - 1 + q])
+            head, tail = k1[:i - 1], k1[i:]
             sign = -1 if ((q - 1) * (i - 1)) % 2 else 1
-            for t, c in enumerate(inner):
-                if c:
-                    sub = key[:i - 1] + (t,) + key[i - 1 + q:]
-                    v = r1.value(sub)
-                    for s in range(R.n):
-                        acc[s] += sign * c * v[s]
-        if any(acc):
-            out[key] = tuple(acc)
+            for k2, c in inserts[k1[i - 1]]:
+                key = head + k2 + tail
+                cur = out.get(key)
+                if cur is None:
+                    cur = out[key] = [0] * n
+                f = sign * c
+                for s, x in enumerate(v1):
+                    cur[s] += f * x
     return HochschildCochain.make(R, p + q - 1, out)
 
 
@@ -263,13 +305,24 @@ def _cochain_dim(R, p):
     return R.n ** p * R.n
 
 
+def _entries(rho):
+    """(coordinate, value) for the nonzero coordinates of rho, coordinates
+    ordered as the keys in ``product`` order, then the basis of R."""
+    n = rho.algebra.n
+    for key, vec in rho.table:
+        base = 0
+        for a in key:
+            base = base * n + a
+        base *= n
+        for s, x in enumerate(vec):
+            if x:
+                yield base + s, x
+
+
 def _cochain_to_vec(rho):
-    R = rho.algebra
-    p = rho.degree
-    keys = list(product(range(R.n), repeat=p))
-    out = []
-    for key in keys:
-        out.extend(rho.value(key))
+    out = [0] * _cochain_dim(rho.algebra, rho.degree)
+    for i, x in _entries(rho):
+        out[i] = x
     return out
 
 
@@ -283,10 +336,11 @@ def _vec_to_cochain(R, p, vec):
 
 def differential_matrix(R, p):
     """Matrix of d : C^p -> C^{p+1} on basis cochains (columns)."""
-    cols = []
-    for rho in basis_cochains(R, p):
-        cols.append(_cochain_to_vec(hochschild_differential(rho)))
-    return IntMatrix.from_columns(cols, rows=_cochain_dim(R, p + 1))
+    data = {}
+    for j, rho in enumerate(basis_cochains(R, p)):
+        for i, x in _entries(hochschild_differential(rho)):
+            data[(i, j)] = x
+    return IntMatrix(_cochain_dim(R, p + 1), _cochain_dim(R, p), data)
 
 
 def modp_eliminate(rows, p):
@@ -347,7 +401,9 @@ def hochschild_cohomology(R, p_max, guard=6561):
     the integers, (dimension, ()) over Z/p.  Degree p_max uses the
     differential into degree p_max + 1, computed internally."""
     if _cochain_dim(R, p_max + 1) > guard:
-        raise InfeasibleSize((R.n, p_max))
+        raise InfeasibleSize(
+            "degree %d cochains of %s have dimension %d, above the limit %d"
+            % (p_max + 1, R.name, _cochain_dim(R, p_max + 1), guard))
     mats = {p: differential_matrix(R, p) for p in range(p_max + 2)}
     out = {}
     for p in range(p_max + 1):
@@ -479,9 +535,8 @@ def gerstenhaber_report(R, p_max=3, pair_cap=2):
                        (hochschild_cup(e, rho) + rho.scale(-1)).is_zero() and
                        (hochschild_cup(rho, e) + rho.scale(-1)).is_zero())
 
-    # bracket descends to cohomology: d[a,b] = [da,b] + (-1)^(p-1) [a,db]
-    import random as _random
-    rng = _random.Random(5)
+    # bracket descends to cohomology: d[a,b] = (-1)^(q+1) [da,b] + [a,db]
+    rng = random.Random(5)
     for _ in range(40):
         p = rng.randrange(0, p_max)
         q = rng.randrange(0, p_max)
@@ -490,9 +545,9 @@ def gerstenhaber_report(R, p_max=3, pair_cap=2):
         r1 = rng.choice(basis_cochains(R, p))
         r2 = rng.choice(basis_cochains(R, q))
         lhs = hochschild_differential(gerstenhaber_bracket(r1, r2))
-        rhs = gerstenhaber_bracket(hochschild_differential(r1), r2) + \
-            gerstenhaber_bracket(r1, hochschild_differential(r2)).scale(
-                -1 if (p - 1) % 2 else 1)
+        rhs = gerstenhaber_bracket(hochschild_differential(r1), r2).scale(
+            1 if q % 2 else -1) + \
+            gerstenhaber_bracket(r1, hochschild_differential(r2))
         rep.record("bracket is compatible with the differential",
                    (lhs + rhs.scale(-1)).is_zero())
 

@@ -115,3 +115,45 @@ def test_invalid_max_complexity_named(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "--max-complexity" in err and "--n " not in err
+
+
+def _hochschild_error(capsys, *args):
+    code = main(["hochschild", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_hochschild_invalid_algebra_file(tmp_path, capsys):
+    # not unital: (0, 1) is not a unit of Z/2[x]/(x^2)
+    nonunital = {"ring": "Zp", "p": 2, "unit": [0, 1],
+                 "structure": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
+    # not associative: (e1 e1) e1 != e1 (e1 e1)
+    e0, e1, e2, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+    nonassoc = {"ring": "Zp", "p": 2, "unit": [1, 0, 0],
+                "structure": [[e0, e1, e2], [e1, e2, z], [e2, e1, z]]}
+    for name, text, why in (
+            ("u.json", json.dumps(nonunital), "left unit fails"),
+            ("a.json", json.dumps(nonassoc), "associativity fails"),
+            ("list.json", "[]", '"structure" and "unit"'),
+            ("text.json", "not json", "invalid algebra file")):
+        path = tmp_path / name
+        path.write_text(text)
+        err = _hochschild_error(capsys, "--algebra", str(path))
+        assert why in err
+
+
+def test_hochschild_negative_pmax(capsys):
+    err = _hochschild_error(capsys, "--algebra", "dual2", "--pmax", "-1")
+    assert "--pmax" in err
+
+
+def test_hochschild_pmax_above_size_guard(capsys):
+    err = _hochschild_error(capsys, "--algebra", "m2", "--pmax", "5")
+    assert "--pmax 5 is too large" in err
+
+
+def test_hochschild_missing_algebra_file(tmp_path, capsys):
+    err = _hochschild_error(capsys, "--algebra", str(tmp_path / "none.json"))
+    assert "cannot read algebra file" in err

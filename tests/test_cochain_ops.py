@@ -1,8 +1,14 @@
+from itertools import combinations
+
 import pytest
 
-from chainops.cochain_ops import (AugmentedCochainSystem, LevelMismatch,
-                                  sampled_decomposition_check, verify_identities)
-from chainops.simplicial import (Cell, simplicial_circle, standard_simplex_sset)
+from chainops import delta
+from chainops.cochain_ops import (AugmentedCochainSystem, CochainElement,
+                                  LevelMismatch, sampled_decomposition_check,
+                                  verify_identities)
+from chainops.delta import FinOrd
+from chainops.simplicial import (Cell, from_simplicial_complex,
+                                 simplicial_circle, standard_simplex_sset)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +29,41 @@ def test_restrict_examples(d2):
     e = W.cell("0.1")
     assert d2.restrict(e, (0,)) == Cell((), "0")
     assert d2.restrict(e, ()) == ()
+
+
+def test_memoized_faces_equal_direct():
+    graph = from_simplicial_complex([0, 1, 2, 3],
+                                    [(0, 1), (1, 2), (2, 3), (0, 2)])
+    for W in (standard_simplex_sset(2), simplicial_circle(), graph):
+        cap = W.max_dim() + 2
+        sys_ = AugmentedCochainSystem(W, cap)
+        for _ in range(2):      # the second pass reads the memo
+            for m in range(cap + 1):
+                for cell in sys_.cells(m):
+                    for size in range(1, m + 2):
+                        for subset in combinations(range(m + 1), size):
+                            assert sys_.restrict(cell, subset) == \
+                                W.restrict(cell, subset)
+                    for j in range(cap + 1):
+                        for alpha in delta.all_ordered_maps(
+                                FinOrd.bracket(j), FinOrd.bracket(m)):
+                            assert sys_.act(cell, alpha) == W.act(cell, alpha)
+        # pushforward reads the memoized action
+        for j in range(cap + 1):
+            for m in range(cap + 1):
+                for alpha in delta.all_ordered_maps(FinOrd.bracket(j),
+                                                    FinOrd.bracket(m)):
+                    for x in sys_.basis(j):
+                        direct = {cell: x.value(W.act(cell, alpha))
+                                  for cell in sys_.cells(m)}
+                        assert sys_.pushforward(x, alpha) == \
+                            CochainElement.make(m, direct)
+
+
+def test_pushforward_between_augmentation_points(d1):
+    eps = d1.epsilon().scale(3)
+    empty = delta.all_ordered_maps(FinOrd(0), FinOrd(0))[0]
+    assert d1.pushforward(eps, empty) == eps
 
 
 def test_cup_on_zero_cochains(d1):

@@ -1,16 +1,117 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from chainops.hochschild import (FiniteRankAlgebra, HochschildCochain,
-                                 InfeasibleSize, basis_cochains,
-                                 dual_numbers_mod2,
+                                 InfeasibleSize, InvalidAlgebra,
+                                 basis_cochains, circle_product,
+                                 differential_matrix, dual_numbers_mod2,
                                  gerstenhaber_bracket, gerstenhaber_report,
                                  hochschild_cohomology, hochschild_cup,
                                  hochschild_differential, integers,
                                  matrix2_mod2, unit_cochain,
                                  upper_triangular_mod2)
+from chainops.intmat import IntMatrix
+
+
+def truncated_polynomial(m):
+    """Z[x]/(x^m) over the integers, basis 1, x, ..., x^(m-1)."""
+    s = [[tuple(1 if t == i + j else 0 for t in range(m)) for j in range(m)]
+         for i in range(m)]
+    unit = tuple(1 if t == 0 else 0 for t in range(m))
+    return FiniteRankAlgebra(s, unit, 0, name="Z[x]/(x^%d)" % m)
+
+
+def cyclic_group_ring(m):
+    """Z[C_m] over the integers, basis the group elements."""
+    s = [[tuple(1 if t == (i + j) % m else 0 for t in range(m))
+          for j in range(m)] for i in range(m)]
+    unit = tuple(1 if t == 0 else 0 for t in range(m))
+    return FiniteRankAlgebra(s, unit, 0, name="Z[C%d]" % m)
+
+
+def oracle_algebras():
+    return (integers(), dual_numbers_mod2(), upper_triangular_mod2(),
+            matrix2_mod2(), truncated_polynomial(2), truncated_polynomial(3),
+            cyclic_group_ring(3))
+
+
+# -- dense references: the defining formulas evaluated on every key ------------
+
+def dense_differential(rho):
+    """The bar differential evaluated on all n^(p+1) basis tuples."""
+    R = rho.algebra
+    p = rho.degree
+    out = {}
+
+    def add(key, vec, sign):
+        cur = out.setdefault(key, [0] * R.n)
+        for t in range(R.n):
+            cur[t] += sign * vec[t]
+
+    basis = [tuple(1 if s == i else 0 for s in range(R.n)) for i in range(R.n)]
+    for key in product(range(R.n), repeat=p + 1):
+        # r_1 * rho(r_2 ... r_{p+1})
+        add(key, R.mult(basis[key[0]], rho.value(key[1:])), 1)
+        # inner multiplications
+        for i in range(1, p + 1):
+            prod_vec = R.basis_product(key[i - 1], key[i])
+            acc = [0] * R.n
+            for t, c in enumerate(prod_vec):
+                if c:
+                    sub = key[:i - 1] + (t,) + key[i + 1:]
+                    v = rho.value(sub)
+                    for s in range(R.n):
+                        acc[s] += c * v[s]
+            add(key, tuple(acc), -1 if i % 2 else 1)
+        # rho(r_1 ... r_p) * r_{p+1}
+        add(key, R.mult(rho.value(key[:-1]), basis[key[p]]),
+            -1 if (p + 1) % 2 else 1)
+    return HochschildCochain.make(R, p + 1, out)
+
+
+def dense_circle_product(r1, r2):
+    """r1 o r2 evaluated on all n^(p+q-1) basis tuples."""
+    R = r1.algebra
+    p, q = r1.degree, r2.degree
+    out = {}
+    for key in product(range(R.n), repeat=p + q - 1 if p + q >= 1 else 0):
+        acc = [0] * R.n
+        for i in range(1, p + 1):
+            inner = r2.value(key[i - 1:i - 1 + q])
+            sign = -1 if ((q - 1) * (i - 1)) % 2 else 1
+            for t, c in enumerate(inner):
+                if c:
+                    sub = key[:i - 1] + (t,) + key[i - 1 + q:]
+                    v = r1.value(sub)
+                    for s in range(R.n):
+                        acc[s] += sign * c * v[s]
+        if any(acc):
+            out[key] = tuple(acc)
+    return HochschildCochain.make(R, p + q - 1, out)
+
+
+def dense_differential_matrix(R, p):
+    cols = []
+    for rho in basis_cochains(R, p):
+        d = dense_differential(rho)
+        col = []
+        for key in product(range(R.n), repeat=p + 1):
+            col.extend(d.value(key))
+        cols.append(col)
+    return IntMatrix.from_columns(cols, rows=R.n ** (p + 2))
+
+
+def random_cochain(R, p, rng):
+    """A seeded integer cochain on about half of the basis tuples."""
+    return HochschildCochain.make(R, p, {
+        key: tuple(rng.randint(-3, 3) for _ in range(R.n))
+        for key in product(range(R.n), repeat=p) if rng.random() < 0.5})
 
 
 def brute_dims(R, p_max):
@@ -93,6 +194,59 @@ def brute_dims(R, p_max):
         dim = n ** p * n
         dims[p] = dim - ranks[p] - (ranks[p - 1] if p >= 1 else 0)
     return dims
+
+
+def test_differential_equals_dense_oracle():
+    for R in oracle_algebras():
+        for p in range(4 if R.n <= 3 else 3):
+            for rho in basis_cochains(R, p):
+                assert hochschild_differential(rho) == dense_differential(rho), \
+                    (R.name, rho.table)
+        rng = random.Random(2)
+        for p in range(4):
+            rho = random_cochain(R, p, rng)
+            assert hochschild_differential(rho) == dense_differential(rho), \
+                (R.name, p)
+
+
+def test_circle_product_equals_dense_oracle():
+    for R in oracle_algebras():
+        for p in range(3):
+            for q in range(3 if R.n <= 2 else 2):
+                for a in basis_cochains(R, p):
+                    for b in basis_cochains(R, q):
+                        assert circle_product(a, b) == \
+                            dense_circle_product(a, b), (R.name, a, b)
+        rng = random.Random(3)
+        for _ in range(12):
+            p, q = rng.randrange(4), rng.randrange(3)
+            a, b = random_cochain(R, p, rng), random_cochain(R, q, rng)
+            assert circle_product(a, b) == dense_circle_product(a, b), \
+                (R.name, p, q)
+
+
+def test_differential_matrix_equals_dense_oracle():
+    for R in oracle_algebras():
+        for p in range(3):
+            assert differential_matrix(R, p) == \
+                dense_differential_matrix(R, p), (R.name, p)
+
+
+def test_bracket_compatible_with_differential_over_z():
+    # d[a,b] = (-1)^(q+1) [da,b] + [a,db] on seeded integer cochains
+    rng = random.Random(4)
+    for R in (truncated_polynomial(2), truncated_polynomial(3),
+              cyclic_group_ring(2), cyclic_group_ring(3)):
+        for _ in range(12):
+            p, q = rng.randrange(3), rng.randrange(3)
+            if p + q < 1:
+                continue
+            a, b = random_cochain(R, p, rng), random_cochain(R, q, rng)
+            d = hochschild_differential
+            lhs = d(gerstenhaber_bracket(a, b))
+            rhs = gerstenhaber_bracket(d(a), b).scale(1 if q % 2 else -1) + \
+                gerstenhaber_bracket(a, d(b))
+            assert lhs == rhs, (R.name, p, q)
 
 
 def test_differential_degree_zero():
@@ -203,7 +357,8 @@ def test_infeasible_guard():
 
 
 def test_gerstenhaber_reports_pass():
-    for R in (integers(), dual_numbers_mod2(), upper_triangular_mod2()):
+    for R in (integers(), dual_numbers_mod2(), upper_triangular_mod2(),
+              truncated_polynomial(2)):
         rep = gerstenhaber_report(R, p_max=3)
         assert rep.passed, rep.to_dict()
         assert rep.certificates
@@ -267,3 +422,25 @@ def test_invalid_algebra_rejected():
          [e2, e1, z]]
     with pytest.raises(AssertionError):
         FiniteRankAlgebra(s, (1, 0, 0), 2)
+    # malformed shape
+    with pytest.raises(InvalidAlgebra):
+        FiniteRankAlgebra([[(1, 0)], [(0, 1)]], (1, 0), 2)
+
+
+def test_invalid_algebra_rejected_under_optimize():
+    # python -O strips assert statements; the axiom checks must still fire
+    import chainops
+    script = "\n".join([
+        "from chainops.hochschild import FiniteRankAlgebra, InvalidAlgebra",
+        "assert False, 'asserts are live'",
+        "try:",
+        "    FiniteRankAlgebra([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (0, 1), 2)",
+        "except InvalidAlgebra as exc:",
+        "    print('rejected:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: left unit fails")
