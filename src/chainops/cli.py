@@ -48,7 +48,8 @@ class RunConfig:
             raise ConfigError("--n must be a positive integer for family Tn")
         if self.n is not None and self.n < 1:
             raise ConfigError("--n must be a positive integer")
-        for name, value in (("k", self.k), ("qmax", self.qmax)):
+        for name, value in (("k", self.k), ("kmax", self.k_max),
+                            ("qmax", self.qmax)):
             if value is not None and value < 1:
                 raise ConfigError("--%s must be positive" % name)
         if self.resolution < 2:
@@ -87,10 +88,14 @@ def _parse_degrees(text):
     try:
         if ".." in text:
             a, b = text.split("..")
-            return tuple(range(int(a), int(b) + 1))
-        return tuple(int(x) for x in text.split(","))
+            degrees = tuple(range(int(a), int(b) + 1))
+        else:
+            degrees = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ConfigError("bad degree window %r" % text)
+    if not degrees:
+        raise ConfigError("empty degree window %r" % text)
+    return degrees
 
 
 def _family_tag(cfg):
@@ -162,9 +167,22 @@ def _load_simplicial(spec):
     if spec == "circle":
         return simplicial.simplicial_circle(), "circle"
     if spec.startswith("simplex:"):
-        return simplicial.standard_simplex_sset(int(spec.split(":")[1])), spec
-    with open(spec) as fh:
-        return simplicial.FiniteSimplicialSet.from_json(fh.read()), spec
+        dim = spec.split(":", 1)[1]
+        if not dim.isdigit():
+            raise ConfigError("simplex:N needs a non-negative integer N, "
+                              "got %r" % spec)
+        return simplicial.standard_simplex_sset(int(dim)), spec
+    try:
+        with open(spec) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError("cannot read simplicial set file %r: %s" %
+                          (spec, exc.strerror))
+    try:
+        return simplicial.FiniteSimplicialSet.from_json(text), spec
+    except (AssertionError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ConfigError("invalid simplicial set file %r: %r" % (spec, exc))
 
 
 def cmd_verify_cochain_ops(cfg):

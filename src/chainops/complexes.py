@@ -6,6 +6,7 @@ degrees (degree -m holds the m-cochains), recorded in the ``regrade``
 attribute, so one homology engine serves both directions.
 """
 
+import heapq
 import json
 
 from . import intmat
@@ -74,24 +75,14 @@ class GradedIntComplex:
         return self.basis[d].index(label)
 
     def homology(self, d):
-        """(betti, torsion) of H_d, computed by Smith normal form.
+        """(betti, torsion) of H_d, computed by ``reduced_homology``.
 
         Requires d-1, d, d+1 inside the truncation window.
         """
-        lo, hi = self.window
-        if not (lo <= d - 1 and d + 1 <= hi):
-            raise DegreeOutsideWindow(d)
-        n = self.rank(d)
-        rank_d = intmat.rank(self.diff[d])
-        inv = intmat.snf_diagonal(self.diff[d + 1])
-        rank_d1 = len(inv)
-        betti = n - rank_d - rank_d1
-        torsion = tuple(f for f in inv if f > 1)
-        assert betti >= 0
-        return betti, torsion
+        return reduced_homology(self, (d,))[d]
 
     def homology_table(self, degrees):
-        return {d: self.homology(d) for d in degrees}
+        return reduced_homology(self, degrees)
 
     def to_json(self):
         """Deterministic JSON export: sparse triplets, stringified labels."""
@@ -167,14 +158,16 @@ def reduced_homology(cx, degrees):
     """Homology over a degree window, computed by first cancelling unit
     entries of the differential (an exact change of basis that removes an
     acyclic direct summand, so integral homology is preserved) and then
-    running Smith normal form on what is left.  Same answer as
-    ``cx.homology``, practical on much larger complexes."""
-    from . import intmat as _intmat
+    running Smith normal form once on each residual differential.  Only
+    the window min(degrees) - 1 .. max(degrees) + 1 is reduced.  This is
+    the one homology path: ``GradedIntComplex.homology`` delegates here."""
     degrees = tuple(degrees)
-    lo, hi = cx.window
+    if not degrees:
+        return {}
     for d in degrees:
-        if not (lo <= d - 1 and d + 1 <= hi):
+        if not (cx.window[0] <= d - 1 and d + 1 <= cx.window[1]):
             raise DegreeOutsideWindow(d)
+    lo, hi = min(degrees) - 1, max(degrees) + 1
     rows = {}   # degree -> {row_label: {col_label: value}} of the boundary
     cols = {}   # degree -> {col_label: {row_label: value}}
     active = {d: set((d, i) for i in range(cx.rank(d)))
@@ -186,7 +179,6 @@ def reduced_homology(cx, degrees):
             rows[d].setdefault((d - 1, i), {})[(d, j)] = v
             cols[d].setdefault((d, j), {})[(d - 1, i)] = v
 
-    import heapq
     queue = []
     for d in range(lo + 1, hi + 1):
         for y, row in rows[d].items():
@@ -251,23 +243,20 @@ def reduced_homology(cx, degrees):
             continue
         cancel(d, y, x)
 
+    index = {d: {lab: i for i, lab in enumerate(sorted(active[d]))}
+             for d in range(lo, hi + 1)}
+    invariants = {}
+    for d in sorted({e for d in degrees for e in (d, d + 1)}):
+        src, tgt = index[d], index[d - 1]
+        residual = IntMatrix(len(tgt), len(src),
+                             {(tgt[w], src[z]): v
+                              for z in active[d]
+                              for w, v in cols[d].get(z, {}).items()})
+        invariants[d] = intmat.snf_diagonal(residual)
     out = {}
     for d in degrees:
-        nd = len(active[d])
-        idx = {lab: i for i, lab in enumerate(sorted(active[d]))}
-        idx_dn = {lab: i for i, lab in enumerate(sorted(active[d - 1]))}
-        idx_up = {lab: i for i, lab in enumerate(sorted(active[d + 1]))}
-        md = IntMatrix(len(idx_dn), nd,
-                       {(idx_dn[w], idx[z]): v
-                        for z in active[d]
-                        for w, v in cols[d].get(z, {}).items()})
-        mu = IntMatrix(nd, len(idx_up),
-                       {(idx[w], idx_up[z]): v
-                        for z in active[d + 1]
-                        for w, v in cols[d + 1].get(z, {}).items()})
-        rank_d = _intmat.rank(md)
-        inv = _intmat.snf_diagonal(mu)
-        betti = nd - rank_d - len(inv)
+        inv = invariants[d + 1]
+        betti = len(active[d]) - len(invariants[d]) - len(inv)
         out[d] = (betti, tuple(f for f in inv if f > 1))
     return out
 

@@ -319,11 +319,10 @@ def _entries(rho):
                 yield base + s, x
 
 
-def _cochain_to_vec(rho):
-    out = [0] * _cochain_dim(rho.algebra, rho.degree)
-    for i, x in _entries(rho):
-        out[i] = x
-    return out
+def _cochain_column(rho):
+    """rho as a one-column IntMatrix in the coordinates of ``_entries``."""
+    return IntMatrix(_cochain_dim(rho.algebra, rho.degree), 1,
+                     {(i, 0): x for i, x in _entries(rho)})
 
 
 def _vec_to_cochain(R, p, vec):
@@ -343,80 +342,27 @@ def differential_matrix(R, p):
     return IntMatrix(_cochain_dim(R, p + 1), _cochain_dim(R, p), data)
 
 
-def modp_eliminate(rows, p):
-    """Row echelon over Z/p; returns (rank, echelon rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p) if p > 2 else rows[r][c] % p
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return r, rows[:r], pivots
-
-
-def modp_solve(mat, b, p):
-    """Solve mat x = b over Z/p (mat as IntMatrix); None if unsolvable."""
-    dense = mat.to_rows()
-    aug = [row + [bv] for row, bv in zip(dense, b)]
-    rank, ech, pivots = modp_eliminate(aug, p)
-    x = [0] * mat.cols
-    for row, c in zip(ech, pivots):
-        if c == mat.cols:
-            return None
-        x[c] = row[-1] % p
-    if any((sum(r * xx for r, xx in zip(row, x)) - bv) % p
-           for row, bv in zip(dense, b)):
-        return None
-    return x
-
-
-def modp_kernel(mat, p):
-    """Basis of the kernel over Z/p."""
-    dense = mat.to_rows()
-    rank, ech, pivots = modp_eliminate(dense, p)
-    free = [c for c in range(mat.cols) if c not in pivots]
-    out = []
-    for fc in free:
-        x = [0] * mat.cols
-        x[fc] = 1
-        for row, c in zip(ech, pivots):
-            x[c] = (-row[fc]) % p
-        out.append(x)
-    return out
+def modp_eliminate(m, p):
+    """Rank of m over Z/p.  Only the benchmark tracer (perfbench/tracing.py)
+    still looks this name up; drop it with the next benchmark change."""
+    return intmat.rank(m, p)
 
 
 def hochschild_cohomology(R, p_max, guard=6561):
     """Per-degree cohomology of the truncated complex: (betti, torsion) over
     the integers, (dimension, ()) over Z/p.  Degree p_max uses the
-    differential into degree p_max + 1, computed internally."""
+    differential into degree p_max + 1, the largest space built."""
     if _cochain_dim(R, p_max + 1) > guard:
         raise InfeasibleSize(
             "degree %d cochains of %s have dimension %d, above the limit %d"
             % (p_max + 1, R.name, _cochain_dim(R, p_max + 1), guard))
-    mats = {p: differential_matrix(R, p) for p in range(p_max + 2)}
+    inv = {p: intmat.snf_diagonal(differential_matrix(R, p), R.prime)
+           for p in range(p_max + 1)}
     out = {}
     for p in range(p_max + 1):
-        dim = _cochain_dim(R, p)
-        if R.prime:
-            rk_in = modp_eliminate(mats[p - 1].transpose().to_rows(), R.prime)[0] \
-                if p >= 1 else 0
-            rk_out = modp_eliminate(mats[p].transpose().to_rows(), R.prime)[0]
-            out[p] = (dim - rk_out - rk_in, ())
-        else:
-            rk_out = intmat.rank(mats[p])
-            inv = intmat.snf_diagonal(mats[p - 1]) if p >= 1 else []
-            out[p] = (dim - rk_out - len(inv), tuple(f for f in inv if f > 1))
+        inv_in = inv[p - 1] if p >= 1 else []
+        out[p] = (_cochain_dim(R, p) - len(inv[p]) - len(inv_in),
+                  tuple(f for f in inv_in if f > 1))
     return out
 
 
@@ -461,40 +407,34 @@ class GerstenhaberReport:
 
 
 def cohomology_representatives(R, p):
-    """Representative cocycles for a basis of H^p over Z/p."""
+    """Representative cocycles for a basis of H^p over Z/p: the kernel
+    vectors of d, in order, that are independent of the coboundaries and
+    of the representatives taken before them."""
     assert R.prime, "representatives implemented over prime fields"
-    prime = R.prime
-    d_out = differential_matrix(R, p)
-    kernel = modp_kernel(d_out, prime)
-    if p == 0:
-        boundary_rows = []
-    else:
-        d_in = differential_matrix(R, p - 1)
-        boundary_rows = [d_in.column(j) for j in range(d_in.cols)]
+    kernel = intmat.kernel_basis(differential_matrix(R, p), R.prime)
+    span = differential_matrix(R, p - 1) if p else IntMatrix(kernel.rows, 0)
+    rank = intmat.rank(span, R.prime)
+    wanted = kernel.cols - rank     # dim H^p: the coboundaries are cocycles
     reps = []
-    rows = [list(b) for b in boundary_rows]
-    rank0 = modp_eliminate(rows, prime)[0] if rows else 0
-    cur = rank0
-    for vec in kernel:
-        test = rows + [list(v) for v in reps] + [vec]
-        rk = modp_eliminate(test, prime)[0]
-        if rk > cur + len(reps):
-            reps.append(vec)
-    return [_vec_to_cochain(R, p, v) for v in reps]
+    for j in range(kernel.cols):
+        if len(reps) == wanted:
+            break
+        test = span.stack_cols(kernel.submatrix_cols([j]))
+        rk = intmat.rank(test, R.prime)
+        if rk > rank:
+            span, rank = test, rk
+            reps.append(_vec_to_cochain(R, p, kernel.column(j)))
+    return reps
 
 
 def _cobound(R, target):
     """Explicit cochain zeta with d(zeta) = target, or None."""
     p = target.degree
-    mat = differential_matrix(R, p - 1)
-    b = _cochain_to_vec(target)
-    if R.prime:
-        x = modp_solve(mat, b, R.prime)
-    else:
-        x = intmat.solve(mat, b)
+    x = intmat.solve(differential_matrix(R, p - 1), _cochain_column(target),
+                     R.prime)
     if x is None:
         return None
-    return _vec_to_cochain(R, p - 1, x)
+    return _vec_to_cochain(R, p - 1, x.column(0))
 
 
 def gerstenhaber_report(R, p_max=3, pair_cap=2):

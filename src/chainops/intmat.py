@@ -1,12 +1,11 @@
-"""Sparse integer matrices with exact arithmetic, Smith normal form, and
-integer linear solvers.
+"""Sparse integer matrices with exact arithmetic and the one elimination
+engine: Smith normal form over Z or Z/p, with ranks, kernels and solvers
+on top of it.
 
 All entries are Python ints (arbitrary precision).  Matrices are immutable
 after construction; every operation returns a fresh matrix, so values can be
 shared freely across threads.
 """
-
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -71,9 +70,6 @@ class IntMatrix:
     def column(self, j):
         return [self.data.get((i, j), 0) for i in range(self.rows)]
 
-    def row(self, i):
-        return [self.data.get((i, j), 0) for j in range(self.cols)]
-
     def is_zero(self):
         return not self.data
 
@@ -84,9 +80,6 @@ class IntMatrix:
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
@@ -157,21 +150,34 @@ class IntMatrix:
         return "IntMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, len(self.data))
 
 
+class NotUnimodular(AssertionError):
+    """A matrix taken to be unimodular is not.  Raised explicitly, so the
+    check also runs under ``python -O``; an AssertionError, as the check
+    used to be an assert."""
+
+
 class _SNFWorker:
-    """Row/column reduction to Smith normal form.
+    """Row/column reduction to Smith normal form, over Z (prime 0) or Z/p.
 
     Pivots are chosen with smallest magnitude (and then least fill) to keep
-    coefficient growth under control.  Optionally tracks the unimodular
-    transforms u, v with u*m*v diagonal.
+    coefficient growth under control.  Over Z/p every entry is kept reduced
+    mod p, each pivot is scaled to 1 and there is no divisibility pass.
+    Optionally tracks the transforms u, v with u*m*v diagonal (unimodular
+    over Z, invertible over Z/p).
     """
 
-    def __init__(self, m, track=True):
+    def __init__(self, m, track=True, prime=0):
         self.rows = m.rows
         self.cols = m.cols
+        self.prime = prime
         # row-major and column-major views of the work matrix
         self.r = {}   # i -> {j: v}
         self.c = {}   # j -> {i: v}
         for (i, j), v in m.data.items():
+            if prime:
+                v %= prime
+                if not v:
+                    continue
             self.r.setdefault(i, {})[j] = v
             self.c.setdefault(j, {})[i] = v
         self.track = track
@@ -180,6 +186,8 @@ class _SNFWorker:
             self.v = {j: {j: 1} for j in range(self.cols)}   # col ops, col-major
 
     def _set(self, i, j, val):
+        if self.prime:
+            val %= self.prime
         if val:
             self.r.setdefault(i, {})[j] = val
             self.c.setdefault(j, {})[i] = val
@@ -188,6 +196,19 @@ class _SNFWorker:
                 del self.r[i][j]
                 del self.c[j][i]
 
+    def _combine(self, ops, dst, src, k):
+        # ops[dst] += k*ops[src] on a tracked transform
+        p = self.prime
+        out = ops.setdefault(dst, {})
+        for j, v in ops.get(src, {}).items():
+            val = out.get(j, 0) + k * v
+            if p:
+                val %= p
+            if val:
+                out[j] = val
+            else:
+                out.pop(j, None)
+
     def _add_row(self, dst, src, k):
         # row[dst] += k*row[src]
         if not k:
@@ -195,11 +216,7 @@ class _SNFWorker:
         for j, v in list(self.r.get(src, {}).items()):
             self._set(dst, j, self.r.get(dst, {}).get(j, 0) + k * v)
         if self.track:
-            u = self.u
-            for j, v in u.get(src, {}).items():
-                u.setdefault(dst, {})[j] = u.get(dst, {}).get(j, 0) + k * v
-                if not u[dst][j]:
-                    del u[dst][j]
+            self._combine(self.u, dst, src, k)
 
     def _add_col(self, dst, src, k):
         # col[dst] += k*col[src]
@@ -208,11 +225,7 @@ class _SNFWorker:
         for i, v in list(self.c.get(src, {}).items()):
             self._set(i, dst, self.r.get(i, {}).get(dst, 0) + k * v)
         if self.track:
-            v_ = self.v
-            for i, w in v_.get(src, {}).items():
-                v_.setdefault(dst, {})[i] = v_.get(dst, {}).get(i, 0) + k * w
-                if not v_[dst][i]:
-                    del v_[dst][i]
+            self._combine(self.v, dst, src, k)
 
     def _swap_rows(self, a, b):
         if a == b:
@@ -235,13 +248,28 @@ class _SNFWorker:
         if self.track:
             self.v[a], self.v[b] = self.v.get(b, {}), self.v.get(a, {})
 
-    def _negate_row(self, i):
+    def _scale_row(self, i, k):
+        # row[i] *= k, a unit: -1 over Z, a pivot's inverse over Z/p
         for j, v in list(self.r.get(i, {}).items()):
-            self._set(i, j, -v)
+            self._set(i, j, k * v)
         if self.track:
-            self.u[i] = {j: -v for j, v in self.u.get(i, {}).items()}
+            p = self.prime
+            self.u[i] = {j: (k * v) % p if p else k * v
+                         for j, v in self.u.get(i, {}).items()}
 
     def _find_pivot(self, s):
+        if self.prime:
+            # every entry is a unit: a shortest line of the shorter side,
+            # then the shortest line crossing it
+            lines, cross = (self.r, self.c) if self.rows <= self.cols \
+                else (self.c, self.r)
+            best = min(((len(line), a) for a, line in lines.items()
+                        if a >= s and line), default=None)
+            if best is None:
+                return None
+            a = best[1]
+            b = min(lines[a], key=lambda b: (len(cross[b]), b))
+            return (a, b) if lines is self.r else (b, a)
         best = None
         for i, row in self.r.items():
             if i < s:
@@ -261,6 +289,7 @@ class _SNFWorker:
     def run(self):
         s = 0
         n = min(self.rows, self.cols)
+        p = self.prime
         diag = []
         while s < n:
             piv = self._find_pivot(s)
@@ -268,6 +297,8 @@ class _SNFWorker:
                 break
             self._swap_rows(s, piv[0])
             self._swap_cols(s, piv[1])
+            if p and self.r[s][s] != 1:
+                self._scale_row(s, pow(self.r[s][s], -1, p))
             while True:
                 a = self.r[s][s]
                 # clear column s
@@ -299,31 +330,34 @@ class _SNFWorker:
             # pivot now alone in its row and column
             a = self.r[s][s]
             if a < 0:
-                self._negate_row(s)
+                self._scale_row(s, -1)
                 a = -a
-            # enforce divisibility: fold in any entry a does not divide
-            bad = None
-            for i, row in self.r.items():
-                if i <= s:
-                    continue
-                for j, v in row.items():
-                    if j > s and v % a:
-                        bad = (i, j)
+            if not p:
+                # enforce divisibility: fold in any entry a does not divide
+                bad = None
+                for i, row in self.r.items():
+                    if i <= s:
+                        continue
+                    for j, v in row.items():
+                        if j > s and v % a:
+                            bad = (i, j)
+                            break
+                    if bad:
                         break
                 if bad:
-                    break
-            if bad:
-                self._add_row(s, bad[0], 1)
-                continue
+                    self._add_row(s, bad[0], 1)
+                    continue
             diag.append(a)
             s += 1
         return diag
 
 
-def smith_normal_form(m):
+def smith_normal_form(m, prime=0):
     """Return (diag, u, v) with u*m*v diagonal, d_1 | d_2 | ..., d_i > 0,
-    and u, v unimodular.  The empty matrix gives an empty diagonal."""
-    worker = _SNFWorker(m, track=True)
+    and u, v unimodular.  Over Z/prime every d_i is 1 and u, v are
+    invertible mod prime, with entries in 0..prime-1.  The empty matrix
+    gives an empty diagonal."""
+    worker = _SNFWorker(m, track=True, prime=prime)
     diag = worker.run()
     u = IntMatrix(m.rows, m.rows,
                   {(i, j): v for i, row in worker.u.items() for j, v in row.items()})
@@ -332,68 +366,55 @@ def smith_normal_form(m):
     return diag, u, v
 
 
-def snf_diagonal(m):
+def snf_diagonal(m, prime=0):
     """Invariant factors only (no transform tracking; faster)."""
-    return _SNFWorker(m, track=False).run()
+    return _SNFWorker(m, track=False, prime=prime).run()
 
 
-def rank(m):
-    return len(snf_diagonal(m))
+def rank(m, prime=0):
+    return len(snf_diagonal(m, prime))
 
 
-def kernel_basis(m):
-    """Basis of the integer kernel of m, as an IntMatrix whose columns span
-    ker(m).  The basis is saturated (the kernel is a direct summand)."""
-    diag, _u, v = smith_normal_form(m)
+def kernel_basis(m, prime=0):
+    """Basis of the kernel of m over Z (or Z/prime), as an IntMatrix whose
+    columns span ker(m).  Over Z the basis is saturated (the kernel is a
+    direct summand)."""
+    diag, _u, v = smith_normal_form(m, prime)
     r = len(diag)
-    cols = []
-    for j in range(r, m.cols):
-        cols.append(v.column(j))
-    return IntMatrix.from_columns(cols, rows=m.cols)
+    return IntMatrix(m.cols, m.cols - r,
+                     {(i, j - r): x for (i, j), x in v.data.items() if j >= r})
 
 
-def solve(m, b):
-    """One integer solution x of m x = b, or None if there is none."""
-    diag, u, v = smith_normal_form(m)
-    ub = u.apply(list(b))
-    y = [0] * m.cols
-    for i, d in enumerate(diag):
-        if ub[i] % d:
+def solve(m, b, prime=0):
+    """One solution x of m x = b, where the columns of the IntMatrix b are
+    the right-hand sides, over Z (or Z/prime), factoring m once.  None if
+    some column has no solution."""
+    assert b.rows == m.rows, (b.rows, m.rows)
+    diag, u, v = smith_normal_form(m, prime)
+    y = {}
+    for (i, l), x in (u * b).data.items():
+        if prime:
+            x %= prime
+            if not x:
+                continue
+        if i >= len(diag) or x % diag[i]:
             return None
-        y[i] = ub[i] // d
-    for i in range(len(diag), m.rows):
-        if ub[i]:
+        y[(i, l)] = x // diag[i]
+    x = v * IntMatrix(m.cols, b.cols, y)
+    if prime:
+        x = IntMatrix(x.rows, x.cols, {k: c % prime for k, c in x.data.items()})
+        if any(c % prime for c in (m * x - b).data.values()):
             return None
-    return v.apply(y)
+    return x
 
 
 def inverse_unimodular(m):
-    """Exact inverse of a unimodular square matrix."""
-    assert m.rows == m.cols
+    """Exact inverse of a unimodular square matrix; raises NotUnimodular
+    for any other matrix."""
+    if m.rows != m.cols:
+        raise NotUnimodular("matrix is not square")
     diag, u, v = smith_normal_form(m)
-    assert len(diag) == m.rows and all(d == 1 for d in diag), \
-        "matrix is not unimodular"
+    if len(diag) != m.rows or any(d != 1 for d in diag):
+        raise NotUnimodular("matrix is not unimodular")
     # u m v = I  =>  m^{-1} = v u
     return v * u
-
-
-def det_sign_unimodular(m):
-    """Determinant (+-1) of a unimodular matrix via fraction-free elimination."""
-    n = m.rows
-    assert n == m.cols
-    a = [[Fraction(x) for x in row] for row in m.to_rows()]
-    det = Fraction(1)
-    for s in range(n):
-        piv = next((i for i in range(s, n) if a[i][s]), None)
-        if piv is None:
-            return 0
-        if piv != s:
-            a[s], a[piv] = a[piv], a[s]
-            det = -det
-        det *= a[s][s]
-        for i in range(s + 1, n):
-            f = a[i][s] / a[s][s]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[s])]
-    assert det.denominator == 1
-    return int(det)

@@ -385,7 +385,8 @@ def test_ker_expand_against_generic_kernel():
             vec = [0] * len(full)
             for s, c in ker_expand(sym):
                 vec[idx[s]] = c
-            assert intmat.solve(kerbasis, vec) is not None
+            assert intmat.solve(kerbasis, IntMatrix.from_columns([vec])) \
+                is not None
 
 
 def test_sigma_action_properties():

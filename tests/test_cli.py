@@ -157,3 +157,39 @@ def test_hochschild_pmax_above_size_guard(capsys):
 def test_hochschild_missing_algebra_file(tmp_path, capsys):
     err = _hochschild_error(capsys, "--algebra", str(tmp_path / "none.json"))
     assert "cannot read algebra file" in err
+
+
+def _config_error(capsys, *args):
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_empty_degree_window_rejected(capsys):
+    err = _config_error(capsys, "homology-operad", "--k", "2",
+                        "--degrees", "2..0")
+    assert "empty degree window '2..0'" in err
+
+
+def test_nonpositive_kmax_rejected(capsys):
+    err = _config_error(capsys, "verify-operad", "--kmax", "0")
+    assert "--kmax must be positive" in err
+
+
+def test_bad_simplicial_set_file_rejected(tmp_path, capsys):
+    err = _config_error(capsys, "verify-cochain-ops", "--complex",
+                        str(tmp_path / "none.json"))
+    assert "cannot read simplicial set file" in err
+    for name, text in (("text.json", "not json"), ("list.json", "[]"),
+                       ("empty.json", "{}"),
+                       ("face.json", '{"simplices": {"0": ["a"], "1": ["e"]},'
+                                     ' "faces": {"e": [[[0], "zz"]]}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        err = _config_error(capsys, "verify-cochain-ops", "--complex",
+                            str(path))
+        assert "invalid simplicial set file" in err
+    err = _config_error(capsys, "verify-cochain-ops", "--complex", "simplex:x")
+    assert "simplex:N" in err

@@ -1,14 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import chainops
 from chainops import intmat
 from chainops.intmat import IntMatrix
 from chainops.complexes import GradedIntComplex
 from chainops.simplicial import (standard_simplex_sset,
                                  standard_simplex_chains, from_simplicial_complex)
-from chainops.cosimplicial import (CosimplicialAbGroup, CosimplicialChainComplex,
-                                   TorsionCokernel, WindowTooSmall,
+from chainops.cosimplicial import (ComparisonFailed, CosimplicialAbGroup,
+                                   CosimplicialChainComplex, TorsionCokernel, WindowTooSmall,
                                    compare_conormalizations, conormalize_bicomplex,
                                    conormalize_cokernel, conormalize_kernel,
                                    stabilized_bicomplex_homology)
@@ -92,6 +96,43 @@ def test_certificate_random_simplicial_sets():
             assert kres.complex.rank(-m) == len(W.nondegenerate(m))
         count += 1
     assert count >= 8
+
+
+def test_certificate_rejects_non_inverse_and_non_unimodular():
+    A = standard_simplex_sset(1).dual_cosimplicial(3)
+    kres, cres = conormalize_kernel(A), conormalize_cokernel(A)
+    cert = compare_conormalizations(A, kres, cres)
+    cert.inverse[0] = 2 * cert.inverse[0]
+    with pytest.raises(ComparisonFailed):
+        cert.verify(kres, cres)
+    # a kernel inclusion scaled by 2 makes the comparison map non-unimodular
+    kres.inclusions[1] = 2 * kres.inclusions[1]
+    with pytest.raises(ComparisonFailed) as info:
+        compare_conormalizations(A, kres, cres)
+    assert info.value.args == (1,)
+
+
+def test_certificate_check_under_optimize():
+    # python -O strips assert statements; c * c^-1 = I must still be checked
+    script = "\n".join([
+        "from chainops import cosimplicial as cs",
+        "from chainops.simplicial import standard_simplex_sset",
+        "assert False, 'asserts are live'",
+        "A = standard_simplex_sset(1).dual_cosimplicial(3)",
+        "k, q = cs.conormalize_kernel(A), cs.conormalize_cokernel(A)",
+        "cert = cs.compare_conormalizations(A, k, q)",
+        "cert.inverse[0] = 2 * cert.inverse[0]",
+        "try:",
+        "    cert.verify(k, q)",
+        "except cs.ComparisonFailed as exc:",
+        "    print('rejected:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: 0\n"
 
 
 def test_torsion_cokernel_detected():

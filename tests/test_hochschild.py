@@ -351,6 +351,75 @@ def test_cohomology_frozen_values():
         {0: 1, 1: 0, 2: 0, 3: 0}
 
 
+def test_cohomology_builds_only_the_differentials_it_reads(monkeypatch):
+    from chainops import hochschild
+    expected = {}
+    for R, p_max in ((integers(), 3), (dual_numbers_mod2(), 3),
+                     (truncated_polynomial(3), 3), (cyclic_group_ring(3), 3),
+                     (matrix2_mod2(), 2)):
+        expected[R.name] = hochschild_cohomology(R, p_max)
+    built = []
+
+    def counting(R, p):
+        built.append(p)
+        return differential_matrix(R, p)
+
+    monkeypatch.setattr(hochschild, "differential_matrix", counting)
+    for R, p_max in ((integers(), 3), (dual_numbers_mod2(), 3),
+                     (truncated_polynomial(3), 3), (cyclic_group_ring(3), 3),
+                     (matrix2_mod2(), 2)):
+        del built[:]
+        assert hochschild_cohomology(R, p_max) == expected[R.name]
+        assert sorted(built) == list(range(p_max + 1)), (R.name, built)
+    # closed forms: HH^p of Z[x]/(x^3) and Z[C_3] for p = 0..3
+    assert expected["Z[x]/(x^3)"] == {0: (3, ()), 1: (2, ()), 2: (2, (3,)),
+                                      3: (2, ())}
+    assert expected["Z[C3]"] == {0: (3, ()), 1: (0, ()), 2: (0, (3, 3, 3)),
+                                 3: (0, ())}
+
+
+def _rank_mod(columns, p):
+    """Rank over Z/p of dense integer columns, by plain elimination."""
+    rows = [[x % p for x in col] for col in columns]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _dense(rho):
+    """Coordinates of rho on every key, in ``product`` order."""
+    keys = product(range(rho.algebra.n), repeat=rho.degree)
+    return [x for key in keys for x in rho.value(key)]
+
+
+def test_cohomology_representatives_are_independent_classes():
+    from chainops.hochschild import cohomology_representatives
+    for R, p_max in ((dual_numbers_mod2(), 3), (upper_triangular_mod2(), 3),
+                     (matrix2_mod2(), 2)):
+        dims = hochschild_cohomology(R, p_max)
+        for p in range(p_max + 1):
+            reps = cohomology_representatives(R, p)
+            assert len(reps) == dims[p][0], (R.name, p)
+            for rho in reps:
+                assert rho.degree == p
+                assert hochschild_differential(rho).is_zero()
+            bounds = [_dense(hochschild_differential(b))
+                      for b in basis_cochains(R, p - 1)] if p else []
+            base = _rank_mod(bounds, R.prime)
+            assert _rank_mod(bounds + [_dense(r) for r in reps], R.prime) == \
+                base + len(reps), (R.name, p)
+
+
 def test_infeasible_guard():
     with pytest.raises(InfeasibleSize):
         hochschild_cohomology(matrix2_mod2(), 5)
