@@ -167,11 +167,14 @@ def _load_simplicial(spec):
     if spec == "circle":
         return simplicial.simplicial_circle(), "circle"
     if spec.startswith("simplex:"):
-        dim = spec.split(":", 1)[1]
-        if not dim.isdigit():
+        try:
+            dim = int(spec.split(":", 1)[1])
+        except ValueError:
+            dim = -1
+        if dim < 0:
             raise ConfigError("simplex:N needs a non-negative integer N, "
                               "got %r" % spec)
-        return simplicial.standard_simplex_sset(int(dim)), spec
+        return simplicial.standard_simplex_sset(dim), spec
     try:
         with open(spec) as fh:
             text = fh.read()

@@ -258,18 +258,6 @@ class _SNFWorker:
                          for j, v in self.u.get(i, {}).items()}
 
     def _find_pivot(self, s):
-        if self.prime:
-            # every entry is a unit: a shortest line of the shorter side,
-            # then the shortest line crossing it
-            lines, cross = (self.r, self.c) if self.rows <= self.cols \
-                else (self.c, self.r)
-            best = min(((len(line), a) for a, line in lines.items()
-                        if a >= s and line), default=None)
-            if best is None:
-                return None
-            a = best[1]
-            b = min(lines[a], key=lambda b: (len(cross[b]), b))
-            return (a, b) if lines is self.r else (b, a)
         best = None
         for i, row in self.r.items():
             if i < s:

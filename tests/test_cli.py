@@ -191,5 +191,6 @@ def test_bad_simplicial_set_file_rejected(tmp_path, capsys):
         err = _config_error(capsys, "verify-cochain-ops", "--complex",
                             str(path))
         assert "invalid simplicial set file" in err
-    err = _config_error(capsys, "verify-cochain-ops", "--complex", "simplex:x")
-    assert "simplex:N" in err
+    for spec in ("simplex:x", "simplex:\u00b2", "simplex:-1", "simplex:"):
+        err = _config_error(capsys, "verify-cochain-ops", "--complex", spec)
+        assert "simplex:N" in err

@@ -17,6 +17,7 @@ from chainops.hochschild import (FiniteRankAlgebra, HochschildCochain,
                                  matrix2_mod2, unit_cochain,
                                  upper_triangular_mod2)
 from chainops.intmat import IntMatrix
+from tests.test_intmat import dense_row_echelon
 
 
 def truncated_polynomial(m):
@@ -378,24 +379,6 @@ def test_cohomology_builds_only_the_differentials_it_reads(monkeypatch):
                                  3: (0, ())}
 
 
-def _rank_mod(columns, p):
-    """Rank over Z/p of dense integer columns, by plain elimination."""
-    rows = [[x % p for x in col] for col in columns]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _dense(rho):
     """Coordinates of rho on every key, in ``product`` order."""
     keys = product(range(rho.algebra.n), repeat=rho.degree)
@@ -415,8 +398,9 @@ def test_cohomology_representatives_are_independent_classes():
                 assert hochschild_differential(rho).is_zero()
             bounds = [_dense(hochschild_differential(b))
                       for b in basis_cochains(R, p - 1)] if p else []
-            base = _rank_mod(bounds, R.prime)
-            assert _rank_mod(bounds + [_dense(r) for r in reps], R.prime) == \
+            base = dense_row_echelon(bounds, R.prime)[0]
+            both = bounds + [_dense(r) for r in reps]
+            assert dense_row_echelon(both, R.prime)[0] == \
                 base + len(reps), (R.name, p)
 
 
