@@ -74,10 +74,6 @@ class Symbol:
         return len(self.f) - 1
 
     @property
-    def internal_degree(self):
-        return self.q + 1 - self.k
-
-    @property
     def total_degree(self):
         return self.q + 1 - self.k - self.r
 

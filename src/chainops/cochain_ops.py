@@ -11,12 +11,12 @@ the operations consume on empty fibers.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import delta
 from .delta import FinOrd, OrderedMap
-from .operads import CheckItem
+from .operads import CheckReport
 
 
 class LevelMismatch(Exception):
@@ -201,29 +201,6 @@ class AugmentedCochainSystem:
 
 # -- identity verification ----------------------------------------------------
 
-@dataclass
-class CochainReport:
-    complex_name: str
-    level_cap: int
-    items: dict = field(default_factory=dict)
-
-    def item(self, name):
-        return self.items.setdefault(name, CheckItem(name))
-
-    @property
-    def passed(self):
-        return all(not it.failures for it in self.items.values())
-
-    def to_dict(self):
-        return {
-            "complex": self.complex_name, "level_cap": self.level_cap,
-            "passed": self.passed,
-            "items": {name: {"instances": it.instances,
-                             "failures": [repr(w) for w in it.failures]}
-                      for name, it in sorted(self.items.items())},
-        }
-
-
 def _restriction_map(f, g, phi):
     """The restriction of phi to the i-th fibers, skeletally renumbered."""
     out = []
@@ -244,7 +221,7 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
         level_cap = W.max_dim() + 2
     sys_ = AugmentedCochainSystem(W, level_cap)
     angle = angle_impl or sys_.angle
-    report = CochainReport(name, level_cap)
+    report = CheckReport({"complex": name, "level_cap": level_cap})
     eps = sys_.epsilon()
     M = level_cap
 

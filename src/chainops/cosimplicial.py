@@ -13,7 +13,7 @@ check guarding the truncation.
 
 from dataclasses import dataclass
 
-from . import delta, intmat
+from . import intmat
 from .intmat import IntMatrix
 from .complexes import GradedIntComplex
 
@@ -104,14 +104,6 @@ class CosimplicialAbGroup:
                     else:
                         rhs = self.d(m - 1, i - 1) * self.s(m, j)
                     assert lhs == rhs, (m, i, j)
-
-    def operator(self, alpha):
-        """Matrix of the operator induced by an arbitrary ordered map."""
-        out = IntMatrix.identity(self.rank(alpha.source.level))
-        for kind, m, i in delta.decompose(alpha):
-            gen = self.d(m, i) if kind == "d" else self.s(m, i)
-            out = gen * out
-        return out
 
     def alternating_coface(self, m):
         """sum_i (-1)^i d^i : A^m -> A^{m+1}."""

@@ -268,8 +268,6 @@ def level_truncated_complex(k, n, level_cap, degree_window):
         data = {}
         for col, s in enumerate(basis[d]):
             for t, c in t_boundary(s, level_cap=level_cap).items():
-                if t.total_degree < lo:
-                    continue
                 row = index[d - 1][t]
                 data[(row, col)] = data.get((row, col), 0) + c
         diff[d] = IntMatrix(len(basis[d - 1]), len(basis[d]), data)
@@ -328,10 +326,10 @@ class CheckItem:
 
 
 @dataclass
-class OperadAxiomReport:
-    family: str
-    q_cap: int
-    seed: int
+class CheckReport:
+    """Named check items under a header of ordered fields, e.g.
+    {"family": "T", "q_cap": 4, "seed": 0}, which lead the dict form."""
+    header: dict
     items: dict = field(default_factory=dict)
 
     def item(self, name):
@@ -343,8 +341,7 @@ class OperadAxiomReport:
 
     def to_dict(self):
         return {
-            "family": self.family, "q_cap": self.q_cap, "seed": self.seed,
-            "passed": self.passed,
+            **self.header, "passed": self.passed,
             "items": {name: {"instances": it.instances,
                              "failures": [repr(w) for w in it.failures]}
                       for name, it in sorted(self.items.items())},
@@ -370,7 +367,8 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
     sampling above them; every failure is recorded with a replayable
     witness."""
     rng = random.Random(seed)
-    report = OperadAxiomReport(operad.family, operad.q_cap, seed)
+    report = CheckReport({"family": operad.family, "q_cap": operad.q_cap,
+                          "seed": seed})
     unit = operad.unit()
 
     # unit laws: exhaustive per arity up to the cap, sampled beyond

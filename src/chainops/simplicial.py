@@ -27,6 +27,12 @@ class Cell:
         return bool(self.word)
 
 
+class InvalidSimplicialSet(AssertionError):
+    """Simplices and faces that do not form a simplicial set.  Raised
+    explicitly, so the checks also run under ``python -O``; an
+    AssertionError, as the checks used to be asserts."""
+
+
 class FiniteSimplicialSet:
     """Nondegenerate simplices per dimension plus their faces."""
 
@@ -35,21 +41,34 @@ class FiniteSimplicialSet:
         self.dim_of = {}
         for d, names in self.simplices.items():
             for name in names:
-                assert isinstance(name, str)
-                assert name not in self.dim_of, "duplicate simplex name %r" % name
+                if not isinstance(name, str):
+                    raise InvalidSimplicialSet("simplex name %r is not a "
+                                               "string" % (name,))
+                if name in self.dim_of:
+                    raise InvalidSimplicialSet("duplicate simplex name %r" % name)
                 self.dim_of[name] = d
         self.faces = {}
         for name, fs in faces.items():
-            d = self.dim_of[name]
-            assert d >= 1 and len(fs) == d + 1
+            d = self.dim_of.get(name)
+            if d is None or d < 1:
+                raise InvalidSimplicialSet("faces given for %r, which is not "
+                                           "a simplex of dimension >= 1" % (name,))
+            if len(fs) != d + 1:
+                raise InvalidSimplicialSet("%r has dimension %d, so it needs "
+                                           "%d faces, got %d" %
+                                           (name, d, d + 1, len(fs)))
             self.faces[name] = tuple(fs)
             for c in fs:
-                assert isinstance(c, Cell)
-                assert self.cell_dim(c) == d - 1
+                if not (isinstance(c, Cell) and c.base in self.dim_of
+                        and self.cell_dim(c) == d - 1):
+                    raise InvalidSimplicialSet(
+                        "face %r of %r is not a cell of dimension %d" %
+                        (c, name, d - 1))
         for d, names in self.simplices.items():
             if d >= 1:
                 for name in names:
-                    assert name in self.faces, "missing faces for %r" % name
+                    if name not in self.faces:
+                        raise InvalidSimplicialSet("missing faces for %r" % name)
         if check:
             self._check_identities()
 
@@ -137,8 +156,10 @@ class FiniteSimplicialSet:
                     for i in range(j):
                         left = self.face(self.face(c, j), i)
                         right = self.face(self.face(c, i), j - 1)
-                        assert left == right, \
-                            "simplicial identity fails on %r (i=%d, j=%d)" % (name, i, j)
+                        if left != right:
+                            raise InvalidSimplicialSet(
+                                "simplicial identity fails on %r (i=%d, j=%d)"
+                                % (name, i, j))
 
     # -- derived algebra ---------------------------------------------------
 

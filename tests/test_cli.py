@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chainops.cli import main
 
 
@@ -70,7 +72,7 @@ def test_hochschild_cli(capsys):
 
 
 def test_cubes_components(capsys):
-    code, out = run(capsys, "cubes", "--components", "--n", "1", "--k", "2",
+    code, out = run(capsys, "cubes", "--n", "1", "--k", "2",
                     "--resolution", "5")
     assert code == 0 and ": 2" in out
 
@@ -194,3 +196,135 @@ def test_bad_simplicial_set_file_rejected(tmp_path, capsys):
     for spec in ("simplex:x", "simplex:\u00b2", "simplex:-1", "simplex:"):
         err = _config_error(capsys, "verify-cochain-ops", "--complex", spec)
         assert "simplex:N" in err
+
+
+# Each input used to end in a traceback or in a run that checked nothing.
+BAD_INPUT = [
+    (["enumerate-basis", "--k", "0", "--q", "1", "--r", "0"],
+     "--k must be positive"),
+    (["cubes", "--k", "0"], "--k must be positive"),
+    (["enumerate-basis", "--k", "2", "--q", "-1", "--r", "0"],
+     "--q must be non-negative"),
+    (["verify-cochain-ops", "--complex", "simplex:1", "--max-dim", "-3"],
+     "--max-dim must be non-negative"),
+    (["verify-cochain-ops", "--complex", "{tmp}/short.json"],
+     "'e' has dimension 1, so it needs 2 faces, got 1"),
+    (["cubes", "--compose", "/nonexistent.json"],
+     "cannot read compose file '/nonexistent.json'"),
+    (["cubes", "--compose", "{tmp}/overlap.json"],
+     "DisjointnessViolation((0, 1))"),
+    (["cubes", "--n", "1", "--k", "3", "--resolution", "2"],
+     "--resolution 2 is too coarse"),
+    (["export-complex", "--k", "5", "--qmax", "2"],
+     "--qmax 2 leaves arity 5 without symbols"),
+    (["verify-operad", "--kmax", "3", "--qmax", "1"],
+     "--qmax 1 leaves arity 3 without symbols"),
+    (["export-complex", "--k", "2", "--qmax", "2", "--out",
+      "{tmp}/missing/t2.json"], "cannot write --out file"),
+]
+
+
+@pytest.mark.parametrize("args,message", BAD_INPUT,
+                         ids=[" ".join(a) for a, _ in BAD_INPUT])
+def test_bad_input_exits_2(tmp_path, capsys, args, message):
+    (tmp_path / "short.json").write_text(
+        '{"simplices": {"0": ["a"], "1": ["e"]}, "faces": {"e": [[[], "a"]]}}')
+    (tmp_path / "overlap.json").write_text(json.dumps({
+        "n": 2, "inner": [[], []],
+        "outer": [{"a": ["0", "0"], "b": "1/2"},
+                  {"a": ["1/4", "1/4"], "b": "1/2"}]}))
+    err = _config_error(capsys, *[a.replace("{tmp}", str(tmp_path))
+                                  for a in args])
+    assert message in err
+
+
+# Full --json lines recorded before the command-line layer was rewritten
+# (with the echo of the removed --threads option taken out).
+GOLDEN = [
+    (["homology-operad", "--family", "Tn", "--n", "2", "--k", "2",
+      "--qmax", "4", "--degrees", "0..2"],
+     '{"command": "homology-operad", "config": {"family": "Tn", "k": 2, '
+     '"n": 2, "qmax": 4, "seed": 0}, "passed": true, "results": {"degrees": '
+     '[0, 1, 2], "family": "T2", "groups": {"0": [1, []], "1": [1, []], '
+     '"2": [0, []]}, "k": 2, "level_cap": 3, "stabilized": true}}'),
+    (["verify-operad", "--family", "Tn", "--n", "1", "--kmax", "2",
+      "--qmax", "3", "--seed", "5", "--exhaustive-cap", "20",
+      "--samples", "10"],
+     '{"command": "verify-operad", "config": {"exhaustive_cap": 20, '
+     '"family": "Tn", "k_max": 2, "n": 1, "qmax": 3, "samples": 10, '
+     '"seed": 5}, "passed": true, "results": {"family": "T1", "items": '
+     '{"associativity (composition diagram)": {"failures": [], "instances": '
+     '10}, "degree additivity": {"failures": [], "instances": 30}, '
+     '"equivariance (inner permutations)": {"failures": [], "instances": '
+     '30}, "equivariance (outer permutation)": {"failures": [], '
+     '"instances": 19}, "gamma is a chain map": {"failures": [], '
+     '"instances": 30}, "substitution gamma equals matrix gamma": '
+     '{"failures": [], "instances": 30}, "unit laws": {"failures": [], '
+     '"instances": 112}}, "passed": true, "q_cap": 3, "seed": 5}}'),
+    (["enumerate-basis", "--k", "2", "--q", "2", "--r", "1",
+      "--max-complexity", "1"],
+     '{"command": "enumerate-basis", "config": {"k": 2, "n": 1, "q": 2, '
+     '"r": 1, "seed": 0}, "passed": true, "results": {"count": 4, '
+     '"symbols": [{"f": [1, 1, 2], "k": 2, "phi": [0, 1, 1]}, {"f": [1, 2, '
+     '2], "k": 2, "phi": [0, 0, 1]}, {"f": [2, 1, 1], "k": 2, "phi": [0, 0, '
+     '1]}, {"f": [2, 2, 1], "k": 2, "phi": [0, 1, 1]}]}}'),
+    (["verify-cochain-ops", "--complex", "simplex:1", "--max-dim", "2"],
+     '{"command": "verify-cochain-ops", "config": {"complex": "simplex:1", '
+     '"max_dim": 2, "seed": 0}, "passed": true, "results": {"complex": '
+     '"simplex:1", "items": {"3-ary operations decompose through 2-ary": '
+     '{"failures": [], "instances": 117}, "associativity of fiberwise '
+     'operations (k=3)": {"failures": [], "instances": 117}, "augmentation '
+     'units": {"failures": [], "instances": 6}, "codegeneracies of a cup '
+     'product": {"failures": [], "instances": 4}, "codegeneracies of a join '
+     'product": {"failures": [], "instances": 0}, "cofaces of a cup '
+     'product": {"failures": [], "instances": 12}, "cofaces of a join '
+     'product": {"failures": [], "instances": 16}, "cup from join": '
+     '{"failures": [], "instances": 8}, "join from cup": {"failures": [], '
+     '"instances": 8}, "join is the block-partition operation": '
+     '{"failures": [], "instances": 4}, "join unit": {"failures": [], '
+     '"instances": 3}, "naturality of fiberwise operations (k=2)": '
+     '{"failures": [], "instances": 255}, "shared middle coface": '
+     '{"failures": [], "instances": 8}, "symmetry of fiberwise operations": '
+     '{"failures": [], "instances": 26}}, "level_cap": 2, "passed": true}}'),
+    (["hochschild", "--algebra", "dual2", "--pmax", "2", "--report",
+      "gerstenhaber"],
+     '{"command": "hochschild", "config": {"algebra": "Z2[x]/(x^2)", '
+     '"p_max": 2, "seed": 0}, "passed": true, "results": {"cohomology": '
+     '{"0": [2, []], "1": [2, []], "2": [2, []]}, "gerstenhaber": '
+     '{"algebra": "Z2[x]/(x^2)", "certificates": 196, "items": {"Leibniz '
+     'rule for cup": {"failures": 0, "instances": 68}, "bracket Jacobi": '
+     '{"failures": 0, "instances": 80}, "bracket antisymmetry": '
+     '{"failures": 0, "instances": 32}, "bracket derivation over cup": '
+     '{"failures": 0, "instances": 80}, "bracket is compatible with the '
+     'differential": {"failures": 0, "instances": 28}, "bracket of cocycles '
+     'is a cocycle": {"failures": 0, "instances": 32}, "cup associativity": '
+     '{"failures": 0, "instances": 216}, "cup unit": {"failures": 0, '
+     '"instances": 14}, "differential squares to zero": {"failures": 0, '
+     '"instances": 14}, "graded commutativity on cohomology": {"failures": '
+     '0, "instances": 36}}, "p_max": 2, "passed": true}}}'),
+    (["cubes", "--n", "1", "--k", "2", "--resolution", "5"],
+     '{"command": "cubes", "config": {"k": 2, "n": 1, "resolution": 5, '
+     '"seed": 0}, "passed": true, "results": {"components": 2}}'),
+    (["cubes", "--compose", "{compose}"],
+     '{"command": "cubes", "config": {"seed": 0}, "passed": true, '
+     '"results": {"cubes": [{"a": ["59/100", "67/100"], "b": "1/10"}]}}'),
+    (["export-complex", "--k", "2", "--qmax", "2"],
+     '{"command": "export-complex", "config": {"family": "T", "k": 2, '
+     '"qmax": 2, "seed": 0}, "passed": true, "results": {"ranks": {"-1": '
+     '18, "-2": 8, "0": 12, "1": 2}}}'),
+]
+
+
+@pytest.mark.parametrize("args,expected", GOLDEN,
+                         ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def test_json_report_golden(tmp_path, capsys, args, expected):
+    compose = tmp_path / "c.json"
+    compose.write_text(json.dumps({
+        "n": 2,
+        "outer": [{"a": ["55/100", "55/100"], "b": "40/100"}],
+        "inner": [[{"a": ["10/100", "30/100"], "b": "25/100"}]],
+    }))
+    args = [a.replace("{compose}", str(compose)) for a in args]
+    code, out = run(capsys, "--json", *args)
+    assert code == 0
+    assert out.splitlines()[-1] == expected

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from chainops import delta, simplicial
 from chainops.delta import FinOrd
-from chainops.simplicial import (Cell, FiniteSimplicialSet, simplicial_circle,
+from chainops.simplicial import (Cell, FiniteSimplicialSet,
+                                 InvalidSimplicialSet, simplicial_circle,
                                  standard_simplex_chains, standard_simplex_sset,
                                  from_simplicial_complex)
 
@@ -129,3 +133,32 @@ def test_bad_faces_rejected():
         # face dimensions wrong
         FiniteSimplicialSet({0: ("v",), 2: ("T",)},
                             {"T": (Cell((), "v"), Cell((), "v"), Cell((), "v"))})
+
+
+def test_wrong_face_count_named():
+    with pytest.raises(InvalidSimplicialSet, match="needs 2 faces, got 1"):
+        FiniteSimplicialSet({0: ("a",), 1: ("e",)}, {"e": (Cell((), "a"),)})
+    with pytest.raises(InvalidSimplicialSet, match="'x'"):
+        FiniteSimplicialSet({0: ("a",)}, {"x": (Cell((), "a"),)})
+
+
+def test_invalid_simplicial_set_rejected_under_optimize():
+    # python -O strips assert statements; the input checks must still fire
+    import chainops
+    script = "\n".join([
+        "from chainops.simplicial import (Cell, FiniteSimplicialSet,",
+        "                                 InvalidSimplicialSet)",
+        "assert False, 'asserts are live'",
+        "try:",
+        "    FiniteSimplicialSet({0: ('a',), 1: ('e',)},",
+        "                        {'e': (Cell((), 'a'),)})",
+        "except InvalidSimplicialSet as exc:",
+        "    print('rejected:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "rejected: 'e' has dimension 1, so it needs 2 faces, got 1")
