@@ -464,22 +464,11 @@ def box_level(k, n, r, q_cap):
     basis, truncated at q <= q_cap."""
     if q_cap < k - 1:
         raise BoundsExceeded((k, q_cap))
-    basis = {}
-    index = {}
     mmax = q_cap + 1 - k
-    for m in range(mmax + 1):
-        syms = box_basis(k, m + k - 1, r, n)
-        basis[m] = tuple(syms)
-        index[m] = {s: i for i, s in enumerate(syms)}
-    diff = {}
-    for m in range(1, mmax + 1):
-        data = {}
-        for col, sym in enumerate(basis[m]):
-            for sign, face in internal_boundary(sym):
-                row = index[m - 1][face]
-                data[(row, col)] = data.get((row, col), 0) + sign
-        diff[m] = IntMatrix(len(basis[m - 1]), len(basis[m]), data)
-    return GradedIntComplex((-1, mmax + 1), basis, diff)
+    basis = {m: tuple(box_basis(k, m + k - 1, r, n)) for m in range(mmax + 1)}
+    return GradedIntComplex.from_boundary(
+        (-1, mmax + 1), basis,
+        lambda m, sym: ((face, sign) for sign, face in internal_boundary(sym)))
 
 
 def box_cosimplicial(k, n, level_cap, q_cap):
@@ -489,18 +478,12 @@ def box_cosimplicial(k, n, level_cap, q_cap):
     levels = {r: box_level(k, n, r, q_cap) for r in range(level_cap + 1)}
 
     def op(alpha_values, new_r, src, tgt):
-        mats = {}
+        def image(sym):
+            out = act_ordered(sym, alpha_values, new_r)
+            return () if out is None else ((out, 1),)
         lo, hi = src.window
-        for m in range(max(lo, 0), hi):
-            cols = src.basis[m]
-            data = {}
-            tindex = {s: i for i, s in enumerate(tgt.basis[m])}
-            for j, sym in enumerate(cols):
-                out = act_ordered(sym, alpha_values, new_r)
-                if out is not None:
-                    data[(tindex[out], j)] = 1
-            mats[m] = IntMatrix(len(tgt.basis[m]), len(cols), data)
-        return mats
+        return {m: IntMatrix.from_images(src.basis[m], tgt.basis[m], image)
+                for m in range(max(lo, 0), hi)}
 
     cofaces, codegens = {}, {}
     for r in range(level_cap):

@@ -8,6 +8,7 @@ attribute, so one homology engine serves both directions.
 
 import heapq
 import json
+from functools import partial
 
 from . import intmat
 from .intmat import IntMatrix
@@ -20,6 +21,16 @@ class DegreeOutsideWindow(Exception):
 class NotSquareZero(AssertionError):
     """d o d != 0.  Raised explicitly, so the check also runs under
     ``python -O``; an AssertionError, as the check used to be an assert."""
+
+
+class InvalidComplex(AssertionError):
+    """Duplicate labels in a degree, or a differential of the wrong shape
+    (raised explicitly, like NotSquareZero)."""
+
+
+class NotAChainMap(AssertionError):
+    """Maps that do not commute with the differentials (raised explicitly,
+    like NotSquareZero)."""
 
 
 class GradedIntComplex:
@@ -37,19 +48,30 @@ class GradedIntComplex:
         self.basis = {}
         for d in range(lo, hi + 1):
             labels = tuple(basis.get(d, ()))
-            assert len(set(labels)) == len(labels), "duplicate labels in degree %d" % d
+            if len(set(labels)) != len(labels):
+                raise InvalidComplex("duplicate labels in degree %d" % d)
             self.basis[d] = labels
         self.diff = {}
         for d in range(lo + 1, hi + 1):
             m = diff.get(d)
             if m is None:
                 m = IntMatrix.zeros(len(self.basis[d - 1]), len(self.basis[d]))
-            assert m.rows == len(self.basis[d - 1]) and m.cols == len(self.basis[d]), \
-                "differential shape mismatch in degree %d" % d
+            if (m.rows, m.cols) != (len(self.basis[d - 1]), len(self.basis[d])):
+                raise InvalidComplex("differential shape mismatch in degree %d" % d)
             self.diff[d] = m
         self.regrade = regrade
         if check:
             self.check_dd_zero()
+
+    @classmethod
+    def from_boundary(cls, window, basis, boundary):
+        """The complex whose differential sends a label x of degree d to
+        boundary(d, x), an iterable of (label of degree d - 1, coefficient)
+        pairs, for every two consecutive degrees that ``basis`` lists."""
+        diff = {d: IntMatrix.from_images(basis[d], basis[d - 1],
+                                         partial(boundary, d))
+                for d in basis if d - 1 in basis}
+        return cls(window, basis, diff)
 
     def check_dd_zero(self):
         lo, hi = self.window
@@ -71,9 +93,6 @@ class GradedIntComplex:
             raise DegreeOutsideWindow(d)
         return self.diff[d]
 
-    def index_of(self, d, label):
-        return self.basis[d].index(label)
-
     def homology(self, d):
         """(betti, torsion) of H_d, computed by ``reduced_homology``.
 
@@ -81,15 +100,12 @@ class GradedIntComplex:
         """
         return reduced_homology(self, (d,))[d]
 
-    def homology_table(self, degrees):
-        return reduced_homology(self, degrees)
-
     def to_json(self):
         """Deterministic JSON export: sparse triplets, stringified labels."""
         lo, hi = self.window
         obj = {
             "degrees": list(range(lo, hi + 1)),
-            "basis": {str(d): [_label_str(x) for x in self.basis[d]]
+            "basis": {str(d): [label_str(x) for x in self.basis[d]]
                       for d in range(lo, hi + 1)},
             "differential": {
                 str(d): sorted([i, j, v] for (i, j), v in self.diff[d].data.items())
@@ -106,7 +122,7 @@ class GradedIntComplex:
         return "GradedIntComplex([%d..%d], ranks=%s)" % (lo, hi, ranks)
 
 
-def _label_str(label):
+def label_str(label):
     return label if isinstance(label, str) else repr(label)
 
 
@@ -142,7 +158,8 @@ class ChainMap:
                 continue
             left = t.differential(d + k) * self.matrix(d)
             right = sign * (self.matrix(d - 1) * s.differential(d))
-            assert left == right, "not a chain map in degree %d" % d
+            if left != right:
+                raise NotAChainMap("not a chain map in degree %d" % d)
 
     def compose(self, other):
         """self o other."""
@@ -270,42 +287,30 @@ def tensor(a, b):
     d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy."""
     alo, ahi = a.window
     blo, bhi = b.window
-    lo, hi = alo + blo, ahi + bhi
     basis = {}
     bideg = {}   # (d, label) -> degree of the left factor
-    index = {}   # (d, label) -> column position
-    for d in range(lo, hi + 1):
-        labels = []
-        for i in range(max(alo, d - bhi), min(ahi, d - blo) + 1):
-            for x in a.basis[i]:
-                for y in b.basis[d - i]:
-                    lab = (x, y)
-                    bideg[(d, lab)] = i
-                    index[(d, lab)] = len(labels)
-                    labels.append(lab)
-        basis[d] = tuple(labels)
-    diff = {}
-    for d in range(lo + 1, hi + 1):
-        data = {}
-        for col, (x, y) in enumerate(basis[d]):
-            i = bideg[(d, (x, y))]
-            j = d - i
-            if i > alo:
-                da = a.differential(i)
-                xi = a.index_of(i, x)
-                for (row_i, c), v in da.data.items():
-                    if c == xi:
-                        x2 = a.basis[i - 1][row_i]
-                        row = index[(d - 1, (x2, y))]
-                        data[(row, col)] = data.get((row, col), 0) + v
-            if j > blo:
-                db = b.differential(j)
-                yj = b.index_of(j, y)
-                sign = -1 if i % 2 else 1
-                for (row_j, c), v in db.data.items():
-                    if c == yj:
-                        y2 = b.basis[j - 1][row_j]
-                        row = index[(d - 1, (x, y2))]
-                        data[(row, col)] = data.get((row, col), 0) + sign * v
-        diff[d] = IntMatrix(len(basis[d - 1]), len(basis[d]), data)
-    return GradedIntComplex((lo, hi), basis, diff)
+    for d in range(alo + blo, ahi + bhi + 1):
+        pairs = [(i, (x, y))
+                 for i in range(max(alo, d - bhi), min(ahi, d - blo) + 1)
+                 for x in a.basis[i] for y in b.basis[d - i]]
+        basis[d] = tuple(lab for _, lab in pairs)
+        bideg.update(((d, lab), i) for i, lab in pairs)
+    da = {i: _images(a, i) for i in a.diff}
+    db = {j: _images(b, j) for j in b.diff}
+
+    def boundary(d, lab):
+        x, y = lab
+        i = bideg[(d, lab)]
+        sign = -1 if i % 2 else 1
+        return ([((x2, y), v) for x2, v in da.get(i, {}).get(x, ())] +
+                [((x, y2), sign * v) for y2, v in db.get(d - i, {}).get(y, ())])
+
+    return GradedIntComplex.from_boundary((alo + blo, ahi + bhi), basis, boundary)
+
+
+def _images(cx, d):
+    """The differential out of degree d on labels:
+    {label: [(label of degree d - 1, coefficient), ...]}."""
+    src, tgt = cx.basis[d], cx.basis[d - 1]
+    return {src[j]: [(tgt[i], v) for i, v in col]
+            for j, col in cx.diff[d].columns().items()}

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from . import intmat
 from .intmat import IntMatrix
-from .complexes import GradedIntComplex
+from .complexes import (GradedIntComplex, NotAChainMap, label_str,
+                        reduced_homology)
 
 
 class NonSplitKernel(Exception):
@@ -34,19 +35,16 @@ class WindowTooSmall(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AugmentedFlag:
-    """Optional empty-level data of an augmented cosimplicial group."""
-    has_empty_level: bool
-    empty_rank: int = 0
-    to_level0: IntMatrix = None
+class CosimplicialIdentityFails(AssertionError):
+    """Operators that break a cosimplicial identity.  Raised explicitly, so
+    the check also runs under ``python -O``."""
 
 
 class CosimplicialAbGroup:
     """Levelwise finitely generated free abelian group with coface and
     codegeneracy matrices satisfying the cosimplicial identities."""
 
-    def __init__(self, levels, cofaces, codegens, augmentation=None, check=True):
+    def __init__(self, levels, cofaces, codegens, check=True):
         self.levels = {m: tuple(v) for m, v in levels.items()}
         self.max_level = max(self.levels)
         assert sorted(self.levels) == list(range(self.max_level + 1))
@@ -60,13 +58,6 @@ class CosimplicialAbGroup:
             for i in range(m):
                 mat = self.codegens[(m, i)]
                 assert mat.rows == self.rank(m - 1) and mat.cols == self.rank(m)
-        self.augmentation = augmentation
-        if augmentation and augmentation.has_empty_level:
-            iota = augmentation.to_level0
-            assert iota is not None and iota.rows == self.rank(0)
-            if self.max_level >= 1:
-                d0, d1 = self.cofaces[(0, 0)], self.cofaces[(0, 1)]
-                assert d0 * iota == d1 * iota, "augmentation not consistent"
         if check:
             self._check_identities()
 
@@ -85,14 +76,16 @@ class CosimplicialAbGroup:
             for j in range(m + 3):
                 for i in range(j):
                     # d^j d^i = d^i d^{j-1}, maps A^m -> A^{m+2}
-                    assert self.d(m + 1, j) * self.d(m, i) == \
-                        self.d(m + 1, i) * self.d(m, j - 1), (m, i, j)
+                    if (self.d(m + 1, j) * self.d(m, i) !=
+                            self.d(m + 1, i) * self.d(m, j - 1)):
+                        raise CosimplicialIdentityFails("d^j d^i", m, i, j)
         for m in range(2, M + 1):
             for j in range(m - 1):
                 for i in range(j + 1):
                     # s^j s^i = s^i s^{j+1}, maps A^m -> A^{m-2}
-                    assert self.s(m - 1, j) * self.s(m, i) == \
-                        self.s(m - 1, i) * self.s(m, j + 1), (m, i, j)
+                    if (self.s(m - 1, j) * self.s(m, i) !=
+                            self.s(m - 1, i) * self.s(m, j + 1)):
+                        raise CosimplicialIdentityFails("s^j s^i", m, i, j)
         for m in range(M):
             for j in range(m + 1):
                 for i in range(m + 2):
@@ -103,7 +96,8 @@ class CosimplicialAbGroup:
                         rhs = IntMatrix.identity(self.rank(m))
                     else:
                         rhs = self.d(m - 1, i - 1) * self.s(m, j)
-                    assert lhs == rhs, (m, i, j)
+                    if lhs != rhs:
+                        raise CosimplicialIdentityFails("s^j d^i", m, i, j)
 
     def alternating_coface(self, m):
         """sum_i (-1)^i d^i : A^m -> A^{m+1}."""
@@ -162,11 +156,8 @@ def conormalize_kernel(A):
 def _coordinate_quotient(stacked):
     """If the image of ``stacked`` is spanned by +-1 unit columns, return the
     sorted list of killed coordinates, else None."""
-    by_col = {}
-    for (i, j), v in stacked.data.items():
-        by_col.setdefault(j, []).append((i, v))
     killed = set()
-    for col in by_col.values():
+    for col in stacked.columns().values():
         if len(col) == 1 and abs(col[0][1]) == 1:
             killed.add(col[0][0])
         else:
@@ -291,13 +282,11 @@ class CosimplicialChainComplex:
 
     def d(self, r, i, m):
         src, tgt = self.levels[r], self.levels[r + 1]
-        return self._op(self.cofaces, (r, i), m,
-                        _rank_or_zero(tgt, m), _rank_or_zero(src, m))
+        return self._op(self.cofaces, (r, i), m, tgt.rank(m), src.rank(m))
 
     def s(self, r, i, m):
         src, tgt = self.levels[r], self.levels[r - 1]
-        return self._op(self.codegens, (r, i), m,
-                        _rank_or_zero(tgt, m), _rank_or_zero(src, m))
+        return self._op(self.codegens, (r, i), m, tgt.rank(m), src.rank(m))
 
     def _check(self):
         lo, hi = self.internal_degrees()
@@ -305,55 +294,42 @@ class CosimplicialChainComplex:
         for r in range(self.max_level):
             for i in range(r + 2):
                 for m in range(lo + 1, hi + 1):
-                    if _rank_or_zero(self.levels[r], m) == 0:
+                    if self.levels[r].rank(m) == 0:
                         continue
                     lhs = _diff_or_zero(self.levels[r + 1], m) * self.d(r, i, m)
                     rhs = self.d(r, i, m - 1) * _diff_or_zero(self.levels[r], m)
-                    assert lhs == rhs, ("coface not a chain map", r, i, m)
+                    if lhs != rhs:
+                        raise NotAChainMap("coface not a chain map", r, i, m)
         for r in range(1, self.max_level + 1):
             for i in range(r):
                 for m in range(lo + 1, hi + 1):
-                    if _rank_or_zero(self.levels[r], m) == 0:
+                    if self.levels[r].rank(m) == 0:
                         continue
                     lhs = _diff_or_zero(self.levels[r - 1], m) * self.s(r, i, m)
                     rhs = self.s(r, i, m - 1) * _diff_or_zero(self.levels[r], m)
-                    assert lhs == rhs, ("codegeneracy not a chain map", r, i, m)
+                    if lhs != rhs:
+                        raise NotAChainMap("codegeneracy not a chain map", r, i, m)
         # identities levelwise
         for m in range(lo, hi + 1):
-            self.level_ab_group(m, check=True)
+            self.level_ab_group(m, self.max_level, check=True)
 
-    def level_ab_group(self, m, check=False):
+    def level_ab_group(self, m, level_cap, check=False):
         """The cosimplicial abelian group obtained by fixing internal
-        degree m."""
-        levels = {r: tuple("r%d:%s" % (r, _lab(lbl))
-                           for lbl in _basis_or_empty(self.levels[r], m))
-                  for r in range(self.max_level + 1)}
+        degree m, on the levels 0..level_cap."""
+        levels = {r: tuple("r%d:%s" % (r, label_str(lbl))
+                           for lbl in self.levels[r].basis.get(m, ()))
+                  for r in range(level_cap + 1)}
         cofaces = {(r, i): self.d(r, i, m)
-                   for r in range(self.max_level) for i in range(r + 2)}
+                   for r in range(level_cap) for i in range(r + 2)}
         codegens = {(r, i): self.s(r, i, m)
-                    for r in range(1, self.max_level + 1) for i in range(r)}
+                    for r in range(1, level_cap + 1) for i in range(r)}
         return CosimplicialAbGroup(levels, cofaces, codegens, check=check)
 
 
-def _rank_or_zero(cx, m):
-    lo, hi = cx.window
-    return cx.rank(m) if lo <= m <= hi else 0
-
-
-def _basis_or_empty(cx, m):
-    lo, hi = cx.window
-    return cx.basis[m] if lo <= m <= hi else ()
-
-
 def _diff_or_zero(cx, m):
-    lo, hi = cx.window
-    if lo + 1 <= m <= hi:
-        return cx.differential(m)
-    return IntMatrix.zeros(_rank_or_zero(cx, m - 1), _rank_or_zero(cx, m))
-
-
-def _lab(label):
-    return label if isinstance(label, str) else repr(label)
+    if m in cx.diff:
+        return cx.diff[m]
+    return IntMatrix.zeros(cx.rank(m - 1), cx.rank(m))
 
 
 def conormalize_bicomplex(B, level_cap, check=True):
@@ -369,8 +345,7 @@ def conormalize_bicomplex(B, level_cap, check=True):
     mlo, mhi = B.internal_degrees()
     kernels = {}   # m -> KernelConormalization over levels 0..level_cap
     for m in range(mlo, mhi + 1):
-        A = _truncated_ab_group(B, m, level_cap)
-        kernels[m] = conormalize_kernel(A)
+        kernels[m] = conormalize_kernel(B.level_ab_group(m, level_cap))
     # internal differential restricted to the kernel subgroups
     internal = {}
     for m in range(mlo + 1, mhi + 1):
@@ -420,23 +395,12 @@ def conormalize_bicomplex(B, level_cap, check=True):
     return GradedIntComplex((plo, phi), basis, diff, check=check)
 
 
-def _truncated_ab_group(B, m, level_cap):
-    levels = {r: tuple("r%d:%s" % (r, _lab(lbl))
-                       for lbl in _basis_or_empty(B.levels[r], m))
-              for r in range(level_cap + 1)}
-    cofaces = {(r, i): B.d(r, i, m)
-               for r in range(level_cap) for i in range(r + 2)}
-    codegens = {(r, i): B.s(r, i, m)
-                for r in range(1, level_cap + 1) for i in range(r)}
-    return CosimplicialAbGroup(levels, cofaces, codegens, check=False)
-
-
 def stabilized_bicomplex_homology(B, level_cap, degrees):
     """Homology of the truncated totalization, certified by comparing the
     truncations at level_cap and level_cap + 1.  Raises WindowTooSmall when
     the groups do not agree on the requested degrees."""
-    h1 = conormalize_bicomplex(B, level_cap).homology_table(degrees)
-    h2 = conormalize_bicomplex(B, level_cap + 1).homology_table(degrees)
+    h1 = reduced_homology(conormalize_bicomplex(B, level_cap), degrees)
+    h2 = reduced_homology(conormalize_bicomplex(B, level_cap + 1), degrees)
     for d in h1:
         if h1[d] != h2[d]:
             raise WindowTooSmall((d, h1[d], h2[d]))

@@ -3,8 +3,7 @@ engine: Smith normal form over Z or Z/p, with ranks, kernels and solvers
 on top of it.
 
 All entries are Python ints (arbitrary precision).  Matrices are immutable
-after construction; every operation returns a fresh matrix, so values can be
-shared freely across threads.
+after construction; every operation returns a fresh matrix.
 """
 
 
@@ -32,6 +31,26 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
+
+    @classmethod
+    def from_images(cls, sources, targets, image):
+        """Matrix of the map sending the j-th source label to image(label),
+        an iterable of (target label, coefficient) pairs.  Repeated targets
+        add up; a target outside ``targets`` raises KeyError."""
+        index = {t: i for i, t in enumerate(targets)}
+        data = {}
+        for j, s in enumerate(sources):
+            for t, c in image(s):
+                key = (index[t], j)
+                data[key] = data.get(key, 0) + c
+        return cls(len(targets), len(sources), data)
+
+    def columns(self):
+        """Column view {j: [(i, value), ...]} of the nonzero entries."""
+        out = {}
+        for (i, j), v in self.data.items():
+            out.setdefault(j, []).append((i, v))
+        return out
 
     @classmethod
     def from_rows(cls, rows_list):
@@ -103,9 +122,7 @@ class IntMatrix:
     def __mul__(self, other):
         """Matrix product self @ other (sparse column-wise)."""
         assert self.cols == other.rows, (self.cols, other.rows)
-        rows_of = {}
-        for (i, j), v in self.data.items():
-            rows_of.setdefault(j, []).append((i, v))
+        rows_of = self.columns()
         data = {}
         for (j, l), w in other.data.items():
             for i, v in rows_of.get(j, ()):

@@ -19,6 +19,7 @@ the approximation that stabilizes degreewise.
 """
 
 import random
+from itertools import chain
 from dataclasses import dataclass, field
 
 from . import boxprod
@@ -26,8 +27,7 @@ from .boxprod import (INFINITY, NormalizationFailure, Symbol, act_perm,
                       apply_tuple, enumerate_symbols, ker_expand,
                       ker_expand_checked, koszul_sign, NatTransform,
                       symbol_key, t_boundary)
-from .intmat import IntMatrix
-from .complexes import GradedIntComplex
+from .complexes import GradedIntComplex, reduced_homology
 
 
 class BoundsExceededError(Exception):
@@ -44,11 +44,16 @@ class UnsupportedInstance(Exception):
 
 # -- vectors over the symbol basis -------------------------------------------
 
-def vec_add(a, b, coeff=1):
-    out = dict(a)
-    for s, c in b.items():
-        out[s] = out.get(s, 0) + coeff * c
+def vec_sum(terms):
+    """The vector sum of (symbol, coefficient) terms, without zeros."""
+    out = {}
+    for s, c in terms:
+        out[s] = out.get(s, 0) + c
     return {s: c for s, c in out.items() if c}
+
+
+def vec_add(a, b, coeff=1):
+    return vec_sum(chain(a.items(), ((s, coeff * c) for s, c in b.items())))
 
 
 def vec_scale(a, coeff):
@@ -62,10 +67,8 @@ def vec_eq(a, b):
 
 
 def boundary_vec(vec, level_cap=None):
-    out = {}
-    for s, c in vec.items():
-        out = vec_add(out, t_boundary(s, level_cap), c)
-    return out
+    return vec_sum((t, c * v) for s, c in vec.items()
+                   for t, v in t_boundary(s, level_cap).items())
 
 
 def vec_degree(vec):
@@ -79,16 +82,13 @@ def vec_degree(vec):
 def cokernel_project(vec, n=INFINITY, check=True):
     """Projection from the box basis to the conormalized symbol basis: kill
     the symbols whose phi misses a positive value."""
-    out = {}
-    for s, c in vec.items():
-        if s.phi_covers():
-            if check and not (s.is_onto() and s.interleaved()):
-                raise NormalizationFailure(s)
-            if check and n is not INFINITY and n is not None:
-                if boxprod.complexity(s.f) > n:
-                    raise NormalizationFailure(("complexity overflow", s, n))
-            out[s] = out.get(s, 0) + c
-    return {s: c for s, c in out.items() if c}
+    kept = [(s, c) for s, c in vec.items() if s.phi_covers()]
+    for s, _ in (kept if check else ()):
+        if not (s.is_onto() and s.interleaved()):
+            raise NormalizationFailure(s)
+        if n is not INFINITY and boxprod.complexity(s.f) > n:
+            raise NormalizationFailure(("complexity overflow", s, n))
+    return vec_sum(kept)
 
 
 def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
@@ -98,12 +98,10 @@ def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
-    out = {}
     twist = _multilinear_twist(h_vec, nats)
-    for h, c in h_vec.items():
-        for hk, w in ker_expand(h):
-            term = apply_tuple(hk, nats)
-            out = vec_add(out, term, twist * c * w)
+    out = vec_sum((t, twist * c * w * v) for h, c in h_vec.items()
+                  for hk, w in ker_expand(h)
+                  for t, v in apply_tuple(hk, nats).items())
     return cokernel_project(out, n)
 
 
@@ -127,14 +125,13 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY, q_cap=None):
         levels.setdefault(h.r, {})
         for hk, w in ker_expand_checked(h).items():
             levels[h.r][hk] = levels[h.r].get(hk, 0) + c * w
-    out = {}
+    terms = []
     for r, kvec in levels.items():
-        qs = {s.q for s in kvec}
-        cap = max(qs) if q_cap is None else q_cap
+        cap = max(s.q for s in kvec) if q_cap is None else q_cap
         table = boxprod.box_functorial_map(len(nats), nats, r, cap, INFINITY)
-        for s, c in kvec.items():
-            out = vec_add(out, table[s], twist * c)
-    return cokernel_project(out, n)
+        terms.extend((t, twist * c * v) for s, c in kvec.items()
+                     for t, v in table[s].items())
+    return cokernel_project(vec_sum(terms), n)
 
 
 def _arity_of(vec):
@@ -164,11 +161,8 @@ def block_permutation(sigma, arities):
 
 
 def act_perm_vec(vec, sigma):
-    out = {}
-    for s, c in vec.items():
-        t, sign = act_perm(s, sigma)
-        out[t] = out.get(t, 0) + sign * c
-    return {s: c for s, c in out.items() if c}
+    return vec_sum((t, sign * c) for s, c in vec.items()
+                   for t, sign in (act_perm(s, sigma),))
 
 
 # -- the truncated operads ----------------------------------------------------
@@ -236,16 +230,8 @@ def symbol_complex(k, n, q_cap):
     lo, hi = min(by_degree) - 2, max(by_degree) + 2
     basis = {d: tuple(sorted(by_degree.get(d, ()), key=symbol_key))
              for d in range(lo, hi + 1)}
-    index = {d: {s: i for i, s in enumerate(basis[d])} for d in basis}
-    diff = {}
-    for d in range(lo + 1, hi + 1):
-        data = {}
-        for col, s in enumerate(basis[d]):
-            for t, c in t_boundary(s).items():
-                row = index[d - 1][t]
-                data[(row, col)] = data.get((row, col), 0) + c
-        diff[d] = IntMatrix(len(basis[d - 1]), len(basis[d]), data)
-    return GradedIntComplex((lo, hi), basis, diff)
+    return GradedIntComplex.from_boundary(
+        (lo, hi), basis, lambda d, s: t_boundary(s).items())
 
 
 def level_truncated_complex(k, n, level_cap, degree_window):
@@ -262,16 +248,8 @@ def level_truncated_complex(k, n, level_cap, degree_window):
                 continue
             syms.extend(enumerate_symbols(k, q, r, n))
         basis[d] = tuple(sorted(syms, key=symbol_key))
-    index = {d: {s: i for i, s in enumerate(basis[d])} for d in basis}
-    diff = {}
-    for d in range(lo + 1, hi + 1):
-        data = {}
-        for col, s in enumerate(basis[d]):
-            for t, c in t_boundary(s, level_cap=level_cap).items():
-                row = index[d - 1][t]
-                data[(row, col)] = data.get((row, col), 0) + c
-        diff[d] = IntMatrix(len(basis[d - 1]), len(basis[d]), data)
-    return GradedIntComplex((lo, hi), basis, diff)
+    return GradedIntComplex.from_boundary(
+        (lo, hi), basis, lambda d, s: t_boundary(s, level_cap=level_cap).items())
 
 
 @dataclass
@@ -296,7 +274,6 @@ class HomologyReport:
 def operad_homology(k, n, degrees, level_cap, strict=True):
     """Homology of the level-truncated operad arity with a stabilization
     certificate: the groups must agree at level_cap and level_cap + 1."""
-    from .complexes import reduced_homology
     degrees = tuple(degrees)
     window = (min(degrees), max(degrees))
     cx1 = level_truncated_complex(k, n, level_cap, window)

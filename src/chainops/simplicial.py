@@ -169,22 +169,15 @@ class FiniteSimplicialSet:
         if cap is None:
             cap = self.max_dim()
         basis = {-m: tuple(self.nondegenerate(m)) for m in range(cap + 1)}
-        diff = {}
-        for m in range(cap):
-            # chain map -m -> -m-1 is the cochain differential C^m -> C^{m+1}
-            rows = self.nondegenerate(m + 1)
-            cols = self.nondegenerate(m)
-            col_index = {name: j for j, name in enumerate(cols)}
-            data = {}
-            for r, name in enumerate(rows):
-                c = self.cell(name)
-                for i in range(m + 2):
-                    f = self.face(c, i)
-                    if not f.is_degenerate:
-                        j = col_index[f.base]
-                        key = (r, j)
-                        data[key] = data.get(key, 0) + (-1) ** i
-            diff[-m] = IntMatrix(len(rows), len(cols), data)
+
+        def faces(name):
+            return ((f.base, (-1) ** i) for i, f in enumerate(self.faces[name])
+                    if not f.is_degenerate)
+        # the chain map -m -> -m-1 is the cochain differential C^m -> C^{m+1},
+        # the transpose of the normalized boundary C_{m+1} -> C_m
+        diff = {-m: IntMatrix.from_images(self.nondegenerate(m + 1),
+                                          self.nondegenerate(m), faces).transpose()
+                for m in range(cap)}
         return GradedIntComplex((-cap - 1, 1), basis, diff,
                                 regrade="cochain (chain degree -m holds C^m)")
 
@@ -193,15 +186,13 @@ class FiniteSimplicialSet:
         simplices (degenerate included), levels 0..level_cap."""
         from .cosimplicial import CosimplicialAbGroup
         levels = {m: self.cells(m) for m in range(level_cap + 1)}
-        index = {m: {c: i for i, c in enumerate(cs)} for m, cs in levels.items()}
 
         def op_matrix(alpha):
+            # transpose of the pullback c -> c o alpha of simplices
             m, mp = alpha.source.level, alpha.target.level
-            data = {}
-            for jp, cp in enumerate(levels[mp]):
-                pulled = self.act(cp, alpha)
-                data[(jp, index[m][pulled])] = 1
-            return IntMatrix(len(levels[mp]), len(levels[m]), data)
+            return IntMatrix.from_images(
+                levels[mp], levels[m], lambda c: ((self.act(c, alpha), 1),)
+            ).transpose()
 
         cofaces = {}
         codegens = {}
@@ -292,20 +283,9 @@ def standard_simplex_chains(m):
     """Normalized chains of Delta^m: degree-j basis is the injective ordered
     maps [j] -> [m], the differential the alternating sum of vertex
     deletions."""
-    basis = {}
-    index = {}
-    for j in range(m + 1):
-        injs = tuple(f.values for f in delta.all_injections(
-            FinOrd.bracket(j), FinOrd.bracket(m)))
-        basis[j] = injs
-        index[j] = {v: i for i, v in enumerate(injs)}
-    diff = {}
-    for j in range(1, m + 1):
-        data = {}
-        for col, vals in enumerate(basis[j]):
-            for t in range(j + 1):
-                fvals = vals[:t] + vals[t + 1:]
-                row = index[j - 1][fvals]
-                data[(row, col)] = data.get((row, col), 0) + (-1) ** t
-        diff[j] = IntMatrix(len(basis[j - 1]), len(basis[j]), data)
-    return GradedIntComplex((-1, m + 1), basis, diff)
+    basis = {j: tuple(f.values for f in delta.all_injections(
+                 FinOrd.bracket(j), FinOrd.bracket(m)))
+             for j in range(m + 1)}
+    return GradedIntComplex.from_boundary(
+        (-1, m + 1), basis,
+        lambda j, vals: ((vals[:t] + vals[t + 1:], (-1) ** t) for t in range(j + 1)))

@@ -126,13 +126,32 @@ def test_certificate_check_under_optimize():
         "    cert.verify(k, q)",
         "except cs.ComparisonFailed as exc:",
         "    print('rejected:', exc)",
+        "from chainops.complexes import GradedIntComplex, NotAChainMap",
+        "from chainops.intmat import IntMatrix",
+        "one, two = IntMatrix.identity(1), 2 * IntMatrix.identity(1)",
+        "try:",
+        "    cs.CosimplicialAbGroup({0: ('z',), 1: ('z',)},",
+        "                           {(0, 0): two, (0, 1): one}, {(1, 0): one})",
+        "except cs.CosimplicialIdentityFails as exc:",
+        "    print('rejected:', exc)",
+        "cx = GradedIntComplex((0, 1), {0: ('a',), 1: ('x',)}, {1: one})",
+        "try:",
+        "    cs.CosimplicialChainComplex({0: cx, 1: cx},",
+        "                                {(0, 0): {0: one, 1: two},",
+        "                                 (0, 1): {0: one, 1: one}},",
+        "                                {(1, 0): {0: one, 1: one}})",
+        "except NotAChainMap as exc:",
+        "    print('rejected:', exc)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "rejected: 0\n"
+    assert proc.stdout.splitlines() == [
+        "rejected: 0",
+        "rejected: ('s^j d^i', 0, 0, 0)",
+        "rejected: ('coface not a chain map', 0, 0, 1)"]
 
 
 def test_torsion_cokernel_detected():
@@ -222,18 +241,3 @@ def test_window_too_small():
     B = delta_cosimplicial_chain(3)
     with pytest.raises(WindowTooSmall):
         conormalize_bicomplex(B, 9)
-
-
-def test_augmented_flag_consistency():
-    from chainops.cosimplicial import AugmentedFlag
-    W = standard_simplex_sset(1)
-    A0 = W.dual_cosimplicial(2)
-    # the unique map from the empty level sends eps to the constant function
-    iota = IntMatrix.from_columns([[1] * A0.rank(0)])
-    flag = AugmentedFlag(True, 1, iota)
-    CosimplicialAbGroup(A0.levels, A0.cofaces, A0.codegens, augmentation=flag)
-    # inconsistent augmentation data is rejected
-    bad = IntMatrix.from_columns([[1] + [0] * (A0.rank(0) - 1)])
-    with pytest.raises(AssertionError):
-        CosimplicialAbGroup(A0.levels, A0.cofaces, A0.codegens,
-                            augmentation=AugmentedFlag(True, 1, bad))

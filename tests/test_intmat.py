@@ -235,6 +235,17 @@ def test_modp_engine_equals_dense_echelon(p):
     assert unsolvable > 5
 
 
+def test_from_images():
+    # repeated targets sum, zero sums are dropped, columns follow the sources
+    image = {"u": [("a", 1), ("b", 2), ("a", 3)], "v": [("b", 1), ("b", -1)],
+             "w": []}
+    m = IntMatrix.from_images(("u", "v", "w"), ("a", "b"), image.__getitem__)
+    assert (m.rows, m.cols) == (2, 3)
+    assert m.data == {(0, 0): 4, (1, 0): 2}
+    with pytest.raises(KeyError):
+        IntMatrix.from_images(("u",), ("a",), image.__getitem__)
+
+
 def test_inverse_unimodular_rejects():
     with pytest.raises(intmat.NotUnimodular):
         intmat.inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
