@@ -10,7 +10,6 @@ empty level is a copy of the integers with distinguished element eps, which
 the operations consume on empty fibers.
 """
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -404,37 +403,3 @@ def _all_functions(length, k):
         out = [f + (v,) for f in out for v in range(1, k + 1)]
     return out
 
-
-def sampled_decomposition_check(W, seed=0, max_level=5, samples=60,
-                                level_cap=None):
-    """Decomposition check on sampled three-valued functions with larger
-    sources: the 3-ary operation equals a composite of 2-ary ones."""
-    rng = random.Random(seed)
-    if level_cap is None:
-        level_cap = max_level + 1
-    sys_ = AugmentedCochainSystem(W, level_cap)
-    eps = sys_.epsilon()
-    checked = 0
-    for _ in range(samples * 5):
-        if checked >= samples:
-            break
-        m = rng.randrange(2, max_level + 1)
-        g = tuple(rng.randrange(1, 4) for _ in range(m + 1))
-        fibs = [tuple(t for t, v in enumerate(g) if v == i) for i in (1, 2, 3)]
-        levels = [len(fb) - 1 if fb else None for fb in fibs]
-        xs = []
-        for lvl in levels:
-            pool = sys_.basis(lvl)
-            if pool:
-                xs.append(rng.choice(pool))
-            elif lvl is None:
-                xs.append(eps)
-            else:
-                xs.append(sys_.zero(lvl))
-        alpha_g = tuple(1 if v in (1, 2) else 2 for v in g)
-        g1 = tuple(v for v in g if v in (1, 2))
-        left = sys_.angle(alpha_g, [sys_.angle(g1, [xs[0], xs[1]]), xs[2]])
-        direct = sys_.angle(g, xs)
-        assert left == direct, (g,)
-        checked += 1
-    return checked

@@ -1,9 +1,10 @@
-"""Finitely generated graded integer chain complexes with named bases.
+"""Finitely generated graded chain complexes over Z or Z/p, with named
+bases.
 
 Grading is homological everywhere: the differential in degree d maps to
 degree d-1.  Cochain complexes are stored with their groups in negative
 degrees (degree -m holds the m-cochains), recorded in the ``regrade``
-attribute, so one homology engine serves both directions.
+attribute, so one homology engine serves both directions and both rings.
 """
 
 import heapq
@@ -34,14 +35,17 @@ class NotAChainMap(AssertionError):
 
 
 class GradedIntComplex:
-    """Graded free abelian group with integer differentials.
+    """Graded free module over Z (prime 0) or Z/prime, with differentials
+    given by integer matrices, read mod prime over Z/prime.
 
     basis[d] is an ordered tuple of hashable labels, for every d in the
     closed truncation window [lo, hi].  diff[d] : C_d -> C_{d-1} for
-    lo < d <= hi.  d o d = 0 is checked on construction (NotSquareZero).
+    lo < d <= hi.  d o d = 0 in the coefficient ring is checked on
+    construction (NotSquareZero).
     """
 
-    def __init__(self, window, basis, diff, regrade=None, check=True):
+    def __init__(self, window, basis, diff, regrade=None, check=True,
+                 prime=0):
         lo, hi = window
         assert lo <= hi
         self.window = (lo, hi)
@@ -60,6 +64,7 @@ class GradedIntComplex:
                 raise InvalidComplex("differential shape mismatch in degree %d" % d)
             self.diff[d] = m
         self.regrade = regrade
+        self.prime = prime
         if check:
             self.check_dd_zero()
 
@@ -77,7 +82,8 @@ class GradedIntComplex:
         lo, hi = self.window
         for d in range(lo + 2, hi + 1):
             prod = self.diff[d - 1] * self.diff[d]
-            if not prod.is_zero():
+            if any(v % self.prime if self.prime else v
+                   for v in prod.data.values()):
                 raise NotSquareZero(
                     "d o d != 0 between degrees %d -> %d" % (d, d - 2))
 
@@ -172,18 +178,23 @@ class ChainMap:
 
 
 def reduced_homology(cx, degrees):
-    """Homology over a degree window, computed by first cancelling unit
-    entries of the differential (an exact change of basis that removes an
-    acyclic direct summand, so integral homology is preserved) and then
-    running Smith normal form once on each residual differential.  Only
-    the window min(degrees) - 1 .. max(degrees) + 1 is reduced.  This is
-    the one homology path: ``GradedIntComplex.homology`` delegates here."""
+    """Homology over a degree window, in the complex's coefficient ring.
+
+    Unit entries of the differential are cancelled first: +-1 over Z, every
+    nonzero entry over Z/p.  Each cancellation is an exact change of basis
+    that removes an acyclic direct summand, so homology is preserved.  Then
+    Smith normal form runs once, over the same ring, on each residual
+    differential.  Only the window min(degrees) - 1 .. max(degrees) + 1 is
+    reduced.  Returns {d: (betti, torsion)}: the rank and the invariant
+    factors > 1 over Z, the dimension and () over Z/p.  This is the one
+    homology path: ``GradedIntComplex.homology`` delegates here."""
     degrees = tuple(degrees)
     if not degrees:
         return {}
     for d in degrees:
         if not (cx.window[0] <= d - 1 and d + 1 <= cx.window[1]):
             raise DegreeOutsideWindow(d)
+    p = cx.prime
     lo, hi = min(degrees) - 1, max(degrees) + 1
     rows = {}   # degree -> {row_label: {col_label: value}} of the boundary
     cols = {}   # degree -> {col_label: {row_label: value}}
@@ -193,6 +204,10 @@ def reduced_homology(cx, degrees):
         rows[d] = {}
         cols[d] = {}
         for (i, j), v in cx.diff[d].data.items():
+            if p:
+                v %= p
+                if not v:
+                    continue
             rows[d].setdefault((d - 1, i), {})[(d, j)] = v
             cols[d].setdefault((d, j), {})[(d - 1, i)] = v
 
@@ -200,12 +215,13 @@ def reduced_homology(cx, degrees):
     for d in range(lo + 1, hi + 1):
         for y, row in rows[d].items():
             for x, v in row.items():
-                if v in (1, -1):
+                if p or v in (1, -1):
                     fill = (len(row) - 1) * (len(cols[d][x]) - 1)
                     heapq.heappush(queue, (fill, d, y, x))
 
     def cancel(d, y, x):
-        eps = rows[d][y][x]
+        # the pivot's inverse: eps itself for eps = +-1 over Z
+        inv = pow(rows[d][y][x], -1, p) if p else rows[d][y][x]
         row = dict(rows[d][y])
         col = dict(cols[d][x])
         del row[x]
@@ -223,13 +239,15 @@ def reduced_homology(cx, degrees):
         active[d - 1].discard(y)
         # update d: B[w, z] -= B[y, z] / eps * B[w, x]
         for z, a in row.items():
-            coeff = a * eps   # eps in {1, -1}: 1/eps == eps
+            coeff = a * inv
             for w, b in col.items():
                 cur = rows[d].get(w, {}).get(z, 0) - coeff * b
+                if p:
+                    cur %= p
                 if cur:
                     rows[d].setdefault(w, {})[z] = cur
                     cols[d].setdefault(z, {})[w] = cur
-                    if cur in (1, -1):
+                    if p or cur in (1, -1):
                         fill = (len(rows[d][w]) - 1) * (len(cols[d][z]) - 1)
                         heapq.heappush(queue, (fill, d, w, z))
                 else:
@@ -252,7 +270,7 @@ def reduced_homology(cx, degrees):
     while queue:
         fill, d, y, x = heapq.heappop(queue)
         v = rows[d].get(y, {}).get(x)
-        if v not in (1, -1):
+        if v is None or not (p or v in (1, -1)):
             continue
         cur = (len(rows[d][y]) - 1) * (len(cols[d][x]) - 1)
         if cur > fill and queue and queue[0][0] < cur:
@@ -269,17 +287,13 @@ def reduced_homology(cx, degrees):
                              {(tgt[w], src[z]): v
                               for z in active[d]
                               for w, v in cols[d].get(z, {}).items()})
-        invariants[d] = intmat.snf_diagonal(residual)
+        invariants[d] = intmat.snf_diagonal(residual, p)
     out = {}
     for d in degrees:
         inv = invariants[d + 1]
         betti = len(active[d]) - len(invariants[d]) - len(inv)
         out[d] = (betti, tuple(f for f in inv if f > 1))
     return out
-
-
-def point_complex(label="pt"):
-    return GradedIntComplex((-1, 1), {0: (label,)}, {})
 
 
 def tensor(a, b):

@@ -118,7 +118,6 @@ class CokernelConormalization:
     complex: GradedIntComplex
     projections: dict      # m -> IntMatrix (Q^m <- A^m)
     sections: dict         # m -> IntMatrix (A^m <- Q^m), projection o section = id
-    coordinate_labels: bool = False
 
 
 def conormalize_kernel(A):
@@ -171,7 +170,6 @@ def conormalize_cokernel(A):
     degree -m.  Raises TorsionCokernel if the cokernel is not free."""
     M = A.max_level
     projections, sections, labels = {}, {}, {}
-    coordinate = True
     for m in range(M + 1):
         n = A.rank(m)
         if m == 0:
@@ -191,7 +189,6 @@ def conormalize_cokernel(A):
                                     {(i, r): 1 for r, i in enumerate(keep)})
             labels[m] = tuple(A.levels[m][i] for i in keep)
             continue
-        coordinate = False
         diag, u, _v = intmat.smith_normal_form(stacked)
         if any(f != 1 for f in diag):
             raise TorsionCokernel((m, diag))
@@ -208,7 +205,7 @@ def conormalize_cokernel(A):
         diff[-m] = projections[m + 1] * A.d(m, 0) * sections[m]
     cx = GradedIntComplex((-M - 1, 1), basis, diff,
                           regrade="cochain (chain degree -m holds degree m)")
-    return CokernelConormalization(cx, projections, sections, coordinate)
+    return CokernelConormalization(cx, projections, sections)
 
 
 @dataclass
@@ -258,15 +255,14 @@ class CosimplicialChainComplex:
     """Levelwise graded integer complexes with cosimplicial operators that
     are chain maps satisfying the cosimplicial identities."""
 
-    def __init__(self, levels, cofaces, codegens, check=True):
+    def __init__(self, levels, cofaces, codegens):
         # levels: r -> GradedIntComplex; operators: (r, i) -> {m: IntMatrix}
         self.levels = dict(levels)
         self.max_level = max(self.levels)
         assert sorted(self.levels) == list(range(self.max_level + 1))
         self.cofaces = {k: dict(v) for k, v in cofaces.items()}
         self.codegens = {k: dict(v) for k, v in codegens.items()}
-        if check:
-            self._check()
+        self._check()
 
     def internal_degrees(self):
         lo = min(c.window[0] for c in self.levels.values())
@@ -332,7 +328,7 @@ def _diff_or_zero(cx, m):
     return IntMatrix.zeros(cx.rank(m - 1), cx.rank(m))
 
 
-def conormalize_bicomplex(B, level_cap, check=True):
+def conormalize_bicomplex(B, level_cap):
     """Totalization of the conormalization bicomplex of a cosimplicial chain
     complex, truncated as a quotient at cosimplicial level ``level_cap``.
 
@@ -392,7 +388,7 @@ def conormalize_bicomplex(B, level_cap, check=True):
                     key = (tbase + i, base + j)
                     data[key] = data.get(key, 0) + sign * v
         diff[p] = IntMatrix(len(basis[p - 1]), len(basis[p]), data)
-    return GradedIntComplex((plo, phi), basis, diff, check=check)
+    return GradedIntComplex((plo, phi), basis, diff)
 
 
 def stabilized_bicomplex_homology(B, level_cap, degrees):

@@ -16,6 +16,7 @@ from functools import cached_property
 from itertools import product
 
 from . import intmat
+from .complexes import GradedIntComplex, reduced_homology
 from .intmat import IntMatrix
 
 
@@ -27,6 +28,12 @@ class InvalidAlgebra(AssertionError):
     """Structure constants that are malformed, not unital or not
     associative.  Raised explicitly, so the checks also run under
     ``python -O``; an AssertionError, as the checks used to be asserts."""
+
+
+class OutsideDomain(AssertionError):
+    """Cochains of different degrees added, a bracket of two 0-cochains, or
+    representatives asked for over Z (raised explicitly, like
+    InvalidAlgebra)."""
 
 
 class FiniteRankAlgebra:
@@ -178,7 +185,9 @@ class HochschildCochain:
         return dict(self.table)
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise OutsideDomain("cochains of degrees %d and %d added"
+                                % (self.degree, other.degree))
         out = {k: list(v) for k, v in self.table}
         for k, v in other.table:
             cur = out.setdefault(k, [0] * self.algebra.n)
@@ -294,7 +303,8 @@ def circle_product(r1, r2):
 def gerstenhaber_bracket(r1, r2):
     """[r1, r2] = r1 o r2 - (-1)^((p-1)(q-1)) r2 o r1."""
     p, q = r1.degree, r2.degree
-    assert p + q >= 1
+    if p + q < 1:
+        raise OutsideDomain("the bracket of two 0-cochains is not defined")
     sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
     return circle_product(r1, r2) + circle_product(r2, r1).scale(-sign)
 
@@ -335,11 +345,9 @@ def _vec_to_cochain(R, p, vec):
 
 def differential_matrix(R, p):
     """Matrix of d : C^p -> C^{p+1} on basis cochains (columns)."""
-    data = {}
-    for j, rho in enumerate(basis_cochains(R, p)):
-        for i, x in _entries(hochschild_differential(rho)):
-            data[(i, j)] = x
-    return IntMatrix(_cochain_dim(R, p + 1), _cochain_dim(R, p), data)
+    return IntMatrix.from_images(
+        basis_cochains(R, p), range(_cochain_dim(R, p + 1)),
+        lambda rho: _entries(hochschild_differential(rho)))
 
 
 def modp_eliminate(m, p):
@@ -349,21 +357,23 @@ def modp_eliminate(m, p):
 
 
 def hochschild_cohomology(R, p_max, guard=6561):
-    """Per-degree cohomology of the truncated complex: (betti, torsion) over
-    the integers, (dimension, ()) over Z/p.  Degree p_max uses the
-    differential into degree p_max + 1, the largest space built."""
+    """Per-degree cohomology of the truncated complex, from
+    ``reduced_homology`` over R's coefficients: {p: (betti, torsion)} over
+    the integers, {p: (dimension, ())} over Z/p.  Chain degree -p holds
+    C^p, labelled by key + (s,) for the cochain sending the basis tuple key
+    to e_s; degree p_max reads the differential into C^(p_max + 1), the
+    largest space built."""
     if _cochain_dim(R, p_max + 1) > guard:
         raise InfeasibleSize(
             "degree %d cochains of %s have dimension %d, above the limit %d"
             % (p_max + 1, R.name, _cochain_dim(R, p_max + 1), guard))
-    inv = {p: intmat.snf_diagonal(differential_matrix(R, p), R.prime)
-           for p in range(p_max + 1)}
-    out = {}
-    for p in range(p_max + 1):
-        inv_in = inv[p - 1] if p >= 1 else []
-        out[p] = (_cochain_dim(R, p) - len(inv[p]) - len(inv_in),
-                  tuple(f for f in inv_in if f > 1))
-    return out
+    basis = {-p: tuple(product(range(R.n), repeat=p + 1))
+             for p in range(p_max + 2)}
+    diff = {-p: differential_matrix(R, p) for p in range(p_max + 1)}
+    cx = GradedIntComplex((-p_max - 1, 1), basis, diff, prime=R.prime,
+                          regrade="cochain (chain degree -m holds degree m)")
+    groups = reduced_homology(cx, range(-p_max, 1))
+    return {p: groups[-p] for p in range(p_max + 1)}
 
 
 # -- cohomology-level structure -------------------------------------------------
@@ -392,6 +402,13 @@ class GerstenhaberReport:
         if not ok:
             it[1] += 1
 
+    def certify(self, name, kind, degrees, w):
+        """Record that the cocycle w is zero on cohomology: strictly when w
+        is zero, else through an explicit cobounding cochain."""
+        zeta = None if w.is_zero() else _cobound(w.algebra, w)
+        self.record(name, w.is_zero() or zeta is not None)
+        self.certificates.append(Certificate(kind, degrees, zeta, w.is_zero()))
+
     @property
     def passed(self):
         return all(bad == 0 for _, bad in self.items.values())
@@ -410,7 +427,8 @@ def cohomology_representatives(R, p):
     """Representative cocycles for a basis of H^p over Z/p: the kernel
     vectors of d, in order, that are independent of the coboundaries and
     of the representatives taken before them."""
-    assert R.prime, "representatives implemented over prime fields"
+    if not R.prime:
+        raise OutsideDomain("representatives need a prime field")
     kernel = intmat.kernel_basis(differential_matrix(R, p), R.prime)
     span = differential_matrix(R, p - 1) if p else IntMatrix(kernel.rows, 0)
     rank = intmat.rank(span, R.prime)
@@ -491,18 +509,12 @@ def gerstenhaber_report(R, p_max=3, pair_cap=2):
         rep.record("bracket is compatible with the differential",
                    (lhs + rhs.scale(-1)).is_zero())
 
-    if not R.prime:
-        # over the integers only the rank-one case is in scope; everything
-        # on cohomology is strict there
-        reps0 = [unit_cochain(R)]
-        for x in reps0:
-            comm = hochschild_cup(x, x) + hochschild_cup(x, x).scale(-1)
-            rep.record("graded commutativity on cohomology", comm.is_zero())
-            rep.certificates.append(Certificate("commutativity", (0, 0), None, True))
-        return rep
-
-    reps = {p: cohomology_representatives(R, p)
-            for p in range(min(p_max, pair_cap) + 1)}
+    if R.prime:
+        reps = {p: cohomology_representatives(R, p)
+                for p in range(min(p_max, pair_cap) + 1)}
+    else:
+        # over the integers only the unit class is in scope
+        reps = {0: [unit_cochain(R)]}
 
     for p, xs in reps.items():
         for q, ys in reps.items():
@@ -511,15 +523,8 @@ def gerstenhaber_report(R, p_max=3, pair_cap=2):
                     # commutativity up to coboundary
                     w = hochschild_cup(x, y) + \
                         hochschild_cup(y, x).scale(-1 if (p * q) % 2 else 1).scale(-1)
-                    if w.is_zero():
-                        rep.record("graded commutativity on cohomology", True)
-                        rep.certificates.append(
-                            Certificate("commutativity", (p, q), None, True))
-                    else:
-                        z = _cobound(R, w)
-                        rep.record("graded commutativity on cohomology", z is not None)
-                        rep.certificates.append(
-                            Certificate("commutativity", (p, q), z, False))
+                    rep.certify("graded commutativity on cohomology",
+                                "commutativity", (p, q), w)
                     if p + q >= 1:
                         # bracket of cocycles is a cocycle
                         br = gerstenhaber_bracket(x, y)
@@ -545,27 +550,10 @@ def gerstenhaber_report(R, p_max=3, pair_cap=2):
                             rhs = hochschild_cup(gerstenhaber_bracket(x, y), z) + \
                                 hochschild_cup(y, gerstenhaber_bracket(x, z)).scale(
                                     -1 if ((p - 1) * q) % 2 else 1)
-                            w = lhs + rhs.scale(-1)
-                            if w.is_zero():
-                                rep.record("bracket derivation over cup", True)
-                                rep.certificates.append(
-                                    Certificate("derivation", (p, q, r), None, True))
-                            else:
-                                zeta = _cobound(R, w)
-                                rep.record("bracket derivation over cup",
-                                           zeta is not None)
-                                rep.certificates.append(
-                                    Certificate("derivation", (p, q, r), zeta, False))
-                            jac = _jacobi(x, y, z)
-                            if jac.is_zero():
-                                rep.record("bracket Jacobi", True)
-                                rep.certificates.append(
-                                    Certificate("jacobi", (p, q, r), None, True))
-                            else:
-                                zeta = _cobound(R, jac)
-                                rep.record("bracket Jacobi", zeta is not None)
-                                rep.certificates.append(
-                                    Certificate("jacobi", (p, q, r), zeta, False))
+                            rep.certify("bracket derivation over cup", "derivation",
+                                        (p, q, r), lhs + rhs.scale(-1))
+                            rep.certify("bracket Jacobi", "jacobi", (p, q, r),
+                                        _jacobi(x, y, z))
     return rep
 
 

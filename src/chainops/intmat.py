@@ -7,19 +7,28 @@ after construction; every operation returns a fresh matrix.
 """
 
 
+class ShapeMismatch(AssertionError):
+    """Matrix shapes or indices that do not fit together.  Raised
+    explicitly, so the checks also run under ``python -O``; an
+    AssertionError, as the checks used to be asserts."""
+
+
 class IntMatrix:
     """A rows x cols integer matrix stored as {(i, j): value} with no zeros."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows, cols, data=None):
-        assert rows >= 0 and cols >= 0
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch("negative size: %d x %d" % (rows, cols))
         self.rows = rows
         self.cols = cols
         d = {}
         if data:
             for (i, j), v in data.items():
-                assert 0 <= i < rows and 0 <= j < cols, (i, j, rows, cols)
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ShapeMismatch("entry %r outside %d x %d"
+                                        % ((i, j), rows, cols))
                 if v:
                     d[(i, j)] = int(v)
         self.data = d
@@ -58,7 +67,8 @@ class IntMatrix:
         cols = len(rows_list[0]) if rows else 0
         data = {}
         for i, row in enumerate(rows_list):
-            assert len(row) == cols, "rows have varying lengths"
+            if len(row) != cols:
+                raise ShapeMismatch("rows have varying lengths")
             for j, v in enumerate(row):
                 if v:
                     data[(i, j)] = int(v)
@@ -71,7 +81,8 @@ class IntMatrix:
             rows = len(cols_list[0]) if cols else 0
         data = {}
         for j, col in enumerate(cols_list):
-            assert len(col) == rows
+            if len(col) != rows:
+                raise ShapeMismatch("columns have varying lengths")
             for i, v in enumerate(col):
                 if v:
                     data[(i, j)] = int(v)
@@ -101,7 +112,8 @@ class IntMatrix:
                 and self.cols == other.cols and self.data == other.data)
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("sum of %r and %r" % (self, other))
         data = dict(self.data)
         for k, v in other.data.items():
             data[k] = data.get(k, 0) + v
@@ -121,7 +133,8 @@ class IntMatrix:
 
     def __mul__(self, other):
         """Matrix product self @ other (sparse column-wise)."""
-        assert self.cols == other.rows, (self.cols, other.rows)
+        if self.cols != other.rows:
+            raise ShapeMismatch("product of %r and %r" % (self, other))
         rows_of = self.columns()
         data = {}
         for (j, l), w in other.data.items():
@@ -132,7 +145,9 @@ class IntMatrix:
 
     def apply(self, vec):
         """Apply to a dense column vector (list of ints)."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ShapeMismatch("%r applied to a vector of length %d"
+                                % (self, len(vec)))
         out = [0] * self.rows
         for (i, j), v in self.data.items():
             if vec[j]:
@@ -141,7 +156,8 @@ class IntMatrix:
 
     def stack_rows(self, other):
         """Block matrix [self; other]."""
-        assert self.cols == other.cols
+        if self.cols != other.cols:
+            raise ShapeMismatch("rows of %r stacked on %r" % (other, self))
         data = dict(self.data)
         for (i, j), v in other.data.items():
             data[(i + self.rows, j)] = v
@@ -149,7 +165,8 @@ class IntMatrix:
 
     def stack_cols(self, other):
         """Block matrix [self | other]."""
-        assert self.rows == other.rows
+        if self.rows != other.rows:
+            raise ShapeMismatch("columns of %r stacked on %r" % (other, self))
         data = dict(self.data)
         for (i, j), v in other.data.items():
             data[(i, j + self.cols)] = v
@@ -394,7 +411,8 @@ def solve(m, b, prime=0):
     """One solution x of m x = b, where the columns of the IntMatrix b are
     the right-hand sides, over Z (or Z/prime), factoring m once.  None if
     some column has no solution."""
-    assert b.rows == m.rows, (b.rows, m.rows)
+    if b.rows != m.rows:
+        raise ShapeMismatch("solving %r against %r" % (m, b))
     diag, u, v = smith_normal_form(m, prime)
     y = {}
     for (i, l), x in (u * b).data.items():

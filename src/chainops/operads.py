@@ -79,11 +79,11 @@ def vec_degree(vec):
 
 # -- composition --------------------------------------------------------------
 
-def cokernel_project(vec, n=INFINITY, check=True):
+def cokernel_project(vec, n=INFINITY):
     """Projection from the box basis to the conormalized symbol basis: kill
     the symbols whose phi misses a positive value."""
     kept = [(s, c) for s, c in vec.items() if s.phi_covers()]
-    for s, _ in (kept if check else ()):
+    for s, _ in kept:
         if not (s.is_onto() and s.interleaved()):
             raise NormalizationFailure(s)
         if n is not INFINITY and boxprod.complexity(s.f) > n:
@@ -175,25 +175,14 @@ class TruncatedChainOperad:
     k_max: int
     q_cap: int
     complexes: dict = field(default_factory=dict)
-    bases: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for k in range(1, self.k_max + 1):
             self.complexes[k] = symbol_complex(k, self.n, self.q_cap)
-            self.bases[k] = {
-                d: self.complexes[k].basis[d]
-                for d in self.complexes[k].degrees()}
 
     @property
     def family(self):
         return "T" if self.n in (None, INFINITY) else "T%d" % self.n
-
-    def basis(self, k, degree):
-        cx = self.complexes[k]
-        lo, hi = cx.window
-        if lo <= degree <= hi:
-            return cx.basis[degree]
-        return ()
 
     def unit(self):
         """The operad unit: the identity family of the standard cosimplicial

@@ -1,11 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from chainops import delta
 from chainops.cochain_ops import (AugmentedCochainSystem, CochainElement,
-                                  LevelMismatch, sampled_decomposition_check,
-                                  verify_identities)
+                                  LevelMismatch, verify_identities)
 from chainops.delta import FinOrd
 from chainops.simplicial import (Cell, from_simplicial_complex,
                                  simplicial_circle, standard_simplex_sset)
@@ -146,6 +146,38 @@ def test_corrupted_angle_fails_naturality():
                             angle_impl=corrupt_angle)
     assert not rep.passed
     assert rep.items["naturality of fiberwise operations (k=2)"].failures
+
+
+def sampled_decomposition_check(W, seed=0, max_level=5, samples=60):
+    """Decomposition check on sampled three-valued functions with larger
+    sources: the 3-ary operation equals a composite of 2-ary ones."""
+    rng = random.Random(seed)
+    sys_ = AugmentedCochainSystem(W, max_level + 1)
+    eps = sys_.epsilon()
+    checked = 0
+    for _ in range(samples * 5):
+        if checked >= samples:
+            break
+        m = rng.randrange(2, max_level + 1)
+        g = tuple(rng.randrange(1, 4) for _ in range(m + 1))
+        fibs = [tuple(t for t, v in enumerate(g) if v == i) for i in (1, 2, 3)]
+        levels = [len(fb) - 1 if fb else None for fb in fibs]
+        xs = []
+        for lvl in levels:
+            pool = sys_.basis(lvl)
+            if pool:
+                xs.append(rng.choice(pool))
+            elif lvl is None:
+                xs.append(eps)
+            else:
+                xs.append(sys_.zero(lvl))
+        alpha_g = tuple(1 if v in (1, 2) else 2 for v in g)
+        g1 = tuple(v for v in g if v in (1, 2))
+        left = sys_.angle(alpha_g, [sys_.angle(g1, [xs[0], xs[1]]), xs[2]])
+        direct = sys_.angle(g, xs)
+        assert left == direct, (g,)
+        checked += 1
+    return checked
 
 
 def test_sampled_decomposition():

@@ -11,8 +11,11 @@ import chainops
 from chainops import intmat
 from chainops.intmat import IntMatrix
 from chainops.complexes import (DegreeOutsideWindow, GradedIntComplex, ChainMap,
-                                NotSquareZero, point_complex, reduced_homology,
-                                tensor)
+                                NotSquareZero, reduced_homology, tensor)
+
+
+def point_complex(label="pt"):
+    return GradedIntComplex((-1, 1), {0: (label,)}, {})
 
 
 def interval_complex():
@@ -92,6 +95,13 @@ def test_dd_zero_enforced():
            2: IntMatrix.from_rows([[1], [1]])}
     with pytest.raises(AssertionError):
         GradedIntComplex((0, 2), {0: ("a", "b"), 1: ("x", "y"), 2: ("u",)}, bad)
+    # d o d = 2: zero over Z/2 only
+    two = {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[2]])}
+    basis = {0: ("a",), 1: ("x",), 2: ("u",)}
+    assert GradedIntComplex((0, 2), basis, two, prime=2).prime == 2
+    for prime in (0, 3):
+        with pytest.raises(NotSquareZero):
+            GradedIntComplex((0, 2), basis, two, prime=prime)
 
 
 def test_dd_zero_enforced_under_optimize():
@@ -191,8 +201,8 @@ def test_json_export_deterministic():
 def snf_homology(cx, d):
     """(betti, torsion) of H_d from one Smith normal form of each of the two
     differentials at d, without the unit-pivot reduction."""
-    rank_d = len(intmat.snf_diagonal(cx.differential(d)))
-    inv = intmat.snf_diagonal(cx.differential(d + 1))
+    rank_d = len(intmat.snf_diagonal(cx.differential(d), cx.prime))
+    inv = intmat.snf_diagonal(cx.differential(d + 1), cx.prime)
     return cx.rank(d) - rank_d - len(inv), tuple(f for f in inv if f > 1)
 
 
@@ -270,6 +280,26 @@ def test_one_homology_path_on_seeded_torsion_complexes():
         assert assert_one_homology_path(cx) == expect
         torsion += sum(len(t) for _, t in expect.values())
     assert torsion >= 10
+
+
+def test_one_homology_path_mod_p_on_seeded_torsion_complexes():
+    # universal coefficients: dim H_d(C (x) Z/p) = b_d + #{t in T_d : p | t}
+    # + #{t in T_(d-1) : p | t}, for the integral groups (b_d, T_d).  Z/5 has
+    # units that are not their own inverses; Z/2 and Z/3 have none.
+    rng = random.Random(31)
+    differs = 0
+    for _ in range(25):
+        cx, expect = seeded_torsion_complex(rng)
+        lo, hi = cx.window
+        for p in (2, 3, 5):
+            modp = GradedIntComplex(cx.window, cx.basis, cx.diff, prime=p)
+            got = assert_one_homology_path(modp)
+            for d in range(lo + 2, hi):
+                (b, tors), (_, below) = expect[d], expect[d - 1]
+                dim = b + sum(1 for t in tors + below if t % p == 0)
+                assert got[d] == (dim, ()), (p, d)
+                differs += dim != b
+    assert differs >= 10
 
 
 def test_one_homology_path_on_benchmark_bicomplexes():

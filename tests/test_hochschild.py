@@ -350,6 +350,14 @@ def test_cohomology_frozen_values():
     assert {p: b for p, (b, _) in
             hochschild_cohomology(upper_triangular_mod2(), 3).items()} == \
         {0: 1, 1: 0, 2: 0, 3: 0}
+    # Morita invariance: HH*(M2(F2)) = HH*(F2); UT2 is the path algebra of
+    # the quiver 1 -> 2, hereditary with HH^1 = 0
+    assert {p: b for p, (b, _) in
+            hochschild_cohomology(matrix2_mod2(), 4).items()} == \
+        {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
+    assert {p: b for p, (b, _) in
+            hochschild_cohomology(upper_triangular_mod2(), 5).items()} == \
+        {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
 
 
 def test_cohomology_builds_only_the_differentials_it_reads(monkeypatch):
@@ -490,10 +498,18 @@ def test_invalid_algebra_rejected_under_optimize():
         "    FiniteRankAlgebra([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (0, 1), 2)",
         "except InvalidAlgebra as exc:",
         "    print('rejected:', exc)",
+        "from chainops.hochschild import OutsideDomain, integers",
+        "from chainops.hochschild import cohomology_representatives",
+        "try:",
+        "    cohomology_representatives(integers(), 1)",
+        "except OutsideDomain as exc:",
+        "    print('rejected:', exc)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected: left unit fails")
+    assert proc.stdout.splitlines() == [
+        "rejected: left unit fails",
+        "rejected: representatives need a prime field"]

@@ -263,10 +263,17 @@ def test_not_unimodular_under_optimize():
         "    intmat.inverse_unimodular(intmat.IntMatrix.from_rows([[2]]))",
         "except intmat.NotUnimodular as exc:",
         "    print('rejected:', exc)",
+        "col = intmat.IntMatrix.from_rows([[1], [1]])",
+        "try:",
+        "    col * col",
+        "except intmat.ShapeMismatch as exc:",
+        "    print('rejected:', exc)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected: matrix is not unimodular")
+    assert proc.stdout.splitlines() == [
+        "rejected: matrix is not unimodular",
+        "rejected: product of IntMatrix(2, 1, nnz=2) and IntMatrix(2, 1, nnz=2)"]
