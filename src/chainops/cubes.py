@@ -3,12 +3,19 @@
 Elements are tuples of translation-dilation maps of the unit n-cube with
 pairwise disjoint interiors; composition is composition of affine maps, so
 the operad axioms are exact equalities of Fractions and need no tolerance.
-A sampled component counter on a rational grid serves as an oracle for the
-arity homology of the interval model.
+Two oracles for the arities: the closed-form Betti numbers of the
+configuration space F(R^n, k), to which arity k is homotopy equivalent, and
+a sampled component counter on a rational grid.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+class InvalidCube(AssertionError):
+    """A TD-map leaving the unit cube, or cubes, arities or permutations
+    that do not fit together.  Raised explicitly, so the checks also run
+    under ``python -O``; an AssertionError, as the checks were asserts."""
 
 
 class DisjointnessViolation(Exception):
@@ -38,14 +45,16 @@ class TDMap:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(_frac(x) for x in self.a))
         object.__setattr__(self, "b", _frac(self.b))
-        assert self.n >= 1 and len(self.a) == self.n
-        assert self.b > 0
+        if not (self.n >= 1 and len(self.a) == self.n and self.b > 0):
+            raise InvalidCube(self)
         for x in self.a:
-            assert 0 <= x and x + self.b <= 1
+            if x < 0 or x + self.b > 1:
+                raise InvalidCube(self)
 
     def compose(self, other):
         """self o other, again a TD-map."""
-        assert self.n == other.n
+        if self.n != other.n:
+            raise InvalidCube((self, other))
         return TDMap(self.n,
                      tuple(x + self.b * y for x, y in zip(self.a, other.a)),
                      self.b * other.b)
@@ -75,7 +84,8 @@ class CubesElement:
 
     def __post_init__(self):
         for c in self.cubes:
-            assert isinstance(c, TDMap) and c.n == self.n
+            if not (isinstance(c, TDMap) and c.n == self.n):
+                raise InvalidCube(c)
         for i in range(len(self.cubes)):
             for j in range(i + 1, len(self.cubes)):
                 if not _disjoint_interiors(self.cubes[i], self.cubes[j]):
@@ -92,10 +102,12 @@ class CubesElement:
 
 def gamma_cubes(c, ds):
     """Operad composition: substitute d_i into the i-th cube of c."""
-    assert c.k == len(ds)
+    if c.k != len(ds):
+        raise InvalidCube("%d cubes, %d substitutes" % (c.k, len(ds)))
     cubes = []
     for kappa, d in zip(c.cubes, ds):
-        assert d.n == c.n
+        if d.n != c.n:
+            raise InvalidCube(d)
         for lam in d.cubes:
             cubes.append(kappa.compose(lam))
     return CubesElement(c.n, tuple(cubes))
@@ -104,7 +116,8 @@ def gamma_cubes(c, ds):
 def sigma_cubes(c, sigma):
     """Right symmetric action permuting the cubes: slot i of the result
     holds the old slot sigma[i] (1-based)."""
-    assert sorted(sigma) == list(range(1, c.k + 1))
+    if sorted(sigma) != list(range(1, c.k + 1)):
+        raise InvalidCube(sigma)
     return CubesElement(c.n, tuple(c.cubes[v - 1] for v in sigma))
 
 
@@ -162,7 +175,19 @@ def gamma_intervals(a, bs):
     return IntervalsElement(tuple(c.interval(0) for c in composed.cubes))
 
 
-# -- sampled component counting ----------------------------------------------
+# -- oracles for the arities -------------------------------------------------
+
+def configuration_betti(n, k):
+    """Betti numbers {degree: rank} of F(R^n, k), which is torsion-free
+    with Poincare polynomial prod_{j<k} (1 + j t^(n-1)) (Arnold; Cohen)."""
+    betti = {0: 1}
+    for j in range(1, k):
+        nxt = dict(betti)
+        for d, c in betti.items():
+            nxt[d + n - 1] = nxt.get(d + n - 1, 0) + j * c
+        betti = nxt
+    return betti
+
 
 def _grid_cubes(n, k, resolution):
     """All k-tuples of grid TD-maps with disjoint interiors; the grid has

@@ -20,6 +20,12 @@ from .complexes import GradedIntComplex, reduced_homology
 from .intmat import IntMatrix
 
 
+# hochschild_cohomology refuses cochain spaces above this dimension, and
+# gerstenhaber_report takes cohomology representatives up to this degree
+MAX_COCHAIN_DIM = 6561
+MAX_REPRESENTATIVE_DEGREE = 2
+
+
 class InfeasibleSize(Exception):
     pass
 
@@ -181,9 +187,6 @@ class HochschildCochain:
         v = self._lookup.get(key)
         return v if v is not None else (0,) * self.algebra.n
 
-    def as_dict(self):
-        return dict(self.table)
-
     def __add__(self, other):
         if self.degree != other.degree:
             raise OutsideDomain("cochains of degrees %d and %d added"
@@ -218,42 +221,50 @@ def unit_cochain(R):
     return HochschildCochain.make(R, 0, {(): R.unit})
 
 
+def _differential_terms(R, p, key, support):
+    """The terms (key', s, c) of the bar differential of a degree-p cochain
+    whose value at the basis tuple key is sum x e_t over support [(t, x)],
+    and which vanishes elsewhere: d of it has c at e_s on key'.  The entry
+    is pushed forward to the keys whose terms read it: (a,) + key,
+    key + (a,), and key with key[i-1] replaced by a preimage (a, b) under
+    the multiplication, so the cost is linear in the support."""
+    products = R.products
+    right_sign = -1 if (p + 1) % 2 else 1
+    for a in range(R.n):
+        # r_1 * rho(r_2 ... r_{p+1}) with r_1 = e_a
+        left = (a,) + key
+        for t, x in support:
+            for s, c in products[a][t]:
+                yield left, s, c * x
+        # rho(r_1 ... r_p) * r_{p+1} with r_{p+1} = e_a
+        right = key + (a,)
+        for t, x in support:
+            for s, c in products[t][a]:
+                yield right, s, right_sign * c * x
+    # inner multiplications r_i r_{i+1} = ... + c e_{key[i-1]}
+    for i in range(1, p + 1):
+        head, tail = key[:i - 1], key[i:]
+        sign = -1 if i % 2 else 1
+        for a, b, c in R.preimages[key[i - 1]]:
+            inner = head + (a, b) + tail
+            for t, x in support:
+                yield inner, t, sign * c * x
+
+
 def hochschild_differential(rho):
     """The bar differential: outer multiplications on both ends and the
-    alternating inner multiplications.  Each entry (k, v) of rho's table is
-    pushed forward to the keys whose terms read it: (a,) + k, k + (a,), and
-    k with k[i-1] replaced by a preimage (a, b) under the multiplication, so
-    the cost is linear in the support of rho."""
+    alternating inner multiplications, summed over the entries of rho's
+    table."""
     R = rho.algebra
-    p = rho.degree
-    n = R.n
-    products = R.products
     out = {}
-
-    def add(key, terms, sign):
-        cur = out.get(key)
-        if cur is None:
-            cur = out[key] = [0] * n
-        for s, c in terms:
-            cur[s] += sign * c
-
-    right_sign = -1 if (p + 1) % 2 else 1
     for k, v in rho.table:
         support = [(t, x) for t, x in enumerate(v) if x]
-        for a in range(n):
-            # r_1 * rho(r_2 ... r_{p+1}) with r_1 = e_a
-            add((a,) + k, [(s, c * x) for t, x in support
-                           for s, c in products[a][t]], 1)
-            # rho(r_1 ... r_p) * r_{p+1} with r_{p+1} = e_a
-            add(k + (a,), [(s, c * x) for t, x in support
-                           for s, c in products[t][a]], right_sign)
-        # inner multiplications r_i r_{i+1} = ... + c e_{k[i-1]}
-        for i in range(1, p + 1):
-            head, tail = k[:i - 1], k[i:]
-            sign = -1 if i % 2 else 1
-            for a, b, c in R.preimages[k[i - 1]]:
-                add(head + (a, b) + tail, [(t, c * x) for t, x in support], sign)
-    return HochschildCochain.make(R, p + 1, out)
+        for key, s, c in _differential_terms(R, rho.degree, k, support):
+            cur = out.get(key)
+            if cur is None:
+                cur = out[key] = [0] * R.n
+            cur[s] += c
+    return HochschildCochain.make(R, rho.degree + 1, out)
 
 
 def hochschild_cup(r1, r2):
@@ -311,28 +322,10 @@ def gerstenhaber_bracket(r1, r2):
 
 # -- linear algebra over the coefficients --------------------------------------
 
-def _cochain_dim(R, p):
-    return R.n ** p * R.n
-
-
-def _entries(rho):
-    """(coordinate, value) for the nonzero coordinates of rho, coordinates
-    ordered as the keys in ``product`` order, then the basis of R."""
-    n = rho.algebra.n
-    for key, vec in rho.table:
-        base = 0
-        for a in key:
-            base = base * n + a
-        base *= n
-        for s, x in enumerate(vec):
-            if x:
-                yield base + s, x
-
-
-def _cochain_column(rho):
-    """rho as a one-column IntMatrix in the coordinates of ``_entries``."""
-    return IntMatrix(_cochain_dim(rho.algebra, rho.degree), 1,
-                     {(i, 0): x for i, x in _entries(rho)})
+def coordinates(R, p):
+    """Labels key + (s,) of the coordinates of degree-p cochains, keys in
+    ``product`` order: the cochain sending the basis tuple key to e_s."""
+    return tuple(product(range(R.n), repeat=p + 1))
 
 
 def _vec_to_cochain(R, p, vec):
@@ -344,10 +337,14 @@ def _vec_to_cochain(R, p, vec):
 
 
 def differential_matrix(R, p):
-    """Matrix of d : C^p -> C^{p+1} on basis cochains (columns)."""
-    return IntMatrix.from_images(
-        basis_cochains(R, p), range(_cochain_dim(R, p + 1)),
-        lambda rho: _entries(hochschild_differential(rho)))
+    """Matrix of d : C^p -> C^{p+1} on ``coordinates``, each coordinate
+    pushed straight through ``_differential_terms``."""
+    m = IntMatrix.from_images(
+        coordinates(R, p), coordinates(R, p + 1),
+        lambda x: ((key + (s,), c) for key, s, c in
+                   _differential_terms(R, p, x[:-1], ((x[-1], 1),))))
+    return IntMatrix(m.rows, m.cols,
+                     {ij: R._red(c) for ij, c in m.data.items()})
 
 
 def modp_eliminate(m, p):
@@ -356,19 +353,17 @@ def modp_eliminate(m, p):
     return intmat.rank(m, p)
 
 
-def hochschild_cohomology(R, p_max, guard=6561):
+def hochschild_cohomology(R, p_max):
     """Per-degree cohomology of the truncated complex, from
     ``reduced_homology`` over R's coefficients: {p: (betti, torsion)} over
     the integers, {p: (dimension, ())} over Z/p.  Chain degree -p holds
-    C^p, labelled by key + (s,) for the cochain sending the basis tuple key
-    to e_s; degree p_max reads the differential into C^(p_max + 1), the
-    largest space built."""
-    if _cochain_dim(R, p_max + 1) > guard:
+    C^p on ``coordinates(R, p)``; degree p_max reads the differential into
+    C^(p_max + 1), the largest space built."""
+    if R.n ** (p_max + 2) > MAX_COCHAIN_DIM:
         raise InfeasibleSize(
             "degree %d cochains of %s have dimension %d, above the limit %d"
-            % (p_max + 1, R.name, _cochain_dim(R, p_max + 1), guard))
-    basis = {-p: tuple(product(range(R.n), repeat=p + 1))
-             for p in range(p_max + 2)}
+            % (p_max + 1, R.name, R.n ** (p_max + 2), MAX_COCHAIN_DIM))
+    basis = {-p: coordinates(R, p) for p in range(p_max + 2)}
     diff = {-p: differential_matrix(R, p) for p in range(p_max + 1)}
     cx = GradedIntComplex((-p_max - 1, 1), basis, diff, prime=R.prime,
                           regrade="cochain (chain degree -m holds degree m)")
@@ -448,14 +443,17 @@ def cohomology_representatives(R, p):
 def _cobound(R, target):
     """Explicit cochain zeta with d(zeta) = target, or None."""
     p = target.degree
-    x = intmat.solve(differential_matrix(R, p - 1), _cochain_column(target),
-                     R.prime)
+    column = IntMatrix.from_images(
+        (target,), coordinates(R, p),
+        lambda rho: ((key + (s,), x) for key, vec in rho.table
+                     for s, x in enumerate(vec) if x))
+    x = intmat.solve(differential_matrix(R, p - 1), column, R.prime)
     if x is None:
         return None
     return _vec_to_cochain(R, p - 1, x.column(0))
 
 
-def gerstenhaber_report(R, p_max=3, pair_cap=2):
+def gerstenhaber_report(R, p_max=3):
     """Cochain-level identities (exhaustive on basis cochains) plus the
     cohomology-level Gerstenhaber structure with explicit certificates."""
     rep = GerstenhaberReport(R.name, p_max)
@@ -511,7 +509,7 @@ def gerstenhaber_report(R, p_max=3, pair_cap=2):
 
     if R.prime:
         reps = {p: cohomology_representatives(R, p)
-                for p in range(min(p_max, pair_cap) + 1)}
+                for p in range(min(p_max, MAX_REPRESENTATIVE_DEGREE) + 1)}
     else:
         # over the integers only the unit class is in scope
         reps = {0: [unit_cochain(R)]}

@@ -22,7 +22,7 @@ import random
 from itertools import chain
 from dataclasses import dataclass, field
 
-from . import boxprod
+from . import boxprod, cubes
 from .boxprod import (INFINITY, NormalizationFailure, Symbol, act_perm,
                       apply_tuple, enumerate_symbols, ker_expand,
                       ker_expand_checked, koszul_sign, NatTransform,
@@ -35,10 +35,6 @@ class BoundsExceededError(Exception):
 
 
 class NotStabilized(Exception):
-    pass
-
-
-class UnsupportedInstance(Exception):
     pass
 
 
@@ -114,7 +110,7 @@ def _multilinear_twist(h_vec, nats):
     return 1
 
 
-def gamma_matrix(h_vec, arg_vecs, n=INFINITY, q_cap=None):
+def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
     """Composition through the assembled functorial map on box levels."""
     if not h_vec or any(not v for v in arg_vecs):
         return {}
@@ -127,8 +123,8 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY, q_cap=None):
             levels[h.r][hk] = levels[h.r].get(hk, 0) + c * w
     terms = []
     for r, kvec in levels.items():
-        cap = max(s.q for s in kvec) if q_cap is None else q_cap
-        table = boxprod.box_functorial_map(len(nats), nats, r, cap, INFINITY)
+        table = boxprod.box_functorial_map(len(nats), nats, r,
+                                           max(s.q for s in kvec), INFINITY)
         terms.extend((t, twist * c * v) for s, c in kvec.items()
                      for t, v in table[s].items())
     return cokernel_project(vec_sum(terms), n)
@@ -555,50 +551,23 @@ def _assoc_tuples(operad, rng, exhaustive_cap, samples):
 
 # -- little cubes comparison ---------------------------------------------------
 
-def cellular_point():
-    return GradedIntComplex((-1, 2), {0: ("pt",)}, {})
-
-
-def cellular_two_points():
-    return GradedIntComplex((-1, 2), {0: ("lo", "hi")}, {})
-
-
-def cellular_circle():
-    return GradedIntComplex((-1, 2), {0: ("v",), 1: ("e",)}, {})
-
-
 @dataclass
 class CubesComparisonReport:
     n: int
     k: int
     operad_groups: dict
-    cell_groups: dict
-    components: int
+    expected: dict
     match: bool
 
-    def to_dict(self):
-        return {
-            "n": self.n, "k": self.k,
-            "operad": {str(d): [b, list(t)] for d, (b, t) in self.operad_groups.items()},
-            "cellular": {str(d): [b, list(t)] for d, (b, t) in self.cell_groups.items()},
-            "components": self.components, "match": self.match,
-        }
 
-
-def little_cubes_comparison(n, k, level_cap=6, resolution=4):
-    """Compare the homology of the truncated operad arity against an
-    independently built cellular model of the little-cubes configuration
-    space, plus the sampled component counter."""
-    from . import cubes
-    models = {(1, 2): cellular_two_points(), (2, 2): cellular_circle(),
-              (1, 1): cellular_point(), (2, 1): cellular_point()}
-    if (n, k) not in models:
-        raise UnsupportedInstance((n, k))
-    cell = models[(n, k)]
-    degrees = (0, 1)
+def little_cubes_comparison(n, k, level_cap=6):
+    """Compare the homology of the level-truncated arity T_n(k) with the
+    closed form of the configuration space F(R^n, k), torsion included, in
+    degrees 0 through one above its top degree (k-1)(n-1), so that the
+    vanishing above it is compared too."""
+    betti = cubes.configuration_betti(n, k)
+    degrees = range((k - 1) * (n - 1) + 2)
     hom = operad_homology(k, n, degrees, level_cap)
-    cell_groups = {d: cell.homology(d) for d in degrees}
-    comps = cubes.count_components(n, k, resolution)
-    match = (hom.groups == cell_groups and
-             comps == cell_groups[0][0] and not cell_groups[0][1])
-    return CubesComparisonReport(n, k, hom.groups, cell_groups, comps, match)
+    expected = {d: (betti.get(d, 0), ()) for d in degrees}
+    return CubesComparisonReport(n, k, hom.groups, expected,
+                                 hom.groups == expected)

@@ -143,7 +143,7 @@ def test_acceptance_5_homology():
     rep = operad_homology(2, 2, (0, 1, 2), 5)
     ok = ok and rep.stabilized and rep.groups == {0: (1, ()), 1: (1, ()), 2: (0, ())}
     for nn, kk in ((1, 2), (2, 2), (2, 1)):
-        ok = ok and little_cubes_comparison(nn, kk, level_cap=4, resolution=4).match
+        ok = ok and little_cubes_comparison(nn, kk, level_cap=4).match
     _line(5, "operad homology + models", ok)
 
 

@@ -1,11 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import chainops
 from chainops.cubes import (CubesElement, DegenerateInterval,
                             DisjointnessViolation, IntervalsElement, TDMap,
-                            count_components, gamma_cubes, gamma_intervals,
+                            configuration_betti, count_components,
+                            gamma_cubes, gamma_intervals,
                             generated_operad_element, intervals_to_cubes,
                             sigma_cubes)
 
@@ -147,6 +153,49 @@ def test_nonsymmetric_operad_closure():
 
 
 def test_count_components():
-    assert count_components(1, 1, 4) == 1
-    assert count_components(1, 2, 5) == 2
-    assert count_components(2, 2, 4) == 1
+    # the sampled count is b_0 of the configuration space
+    for n, k, resolution, b0 in ((1, 1, 4, 1), (1, 2, 5, 2), (2, 2, 4, 1),
+                                 (1, 3, 4, 6), (2, 1, 4, 1)):
+        comps = count_components(n, k, resolution)
+        assert comps == b0 == configuration_betti(n, k)[0], (n, k)
+
+
+def test_configuration_betti_frozen_values():
+    assert configuration_betti(2, 3) == {0: 1, 1: 3, 2: 2}
+    assert configuration_betti(3, 3) == {0: 1, 2: 3, 4: 2}
+    assert configuration_betti(2, 4) == {0: 1, 1: 6, 2: 11, 3: 6}
+    assert configuration_betti(1, 4) == {0: 24}
+
+
+def test_invalid_cubes_rejected_under_optimize(tmp_path):
+    # python -O strips assert statements; the cube checks must still fire
+    script = "\n".join([
+        "from fractions import Fraction as F",
+        "from chainops import cubes",
+        "assert False, 'asserts are live'",
+        "unit = cubes.CubesElement.unit(1)",
+        "for bad in (lambda: cubes.TDMap(1, (F(3, 4),), F(1, 2)),",
+        "            lambda: cubes.gamma_cubes(unit, [unit, unit]),",
+        "            lambda: cubes.sigma_cubes(unit, (2,))):",
+        "    try:",
+        "        bad()",
+        "    except cubes.InvalidCube as exc:",
+        "        print('rejected:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: TDMap(n=1, a=(Fraction(3, 4),), b=Fraction(1, 2))",
+        "rejected: 1 cubes, 2 substitutes",
+        "rejected: (2,)"]
+    # the compose command refuses an outer cube that leaves [0, 1]
+    path = tmp_path / "compose.json"
+    path.write_text(json.dumps({"n": 1, "outer": [{"a": ["1/2"], "b": "3/4"}],
+                                "inner": [[{"a": ["0"], "b": "1"}]]}))
+    proc = subprocess.run([sys.executable, "-O", "-m", "chainops.cli", "--json",
+                           "cubes", "--compose", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stdout

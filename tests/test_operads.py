@@ -5,7 +5,7 @@ import pytest
 from chainops import boxprod
 from chainops.boxprod import Symbol, enumerate_symbols, ker_expand
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              UnsupportedInstance, act_perm_vec, boundary_vec,
+                              act_perm_vec, boundary_vec,
                               block_permutation, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
                               little_cubes_comparison, operad_homology,
@@ -180,11 +180,15 @@ def test_not_stabilized_raised(monkeypatch):
 
 
 def test_little_cubes_comparison():
-    for n, k in [(1, 2), (2, 2), (2, 1)]:
-        rep = little_cubes_comparison(n, k, level_cap=3, resolution=4)
-        assert rep.match, rep.to_dict()
-    with pytest.raises(UnsupportedInstance):
-        little_cubes_comparison(3, 2)
+    # every T_n(k) with n, k <= 3 but T_3(3) against the closed form of
+    # F(R^n, k), in degrees 0 .. (k-1)(n-1) + 1
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            if (n, k) == (3, 3):
+                continue
+            rep = little_cubes_comparison(n, k, level_cap=3)
+            assert sorted(rep.expected) == list(range((k - 1) * (n - 1) + 2))
+            assert rep.match, rep
 
 
 def test_sigma_freeness_T2():
