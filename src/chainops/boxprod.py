@@ -606,7 +606,7 @@ def apply_tuple(host, nats):
     return {s: c for s, c in out.items() if c}
 
 
-def box_functorial_map(k, nats, r, q_cap, n=INFINITY):
+def box_functorial_map(k, nats, r, q_cap):
     """Matrix data of the induced map on the level-[r] box product for a
     tuple of per-slot natural transformations: {source Symbol: vector}.
     Raises IncompatibleInputs when arities do not match."""
@@ -614,7 +614,7 @@ def box_functorial_map(k, nats, r, q_cap, n=INFINITY):
         raise IncompatibleInputs((k, len(nats)))
     table = {}
     for m in range(q_cap + 2 - k):
-        for sym in box_basis(k, m + k - 1, r, n):
+        for sym in box_basis(k, m + k - 1, r, INFINITY):
             table[sym] = apply_tuple(sym, nats)
     return table
 

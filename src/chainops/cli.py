@@ -278,6 +278,8 @@ def cmd_cubes(args):
     except cubes.ResolutionTooCoarse:
         raise ConfigError("--resolution %d is too coarse: the count changes "
                           "at %d" % (args.resolution, args.resolution + 1))
+    except cubes.SampleTooLarge as exc:
+        raise ConfigError("too many samples to count: %s" % exc)
     lines = ["sampled components of the %d-cubes arity %d space: %d" %
              (n, args.k, comps)]
     config = _echo_config(args, n=args.n, k=args.k,

@@ -18,8 +18,10 @@ from .delta import FinOrd, OrderedMap
 from .operads import CheckReport
 
 
-class LevelMismatch(Exception):
-    pass
+class LevelMismatch(AssertionError):
+    """Cochains at levels an operation does not take, or a fiber function
+    with a value that names no cochain (raised explicitly, so the checks
+    also run under ``python -O``)."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,8 @@ class CochainElement:
         return dict(self.values)
 
     def __add__(self, other):
-        assert self.level == other.level
+        if self.level != other.level:
+            raise LevelMismatch((self.level, other.level))
         out = self.as_dict()
         for c, v in other.values:
             out[c] = out.get(c, 0) + v
@@ -142,60 +145,49 @@ class AugmentedCochainSystem:
 
     # -- operations --------------------------------------------------------
 
+    def _product(self, m, xs, subsets):
+        """The level-m cochain whose value on a cell is the product of the
+        x_i on its faces spanned by the vertex positions subsets[i]."""
+        out = {}
+        for cell in self.cells(m):
+            prod = 1
+            for x, subset in zip(xs, subsets):
+                prod *= x.value(self.restrict(cell, subset))
+                if not prod:
+                    break
+            if prod:
+                out[cell] = prod
+        return CochainElement.make(m, out)
+
     def cup(self, x, y):
         """Front-face/back-face product: the vertex p is shared."""
         p, q = x.level, y.level
-        out = {}
-        for cell in self.cells(p + q):
-            a = x.value(self.restrict(cell, range(p + 1)))
-            if a:
-                b = y.value(self.restrict(cell, range(p, p + q + 1)))
-                if b:
-                    out[cell] = a * b
-        return CochainElement.make(p + q, out)
+        return self._product(p + q, (x, y),
+                             (range(p + 1), range(p, p + q + 1)))
 
     def sqcup(self, x, y):
         """Degree-raising join: the partition has no shared vertex."""
         p, q = x.level, y.level
-        out = {}
-        for cell in self.cells(p + q + 1):
-            a = x.value(self.restrict(cell, range(p + 1)))
-            if a:
-                b = y.value(self.restrict(cell, range(p + 1, p + q + 2)))
-                if b:
-                    out[cell] = a * b
-        return CochainElement.make(p + q + 1, out)
+        return self._product(p + q + 1, (x, y),
+                             (range(p + 1), range(p + 1, p + q + 2)))
 
     def angle(self, f, xs):
         """The operation indexed by f: [m] -> {1..k} (as a tuple of values):
         multiply the evaluations on the fiber restrictions; empty fibers
-        consume the augmentation class."""
+        consume the augmentation class, and an empty f lands in the
+        augmentation level."""
         k = len(xs)
         for v in f:
-            assert 1 <= v <= k
+            if not 1 <= v <= k:
+                raise LevelMismatch("f takes the value %d outside 1..%d"
+                                    % (v, k))
         fibers = [tuple(t for t, v in enumerate(f) if v == i + 1)
                   for i in range(k)]
         for fib, x in zip(fibers, xs):
             want = len(fib) - 1 if fib else None
             if x.level != want:
                 raise LevelMismatch((x.level, want))
-        if not f:
-            # empty source: everything lands in the augmentation level
-            prod = 1
-            for x in xs:
-                prod *= x.value(())
-            return CochainElement.make(None, {(): prod})
-        m = len(f) - 1
-        out = {}
-        for cell in self.cells(m):
-            prod = 1
-            for fib, x in zip(fibers, xs):
-                prod *= x.value(self.restrict(cell, fib))
-                if not prod:
-                    break
-            if prod:
-                out[cell] = prod
-        return CochainElement.make(m, out)
+        return self._product(len(f) - 1 if f else None, xs, fibers)
 
 
 # -- identity verification ----------------------------------------------------

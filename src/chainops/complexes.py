@@ -12,7 +12,7 @@ import json
 from functools import partial
 
 from . import intmat
-from .intmat import IntMatrix
+from .intmat import IntMatrix, ShapeMismatch
 
 
 class DegreeOutsideWindow(Exception):
@@ -44,10 +44,10 @@ class GradedIntComplex:
     construction (NotSquareZero).
     """
 
-    def __init__(self, window, basis, diff, regrade=None, check=True,
-                 prime=0):
+    def __init__(self, window, basis, diff, regrade=None, prime=0):
         lo, hi = window
-        assert lo <= hi
+        if lo > hi:
+            raise InvalidComplex("empty window %r" % (window,))
         self.window = (lo, hi)
         self.basis = {}
         for d in range(lo, hi + 1):
@@ -65,8 +65,7 @@ class GradedIntComplex:
             self.diff[d] = m
         self.regrade = regrade
         self.prime = prime
-        if check:
-            self.check_dd_zero()
+        self.check_dd_zero()
 
     @classmethod
     def from_boundary(cls, window, basis, boundary):
@@ -142,8 +141,9 @@ class ChainMap:
         self.shift = degree_shift
         self.matrices = {}
         for d, m in matrices.items():
-            assert m.rows == target.rank(d + degree_shift), (d, m.rows)
-            assert m.cols == source.rank(d), (d, m.cols)
+            if (m.rows, m.cols) != (target.rank(d + degree_shift),
+                                    source.rank(d)):
+                raise ShapeMismatch("chain map matrix %r in degree %d" % (m, d))
             self.matrices[d] = m
         if check:
             self.check_chain_map()
@@ -169,7 +169,8 @@ class ChainMap:
 
     def compose(self, other):
         """self o other."""
-        assert other.target is self.source or other.target == self.source
+        if not (other.target is self.source or other.target == self.source):
+            raise NotAChainMap("composing maps that do not meet")
         mats = {}
         for d in other.matrices:
             mats[d] = self.matrix(d + other.shift) * other.matrix(d)

@@ -14,7 +14,7 @@ check guarding the truncation.
 from dataclasses import dataclass
 
 from . import intmat
-from .intmat import IntMatrix
+from .intmat import IntMatrix, ShapeMismatch
 from .complexes import (GradedIntComplex, NotAChainMap, label_str,
                         reduced_homology)
 
@@ -47,17 +47,20 @@ class CosimplicialAbGroup:
     def __init__(self, levels, cofaces, codegens, check=True):
         self.levels = {m: tuple(v) for m, v in levels.items()}
         self.max_level = max(self.levels)
-        assert sorted(self.levels) == list(range(self.max_level + 1))
+        if sorted(self.levels) != list(range(self.max_level + 1)):
+            raise ShapeMismatch("levels %r are not 0..top" % sorted(levels))
         self.cofaces = dict(cofaces)      # (m, i): A^m -> A^{m+1}
         self.codegens = dict(codegens)    # (m, i): A^m -> A^{m-1}
         for m in range(self.max_level):
             for i in range(m + 2):
                 mat = self.cofaces[(m, i)]
-                assert mat.rows == self.rank(m + 1) and mat.cols == self.rank(m)
+                if (mat.rows, mat.cols) != (self.rank(m + 1), self.rank(m)):
+                    raise ShapeMismatch("coface %r is %r" % ((m, i), mat))
         for m in range(1, self.max_level + 1):
             for i in range(m):
                 mat = self.codegens[(m, i)]
-                assert mat.rows == self.rank(m - 1) and mat.cols == self.rank(m)
+                if (mat.rows, mat.cols) != (self.rank(m - 1), self.rank(m)):
+                    raise ShapeMismatch("codegeneracy %r is %r" % ((m, i), mat))
         if check:
             self._check_identities()
 
@@ -259,7 +262,8 @@ class CosimplicialChainComplex:
         # levels: r -> GradedIntComplex; operators: (r, i) -> {m: IntMatrix}
         self.levels = dict(levels)
         self.max_level = max(self.levels)
-        assert sorted(self.levels) == list(range(self.max_level + 1))
+        if sorted(self.levels) != list(range(self.max_level + 1)):
+            raise ShapeMismatch("levels %r are not 0..top" % sorted(levels))
         self.cofaces = {k: dict(v) for k, v in cofaces.items()}
         self.codegens = {k: dict(v) for k, v in codegens.items()}
         self._check()
@@ -273,7 +277,8 @@ class CosimplicialChainComplex:
         mat = table.get(key, {}).get(m)
         if mat is None:
             mat = IntMatrix.zeros(rows, cols)
-        assert mat.rows == rows and mat.cols == cols
+        if (mat.rows, mat.cols) != (rows, cols):
+            raise ShapeMismatch("operator %r is %r" % ((key, m), mat))
         return mat
 
     def d(self, r, i, m):
@@ -351,44 +356,36 @@ def conormalize_bicomplex(B, level_cap):
             if x is None:
                 raise NonSplitKernel(("internal", r, m))
             internal[(r, m)] = x
-    # assemble total complex
-    spots = {}
+    # the total complex on labels p:r:m:i, blocks of a degree in (r, m) order
+    blocks = {}
     for m in range(mlo, mhi + 1):
         for r in range(level_cap + 1):
-            k = kernels[m].inclusions[r].cols
-            if k:
-                spots.setdefault(m - r, []).append((r, m, k))
-    if not spots:
+            if kernels[m].inclusions[r].cols:
+                blocks.setdefault(m - r, []).append((r, m))
+    if not blocks:
         raise WindowTooSmall(level_cap)
-    plo, phi = min(spots) - 2, max(spots) + 2
-    basis, offset = {}, {}
-    for p in range(plo, phi + 1):
-        labels = []
-        for r, m, k in sorted(spots.get(p, [])):
-            offset[(r, m)] = len(labels)
-            labels.extend("p%d:r%d:m%d:%d" % (p, r, m, i) for i in range(k))
-        basis[p] = tuple(labels)
-    diff = {}
-    for p in range(plo + 1, phi + 1):
-        data = {}
-        for r, m, k in sorted(spots.get(p, [])):
-            base = offset[(r, m)]
-            # internal part: (r, m) -> (r, m-1)
-            mat = internal.get((r, m))
-            if mat is not None and (r, m - 1) in offset:
-                tbase = offset[(r, m - 1)]
-                for (i, j), v in mat.data.items():
-                    data[(tbase + i, base + j)] = data.get((tbase + i, base + j), 0) + v
-            # cosimplicial part: (r, m) -> (r+1, m), sign -(-1)^p
-            if r + 1 <= level_cap and (r + 1, m) in offset:
-                cmat = kernels[m].complex.differential(-r)
-                sign = -1 if p % 2 == 0 else 1
-                tbase = offset[(r + 1, m)]
-                for (i, j), v in cmat.data.items():
-                    key = (tbase + i, base + j)
-                    data[key] = data.get(key, 0) + sign * v
-        diff[p] = IntMatrix(len(basis[p - 1]), len(basis[p]), data)
-    return GradedIntComplex((plo, phi), basis, diff)
+    plo, phi = min(blocks) - 2, max(blocks) + 2
+
+    def label(r, m, i):
+        return "p%d:r%d:m%d:%d" % (m - r, r, m, i)
+    basis = {p: tuple(label(r, m, i) for r, m in sorted(blocks.get(p, ()))
+                      for i in range(kernels[m].inclusions[r].cols))
+             for p in range(plo, phi + 1)}
+    # a generator's boundary: the internal part (r, m) -> (r, m-1), then the
+    # cosimplicial part (r, m) -> (r+1, m) with sign -(-1)^p
+    images = {}
+    for p, spots in blocks.items():
+        sign = -1 if p % 2 == 0 else 1
+        for r, m in spots:
+            inner = internal[(r, m)].columns() if m > mlo else {}
+            outer = kernels[m].complex.differential(-r).columns()
+            for j in range(kernels[m].inclusions[r].cols):
+                images[label(r, m, j)] = (
+                    [(label(r, m - 1, i), v) for i, v in inner.get(j, ())] +
+                    [(label(r + 1, m, i), sign * v)
+                     for i, v in outer.get(j, ())])
+    return GradedIntComplex.from_boundary((plo, phi), basis,
+                                          lambda p, x: images[x])
 
 
 def stabilized_bicomplex_homology(B, level_cap, degrees):

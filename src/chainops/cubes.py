@@ -8,8 +8,14 @@ configuration space F(R^n, k), to which arity k is homotopy equivalent, and
 a sampled component counter on a rational grid.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+# count_components unions every pair of samples, so it refuses grids with
+# more candidate tuples than this (at resolution + 1, the finer grid it reads)
+MAX_CANDIDATES = 10_000
 
 
 class InvalidCube(AssertionError):
@@ -27,6 +33,10 @@ class DegenerateInterval(Exception):
 
 
 class ResolutionTooCoarse(Exception):
+    pass
+
+
+class SampleTooLarge(Exception):
     pass
 
 
@@ -259,7 +269,16 @@ def _count_at(n, k, resolution):
 
 def count_components(n, k, resolution):
     """Number of path components of the sampled configuration graph, with a
-    refinement-stability guard (heuristic oracle, exact samples)."""
+    refinement-stability guard (heuristic oracle, exact samples).  Raises
+    SampleTooLarge, before sampling, when the grid at resolution + 1 has more
+    than MAX_CANDIDATES candidate tuples, (sum_{j<=resolution+1} j^n)^k, at
+    least (resolution + 1)^(n k): that bound is screened first, by logs."""
+    top = resolution + 1
+    if (n * k * math.log(top) > math.log(MAX_CANDIDATES) or
+            sum(j ** n for j in range(1, top + 1)) ** k > MAX_CANDIDATES):
+        raise SampleTooLarge(
+            "n = %d, k = %d at resolution %d has more than %d candidate "
+            "tuples" % (n, k, top, MAX_CANDIDATES))
     c1 = _count_at(n, k, resolution)
     c2 = _count_at(n, k, resolution + 1)
     if c1 != c2:

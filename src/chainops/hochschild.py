@@ -3,10 +3,12 @@ cup product, circle product and bracket, cohomology, and certificates for
 the graded-commutative/Lie structure on cohomology.
 
 Coefficients are the integers or a prime field Z/p.  Cochains in degree p
-are multilinear maps R^{tensor p} -> R stored as coefficient tables on basis
-tuples; all identities are verified by exhaustive evaluation on basis
-tuples, and the cohomology-level statements come with explicit cobounding
-cochains found by linear algebra, never asserted symbolically.
+are multilinear maps R^{tensor p} -> R stored as sparse vectors on the
+coordinates key + (s,) (the map sending the basis tuple key to e_s), the
+labels of the differential matrices; all identities are verified by
+exhaustive evaluation on basis tuples, and the cohomology-level statements
+come with explicit cobounding cochains found by linear algebra, never
+asserted symbolically.
 """
 
 import json
@@ -77,9 +79,6 @@ class FiniteRankAlgebra:
     def _red(self, c):
         return c % self.prime if self.prime else int(c)
 
-    def reduce_vec(self, v):
-        return tuple(self._red(c) for c in v)
-
     def basis_product(self, i, j):
         return self.structure[i][j]
 
@@ -93,7 +92,7 @@ class FiniteRankAlgebra:
                     continue
                 for k, c in enumerate(self.structure[i][j]):
                     out[k] += a * b * c
-        return self.reduce_vec(out)
+        return tuple(self._red(c) for c in out)
 
     def _check_axioms(self):
         basis = [tuple(1 if t == i else 0 for t in range(self.n))
@@ -163,152 +162,125 @@ def matrix2_mod2():
 
 @dataclass(frozen=True)
 class HochschildCochain:
-    """Multilinear map R^{tensor p} -> R as a table on basis tuples.  The
-    sorted table is the canonical form (equality, hashing, reports);
-    ``value`` reads a dict built from it on first use."""
+    """Degree-p cochain as a vector on ``coordinates(R, p)``: the sorted
+    (key + (s,), c) pairs, c reduced in R's ring and nonzero, where the
+    coordinate key + (s,) sends the basis tuple key to e_s.  The sorted
+    terms are the canonical form (equality, hashing, reports)."""
     algebra: FiniteRankAlgebra
     degree: int
-    table: tuple    # sorted ((index tuple, value vector), ...), zeros dropped
+    terms: tuple
+
+    @classmethod
+    def sum(cls, algebra, degree, terms):
+        """The cochain sum c * label over the (label, c) pairs of terms."""
+        acc = {}
+        for label, c in terms:
+            acc[label] = acc.get(label, 0) + c
+        red = algebra._red
+        return cls(algebra, degree, tuple(sorted(
+            (label, r) for label, c in acc.items() if (r := red(c)))))
 
     @classmethod
     def make(cls, algebra, degree, mapping):
-        table = []
-        for key, vec in mapping.items():
-            vec = algebra.reduce_vec(vec)
-            if any(vec):
-                table.append((tuple(key), vec))
-        return cls(algebra, degree, tuple(sorted(table)))
+        """The multilinear map sending each basis tuple key to mapping[key]."""
+        return cls.sum(algebra, degree, (
+            (tuple(key) + (s,), c)
+            for key, vec in mapping.items() for s, c in enumerate(vec)))
 
     @cached_property
     def _lookup(self):
-        return dict(self.table)
+        return dict(self.terms)
 
     def value(self, key):
-        v = self._lookup.get(key)
-        return v if v is not None else (0,) * self.algebra.n
+        """The value vector at the basis tuple key."""
+        return tuple(self._lookup.get(key + (s,), 0)
+                     for s in range(self.algebra.n))
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise OutsideDomain("cochains of degrees %d and %d added"
                                 % (self.degree, other.degree))
-        out = {k: list(v) for k, v in self.table}
-        for k, v in other.table:
-            cur = out.setdefault(k, [0] * self.algebra.n)
-            for t in range(len(v)):
-                cur[t] += v[t]
-        return HochschildCochain.make(self.algebra, self.degree, out)
+        return HochschildCochain.sum(self.algebra, self.degree,
+                                     self.terms + other.terms)
 
     def scale(self, c):
-        return HochschildCochain.make(
-            self.algebra, self.degree,
-            {k: tuple(c * x for x in v) for k, v in self.table})
+        return HochschildCochain.sum(self.algebra, self.degree,
+                                     ((label, c * x) for label, x in self.terms))
 
     def is_zero(self):
-        return not self.table
+        return not self.terms
 
 
 def basis_cochains(R, p):
-    """All basis cochains of degree p: one basis tuple to one basis vector."""
-    out = []
-    for key in product(range(R.n), repeat=p):
-        for t in range(R.n):
-            vec = tuple(1 if s == t else 0 for s in range(R.n))
-            out.append(HochschildCochain.make(R, p, {key: vec}))
-    return out
+    """All basis cochains of degree p, one per label of ``coordinates``."""
+    return [HochschildCochain.sum(R, p, ((label, 1),))
+            for label in coordinates(R, p)]
 
 
 def unit_cochain(R):
     return HochschildCochain.make(R, 0, {(): R.unit})
 
 
-def _differential_terms(R, p, key, support):
-    """The terms (key', s, c) of the bar differential of a degree-p cochain
-    whose value at the basis tuple key is sum x e_t over support [(t, x)],
-    and which vanishes elsewhere: d of it has c at e_s on key'.  The entry
-    is pushed forward to the keys whose terms read it: (a,) + key,
-    key + (a,), and key with key[i-1] replaced by a preimage (a, b) under
-    the multiplication, so the cost is linear in the support."""
+def _differential_terms(R, p, label):
+    """The terms (label', c) of the bar differential of the degree-p
+    coordinate cochain label = key + (t,), which sends the basis tuple key to
+    e_t and vanishes elsewhere.  It is pushed forward to the keys whose terms
+    read it: (a,) + key, key + (a,), and key with key[i-1] replaced by a
+    preimage (a, b) under the multiplication."""
     products = R.products
+    key, t = label[:-1], label[-1]
     right_sign = -1 if (p + 1) % 2 else 1
     for a in range(R.n):
         # r_1 * rho(r_2 ... r_{p+1}) with r_1 = e_a
-        left = (a,) + key
-        for t, x in support:
-            for s, c in products[a][t]:
-                yield left, s, c * x
+        for s, c in products[a][t]:
+            yield (a,) + key + (s,), c
         # rho(r_1 ... r_p) * r_{p+1} with r_{p+1} = e_a
-        right = key + (a,)
-        for t, x in support:
-            for s, c in products[t][a]:
-                yield right, s, right_sign * c * x
+        for s, c in products[t][a]:
+            yield key + (a, s), right_sign * c
     # inner multiplications r_i r_{i+1} = ... + c e_{key[i-1]}
     for i in range(1, p + 1):
-        head, tail = key[:i - 1], key[i:]
+        head, tail = key[:i - 1], label[i:]
         sign = -1 if i % 2 else 1
         for a, b, c in R.preimages[key[i - 1]]:
-            inner = head + (a, b) + tail
-            for t, x in support:
-                yield inner, t, sign * c * x
+            yield head + (a, b) + tail, sign * c
 
 
 def hochschild_differential(rho):
     """The bar differential: outer multiplications on both ends and the
-    alternating inner multiplications, summed over the entries of rho's
-    table."""
-    R = rho.algebra
-    out = {}
-    for k, v in rho.table:
-        support = [(t, x) for t, x in enumerate(v) if x]
-        for key, s, c in _differential_terms(R, rho.degree, k, support):
-            cur = out.get(key)
-            if cur is None:
-                cur = out[key] = [0] * R.n
-            cur[s] += c
-    return HochschildCochain.make(R, rho.degree + 1, out)
+    alternating inner multiplications, summed over the terms of rho."""
+    R, p = rho.algebra, rho.degree
+    return HochschildCochain.sum(R, p + 1, (
+        (image, c * x) for label, x in rho.terms
+        for image, c in _differential_terms(R, p, label)))
 
 
 def hochschild_cup(r1, r2):
+    """(r1 u r2)(k1 + k2) = r1(k1) r2(k2), term by term through the
+    structure constants."""
     R = r1.algebra
-    p, q = r1.degree, r2.degree
-    out = {}
-    for k1, v1 in r1.table:
-        for k2, v2 in r2.table:
-            key = k1 + k2
-            prod = R.mult(v1, v2)
-            if any(prod):
-                cur = out.setdefault(key, [0] * R.n)
-                for t in range(R.n):
-                    cur[t] += prod[t]
-    return HochschildCochain.make(R, p + q, out)
+    return HochschildCochain.sum(R, r1.degree + r2.degree, (
+        (l1[:-1] + l2[:-1] + (s,), x * y * c)
+        for l1, x in r1.terms for l2, y in r2.terms
+        for s, c in R.products[l1[-1]][l2[-1]]))
 
 
 def circle_product(r1, r2):
     """Sum of single insertions of r2 into the slots of r1, with the usual
-    alternating sign per slot: each entry of r1 meets, in each slot i, the
-    entries of r2 whose value has a coordinate at r1's index there."""
-    R = r1.algebra
+    alternating sign per slot: each term of r1 meets, in each slot i, the
+    terms of r2 whose coordinate is r1's index there."""
     p, q = r1.degree, r2.degree
-    n = R.n
     # t -> [(k2, c)]: r2(k2) has coefficient c at e_t
-    inserts = [[] for _ in range(n)]
-    for k2, v2 in r2.table:
-        for t, c in enumerate(v2):
-            if c:
-                inserts[t].append((k2, c))
-    out = {}
-    for k1, v1 in r1.table:
-        for i in range(1, p + 1):
-            head, tail = k1[:i - 1], k1[i:]
-            sign = -1 if ((q - 1) * (i - 1)) % 2 else 1
-            for k2, c in inserts[k1[i - 1]]:
-                key = head + k2 + tail
-                cur = out.get(key)
-                if cur is None:
-                    cur = out[key] = [0] * n
-                f = sign * c
-                for s, x in enumerate(v1):
-                    cur[s] += f * x
-    return HochschildCochain.make(R, p + q - 1, out)
+    inserts = {}
+    for l2, c in r2.terms:
+        inserts.setdefault(l2[-1], []).append((l2[:-1], c))
+
+    def terms():
+        for l1, x in r1.terms:
+            for i in range(1, p + 1):
+                sign = -1 if ((q - 1) * (i - 1)) % 2 else 1
+                for k2, c in inserts.get(l1[i - 1], ()):
+                    yield l1[:i - 1] + k2 + l1[i:], sign * c * x
+    return HochschildCochain.sum(r1.algebra, p + q - 1, terms())
 
 
 def gerstenhaber_bracket(r1, r2):
@@ -328,21 +300,11 @@ def coordinates(R, p):
     return tuple(product(range(R.n), repeat=p + 1))
 
 
-def _vec_to_cochain(R, p, vec):
-    keys = list(product(range(R.n), repeat=p))
-    out = {}
-    for idx, key in enumerate(keys):
-        out[key] = tuple(vec[idx * R.n:(idx + 1) * R.n])
-    return HochschildCochain.make(R, p, out)
-
-
 def differential_matrix(R, p):
     """Matrix of d : C^p -> C^{p+1} on ``coordinates``, each coordinate
     pushed straight through ``_differential_terms``."""
-    m = IntMatrix.from_images(
-        coordinates(R, p), coordinates(R, p + 1),
-        lambda x: ((key + (s,), c) for key, s, c in
-                   _differential_terms(R, p, x[:-1], ((x[-1], 1),))))
+    m = IntMatrix.from_images(coordinates(R, p), coordinates(R, p + 1),
+                              lambda label: _differential_terms(R, p, label))
     return IntMatrix(m.rows, m.cols,
                      {ij: R._red(c) for ij, c in m.data.items()})
 
@@ -436,21 +398,21 @@ def cohomology_representatives(R, p):
         rk = intmat.rank(test, R.prime)
         if rk > rank:
             span, rank = test, rk
-            reps.append(_vec_to_cochain(R, p, kernel.column(j)))
+            reps.append(HochschildCochain.sum(
+                R, p, zip(coordinates(R, p), kernel.column(j))))
     return reps
 
 
 def _cobound(R, target):
     """Explicit cochain zeta with d(zeta) = target, or None."""
     p = target.degree
-    column = IntMatrix.from_images(
-        (target,), coordinates(R, p),
-        lambda rho: ((key + (s,), x) for key, vec in rho.table
-                     for s, x in enumerate(vec) if x))
+    column = IntMatrix.from_images((target,), coordinates(R, p),
+                                   lambda t: t.terms)
     x = intmat.solve(differential_matrix(R, p - 1), column, R.prime)
     if x is None:
         return None
-    return _vec_to_cochain(R, p - 1, x.column(0))
+    return HochschildCochain.sum(R, p - 1, zip(coordinates(R, p - 1),
+                                               x.column(0)))
 
 
 def gerstenhaber_report(R, p_max=3):

@@ -124,7 +124,7 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
     terms = []
     for r, kvec in levels.items():
         table = boxprod.box_functorial_map(len(nats), nats, r,
-                                           max(s.q for s in kvec), INFINITY)
+                                           max(s.q for s in kvec))
         terms.extend((t, twist * c * v) for s, c in kvec.items()
                      for t, v in table[s].items())
     return cokernel_project(vec_sum(terms), n)
@@ -310,10 +310,9 @@ class CheckReport:
         }
 
 
-def _basis_vectors(operad, k, max_q=None):
+def _basis_vectors(operad, k):
     out = []
-    cap = operad.q_cap if max_q is None else max_q
-    for q in range(k - 1, cap + 1):
+    for q in range(k - 1, operad.q_cap + 1):
         for r in range(q + 2):
             for s in enumerate_symbols(k, q, r, operad.n):
                 out.append({s: 1})

@@ -36,7 +36,7 @@ class InvalidSimplicialSet(AssertionError):
 class FiniteSimplicialSet:
     """Nondegenerate simplices per dimension plus their faces."""
 
-    def __init__(self, simplices, faces, check=True):
+    def __init__(self, simplices, faces):
         self.simplices = {d: tuple(names) for d, names in sorted(simplices.items())}
         self.dim_of = {}
         for d, names in self.simplices.items():
@@ -69,8 +69,7 @@ class FiniteSimplicialSet:
                 for name in names:
                     if name not in self.faces:
                         raise InvalidSimplicialSet("missing faces for %r" % name)
-        if check:
-            self._check_identities()
+        self._check_identities()
 
     # -- basic structure ---------------------------------------------------
 

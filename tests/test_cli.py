@@ -215,6 +215,8 @@ BAD_INPUT = [
      "DisjointnessViolation((0, 1))"),
     (["cubes", "--n", "1", "--k", "3", "--resolution", "2"],
      "--resolution 2 is too coarse"),
+    (["cubes", "--n", "3", "--k", "2", "--resolution", "4"],
+     "too many samples to count"),
     (["export-complex", "--k", "5", "--qmax", "2"],
      "--qmax 2 leaves arity 5 without symbols"),
     (["verify-operad", "--kmax", "3", "--qmax", "1"],

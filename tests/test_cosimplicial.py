@@ -154,6 +154,54 @@ def test_certificate_check_under_optimize():
         "rejected: ('coface not a chain map', 0, 0, 1)"]
 
 
+def test_shape_checks_under_optimize():
+    # python -O strips assert statements; the shape and level checks of the
+    # cosimplicial, complex and cochain types must still fire
+    script = "\n".join([
+        "from chainops import cosimplicial as cs",
+        "from chainops.cochain_ops import AugmentedCochainSystem, CochainElement",
+        "from chainops.complexes import ChainMap, GradedIntComplex",
+        "from chainops.intmat import IntMatrix",
+        "from chainops.simplicial import standard_simplex_sset",
+        "assert False, 'asserts are live'",
+        "def rejects(make):",
+        "    try:",
+        "        make()",
+        "    except AssertionError as exc:",
+        "        print('rejected:', type(exc).__name__)",
+        "    else:",
+        "        print('accepted')",
+        "rejects(lambda: cs.CosimplicialAbGroup(",
+        "    {0: ('a',), 1: ('b', 'c')},",
+        "    {(0, 0): IntMatrix(1, 1), (0, 1): IntMatrix(2, 1)},",
+        "    {(1, 0): IntMatrix(1, 2)}, check=False))",
+        "rejects(lambda: cs.CosimplicialAbGroup({0: ('a',), 2: ('b',)}, {}, {},",
+        "                                      check=False))",
+        "cx = GradedIntComplex((0, 1), {0: ('a',), 1: ('x',)},",
+        "                      {1: IntMatrix.identity(1)})",
+        "rejects(lambda: cs.CosimplicialChainComplex(",
+        "    {0: cx, 1: cx}, {(0, 0): {0: IntMatrix(2, 1)}}, {}))",
+        "rejects(lambda: GradedIntComplex((1, 0), {}, {}))",
+        "rejects(lambda: ChainMap(cx, cx, {0: IntMatrix(2, 1)}))",
+        "point = GradedIntComplex((0, 0), {0: ('b',)}, {})",
+        "rejects(lambda: ChainMap(cx, cx, {}).compose(",
+        "    ChainMap(point, point, {})))",
+        "rejects(lambda: CochainElement.make(0, {}) + CochainElement.make(1, {}))",
+        "W = AugmentedCochainSystem(standard_simplex_sset(1), 2)",
+        "rejects(lambda: W.angle((1, 3), [W.epsilon(), W.epsilon()]))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: ShapeMismatch", "rejected: ShapeMismatch",
+        "rejected: ShapeMismatch", "rejected: InvalidComplex",
+        "rejected: ShapeMismatch", "rejected: NotAChainMap",
+        "rejected: LevelMismatch", "rejected: LevelMismatch"]
+
+
 def test_torsion_cokernel_detected():
     # fake input: "coface" multiplication by 2 gives a torsion cokernel
     lv = {0: ("a",), 1: ("b",)}

@@ -9,7 +9,8 @@ import pytest
 
 import chainops
 from chainops.cubes import (CubesElement, DegenerateInterval,
-                            DisjointnessViolation, IntervalsElement, TDMap,
+                            DisjointnessViolation, IntervalsElement,
+                            SampleTooLarge, TDMap,
                             configuration_betti, count_components,
                             gamma_cubes, gamma_intervals,
                             generated_operad_element, intervals_to_cubes,
@@ -158,6 +159,13 @@ def test_count_components():
                                  (1, 3, 4, 6), (2, 1, 4, 1)):
         comps = count_components(n, k, resolution)
         assert comps == b0 == configuration_betti(n, k)[0], (n, k)
+
+
+def test_count_components_size_guard():
+    # 225^2 = 50,625 candidate tuples at resolution 5, above the limit,
+    # refused before any sample is drawn
+    with pytest.raises(SampleTooLarge):
+        count_components(3, 2, 4)
 
 
 def test_configuration_betti_frozen_values():
