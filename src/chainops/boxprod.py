@@ -19,18 +19,18 @@ across an equal step of phi is skipped (condition (d)); a prefix whose
 remaining positions can no longer reach every unseen value is cut (onto);
 under a complexity bound n, a change counter per pair of values is kept and a
 prefix is cut as soon as one exceeds n.  Appending v adds one change to the
-pair {u, v} exactly when u occurred after the last v.  Results are sorted on
-the plain tuple key (k, f, phi, r), which is the dataclass order, and cached.
+pair {u, v} exactly when u occurred after the last v.  A Symbol is the tuple
+(k, f, phi, r); results are sorted in that order and cached.
 
 The kernel form of the conormalization has an explicit section given by the
 operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` applies
 it symbolically and is the engine behind both composition pipelines.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from operator import attrgetter
+from itertools import accumulate, chain, combinations, islice, product
+from math import prod
+from operator import eq, itemgetter
 
 from .intmat import IntMatrix
 from .complexes import GradedIntComplex
@@ -48,26 +48,43 @@ class NormalizationFailure(Exception):
     pass
 
 
+class InvalidSymbol(AssertionError):
+    """A symbol, or a shape asked of one, that breaks conditions (a)-(d)
+    where the calculus guarantees them (raised explicitly, so the check
+    also runs under ``python -O``)."""
+
+
+class GradingMismatch(AssertionError):
+    """Arities, levels or degrees that do not fit together (raised
+    explicitly, like InvalidSymbol)."""
+
+
 INFINITY = None   # complexity bound "no bound"
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """A basis symbol (f, phi) at arity k and cosimplicial level r."""
-    k: int
-    f: tuple
-    phi: tuple
-    r: int
+class Symbol(tuple):
+    """A basis symbol (f, phi) at arity k and cosimplicial level r, stored as
+    the tuple (k, f, phi, r): hashing, equality and order are the tuple's."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, f, phi = self.k, self.f, self.phi
-        if not (k >= 1 and self.r >= 0 and len(f) == len(phi) >= 1):
+    k = property(itemgetter(0))
+    f = property(itemgetter(1))
+    phi = property(itemgetter(2))
+    r = property(itemgetter(3))
+
+    def __new__(cls, k, f, phi, r):
+        self = tuple.__new__(cls, (k, f, phi, r))
+        if not (k >= 1 and r >= 0 and len(f) == len(phi) >= 1):
             raise AssertionError("bad shape", self)
         if min(f) < 1 or max(f) > k:
             raise ValueOutOfRange(next(v for v in f if not 1 <= v <= k))
         # a sorted phi lies in [0, r] when its two ends do
-        if list(phi) != sorted(phi) or phi[0] < 0 or phi[-1] > self.r:
+        if list(phi) != sorted(phi) or phi[0] < 0 or phi[-1] > r:
             raise AssertionError("phi not order-preserving into [r]", self)
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def q(self):
@@ -97,26 +114,29 @@ class Symbol:
 
     def interleaved(self):
         """Condition (d): phi(i) = phi(i+1) implies f(i) != f(i+1)."""
-        return all(self.phi[i] != self.phi[i + 1] or self.f[i] != self.f[i + 1]
-                   for i in range(self.q))
+        return not _repeats(tuple(zip(self[1], self[2])))
 
     def __repr__(self):
         return "S(k=%d,f=%s,phi=%s,r=%d)" % (
             self.k, "".join(map(str, self.f)), "".join(map(str, self.phi)), self.r)
 
 
+def _repeats(pairs):
+    """Whether two adjacent (f, phi) pairs are equal: condition (d) fails."""
+    return any(map(eq, pairs, islice(pairs, 1, None)))
+
+
 def _sym(k, f, phi, r):
-    """Fast constructor for inputs already known to be valid (hot loops)."""
-    out = object.__new__(Symbol)
-    object.__setattr__(out, "k", k)
-    object.__setattr__(out, "f", f)
-    object.__setattr__(out, "phi", phi)
-    object.__setattr__(out, "r", r)
-    return out
+    """Unchecked constructor for symbols valid by construction (hot loops)."""
+    return tuple.__new__(Symbol, (k, f, phi, r))
 
 
-# The dataclass order of Symbol as a plain tuple, for C-level sorting.
-symbol_key = attrgetter("k", "f", "phi", "r")
+def vec_sum(terms):
+    """The vector sum of (symbol, coefficient) terms, without zeros."""
+    out = {}
+    for s, c in terms:
+        out[s] = out.get(s, 0) + c
+    return {s: c for s, c in out.items() if c}
 
 
 def complexity(seq):
@@ -213,21 +233,33 @@ def _fs(k, phi, n):
     return out
 
 
-def _symbols(k, q, r, n, cover):
-    """Sorted tuple of the symbols (f, phi) at arity k, size q + 1 and level
-    r, onto and interleaved, of complexity <= n.  ``_fs`` sees phi only
-    through its equal steps, so phis sharing them share one search; k and r
-    are fixed, so sorting on (f, phi) is sorting on the dataclass order."""
+def _fs_by_phi(k, q, r, n, cover):
+    """(phi, fs) for each phi of ``_phis(q, r, cover)``, fs the onto,
+    interleaved f of complexity <= n over it.  ``_fs`` sees phi only through
+    its equal steps, so phis sharing them share one search."""
     found = {}
-    pairs = []
+    out = []
     for phi in _phis(q, r, cover):
         steps = tuple(a == b for a, b in zip(phi, phi[1:]))
         fs = found.get(steps)
         if fs is None:
             fs = found[steps] = _fs(k, phi, n)
-        pairs.extend((f, phi) for f in fs)
-    pairs.sort()
+        out.append((phi, fs))
+    return out
+
+
+def _symbols(k, q, r, n, cover):
+    """Sorted tuple of the symbols (f, phi) at arity k, size q + 1 and level
+    r, onto and interleaved, of complexity <= n; k and r are fixed, so
+    sorting on (f, phi) is sorting on the symbols' order."""
+    pairs = sorted((f, phi) for phi, fs in _fs_by_phi(k, q, r, n, cover)
+                   for f in fs)
     return tuple(_sym(k, f, phi, r) for f, phi in pairs)
+
+
+def _check_shape(k, q, r):
+    if not (k >= 1 and q >= 0 and r >= 0):
+        raise InvalidSymbol("no symbols of shape (k, q, r)", (k, q, r))
 
 
 @lru_cache(maxsize=4096)
@@ -238,7 +270,7 @@ def _enumerate_cached(k, q, r, n):
 def enumerate_symbols(k, q, r, n=INFINITY):
     """All symbols with conditions (a)-(d) and complexity(f) <= n, in
     deterministic lexicographic order."""
-    assert k >= 1 and q >= 0 and r >= 0
+    _check_shape(k, q, r)
     return list(_enumerate_cached(k, q, r, n))
 
 
@@ -251,39 +283,17 @@ def box_basis(k, q, r, n=INFINITY):
     """Basis of the k-fold box product at level [r], internal degree q+1-k:
     conditions (a), (c), (d) but no constraint on the image of phi.  A fresh
     list over a cached tuple, in the same order as enumerate_symbols."""
-    assert k >= 1 and q >= 0 and r >= 0
+    _check_shape(k, q, r)
     return list(_box_basis_cached(k, q, r, n))
 
 
-# -- colimit canonicalization ----------------------------------------------
-
-def canonical_form(k, f, phi, r, supports):
-    """Canonical representative of a tensor basis element sitting at the
-    indexing object (f, phi): restrict to the union of the supports and drop
-    classes killed in the colimit.  Returns a Symbol or None.
-
-    ``supports[i]`` lists the positions (a subset of the i-th fiber of f)
-    spanned by the i-th tensor factor; an empty support means the factor
-    lives in the chains of the empty simplex, which are zero.
-    """
-    for sup in supports:
-        if not sup:
-            return None
-    used = sorted(p for sup in supports for p in sup)
-    assert len(set(used)) == len(used)
-    f2 = tuple(f[p] for p in used)
-    phi2 = tuple(phi[p] for p in used)
-    sym = Symbol(k, f2, phi2, r)
-    if not sym.interleaved():
-        return None
-    return sym
-
+# -- the cosimplicial action -----------------------------------------------
 
 def act_ordered(sym, values, new_r):
     """Postcompose phi with an order-preserving map [r] -> [new_r]; classes
     where condition (d) collapses are zero.  Returns Symbol or None."""
-    phi2 = tuple(values[p] for p in sym.phi)
-    out = _sym(sym.k, sym.f, phi2, new_r)
+    k, f, phi, r = sym
+    out = _sym(k, f, tuple(map(values.__getitem__, phi)), new_r)
     if not out.interleaved():
         return None
     return out
@@ -292,7 +302,8 @@ def act_ordered(sym, values, new_r):
 def act_coface(sym, i):
     vals = tuple(j if j < i else j + 1 for j in range(sym.r + 1))
     out = act_ordered(sym, vals, sym.r + 1)
-    assert out is not None   # injective maps never collapse
+    if out is None:   # injective maps never collapse
+        raise InvalidSymbol("coface collapsed", sym, i)
     return out
 
 
@@ -306,7 +317,8 @@ def _faces(sym):
     survives condition (d).  Removing position t of an interleaved symbol
     creates only the adjacency (t-1, t+1), so only that pair is checked;
     other symbols get the full check."""
-    f, phi, k, q = sym.f, sym.phi, sym.k, sym.q
+    k, f, phi, r = sym
+    q = len(f) - 1
     sizes = [0] * k
     pos_in_fiber = []
     for v in f:
@@ -321,11 +333,11 @@ def _faces(sym):
         i = f[t]
         if sizes[i - 1] < 2:
             continue
-        face = Symbol(k, f[:t] + f[t + 1:], phi[:t] + phi[t + 1:], sym.r)
-        if clean:
-            if 0 < t < q and phi[t - 1] == phi[t + 1] and f[t - 1] == f[t + 1]:
-                continue
-        elif not face.interleaved():
+        if clean and 0 < t < q and phi[t - 1] == phi[t + 1] and \
+                f[t - 1] == f[t + 1]:
+            continue
+        face = _sym(k, f[:t] + f[t + 1:], phi[:t] + phi[t + 1:], r)
+        if not (clean or face.interleaved()):
             continue
         sign = -1 if (prefix[i - 1] + pos_in_fiber[t]) % 2 else 1
         out.append((t, sign, face))
@@ -345,21 +357,20 @@ def t_boundary(sym, level_cap=None):
     induced by d^0 with sign -(-1)^degree.  ``level_cap`` drops the coface
     part past the truncation level (quotient truncation)."""
     if not sym.phi_covers():
-        raise AssertionError("t_boundary needs a covering phi", sym)
-    phi, q = sym.phi, sym.q
-    out = {}
-    for t, sign, face in _faces(sym):
-        # phi covers, so dropping position t uncovers phi[t] unless it is 0
-        # or repeated next door (equal values of a sorted phi are adjacent)
-        p = phi[t]
-        if p == 0 or (t > 0 and phi[t - 1] == p) or (t < q and phi[t + 1] == p):
-            out[face] = out.get(face, 0) + sign
-    if 0 in phi and (level_cap is None or sym.r + 1 <= level_cap):
-        sign = 1 if sym.total_degree % 2 else -1
+        raise InvalidSymbol("t_boundary needs a covering phi", sym)
+    phi, r = sym.phi, sym.r
+    q = len(phi) - 1
+    # phi covers, so dropping position t uncovers phi[t] unless it is 0 or
+    # repeated next door (equal values of a sorted phi are adjacent)
+    terms = [(face, sign) for t, sign, face in _faces(sym)
+             if phi[t] == 0 or (t > 0 and phi[t - 1] == phi[t])
+             or (t < q and phi[t + 1] == phi[t])]
+    if 0 in phi and (level_cap is None or r + 1 <= level_cap):
         lifted = act_coface(sym, 0)
-        assert lifted.phi_covers()
-        out[lifted] = out.get(lifted, 0) + sign
-    return {s: c for s, c in out.items() if c}
+        if not lifted.phi_covers():
+            raise InvalidSymbol("coface d^0 lost the cover", sym)
+        terms.append((lifted, 1 if sym.total_degree % 2 else -1))
+    return vec_sum(terms)
 
 
 # -- kernel form -----------------------------------------------------------
@@ -372,13 +383,9 @@ def ker_expand(sym):
     positive-coface images.  Frozen as a sorted tuple of (Symbol, coeff)."""
     vec = {sym: 1}
     for i in range(sym.r):
-        new = dict(vec)
-        for s, c in vec.items():
-            t = act_codegeneracy(s, i)
-            if t is not None:
-                u = act_coface(t, i + 1)
-                new[u] = new.get(u, 0) - c
-        vec = {s: c for s, c in new.items() if c}
+        lowered = ((act_codegeneracy(s, i), c) for s, c in vec.items())
+        vec = vec_sum(chain(vec.items(), ((act_coface(t, i + 1), -c)
+                                          for t, c in lowered if t is not None)))
     return tuple(sorted(vec.items()))
 
 
@@ -387,12 +394,8 @@ def ker_expand_checked(sym):
     kills the result; failure would signal a bug, never expected."""
     vec = dict(ker_expand(sym))
     for i in range(sym.r):
-        img = {}
-        for s, c in vec.items():
-            t = act_codegeneracy(s, i)
-            if t is not None:
-                img[t] = img.get(t, 0) + c
-        if any(img.values()):
+        lowered = ((act_codegeneracy(s, i), c) for s, c in vec.items())
+        if vec_sum((t, c) for t, c in lowered if t is not None):
             raise NormalizationFailure(("codegeneracy survives", sym, i))
     return vec
 
@@ -415,45 +418,74 @@ def act_perm(sym, sigma):
     """Right action of a permutation (sigma as a tuple: slot i of the result
     holds the old slot sigma[i], 1-based entries): relabel f and pick up the
     Koszul sign of reordering the tensor factors."""
-    assert sorted(sigma) == list(range(1, sym.k + 1))
+    if sorted(sigma) != list(range(1, sym.k + 1)):
+        raise GradingMismatch("not a permutation of the slots", sym, sigma)
     inv = [0] * (sym.k + 1)
     for i, v in enumerate(sigma):
         inv[v] = i + 1
     f2 = tuple(inv[v] for v in sym.f)
     degs = sym.fiber_degrees()
     sign = koszul_sign(degs, tuple(v - 1 for v in sigma))
-    return Symbol(sym.k, f2, sym.phi, sym.r), sign
+    return _sym(sym.k, f2, sym.phi, sym.r), sign
 
 
 # -- flattening (the coherence map on symbols) ------------------------------
+
+def _flattening(host, arities):
+    """The flattening through ``host`` of one part per slot, the parts of
+    the given arities, prepared once per host: returns (cut, glue).
+
+    Part i sits on the i-th fiber of host, position j of that fiber
+    receiving the part's positions over phi value j, in order.
+    ``cut(i, part)`` checks the part's level and turns it into one run of
+    (value, phi) pairs per fiber position, values shifted past the earlier
+    slots; ``glue(cuts)`` takes one cut per slot, lays the runs out in host
+    order and returns the flattened symbol, or None when condition (d)
+    kills it."""
+    fibers = [[] for _ in range(host.k)]
+    for a, v in enumerate(host.f):
+        fibers[v - 1].append(a)
+    offsets = list(accumulate(arities, initial=0))
+    total_k = offsets[-1]
+    onto = set(range(1, total_k + 1))
+    # the runs of all parts, concatenated slot by slot, are in fiber order;
+    # host position a reads run number order[a], the inverse permutation
+    in_fiber_order = list(chain.from_iterable(fibers))
+    order = sorted(range(len(in_fiber_order)), key=in_fiber_order.__getitem__)
+    hphi = host.phi
+
+    def cut(i, part):
+        fib = fibers[i]
+        if part.r != len(fib) - 1:
+            raise NormalizationFailure(("level mismatch", host, i, part))
+        runs = [[] for _ in fib]
+        off = offsets[i]
+        for v, p in zip(part.f, part.phi):
+            runs[p].append((v + off, hphi[fib[p]]))
+        return runs
+
+    def glue(cuts):
+        runs = list(chain.from_iterable(cuts))
+        pairs = list(chain.from_iterable(map(runs.__getitem__, order)))
+        if _repeats(pairs):
+            return None
+        f2, phi2 = zip(*pairs)
+        if set(f2) != onto:
+            raise InvalidSymbol("flattened symbol not onto", host, f2)
+        return _sym(total_k, f2, phi2, host.r)
+
+    return cut, glue
+
 
 def flatten(host, parts):
     """Compose a host symbol of arity k with one part symbol per slot; part
     i must live at level equal to the internal degree of the i-th fiber.
     Returns the flattened symbol (arity = sum of part arities) or None when
     the class dies in the colimit."""
-    assert len(parts) == host.k
-    fibers = [host.fiber(i + 1) for i in range(host.k)]
-    for i, part in enumerate(parts):
-        if part.r != len(fibers[i]) - 1:
-            raise NormalizationFailure(("level mismatch", host, i, part))
-    offsets = [0] * host.k
-    for i in range(1, host.k):
-        offsets[i] = offsets[i - 1] + parts[i - 1].k
-    entries = []
-    for i, part in enumerate(parts):
-        for t in range(part.q + 1):
-            anchor = fibers[i][part.phi[t]]
-            entries.append((anchor, i, t, part.f[t] + offsets[i]))
-    entries.sort()
-    f2 = tuple(e[3] for e in entries)
-    phi2 = tuple(host.phi[e[0]] for e in entries)
-    total_k = offsets[-1] + parts[-1].k
-    out = Symbol(total_k, f2, phi2, host.r)
-    if not out.interleaved():
-        return None
-    assert out.is_onto()
-    return out
+    if len(parts) != host.k:
+        raise GradingMismatch("one part per slot", host, parts)
+    cut, glue = _flattening(host, [part.k for part in parts])
+    return glue([cut(i, part) for i, part in enumerate(parts)])
 
 
 # -- evaluated box levels ----------------------------------------------------
@@ -504,25 +536,21 @@ def conormalized_basis(k, n, q_cap):
     out = {}
     for q in range(k - 1, q_cap + 1):
         for r in range(q + 2):
-            full = box_basis(k, q, r, n)
-            if not full:
-                continue
-            # a coface moves phi and keeps f: group the lower basis by phi
-            # and map each phi once; killed[phi] lists the sets of f over it
+            # a coface moves phi and keeps f, so the box basis is worked on
+            # grouped by phi; killed[phi] is the set of f hit over it
             killed = {}
             if r >= 1:
-                lower = {}
-                for s in box_basis(k, q, r - 1, n):
-                    lower.setdefault(s.phi, set()).add(s.f)
+                lower = _fs_by_phi(k, q, r - 1, n, cover=False)
                 for i in range(1, r + 1):
                     vals = tuple(j if j < i else j + 1 for j in range(r))
-                    for phi, fs in lower.items():
+                    for phi, fs in lower:
                         image = tuple(vals[p] for p in phi)
-                        killed.setdefault(image, []).append(fs)
-            survivors = tuple(s for s in full if not any(
-                s.f in fs for fs in killed.get(s.phi, ())))
+                        killed.setdefault(image, set()).update(fs)
+            survivors = sorted(
+                (f, phi) for phi, fs in _fs_by_phi(k, q, r, n, cover=False)
+                for f in fs if f not in killed.get(phi, ()))
             if survivors:
-                out[(q, r)] = survivors
+                out[(q, r)] = tuple(_sym(k, f, phi, r) for f, phi in survivors)
     return out
 
 
@@ -543,8 +571,9 @@ class NatTransform:
             if not vec:
                 continue
             for s in vec:
-                assert s.k == arity and s.r == r
-                assert s.total_degree == degree
+                if not (s.k == arity and s.r == r and s.total_degree == degree):
+                    raise GradingMismatch("term off its arity, level or "
+                                          "degree", s, (arity, r, degree))
             self.components[r] = vec
 
     @classmethod
@@ -552,15 +581,17 @@ class NatTransform:
         """Kernel-form family of a conormalized vector (dict Symbol ->
         coeff over symbols satisfying (a)-(d))."""
         degs = {s.total_degree for s in vec}
-        assert len(degs) <= 1, "vector not homogeneous"
+        if len(degs) > 1:
+            raise GradingMismatch("vector not homogeneous", degs)
         degree = degs.pop() if degs else 0
-        comp = {}
+        terms = {}
         for s, c in vec.items():
-            assert s.phi_covers(), s
-            target = comp.setdefault(s.r, {})
-            for t, w in ker_expand(s):
-                target[t] = target.get(t, 0) + c * w
-        return cls(arity, degree, comp)
+            if not s.phi_covers():
+                raise InvalidSymbol("phi does not cover", s)
+            terms.setdefault(s.r, []).extend(
+                (t, c * w) for t, w in ker_expand(s))
+        return cls(arity, degree,
+                   {r: vec_sum(level) for r, level in terms.items()})
 
     @classmethod
     def identity(cls, level_cap):
@@ -579,31 +610,26 @@ class NatTransform:
 def apply_tuple(host, nats):
     """Value on a box-basis symbol of the map induced by one natural
     transformation per slot, flattened through the coherence map.  Returns a
-    vector {Symbol: coeff} at the same level."""
-    assert len(nats) == host.k
+    vector {Symbol: coeff} at the same level.  Each part is cut once; the
+    choices of one part per slot are glued in the product loop."""
+    if len(nats) != host.k:
+        raise GradingMismatch("one transformation per slot", host, len(nats))
     degs = host.fiber_degrees()
+    comps = [nat.component(d) for nat, d in zip(nats, degs)]
+    if not all(comps):
+        return {}
     sign0 = 1
     acc = 0
     for i, nat in enumerate(nats):
         if nat.degree % 2 and acc % 2:
             sign0 = -sign0
         acc += degs[i]
-    comps = []
-    for i, nat in enumerate(nats):
-        c = nat.component(degs[i])
-        if not c:
-            return {}
-        comps.append(list(c.items()))
-    out = {}
-    for choice in product(*comps):
-        parts = tuple(s for s, _ in choice)
-        coeff = sign0
-        for _, c in choice:
-            coeff *= c
-        flat = flatten(host, parts)
-        if flat is not None:
-            out[flat] = out.get(flat, 0) + coeff
-    return {s: c for s, c in out.items() if c}
+    cut, glue = _flattening(host, [nat.arity for nat in nats])
+    cuts = [[cut(i, s) for s in comp] for i, comp in enumerate(comps)]
+    coeffs = [list(comp.values()) for comp in comps]
+    flats = ((glue(parts), sign0 * prod(cs))
+             for parts, cs in zip(product(*cuts), product(*coeffs)))
+    return vec_sum((s, c) for s, c in flats if s is not None)
 
 
 def box_functorial_map(k, nats, r, q_cap):

@@ -419,16 +419,17 @@ def gerstenhaber_report(R, p_max=3):
     """Cochain-level identities (exhaustive on basis cochains) plus the
     cohomology-level Gerstenhaber structure with explicit certificates."""
     rep = GerstenhaberReport(R.name, p_max)
+    basis = {p: basis_cochains(R, p) for p in range(p_max + 1)}
 
     # d o d = 0 and the Leibniz rule, exhaustively
     for p in range(p_max + 1):
-        for rho in basis_cochains(R, p):
+        for rho in basis[p]:
             rep.record("differential squares to zero",
                        hochschild_differential(hochschild_differential(rho)).is_zero())
     for p in range(0, min(2, p_max) + 1):
         for q in range(0, min(2, p_max - p) + 1):
-            for r1 in basis_cochains(R, p):
-                for r2 in basis_cochains(R, q):
+            for r1 in basis[p]:
+                for r2 in basis[q]:
                     lhs = hochschild_differential(hochschild_cup(r1, r2))
                     rhs = hochschild_cup(hochschild_differential(r1), r2) + \
                         hochschild_cup(r1, hochschild_differential(r2)).scale(
@@ -440,15 +441,15 @@ def gerstenhaber_report(R, p_max=3):
     for p in range(0, min(1, p_max) + 1):
         for q in range(0, min(1, p_max) + 1):
             for r in range(0, min(1, p_max) + 1):
-                for r1 in basis_cochains(R, p):
-                    for r2 in basis_cochains(R, q):
-                        for r3 in basis_cochains(R, r):
+                for r1 in basis[p]:
+                    for r2 in basis[q]:
+                        for r3 in basis[r]:
                             lhs = hochschild_cup(hochschild_cup(r1, r2), r3)
                             rhs = hochschild_cup(r1, hochschild_cup(r2, r3))
                             rep.record("cup associativity",
                                        (lhs + rhs.scale(-1)).is_zero())
     for p in range(p_max + 1):
-        for rho in basis_cochains(R, p):
+        for rho in basis[p]:
             rep.record("cup unit",
                        (hochschild_cup(e, rho) + rho.scale(-1)).is_zero() and
                        (hochschild_cup(rho, e) + rho.scale(-1)).is_zero())
@@ -460,8 +461,8 @@ def gerstenhaber_report(R, p_max=3):
         q = rng.randrange(0, p_max)
         if p + q < 1:
             continue
-        r1 = rng.choice(basis_cochains(R, p))
-        r2 = rng.choice(basis_cochains(R, q))
+        r1 = rng.choice(basis[p])
+        r2 = rng.choice(basis[q])
         lhs = hochschild_differential(gerstenhaber_bracket(r1, r2))
         rhs = gerstenhaber_bracket(hochschild_differential(r1), r2).scale(
             1 if q % 2 else -1) + \

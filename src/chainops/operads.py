@@ -23,10 +23,10 @@ from itertools import chain
 from dataclasses import dataclass, field
 
 from . import boxprod, cubes
-from .boxprod import (INFINITY, NormalizationFailure, Symbol, act_perm,
-                      apply_tuple, enumerate_symbols, ker_expand,
-                      ker_expand_checked, koszul_sign, NatTransform,
-                      symbol_key, t_boundary)
+from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
+                      Symbol, act_perm, apply_tuple, enumerate_symbols,
+                      ker_expand, ker_expand_checked, koszul_sign,
+                      NatTransform, t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
 
 
@@ -39,14 +39,6 @@ class NotStabilized(Exception):
 
 
 # -- vectors over the symbol basis -------------------------------------------
-
-def vec_sum(terms):
-    """The vector sum of (symbol, coefficient) terms, without zeros."""
-    out = {}
-    for s, c in terms:
-        out[s] = out.get(s, 0) + c
-    return {s: c for s, c in out.items() if c}
-
 
 def vec_add(a, b, coeff=1):
     return vec_sum(chain(a.items(), ((s, coeff * c) for s, c in b.items())))
@@ -69,7 +61,8 @@ def boundary_vec(vec, level_cap=None):
 
 def vec_degree(vec):
     degs = {s.total_degree for s in vec}
-    assert len(degs) <= 1, "inhomogeneous vector"
+    if len(degs) > 1:
+        raise GradingMismatch("inhomogeneous vector", degs)
     return degs.pop() if degs else None
 
 
@@ -116,13 +109,15 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
     twist = _multilinear_twist(h_vec, nats)
-    levels = {}
+    expanded = {}
     for h, c in h_vec.items():
-        levels.setdefault(h.r, {})
-        for hk, w in ker_expand_checked(h).items():
-            levels[h.r][hk] = levels[h.r].get(hk, 0) + c * w
+        expanded.setdefault(h.r, []).extend(
+            (hk, c * w) for hk, w in ker_expand_checked(h).items())
     terms = []
-    for r, kvec in levels.items():
+    for r, level in expanded.items():
+        kvec = vec_sum(level)
+        if not kvec:
+            continue
         table = boxprod.box_functorial_map(len(nats), nats, r,
                                            max(s.q for s in kvec))
         terms.extend((t, twist * c * v) for s, c in kvec.items()
@@ -132,7 +127,8 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
 
 def _arity_of(vec):
     ks = {s.k for s in vec}
-    assert len(ks) == 1, "empty or mixed-arity argument"
+    if len(ks) != 1:
+        raise GradingMismatch("empty or mixed-arity argument", ks)
     return ks.pop()
 
 
@@ -213,7 +209,7 @@ def symbol_complex(k, n, q_cap):
     if not by_degree:
         raise BoundsExceededError((k, q_cap))
     lo, hi = min(by_degree) - 2, max(by_degree) + 2
-    basis = {d: tuple(sorted(by_degree.get(d, ()), key=symbol_key))
+    basis = {d: tuple(sorted(by_degree.get(d, ())))
              for d in range(lo, hi + 1)}
     return GradedIntComplex.from_boundary(
         (lo, hi), basis, lambda d, s: t_boundary(s).items())
@@ -232,7 +228,7 @@ def level_truncated_complex(k, n, level_cap, degree_window):
             if q < k - 1:
                 continue
             syms.extend(enumerate_symbols(k, q, r, n))
-        basis[d] = tuple(sorted(syms, key=symbol_key))
+        basis[d] = tuple(sorted(syms))
     return GradedIntComplex.from_boundary(
         (lo, hi), basis, lambda d, s: t_boundary(s, level_cap=level_cap).items())
 

@@ -1,21 +1,102 @@
 """Box product tests, including the brute-force colimit oracle that
 certifies the canonical symbol basis and the symbol-level differential."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import product
+from math import prod
 
 import pytest
 
+import chainops
 from chainops import intmat
-from chainops.boxprod import (INFINITY, Symbol, ValueOutOfRange, act_coface,
-                              act_codegeneracy, act_perm, box_basis,
-                              box_level, box_cosimplicial, canonical_form,
-                              complexity, conormalized_basis,
-                              enumerate_symbols, internal_boundary,
-                              ker_expand, ker_expand_checked, t_boundary)
+from chainops.boxprod import (INFINITY, NatTransform, Symbol, ValueOutOfRange,
+                              _sym, act_coface, act_codegeneracy, act_perm,
+                              apply_tuple, box_basis, box_level,
+                              box_cosimplicial, complexity,
+                              conormalized_basis, enumerate_symbols, flatten,
+                              internal_boundary, ker_expand,
+                              ker_expand_checked, t_boundary)
 from chainops.delta import FinOrd
 from chainops import delta
 from chainops.intmat import IntMatrix
+
+
+# -- the symbol type ----------------------------------------------------------
+
+def test_symbol_tuple_contract():
+    # a Symbol is the tuple (k, f, phi, r): checked and unchecked
+    # construction agree, and hashing, equality and order are the tuple's
+    a = Symbol(2, (1, 2, 1), (0, 0, 1), 1)
+    b = _sym(2, (1, 2, 1), (0, 0, 1), 1)
+    assert a == b and hash(a) == hash(b) and type(b) is Symbol
+    assert a == (2, (1, 2, 1), (0, 0, 1), 1)
+    assert (a.k, a.f, a.phi, a.r, a.q) == (2, (1, 2, 1), (0, 0, 1), 1, 2)
+    assert repr(a) == "S(k=2,f=121,phi=001,r=1)"
+    assert pickle.loads(pickle.dumps(a)) == a
+    syms = enumerate_symbols(3, 4, 2)
+    shuffled = list(syms)
+    random.Random(7).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(
+        shuffled, key=lambda s: (s.k, s.f, s.phi, s.r)) == syms
+    assert {s: 1 for s in syms} == {Symbol(*s): 1 for s in syms}
+    with pytest.raises(AssertionError):
+        Symbol(0, (1,), (0,), 0)                 # arity
+    with pytest.raises(AssertionError):
+        Symbol(2, (1, 2), (0,), 0)               # lengths differ
+    with pytest.raises(AssertionError):
+        Symbol(2, (1, 2), (1, 0), 1)             # phi not sorted
+    with pytest.raises(AssertionError):
+        Symbol(2, (1, 2), (0, 2), 1)             # phi leaves [r]
+    with pytest.raises(ValueOutOfRange):
+        Symbol(2, (1, 3), (0, 0), 0)
+
+
+def test_invariant_checks_under_optimize():
+    # python -O strips assert statements; the symbol calculus's invariant
+    # checks must still fire
+    script = "\n".join([
+        "from chainops import boxprod as bp, operads",
+        "from chainops.boxprod import Symbol",
+        "assert False, 'asserts are live'",
+        "def rejects(make):",
+        "    try:",
+        "        make()",
+        "    except AssertionError as exc:",
+        "        print('rejected:', type(exc).__name__)",
+        "    else:",
+        "        print('accepted')",
+        "host = Symbol(1, (1, 1), (0, 1), 1)",
+        "s0 = Symbol(2, (1, 2), (0, 0), 0)",
+        "s1 = Symbol(2, (1, 2, 1), (0, 0, 0), 0)",
+        "rejects(lambda: bp.enumerate_symbols(0, 1, 1))",
+        "rejects(lambda: bp.box_basis(1, -1, 0))",
+        "rejects(lambda: bp.act_perm(s0, (1, 1)))",
+        "rejects(lambda: bp.flatten(host, ()))",
+        "rejects(lambda: bp.flatten(host, (Symbol(2, (1, 1), (0, 1), 1),)))",
+        "rejects(lambda: bp.apply_tuple(host, []))",
+        "rejects(lambda: bp.NatTransform(1, -1, {0: {s0: 1}}))",
+        "rejects(lambda: bp.NatTransform.from_vector(2, {s0: 1, s1: 1}))",
+        "rejects(lambda: bp.NatTransform.from_vector(",
+        "    1, {Symbol(1, (1, 1), (0, 0), 1): 1}))",
+        "rejects(lambda: operads.vec_degree({s0: 1, s1: 1}))",
+        "rejects(lambda: operads._arity_of({}))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: InvalidSymbol", "rejected: InvalidSymbol",
+        "rejected: GradingMismatch", "rejected: GradingMismatch",
+        "rejected: InvalidSymbol", "rejected: GradingMismatch",
+        "rejected: GradingMismatch", "rejected: GradingMismatch",
+        "rejected: InvalidSymbol", "rejected: GradingMismatch",
+        "rejected: GradingMismatch"]
 
 
 # -- complexity ---------------------------------------------------------------
@@ -248,6 +329,28 @@ def test_colimit_oracle_certifies_canonical_basis():
             rank = rows - len(inv)
             expected = box_basis(k, q, r)
             assert rank == len(expected), (k, r, deg)
+
+
+def canonical_form(k, f, phi, r, supports):
+    """Canonical representative of a tensor basis element sitting at the
+    indexing object (f, phi): restrict to the union of the supports and drop
+    classes killed in the colimit.  Returns a Symbol or None.
+
+    ``supports[i]`` lists the positions (a subset of the i-th fiber of f)
+    spanned by the i-th tensor factor; an empty support means the factor
+    lives in the chains of the empty simplex, which are zero.
+    """
+    for sup in supports:
+        if not sup:
+            return None
+    used = sorted(p for sup in supports for p in sup)
+    assert len(set(used)) == len(used)
+    f2 = tuple(f[p] for p in used)
+    phi2 = tuple(phi[p] for p in used)
+    sym = Symbol(k, f2, phi2, r)
+    if not sym.interleaved():
+        return None
+    return sym
 
 
 def test_canonical_form_respects_all_morphisms():
@@ -547,3 +650,71 @@ def test_incompatible_inputs():
     from chainops.boxprod import IncompatibleInputs, box_functorial_map
     with pytest.raises(IncompatibleInputs):
         box_functorial_map(2, [_identity_nat(3)], 0, 3)
+
+
+# -- composition --------------------------------------------------------------
+
+def _reference_flatten(host, parts):
+    """Flattening by sorting every part position on its anchor, the host
+    position its phi value lands on."""
+    fibers = [host.fiber(i + 1) for i in range(host.k)]
+    offset, entries = 0, []
+    for i, part in enumerate(parts):
+        assert part.r == len(fibers[i]) - 1
+        entries.extend((fibers[i][p], i, t, v + offset)
+                       for t, (v, p) in enumerate(zip(part.f, part.phi)))
+        offset += part.k
+    entries.sort()
+    out = Symbol(offset, tuple(e[3] for e in entries),
+                 tuple(host.phi[e[0]] for e in entries), host.r)
+    return out if out.interleaved() else None
+
+
+def _reference_apply_tuple(host, nats):
+    """apply_tuple as one flattening per choice of a term in every slot."""
+    degs = host.fiber_degrees()
+    sign0 = (-1) ** sum(nat.degree * sum(degs[:i])
+                        for i, nat in enumerate(nats))
+    slots = [list(nat.component(d).items()) for nat, d in zip(nats, degs)]
+    out = {}
+    for choice in product(*slots):
+        parts = tuple(s for s, _ in choice)
+        flat = flatten(host, parts)
+        assert flat == _reference_flatten(host, parts)
+        if flat is not None:
+            coeff = sign0 * prod(c for _, c in choice)
+            out[flat] = out.get(flat, 0) + coeff
+    return {s: c for s, c in out.items() if c}
+
+
+# The (arity, level) strata of the benchmark's composition workload.
+PIPELINE_STRATA = tuple((k, r) for k in (1, 2, 3) for r in range(6))
+
+
+def _smallest_symbols(k, r):
+    q = max(k - 1, r - 1, 0)
+    while not enumerate_symbols(k, q, r):
+        q += 1
+    return enumerate_symbols(k, q, r)
+
+
+def test_apply_tuple_equals_flatten_per_choice():
+    # on the kernel terms of the pipeline strata's hosts, with arguments of
+    # arity 2 in the first slot and 1 elsewhere, single symbols and sums
+    rng = random.Random(11)
+    checked = 0
+    for k, r in PIPELINE_STRATA:
+        hosts = _smallest_symbols(k, r)
+        for h in rng.sample(hosts, min(3, len(hosts))):
+            for hk, _ in ker_expand(h):
+                args = []
+                for slot, m in enumerate(hk.fiber_degrees()):
+                    arity = 2 if slot == 0 else 1
+                    cands = _smallest_symbols(arity, m)
+                    picked = rng.sample(cands, min(2, len(cands)))
+                    vec = {g: rng.choice((1, -1, 2)) for g in picked}
+                    args.append(NatTransform.from_vector(arity, vec))
+                got = apply_tuple(hk, args)
+                assert got == _reference_apply_tuple(hk, args), (hk, args)
+                checked += bool(got)
+    assert checked > 50
