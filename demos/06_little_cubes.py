@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Exact little cubes: composition, the symmetric action, and components.
 
-Everything is a Fraction, so the operad axioms are literal equalities, and
+Everything is exact (integers over a shared denominator inside a TD-map,
+Fractions when read back), so the operad axioms are literal equalities, and
 the sampled component counter recovers the homotopy count of arity-2
 configurations: two orderings of intervals on a line, one component of two
 squares in the plane.

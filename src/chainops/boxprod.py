@@ -31,6 +31,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations, islice, product
 from math import prod
 from operator import eq, itemgetter
+from types import MappingProxyType
 
 from .intmat import IntMatrix
 from .complexes import GradedIntComplex
@@ -560,12 +561,13 @@ class NatTransform:
     """A natural transformation from the standard cosimplicial chain complex
     to a k-fold box product, of a fixed total degree: one kernel-form vector
     per cosimplicial level.  Symbols of the target operad give one-level
-    transforms; linear combinations and the operad unit give families."""
+    transforms; linear combinations and the operad unit give families.
+    Immutable (``from_vector`` shares one instance between callers): the
+    components are read-only mappings."""
+    __slots__ = ("arity", "degree", "components")
 
     def __init__(self, arity, degree, components):
-        self.arity = arity
-        self.degree = degree
-        self.components = {}
+        comps = {}
         for r, vec in components.items():
             vec = {s: c for s, c in vec.items() if c}
             if not vec:
@@ -574,24 +576,23 @@ class NatTransform:
                 if not (s.k == arity and s.r == r and s.total_degree == degree):
                     raise GradingMismatch("term off its arity, level or "
                                           "degree", s, (arity, r, degree))
-            self.components[r] = vec
+            comps[r] = MappingProxyType(vec)
+        _setattr(self, "arity", arity)
+        _setattr(self, "degree", degree)
+        _setattr(self, "components", MappingProxyType(comps))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NatTransform is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NatTransform is immutable")
 
     @classmethod
     def from_vector(cls, arity, vec):
         """Kernel-form family of a conormalized vector (dict Symbol ->
-        coeff over symbols satisfying (a)-(d))."""
-        degs = {s.total_degree for s in vec}
-        if len(degs) > 1:
-            raise GradingMismatch("vector not homogeneous", degs)
-        degree = degs.pop() if degs else 0
-        terms = {}
-        for s, c in vec.items():
-            if not s.phi_covers():
-                raise InvalidSymbol("phi does not cover", s)
-            terms.setdefault(s.r, []).extend(
-                (t, c * w) for t, w in ker_expand(s))
-        return cls(arity, degree,
-                   {r: vec_sum(level) for r, level in terms.items()})
+        coeff over symbols satisfying (a)-(d)).  Memoized on the vector's
+        items: one family per argument however often it is composed with."""
+        return _family_of(arity, tuple(vec.items()))
 
     @classmethod
     def identity(cls, level_cap):
@@ -607,6 +608,39 @@ class NatTransform:
         return self.components.get(r, {})
 
 
+_setattr = object.__setattr__
+
+
+# Repeats come at short range (the unit in every gamma(g; 1..1), one
+# argument across the checks on one composite), so a small cache takes
+# nearly all of them; an unbounded one holds every argument ever seen.
+@lru_cache(maxsize=64)
+def _family_of(arity, items):
+    """NatTransform.from_vector on the vector's items."""
+    degs = {s.total_degree for s, _ in items}
+    if len(degs) > 1:
+        raise GradingMismatch("vector not homogeneous", degs)
+    degree = degs.pop() if degs else 0
+    terms = {}
+    for s, c in items:
+        if not s.phi_covers():
+            raise InvalidSymbol("phi does not cover", s)
+        terms.setdefault(s.r, []).extend((t, c * w) for t, w in ker_expand(s))
+    return NatTransform(arity, degree,
+                        {r: vec_sum(level) for r, level in terms.items()})
+
+
+def levels_match(host, nats):
+    """Whether every fiber degree of ``host`` is a level of the
+    transformation in its slot; when not, ``apply_tuple(host, nats)`` is 0,
+    and so it is on every kernel term of host (ker_expand changes only phi,
+    so the terms share host's fibers)."""
+    if len(nats) != host.k:
+        raise GradingMismatch("one transformation per slot", host, len(nats))
+    return all(d in nat.components
+               for nat, d in zip(nats, host.fiber_degrees()))
+
+
 def apply_tuple(host, nats):
     """Value on a box-basis symbol of the map induced by one natural
     transformation per slot, flattened through the coherence map.  Returns a
@@ -615,7 +649,7 @@ def apply_tuple(host, nats):
     if len(nats) != host.k:
         raise GradingMismatch("one transformation per slot", host, len(nats))
     degs = host.fiber_degrees()
-    comps = [nat.component(d) for nat, d in zip(nats, degs)]
+    comps = [nat.components.get(d) for nat, d in zip(nats, degs)]
     if not all(comps):
         return {}
     sign0 = 1
@@ -635,13 +669,19 @@ def apply_tuple(host, nats):
 def box_functorial_map(k, nats, r, q_cap):
     """Matrix data of the induced map on the level-[r] box product for a
     tuple of per-slot natural transformations: {source Symbol: vector}.
-    Raises IncompatibleInputs when arities do not match."""
+    Every basis symbol has a row; the box basis runs through each f over
+    all its phis, and a row whose fiber degrees are not levels of the
+    transformations (``levels_match``, checked once per f) is 0 without
+    applying them.  Raises IncompatibleInputs when arities do not match."""
     if len(nats) != k:
         raise IncompatibleInputs((k, len(nats)))
     table = {}
     for m in range(q_cap + 2 - k):
+        f = live = None
         for sym in box_basis(k, m + k - 1, r, INFINITY):
-            table[sym] = apply_tuple(sym, nats)
+            if sym[1] != f:
+                f, live = sym[1], levels_match(sym, nats)
+            table[sym] = apply_tuple(sym, nats) if live else {}
     return table
 
 

@@ -2,15 +2,23 @@
 
 Elements are tuples of translation-dilation maps of the unit n-cube with
 pairwise disjoint interiors; composition is composition of affine maps, so
-the operad axioms are exact equalities of Fractions and need no tolerance.
-Two oracles for the arities: the closed-form Betti numbers of the
-configuration space F(R^n, k), to which arity k is homotopy equivalent, and
-a sampled component counter on a rational grid.
+the operad axioms are exact equalities and need no tolerance.  A TD-map
+keeps its coordinates as integer numerators over one shared denominator,
+reduced by their gcd, so composition is integer products and the
+disjointness tests are cross-multiplied integer compares; Fractions appear
+only at the boundary (the constructor's inputs, ``a``, ``b`` and
+``interval``).  Two oracles for the arities: the closed-form Betti numbers
+of the configuration space F(R^n, k), to which arity k is homotopy
+equivalent, and a sampled component counter on a rational grid, which
+works on integer grid coordinates throughout.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from itertools import combinations, product
+from operator import and_
 
 
 # count_components unions every pair of samples, so it refuses grids with
@@ -44,44 +52,133 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class TDMap:
     """t -> a + b*t per coordinate: translation after dilation, with the
-    image inside the unit cube (a_i >= 0, b > 0, a_i + b <= 1)."""
-    n: int
-    a: tuple
-    b: Fraction
+    image inside the unit cube (a_i >= 0, b > 0, a_i + b <= 1).
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(_frac(x) for x in self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if not (self.n >= 1 and len(self.a) == self.n and self.b > 0):
+    Stored as the integers a_i = nums[i] / den and b = bnum / den with
+    gcd(den, bnum, *nums) = 1, so equal maps store equal integers.
+    ``TDMap(n, a, b)`` takes Fractions, ints or strings; ``from_numerators``
+    takes the integers.  Immutable; equality, hash, order and repr are those
+    of the fields (n, a, b) read as Fractions."""
+    __slots__ = ("n", "nums", "bnum", "den")
+
+    def __init__(self, n, a, b):
+        a = tuple(map(_frac, a))
+        b = _frac(b)
+        den = math.lcm(b.denominator, *(x.denominator for x in a))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        _set_n(self, n)
+        _set_nums(self, tuple([x.numerator * (den // x.denominator)
+                               for x in a]))
+        _set_bnum(self, b.numerator * (den // b.denominator))
+        _set_den(self, den)
+        self._check()
+
+    @classmethod
+    def from_numerators(cls, n, nums, bnum, den):
+        """The map with a_i = nums[i] / den and b = bnum / den (integers,
+        den >= 1), checked like the constructor's."""
+        if den < 1:
+            raise InvalidCube(("denominator", den))
+        self = _td(n, tuple(nums), bnum, den)
+        self._check()
+        return self
+
+    def _check(self):
+        n, nums, bnum, den = self.n, self.nums, self.bnum, self.den
+        if not (n >= 1 and len(nums) == n and bnum > 0):
             raise InvalidCube(self)
-        for x in self.a:
-            if x < 0 or x + self.b > 1:
+        for x in nums:
+            if x < 0 or x + bnum > den:
                 raise InvalidCube(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TDMap is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TDMap is immutable")
+
+    def __reduce__(self):
+        return (TDMap.from_numerators, (self.n, self.nums, self.bnum, self.den))
+
+    @property
+    def a(self):
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    @property
+    def b(self):
+        return Fraction(self.bnum, self.den)
 
     def compose(self, other):
         """self o other, again a TD-map."""
         if self.n != other.n:
             raise InvalidCube((self, other))
-        return TDMap(self.n,
-                     tuple(x + self.b * y for x, y in zip(self.a, other.a)),
-                     self.b * other.b)
+        d, b = other.den, self.bnum
+        return _td(self.n,
+                   tuple([x * d + b * y for x, y in zip(self.nums, other.nums)]),
+                   b * other.bnum, self.den * d)
 
     def interval(self, coord):
-        return (self.a[coord], self.a[coord] + self.b)
+        x, den = self.nums[coord], self.den
+        return (Fraction(x, den), Fraction(x + self.bnum, den))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, (Fraction(0),) * n, Fraction(1))
+        return cls.from_numerators(n, (0,) * n, 1, 1)
+
+    def _fields(self):
+        return (self.n, self.a, self.b)
+
+    def __eq__(self, other):
+        if other.__class__ is not TDMap:
+            return NotImplemented
+        return (self.den == other.den and self.bnum == other.bnum and
+                self.nums == other.nums and self.n == other.n)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __lt__(self, other):
+        if other.__class__ is not TDMap:
+            return NotImplemented
+        return self._fields() < other._fields()
+
+    def __repr__(self):
+        return "TDMap(n=%r, a=%r, b=%r)" % self._fields()
+
+
+# the slots' own setters, past TDMap.__setattr__
+_set_n, _set_nums, _set_bnum, _set_den = (
+    TDMap.n.__set__, TDMap.nums.__set__, TDMap.bnum.__set__, TDMap.den.__set__)
+
+
+def _td(n, nums, bnum, den):
+    """The TDMap nums / den, bnum / den, divided through by the gcd of the
+    integers, unchecked (hot loops)."""
+    g = math.gcd(den, bnum, *nums)
+    if g > 1:
+        nums = tuple([x // g for x in nums])
+        bnum //= g
+        den //= g
+    self = object.__new__(TDMap)
+    _set_n(self, n)
+    _set_nums(self, nums)
+    _set_bnum(self, bnum)
+    _set_den(self, den)
+    return self
 
 
 def _disjoint_interiors(c1, c2):
-    for coord in range(c1.n):
-        u1, v1 = c1.interval(coord)
-        u2, v2 = c2.interval(coord)
-        if v1 <= u2 or v2 <= u1:
+    """Some coordinate separates the two images, v1 <= u2 or v2 <= u1,
+    compared over the common denominator den1 * den2."""
+    d1, d2 = c1.den, c2.den
+    b1, b2 = c1.bnum * d2, c2.bnum * d1
+    for x, y in zip(c1.nums, c2.nums):
+        x, y = x * d2, y * d1
+        if x + b1 <= y or y + b2 <= x:
             return True
     return False
 
@@ -96,10 +193,9 @@ class CubesElement:
         for c in self.cubes:
             if not (isinstance(c, TDMap) and c.n == self.n):
                 raise InvalidCube(c)
-        for i in range(len(self.cubes)):
-            for j in range(i + 1, len(self.cubes)):
-                if not _disjoint_interiors(self.cubes[i], self.cubes[j]):
-                    raise DisjointnessViolation((i, j))
+        for (i, c1), (j, c2) in combinations(enumerate(self.cubes), 2):
+            if not _disjoint_interiors(c1, c2):
+                raise DisjointnessViolation((i, j))
 
     @property
     def k(self):
@@ -199,56 +295,46 @@ def configuration_betti(n, k):
     return betti
 
 
-def _grid_cubes(n, k, resolution):
-    """All k-tuples of grid TD-maps with disjoint interiors; the grid has
-    mesh 1/resolution."""
+def _grid_samples(n, k, resolution):
+    """The k-tuples of grid TD-maps (mesh 1/resolution) with disjoint
+    interiors, each given by its separation masks: one mask per pair i < j
+    of cubes, with bit 2c set when cube i ends before cube j starts in
+    coordinate c and bit 2c + 1 when cube j ends before cube i starts.  A
+    tuple has disjoint interiors when every mask is nonzero.  Grid maps are
+    integer numerators over the resolution, so the compares are integer."""
     R = resolution
-    singles = []
-    for bnum in range(1, R + 1):
-        b = Fraction(bnum, R)
-        starts = [Fraction(x, R) for x in range(R - bnum + 1)]
-        from itertools import product
-        for a in product(starts, repeat=n):
-            singles.append(TDMap(n, a, b))
-    from itertools import product
+    singles = [(a, b) for b in range(1, R + 1)
+               for a in product(range(R - b + 1), repeat=n)]
+
+    def separations(s, t):
+        (a1, b1), (a2, b2) = s, t
+        mask = 0
+        for c, (x, y) in enumerate(zip(a1, a2)):
+            if x + b1 <= y:
+                mask |= 1 << 2 * c
+            if y + b2 <= x:
+                mask |= 2 << 2 * c
+        return mask
+
+    table = [[separations(s, t) for t in singles] for s in singles]
+    pairs = list(combinations(range(k), 2))
     out = []
-    for combo in product(singles, repeat=k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not _disjoint_interiors(combo[i], combo[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(combo)
+    for combo in product(range(len(singles)), repeat=k):
+        masks = tuple(table[combo[i]][combo[j]] for i, j in pairs)
+        if all(masks):
+            out.append(masks)
     return out
 
 
-def _linear_path_valid(c1, c2):
-    """Straight-line interpolation keeps interiors disjoint if some
-    separating inequality holds at both endpoints (it is linear in the
-    parameters, so it holds along the whole segment)."""
-    k = len(c1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            found = False
-            for coord in range(c1[i].n):
-                for lo, hi in ((i, j), (j, i)):
-                    if (c1[lo].interval(coord)[1] <= c1[hi].interval(coord)[0] and
-                            c2[lo].interval(coord)[1] <= c2[hi].interval(coord)[0]):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return False
-    return True
+def _linear_path_valid(masks1, masks2):
+    """Straight-line interpolation keeps interiors disjoint if, for every
+    pair of cubes, some separating inequality holds at both endpoints (it is
+    linear in the parameters, so it holds along the whole segment)."""
+    return all(map(and_, masks1, masks2))
 
 
 def _count_at(n, k, resolution):
-    samples = _grid_cubes(n, k, resolution)
+    samples = _grid_samples(n, k, resolution)
     if not samples:
         raise ResolutionTooCoarse((n, k, resolution))
     parent = list(range(len(samples)))

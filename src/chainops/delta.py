@@ -15,18 +15,26 @@ class IndexOutOfRange(Exception):
     pass
 
 
+class InvalidOrderedMap(AssertionError):
+    """A negative size, or values that do not give a weakly increasing map
+    between the stated objects.  Raised explicitly, so the checks also run
+    under ``python -O``; an AssertionError, as the checks were asserts."""
+
+
 @dataclass(frozen=True, order=True)
 class FinOrd:
     """The totally ordered set {0, ..., size-1}; size 0 is the empty set."""
     size: int
 
     def __post_init__(self):
-        assert self.size >= 0
+        if self.size < 0:
+            raise InvalidOrderedMap("negative size %r" % (self.size,))
 
     @classmethod
     def bracket(cls, m):
         """The object [m] = {0, ..., m}."""
-        assert m >= -1
+        if m < -1:
+            raise InvalidOrderedMap("no object [%d]" % m)
         return cls(m + 1)
 
     @property
@@ -46,18 +54,26 @@ class OrderedMap:
     values: tuple
 
     def __post_init__(self):
-        assert len(self.values) == self.source.size
-        for v in self.values:
-            assert 0 <= v < self.target.size
-        assert all(a <= b for a, b in zip(self.values, self.values[1:])), \
-            "values not weakly increasing"
+        values = self.values
+        if len(values) != self.source.size:
+            raise InvalidOrderedMap("%d values for a source of size %d" %
+                                    (len(values), self.source.size))
+        for v in values:
+            if not 0 <= v < self.target.size:
+                raise InvalidOrderedMap("value %r outside a target of size %d"
+                                        % (v, self.target.size))
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise InvalidOrderedMap("values %r not weakly increasing" %
+                                    (values,))
 
     def __call__(self, i):
         return self.values[i]
 
     def compose(self, other):
         """self o other."""
-        assert other.target == self.source
+        if other.target != self.source:
+            raise InvalidOrderedMap("a map out of %r after one into %r" %
+                                    (self.source, other.target))
         return OrderedMap(other.source, self.target,
                           tuple(self.values[v] for v in other.values))
 

@@ -26,7 +26,7 @@ from . import boxprod, cubes
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       Symbol, act_perm, apply_tuple, enumerate_symbols,
                       ker_expand, ker_expand_checked, koszul_sign,
-                      NatTransform, t_boundary, vec_sum)
+                      levels_match, NatTransform, t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
 
 
@@ -88,7 +88,9 @@ def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
     twist = _multilinear_twist(h_vec, nats)
+    # the kernel terms of h share its fibers, so one check per h skips them
     out = vec_sum((t, twist * c * w * v) for h, c in h_vec.items()
+                  if levels_match(h, nats)
                   for hk, w in ker_expand(h)
                   for t, v in apply_tuple(hk, nats).items())
     return cokernel_project(out, n)

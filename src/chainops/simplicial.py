@@ -28,7 +28,8 @@ class Cell:
 
 
 class InvalidSimplicialSet(AssertionError):
-    """Simplices and faces that do not form a simplicial set.  Raised
+    """Simplices and faces that do not form a simplicial set, or a face,
+    degeneracy, action or restriction that a cell does not have.  Raised
     explicitly, so the checks also run under ``python -O``; an
     AssertionError, as the checks used to be asserts."""
 
@@ -91,7 +92,9 @@ class FiniteSimplicialSet:
     def face(self, c, i):
         """d_i of a cell, in normal form."""
         n = self.cell_dim(c)
-        assert 0 <= i <= n and n >= 1
+        if not (0 <= i <= n and n >= 1):
+            raise InvalidSimplicialSet("no face d_%d of the %d-cell %r" %
+                                       (i, n, c))
         if not c.word:
             return self.faces[c.base][i]
         j = c.word[0]
@@ -105,7 +108,9 @@ class FiniteSimplicialSet:
     def degeneracy(self, c, i):
         """s_i of a cell, in normal form."""
         n = self.cell_dim(c)
-        assert 0 <= i <= n
+        if not 0 <= i <= n:
+            raise InvalidSimplicialSet("no degeneracy s_%d of the %d-cell %r"
+                                       % (i, n, c))
         word = c.word
         if not word or i > word[0]:
             return Cell((i,) + word, c.base)
@@ -116,7 +121,10 @@ class FiniteSimplicialSet:
     def act(self, c, alpha):
         """Contravariant action: the cell c o alpha for alpha : [m] -> [m']
         with m' the dimension of c."""
-        assert alpha.target.level == self.cell_dim(c)
+        if alpha.target.level != self.cell_dim(c):
+            raise InvalidSimplicialSet("a map into [%d] acting on the %d-cell "
+                                       "%r" % (alpha.target.level,
+                                               self.cell_dim(c), c))
         gens = delta.decompose(alpha)
         out = c
         for kind, _m, i in reversed(gens):
@@ -127,8 +135,12 @@ class FiniteSimplicialSet:
         """The face of c spanned by a nonempty sorted subset of its vertex
         positions."""
         m = self.cell_dim(c)
-        assert subset, "empty restriction is the augmentation point"
-        assert all(0 <= u <= m for u in subset)
+        if not subset:
+            raise InvalidSimplicialSet("empty restriction is the "
+                                       "augmentation point")
+        if not all(0 <= u <= m for u in subset):
+            raise InvalidSimplicialSet("vertex positions %r outside the "
+                                       "%d-cell %r" % (tuple(subset), m, c))
         inj = OrderedMap(FinOrd(len(subset)), FinOrd.bracket(m), tuple(subset))
         return self.act(c, inj)
 
@@ -142,7 +154,8 @@ class FiniteSimplicialSet:
                 base = self.cell(name)
                 for eta in delta.all_surjections(FinOrd.bracket(m), FinOrd.bracket(j)):
                     out.append(self.act(base, eta))
-        assert len(set(out)) == len(out)
+        if len(set(out)) != len(out):
+            raise InvalidSimplicialSet("two normal forms of one %d-cell" % m)
         return tuple(sorted(out))
 
     def _check_identities(self):

@@ -205,11 +205,11 @@ def _grid_element(rng, n, k):
         for _ in range(n):
             coords.append(cell % g)
             cell //= g
-        shrink = F(rng.randrange(1, 5), 4)
-        b = shrink * F(1, g)
-        a = tuple(F(c, g) + F(rng.randrange(0, 3), 8) * (F(1, g) - b)
-                  for c in coords)
-        tds.append(cubes.TDMap(n, a, b))
+        # shrink s/4 and jitter j/8 of the slack: over the denominator 32g,
+        # b = s/(4g) has numerator 8s and a = c/g + j(4-s)/(32g) has 32c + j(4-s)
+        s = rng.randrange(1, 5)
+        nums = tuple(32 * c + rng.randrange(0, 3) * (4 - s) for c in coords)
+        tds.append(cubes.TDMap.from_numerators(n, nums, 8 * s, 32 * g))
     return cubes.CubesElement(n, tuple(tds))
 
 

@@ -14,8 +14,8 @@ import pytest
 import chainops
 from chainops import intmat
 from chainops.boxprod import (INFINITY, NatTransform, Symbol, ValueOutOfRange,
-                              _sym, act_coface, act_codegeneracy, act_perm,
-                              apply_tuple, box_basis, box_level,
+                              _family_of, _sym, act_coface, act_codegeneracy,
+                              act_perm, apply_tuple, box_basis, box_level,
                               box_cosimplicial, complexity,
                               conormalized_basis, enumerate_symbols, flatten,
                               internal_boundary, ker_expand,
@@ -644,6 +644,52 @@ def test_box_functorial_map_naturality_squares():
             if td is not None:
                 rhs[td] = rhs.get(td, 0) + c
         assert lhs == {k: v for k, v in rhs.items() if v}
+
+
+def test_box_functorial_map_skipped_rows():
+    # a row whose fiber degrees are no levels of the transformations is {}
+    # without applying them; every basis symbol keeps its row, and a symbol
+    # outside the basis has none
+    from chainops.boxprod import box_functorial_map, levels_match
+    nats = [_scaling_nat((1, 0, 2, 0, 1, 0)), _scaling_nat((0, 1, 0, 3, 0, 1))]
+    skipped = 0
+    for r in (0, 1, 2):
+        table = box_functorial_map(2, nats, r, 4)
+        basis = [s for m in range(4) for s in box_basis(2, m + 1, r)]
+        assert list(table) == basis
+        for sym in basis:
+            assert table[sym] == apply_tuple(sym, nats)
+            if not levels_match(sym, nats):
+                assert table[sym] == {}
+                skipped += 1
+        with pytest.raises(KeyError):
+            table[Symbol(2, (1, 2) * 4, (0,) * 8, r)]
+    assert skipped > 50
+
+
+def test_from_vector_shared_and_read_only():
+    # one family per vector: the second call returns the first's instance,
+    # which nothing a caller does can change
+    vec = {Symbol(2, (1, 2, 1), (0, 1, 1), 1): 1,
+           Symbol(2, (2, 1, 2), (0, 1, 1), 1): -2}
+    nat = NatTransform.from_vector(2, vec)
+    assert NatTransform.from_vector(2, dict(vec)) is nat
+    fresh = _family_of.__wrapped__(2, tuple(vec.items()))
+    assert nat.components == fresh.components
+    nats = [nat, _identity_nat(3)]
+    host = next(h for h in box_basis(2, 3, 1) if apply_tuple(h, nats))
+    first = apply_tuple(host, nats)
+    assert first == apply_tuple(host, [fresh, _identity_nat(3)])
+    first[next(iter(first))] = 99
+    assert apply_tuple(host, nats) == \
+        apply_tuple(host, [fresh, _identity_nat(3)])
+    with pytest.raises(TypeError):
+        nat.components[5] = {}
+    with pytest.raises(TypeError):
+        nat.component(1)[host] = 1
+    with pytest.raises(AttributeError):
+        nat.degree = 3
+    assert NatTransform.from_vector(2, vec).components == fresh.components
 
 
 def test_incompatible_inputs():

@@ -1,16 +1,21 @@
 import json
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
 import chainops
 from chainops.cubes import (CubesElement, DegenerateInterval,
                             DisjointnessViolation, IntervalsElement,
-                            SampleTooLarge, TDMap,
+                            InvalidCube, SampleTooLarge, TDMap,
+                            _disjoint_interiors,
                             configuration_betti, count_components,
                             gamma_cubes, gamma_intervals,
                             generated_operad_element, intervals_to_cubes,
@@ -41,6 +46,113 @@ def test_td_invariants():
         TDMap(1, (F(3, 4),), F(1, 2))   # a + b > 1
     with pytest.raises(AssertionError):
         TDMap(1, (F(0),), F(0))          # b = 0
+
+
+@dataclass(frozen=True, order=True)
+class FractionTDMap:
+    """Reference TD-map over Fractions: each coordinate a Fraction, the
+    checks and composition written on them directly."""
+    n: int
+    a: tuple
+    b: F
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(F(x) for x in self.a))
+        object.__setattr__(self, "b", F(self.b))
+        if not (self.n >= 1 and len(self.a) == self.n and self.b > 0):
+            raise AssertionError(self)
+        for x in self.a:
+            if x < 0 or x + self.b > 1:
+                raise AssertionError(self)
+
+    def compose(self, other):
+        return FractionTDMap(self.n,
+                             tuple(x + self.b * y for x, y in zip(self.a, other.a)),
+                             self.b * other.b)
+
+    def interval(self, coord):
+        return (self.a[coord], self.a[coord] + self.b)
+
+
+def ref_disjoint(c1, c2):
+    for coord in range(c1.n):
+        u1, v1 = c1.interval(coord)
+        u2, v2 = c2.interval(coord)
+        if v1 <= u2 or v2 <= u1:
+            return True
+    return False
+
+
+def draw_pair(rng, n):
+    """Fractions (a, b) of a TD-map over one of a few denominators; about one
+    draw in five leaves the unit cube."""
+    den = rng.choice((1, 2, 3, 4, 6, 8, 12, 24, 100))
+    b = F(rng.randrange(1, den + 1), den)
+    a = tuple(F(rng.randrange(0, den + 1), den) for _ in range(n))
+    if rng.random() < 0.8:
+        a = tuple(min(x, 1 - b) for x in a)
+    return a, b
+
+
+def test_integer_td_maps_match_fraction_reference():
+    rng = random.Random(17)
+    made = []
+    rejected = 0
+    for t in range(3000):
+        n = 1 + t % 3
+        a, b = draw_pair(rng, n)
+        try:
+            ref = FractionTDMap(n, a, b)
+        except AssertionError:
+            with pytest.raises(InvalidCube):
+                TDMap(n, a, b)
+            rejected += 1
+            continue
+        # Fraction, str and int inputs, and the integer constructor
+        den = rng.choice((1, 2, 6)) * math.lcm(*(x.denominator
+                                                  for x in a + (b,)))
+        for td in (TDMap(n, a, b),
+                   TDMap(n, tuple(str(x) for x in a), str(b)),
+                   TDMap(n, tuple(int(x) if x.denominator == 1 else x
+                                  for x in a), b),
+                   TDMap.from_numerators(n, tuple(int(x * den) for x in a),
+                                         int(b * den), den)):
+            assert (td.n, td.a, td.b) == (ref.n, ref.a, ref.b)
+            assert [td.interval(c) for c in range(n)] == \
+                [ref.interval(c) for c in range(n)]
+            assert repr(td) == repr(ref).replace("FractionTDMap", "TDMap")
+            assert hash(td) == hash(ref)
+            assert td == TDMap(n, a, b)
+        made.append((td, ref))
+    assert rejected > 100 and len(made) > 2000
+    for _ in range(5000):
+        (x, rx), (y, ry) = rng.choice(made), rng.choice(made)
+        if x.n != y.n:
+            assert x != y and (x < y) == (rx < ry)
+            continue
+        assert (x == y) == (rx == ry)
+        assert (x < y, x <= y, x > y, x >= y) == (rx < ry, rx <= ry, rx > ry,
+                                                   rx >= ry)
+        assert _disjoint_interiors(x, y) == ref_disjoint(rx, ry)
+        xy, rxy = x.compose(y), rx.compose(ry)
+        assert (xy.a, xy.b) == (rxy.a, rxy.b)
+        assert xy == TDMap(rxy.n, rxy.a, rxy.b) and hash(xy) == hash(rxy)
+    tds = [td for td, _ in made]
+    assert [(t.n, t.a, t.b) for t in sorted(tds)] == \
+        [(r.n, r.a, r.b) for r in sorted(r for _, r in made)]
+
+
+def test_td_map_integers_reduced_and_immutable():
+    td = TDMap.from_numerators(2, (6, 0), 3, 12)
+    assert (td.nums, td.bnum, td.den) == ((2, 0), 1, 4)
+    assert td == TDMap(2, ("1/2", 0), F(1, 4)) == TDMap(2, (F(2, 4), "0"), "3/12")
+    assert pickle.loads(pickle.dumps(td)) == td
+    with pytest.raises(AttributeError):
+        td.den = 8
+    with pytest.raises(InvalidCube):
+        TDMap.from_numerators(1, (0,), 1, 0)
+    with pytest.raises(InvalidCube):
+        TDMap.from_numerators(1, (3,), 2, 4)   # a + b > 1
 
 
 def test_worked_composition():
@@ -159,6 +271,49 @@ def test_count_components():
                                  (1, 3, 4, 6), (2, 1, 4, 1)):
         comps = count_components(n, k, resolution)
         assert comps == b0 == configuration_betti(n, k)[0], (n, k)
+
+
+def reference_count(n, k, resolution):
+    """Components of the sampled configuration graph with Fraction maps:
+    every k-tuple of grid maps with disjoint interiors, joined when some
+    separating inequality of each pair holds at both ends of the segment."""
+    R = resolution
+    singles = [FractionTDMap(n, tuple(F(x, R) for x in a), F(b, R))
+               for b in range(1, R + 1)
+               for a in product(range(R - b + 1), repeat=n)]
+    samples = [c for c in product(singles, repeat=k)
+               if all(ref_disjoint(x, y) for x, y in combinations(c, 2))]
+
+    def ends_before(c1, c2, coord):
+        return c1.interval(coord)[1] <= c2.interval(coord)[0]
+
+    def joined(c1, c2):
+        return all(any(ends_before(c1[lo], c1[hi], coord) and
+                       ends_before(c2[lo], c2[hi], coord)
+                       for coord in range(n) for lo, hi in ((i, j), (j, i)))
+                   for i, j in combinations(range(k), 2))
+
+    parent = list(range(len(samples)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in combinations(range(len(samples)), 2):
+        if joined(samples[i], samples[j]):
+            parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(samples))})
+
+
+def test_grid_masks_match_fraction_reference():
+    from chainops.cubes import _count_at, _grid_samples
+    for n, k, resolution in ((1, 2, 3), (1, 3, 3), (2, 2, 2), (2, 2, 3),
+                             (1, 2, 4), (2, 1, 3), (3, 2, 1)):
+        samples = _grid_samples(n, k, resolution)
+        want = reference_count(n, k, resolution)
+        assert (_count_at(n, k, resolution) if samples else 0) == want, \
+            (n, k, resolution)
 
 
 def test_count_components_size_guard():

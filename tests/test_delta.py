@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import chainops
 from chainops import delta
 from chainops.delta import FinOrd, OrderedMap, IndexOutOfRange
 
@@ -97,3 +102,51 @@ def test_ordered_map_counts():
         for t in range(6):
             assert len(delta.all_ordered_maps(FinOrd(s), FinOrd(t))) == \
                 (comb(s + t - 1, s) if s else 1)
+
+
+def test_invalid_maps_and_cells_rejected_under_optimize():
+    # python -O strips assert statements; the checks of delta and of the
+    # cell operators in simplicial must still fire
+    script = "\n".join([
+        "from chainops import delta, simplicial",
+        "from chainops.delta import FinOrd, OrderedMap",
+        "assert False, 'asserts are live'",
+        "W = simplicial.simplicial_circle()",
+        "v, e = W.cell('v'), W.cell('e')",
+        "for bad in (lambda: FinOrd(-1),",
+        "            lambda: FinOrd.bracket(-2),",
+        "            lambda: OrderedMap(FinOrd(2), FinOrd(2), (0,)),",
+        "            lambda: OrderedMap(FinOrd(1), FinOrd(2), (2,)),",
+        "            lambda: OrderedMap(FinOrd(2), FinOrd(2), (1, 0)),",
+        "            lambda: delta.coface(0, 0).compose(delta.coface(0, 0)),",
+        "            lambda: W.face(v, 0),",
+        "            lambda: W.degeneracy(v, 1),",
+        "            lambda: W.act(v, delta.coface(0, 0)),",
+        "            lambda: W.restrict(e, []),",
+        "            lambda: W.restrict(e, [0, 2])):",
+        "    try:",
+        "        bad()",
+        "    except AssertionError as exc:",
+        "        print('%s: %s' % (type(exc).__name__, exc))",
+        "    else:",
+        "        print('accepted')",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    v, e = "Cell(word=(), base='v')", "Cell(word=(), base='e')"
+    assert proc.stdout.splitlines() == [
+        "InvalidOrderedMap: negative size -1",
+        "InvalidOrderedMap: no object [-2]",
+        "InvalidOrderedMap: 1 values for a source of size 2",
+        "InvalidOrderedMap: value 2 outside a target of size 2",
+        "InvalidOrderedMap: values (1, 0) not weakly increasing",
+        "InvalidOrderedMap: a map out of FinOrd(size=1) after one into "
+        "FinOrd(size=2)",
+        "InvalidSimplicialSet: no face d_0 of the 0-cell " + v,
+        "InvalidSimplicialSet: no degeneracy s_1 of the 0-cell " + v,
+        "InvalidSimplicialSet: a map into [1] acting on the 0-cell " + v,
+        "InvalidSimplicialSet: empty restriction is the augmentation point",
+        "InvalidSimplicialSet: vertex positions (0, 2) outside the 1-cell " + e]

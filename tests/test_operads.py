@@ -3,10 +3,13 @@ import random
 import pytest
 
 from chainops import boxprod
-from chainops.boxprod import Symbol, enumerate_symbols, ker_expand
+from chainops.boxprod import (GradingMismatch, NatTransform, Symbol,
+                              apply_tuple, enumerate_symbols, ker_expand,
+                              levels_match, vec_sum)
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              act_perm_vec, boundary_vec,
-                              block_permutation, gamma_matrix,
+                              _arity_of, _multilinear_twist, act_perm_vec,
+                              boundary_vec, block_permutation,
+                              cokernel_project, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
                               little_cubes_comparison, operad_homology,
                               symbol_complex, vec_degree, vec_eq,
@@ -65,6 +68,86 @@ def test_gamma_cross_validated_by_hand_matrix():
             continue
         assert vec_eq(gamma_substitution({h: 1}, gs), gamma_matrix({h: 1}, gs))
         done += 1
+
+
+def _gamma_unskipped(h_vec, arg_vecs):
+    """gamma_substitution without the fiber-level skip: every kernel term
+    of every h goes through apply_tuple."""
+    if not h_vec or any(not v for v in arg_vecs):
+        return {}
+    nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
+    twist = _multilinear_twist(h_vec, nats)
+    return cokernel_project(vec_sum(
+        (t, twist * c * w * v) for h, c in h_vec.items()
+        for hk, w in ker_expand(h)
+        for t, v in apply_tuple(hk, nats).items()))
+
+
+def _smallest_symbols(k, r):
+    q = max(k - 1, r - 1, 0)
+    while not enumerate_symbols(k, q, r):
+        q += 1
+    return enumerate_symbols(k, q, r)
+
+
+def test_fiber_skip_on_pipeline_strata():
+    # the benchmark's strata: h of arity k at level r, an arity-2 argument
+    # in slot 0 and arity-1 arguments elsewhere, each at the level of its
+    # fiber of h, or (shifted) slot 0 one level off so that h is skipped;
+    # a second host of the stratum is added to h with its own fibers
+    rng = random.Random(23)
+    nonzero = skipped = 0
+    for k in (1, 2, 3):
+        for r in range(6):
+            hosts = _smallest_symbols(k, r)
+            for h in rng.sample(hosts, min(2, len(hosts))):
+                for shift in (0, 1):
+                    gs = []
+                    for slot, m in enumerate(h.fiber_degrees()):
+                        level = m + shift if slot == 0 else m
+                        cands = _smallest_symbols(2 if slot == 0 else 1, level)
+                        gs.append({rng.choice(cands): 1})
+                    h_vec = {h: 1, rng.choice(hosts): rng.choice((1, -1, 2))}
+                    nats = [NatTransform.from_vector(_arity_of(g), g)
+                            for g in gs]
+                    skipped += sum(not levels_match(s, nats) for s in h_vec)
+                    out = gamma_substitution(h_vec, gs)
+                    assert out == _gamma_unskipped(h_vec, gs), (h_vec, gs)
+                    assert vec_eq(out, gamma_matrix(h_vec, gs)), (h_vec, gs)
+                    nonzero += bool(out)
+    assert nonzero > 10 and skipped > 40, (nonzero, skipped)
+
+
+def test_fiber_skip_on_unit_laws():
+    # gamma(1; g) skips every level of the unit but g's, gamma(g; 1..1)
+    # skips nothing; both agree with the unskipped composite and with g
+    op = TruncatedChainOperad(None, 2, 3)
+    unit = op.unit()
+    for k in (1, 2):
+        for q in range(k - 1, op.q_cap + 1):
+            for r in range(q + 2):
+                for s in enumerate_symbols(k, q, r):
+                    g = {s: 1}
+                    left = op.gamma(unit, [g])
+                    assert left == _gamma_unskipped(unit, [g]) and vec_eq(left, g)
+                    right = op.gamma(g, [unit] * k)
+                    assert right == _gamma_unskipped(g, [unit] * k)
+                    assert vec_eq(right, g)
+
+
+def test_wrong_argument_count_raises():
+    # one argument per slot of h, even when no fiber of h could match
+    h = {Symbol(2, (1, 2), (0, 0), 0): 1}
+    g = {Symbol(1, (1,), (0,), 0): 1}
+    far = {Symbol(1, (1, 1, 1, 1), (0, 1, 2, 3), 3): 1}
+    for args in ([g], [g, g, g], [far], [far, far, far]):
+        with pytest.raises(GradingMismatch):
+            gamma_substitution(h, args)
+    nats = [NatTransform.from_vector(1, far)]
+    with pytest.raises(GradingMismatch):
+        levels_match(next(iter(h)), nats)
+    with pytest.raises(GradingMismatch):
+        apply_tuple(next(iter(h)), nats)
 
 
 def test_degree_additivity_random():
