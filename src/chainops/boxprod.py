@@ -29,7 +29,7 @@ it symbolically and is the engine behind both composition pipelines.
 
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, islice, product
-from math import prod
+from math import comb, prod
 from operator import eq, itemgetter
 from types import MappingProxyType
 
@@ -273,6 +273,23 @@ def enumerate_symbols(k, q, r, n=INFINITY):
     deterministic lexicographic order."""
     _check_shape(k, q, r)
     return list(_enumerate_cached(k, q, r, n))
+
+
+def count_symbols(k, q, r):
+    """len(enumerate_symbols(k, q, r)) in closed form, without building
+    them.  A covering phi with image {0..r} has q - r equal steps, one
+    with image {1..r} has q - r + 1; an f with no repeat at s equal steps
+    into j given values has j (j - 1)^s j^(q - s) choices, and inclusion-
+    exclusion over the values keeps the onto ones."""
+    _check_shape(k, q, r)
+
+    def onto(s):
+        return sum((-1) ** (k - j) * comb(k, j) * j * (j - 1) ** s
+                   * j ** (q - s) for j in range(1, k + 1))
+    total = comb(q, r) * onto(q - r) if r <= q else 0
+    if 1 <= r <= q + 1:
+        total += comb(q, r - 1) * onto(q - r + 1)
+    return total
 
 
 @lru_cache(maxsize=4096)

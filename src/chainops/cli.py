@@ -41,7 +41,8 @@ def _echo_config(args, **values):
 
 # the least accepted value of each integer option that has one
 _LEAST = {"n": 1, "k": 1, "kmax": 1, "qmax": 1, "max_complexity": 1,
-          "q": 0, "r": 0, "max_dim": 0, "pmax": 0, "resolution": 2}
+          "q": 0, "r": 0, "max_dim": 0, "pmax": 0, "resolution": 2,
+          "exhaustive_cap": 0, "samples": 0}
 _SAY = {0: "non-negative", 1: "positive", 2: "at least 2"}
 
 
@@ -109,7 +110,7 @@ def _check_rows(report):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_homology_operad(args):
-    from .operads import operad_homology, NotStabilized
+    from .operads import InfeasibleSize, NotStabilized, operad_homology
     degrees = _parse_degrees(args.degrees)
     level_cap = max(1, args.qmax - args.k + 1)
     try:
@@ -119,6 +120,9 @@ def cmd_homology_operad(args):
     except NotStabilized as exc:
         rep = exc.args[0]
         ok = False
+    except InfeasibleSize as exc:
+        raise ConfigError("--k %d --qmax %d is too large: %s"
+                          % (args.k, args.qmax, exc))
     lines = ["homology of %s(%d), level cap %d (stabilized: %s)" %
              (_family_tag(args), args.k, rep.level_cap, rep.stabilized)]
     for d in degrees:

@@ -7,7 +7,6 @@ degrees (degree -m holds the m-cochains), recorded in the ``regrade``
 attribute, so one homology engine serves both directions and both rings.
 """
 
-import heapq
 import json
 from functools import partial
 
@@ -181,120 +180,38 @@ class ChainMap:
 def reduced_homology(cx, degrees):
     """Homology over a degree window, in the complex's coefficient ring.
 
-    Unit entries of the differential are cancelled first: +-1 over Z, every
-    nonzero entry over Z/p.  Each cancellation is an exact change of basis
-    that removes an acyclic direct summand, so homology is preserved.  Then
-    Smith normal form runs once, over the same ring, on each residual
-    differential.  Only the window min(degrees) - 1 .. max(degrees) + 1 is
-    reduced.  Returns {d: (betti, torsion)}: the rank and the invariant
-    factors > 1 over Z, the dimension and () over Z/p.  This is the one
-    homology path: ``GradedIntComplex.homology`` delegates here."""
+    One ``intmat.Eliminator`` per differential of the window
+    min(degrees) - 1 .. max(degrees) + 1 cancels its unit entries: +-1 over
+    Z, every nonzero entry over Z/p.  Each cancellation of a pivot (y, x) in
+    degree d is an exact change of basis that removes an acyclic direct
+    summand, so homology is preserved; it drops row x of the differential
+    one degree up and column y of the one below, which d o d = 0 makes
+    combinations of the rows and columns kept.  Degrees go lowest first, so
+    those rows leave the differential above before it runs.  Then the same
+    engines find the invariant factors of what is left, and their pivots
+    count the ranks.  Returns {d: (betti, torsion)}: the rank and the
+    invariant factors > 1 over Z, the dimension and () over Z/p.  This is
+    the one homology path: ``GradedIntComplex.homology`` delegates here."""
     degrees = tuple(degrees)
     if not degrees:
         return {}
     for d in degrees:
         if not (cx.window[0] <= d - 1 and d + 1 <= cx.window[1]):
             raise DegreeOutsideWindow(d)
-    p = cx.prime
     lo, hi = min(degrees) - 1, max(degrees) + 1
-    rows = {}   # degree -> {row_label: {col_label: value}} of the boundary
-    cols = {}   # degree -> {col_label: {row_label: value}}
-    active = {d: set((d, i) for i in range(cx.rank(d)))
-              for d in range(lo, hi + 1)}
-    for d in range(lo + 1, hi + 1):
-        rows[d] = {}
-        cols[d] = {}
-        for (i, j), v in cx.diff[d].data.items():
-            if p:
-                v %= p
-                if not v:
-                    continue
-            rows[d].setdefault((d - 1, i), {})[(d, j)] = v
-            cols[d].setdefault((d, j), {})[(d - 1, i)] = v
-
-    queue = []
-    for d in range(lo + 1, hi + 1):
-        for y, row in rows[d].items():
-            for x, v in row.items():
-                if p or v in (1, -1):
-                    fill = (len(row) - 1) * (len(cols[d][x]) - 1)
-                    heapq.heappush(queue, (fill, d, y, x))
-
-    def cancel(d, y, x):
-        # the pivot's inverse: eps itself for eps = +-1 over Z
-        inv = pow(rows[d][y][x], -1, p) if p else rows[d][y][x]
-        row = dict(rows[d][y])
-        col = dict(cols[d][x])
-        del row[x]
-        del col[y]
-        # remove the pivot pair
-        for z in rows[d][y]:
-            if z != x:
-                del cols[d][z][y]
-        for w in cols[d][x]:
-            if w != y:
-                del rows[d][w][x]
-        del rows[d][y]
-        del cols[d][x]
-        active[d].discard(x)
-        active[d - 1].discard(y)
-        # update d: B[w, z] -= B[y, z] / eps * B[w, x]
-        for z, a in row.items():
-            coeff = a * inv
-            for w, b in col.items():
-                cur = rows[d].get(w, {}).get(z, 0) - coeff * b
-                if p:
-                    cur %= p
-                if cur:
-                    rows[d].setdefault(w, {})[z] = cur
-                    cols[d].setdefault(z, {})[w] = cur
-                    if p or cur in (1, -1):
-                        fill = (len(rows[d][w]) - 1) * (len(cols[d][z]) - 1)
-                        heapq.heappush(queue, (fill, d, w, z))
-                else:
-                    if z in rows[d].get(w, {}):
-                        del rows[d][w][z]
-                        del cols[d][z][w]
-        # drop row x from the differential one degree up
-        up = d + 1
-        if up in cols:
-            for z in list(rows.get(up, {}).get(x, {})):
-                del cols[up][z][x]
-            rows.get(up, {}).pop(x, None)
-        # drop column y from the differential one degree down
-        dn = d - 1
-        if dn in rows:
-            for w in list(cols.get(dn, {}).get(y, {})):
-                del rows[dn][w][y]
-            cols.get(dn, {}).pop(y, None)
-
-    while queue:
-        fill, d, y, x = heapq.heappop(queue)
-        v = rows[d].get(y, {}).get(x)
-        if v is None or not (p or v in (1, -1)):
-            continue
-        cur = (len(rows[d][y]) - 1) * (len(cols[d][x]) - 1)
-        if cur > fill and queue and queue[0][0] < cur:
-            heapq.heappush(queue, (cur, d, y, x))
-            continue
-        cancel(d, y, x)
-
-    index = {d: {lab: i for i, lab in enumerate(sorted(active[d]))}
-             for d in range(lo, hi + 1)}
-    invariants = {}
-    for d in sorted({e for d in degrees for e in (d, d + 1)}):
-        src, tgt = index[d], index[d - 1]
-        residual = IntMatrix(len(tgt), len(src),
-                             {(tgt[w], src[z]): v
-                              for z in active[d]
-                              for w, v in cols[d].get(z, {}).items()})
-        invariants[d] = intmat.snf_diagonal(residual, p)
-    out = {}
-    for d in degrees:
-        inv = invariants[d + 1]
-        betti = len(active[d]) - len(invariants[d]) - len(inv)
-        out[d] = (betti, tuple(f for f in inv if f > 1))
-    return out
+    engines = {d: intmat.Eliminator(cx.diff[d], cx.prime)
+               for d in range(lo + 1, hi + 1)}
+    for d, engine in engines.items():
+        for y, x in engine.units():
+            if d + 1 in engines:
+                engines[d + 1].drop_row(x)
+            if d - 1 in engines:
+                engines[d - 1].drop_col(y)
+    diag = {d: engines[d].run() for d in sorted({e for d in degrees
+                                                  for e in (d, d + 1)})}
+    return {d: (cx.rank(d) - len(diag[d]) - len(diag[d + 1]),
+                tuple(f for f in diag[d + 1] if f > 1))
+            for d in degrees}
 
 
 def tensor(a, b):

@@ -155,18 +155,6 @@ def conormalize_kernel(A):
     return KernelConormalization(cx, inclusions)
 
 
-def _coordinate_quotient(stacked):
-    """If the image of ``stacked`` is spanned by +-1 unit columns, return the
-    sorted list of killed coordinates, else None."""
-    killed = set()
-    for col in stacked.columns().values():
-        if len(col) == 1 and abs(col[0][1]) == 1:
-            killed.add(col[0][0])
-        else:
-            return None
-    return sorted(killed)
-
-
 def conormalize_cokernel(A):
     """Cokernel form: degree-m group is the cokernel of the positive
     cofaces, with differential induced by d^0.  Stored homologically in
@@ -183,15 +171,6 @@ def conormalize_cokernel(A):
         stacked = A.d(m - 1, 1)
         for i in range(2, m + 1):
             stacked = stacked.stack_cols(A.d(m - 1, i))
-        killed = _coordinate_quotient(stacked)
-        if killed is not None:
-            keep = [i for i in range(n) if i not in killed]
-            projections[m] = IntMatrix(len(keep), n,
-                                       {(r, i): 1 for r, i in enumerate(keep)})
-            sections[m] = IntMatrix(n, len(keep),
-                                    {(i, r): 1 for r, i in enumerate(keep)})
-            labels[m] = tuple(A.levels[m][i] for i in keep)
-            continue
         diag, u, _v = intmat.smith_normal_form(stacked)
         if any(f != 1 for f in diag):
             raise TorsionCokernel((m, diag))

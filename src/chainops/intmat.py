@@ -6,6 +6,8 @@ All entries are Python ints (arbitrary precision).  Matrices are immutable
 after construction; every operation returns a fresh matrix.
 """
 
+import heapq
+
 
 class ShapeMismatch(AssertionError):
     """Matrix shapes or indices that do not fit together.  Raised
@@ -190,52 +192,80 @@ class NotUnimodular(AssertionError):
     used to be an assert."""
 
 
-class _SNFWorker:
-    """Row/column reduction to Smith normal form, over Z (prime 0) or Z/p.
+class Eliminator:
+    """Exact sparse elimination of one matrix, over Z (prime 0) or Z/p,
+    indexed by its row and column positions.
 
-    Pivots are chosen with smallest magnitude (and then least fill) to keep
-    coefficient growth under control.  Over Z/p every entry is kept reduced
-    mod p, each pivot is scaled to 1 and there is no divisibility pass.
-    Optionally tracks the transforms u, v with u*m*v diagonal (unimodular
-    over Z, invertible over Z/p).
+    Unit pivots (+-1 over Z, every nonzero entry over Z/p) come off a lazy
+    heap ordered by fill, (row length - 1) * (column length - 1), and are
+    cancelled by one Schur update each: an exact change of basis that
+    isolates the pivot (Kaczynski-Mrozek-Slusarek 1998; Mischaikow-Nanda
+    2013).  Entries that become units later are pushed as they appear, so
+    no unit pivot is found by rescanning.  Over Z the non-unit pivots left
+    after that take the smallest magnitude (then least fill) and go through
+    a gcd loop with a divisibility fold, so the invariant factors come out
+    in order d_1 | d_2 | ....  Nothing is swapped: ``pivots`` records each
+    pivot's (row, column) in elimination order and ``diag`` its factor.
+
+    With ``track`` the row operations are kept in ``u`` (row-major) and the
+    column operations in ``v`` (column-major), so that after ``run`` the
+    matrix u * m * v has diag[s] at (pivots[s]) and zeros elsewhere.
+    ``drop_row`` and ``drop_col`` delete a row or column of the work matrix
+    outright; ``reduced_homology`` uses them to pass a cancellation on to
+    the neighbouring differentials.
     """
 
-    def __init__(self, m, track=True, prime=0):
-        self.rows = m.rows
-        self.cols = m.cols
-        self.prime = prime
-        # row-major and column-major views of the work matrix
-        self.r = {}   # i -> {j: v}
-        self.c = {}   # j -> {i: v}
+    def __init__(self, m, prime=0, track=False):
+        self.prime = p = prime
+        self.r = rows = {}   # i -> {j: value}
+        self.c = cols = {}   # j -> {i: value}
         for (i, j), v in m.data.items():
-            if prime:
-                v %= prime
+            if p:
+                v %= p
                 if not v:
                     continue
-            self.r.setdefault(i, {})[j] = v
-            self.c.setdefault(j, {})[i] = v
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
+        self.heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+                     for i, row in rows.items() for j, v in row.items()
+                     if p or v in (1, -1)]
+        heapq.heapify(self.heap)
+        self.pivots = []
+        self.diag = []
         self.track = track
         if track:
-            self.u = {i: {i: 1} for i in range(self.rows)}   # row ops
-            self.v = {j: {j: 1} for j in range(self.cols)}   # col ops, col-major
+            self.u = {i: {i: 1} for i in range(m.rows)}
+            self.v = {j: {j: 1} for j in range(m.cols)}
+
+    def drop_row(self, i):
+        for j in self.r.pop(i, ()):
+            del self.c[j][i]
+
+    def drop_col(self, j):
+        for i in self.c.pop(j, ()):
+            del self.r[i][j]
 
     def _set(self, i, j, val):
-        if self.prime:
-            val %= self.prime
+        p = self.prime
+        if p:
+            val %= p
+        row = self.r.setdefault(i, {})
         if val:
-            self.r.setdefault(i, {})[j] = val
-            self.c.setdefault(j, {})[i] = val
-        else:
-            if i in self.r and j in self.r[i]:
-                del self.r[i][j]
-                del self.c[j][i]
+            col = self.c.setdefault(j, {})
+            row[j] = col[i] = val
+            if p or val in (1, -1):
+                heapq.heappush(self.heap,
+                               ((len(row) - 1) * (len(col) - 1), i, j))
+        elif j in row:
+            del row[j]
+            del self.c[j][i]
 
     def _combine(self, ops, dst, src, k):
-        # ops[dst] += k*ops[src] on a tracked transform
+        # ops[dst] += k * ops[src] on a tracked transform
         p = self.prime
-        out = ops.setdefault(dst, {})
-        for j, v in ops.get(src, {}).items():
-            val = out.get(j, 0) + k * v
+        out = ops[dst]
+        for j, x in ops[src].items():
+            val = out.get(j, 0) + k * x
             if p:
                 val %= p
             if val:
@@ -243,154 +273,159 @@ class _SNFWorker:
             else:
                 out.pop(j, None)
 
+    def _scale(self, ops, i, k):
+        p = self.prime
+        ops[i] = {j: (k * x) % p if p else k * x for j, x in ops[i].items()}
+
+    def units(self):
+        """Cancel unit pivots, least fill first, yielding each (row, column)
+        as it goes.  A heap entry whose fill grew since it was pushed goes
+        back in while a cheaper one waits."""
+        heap, rows, cols, p = self.heap, self.r, self.c, self.prime
+        while heap:
+            fill, i, j = heapq.heappop(heap)
+            row = rows.get(i)
+            v = row.get(j) if row else None
+            if v is None or not (p or v in (1, -1)):
+                continue
+            cur = (len(row) - 1) * (len(cols[j]) - 1)
+            if cur > fill and heap and heap[0][0] < cur:
+                heapq.heappush(heap, (cur, i, j))
+                continue
+            self._cancel(i, j, v)
+            yield i, j
+
+    def _cancel(self, i, j, e):
+        p, rows, cols = self.prime, self.r, self.c
+        inv = pow(e, -1, p) if p else e     # e itself for e = +-1 over Z
+        row, col = rows.pop(i), cols.pop(j)
+        for z in row:
+            if z != j:
+                del cols[z][i]
+        for w in col:
+            if w != i:
+                del rows[w][j]
+        del row[j]
+        del col[i]
+        # B[w, z] -= B[w, j] * inv * B[i, z]
+        heap = self.heap
+        for z, a in row.items():
+            coeff = a * inv
+            cz = cols[z]
+            for w, b in col.items():
+                rw = rows[w]
+                cur = rw.get(z, 0) - coeff * b
+                if p:
+                    cur %= p
+                if cur:
+                    rw[z] = cz[w] = cur
+                    if p or cur in (1, -1):
+                        heapq.heappush(heap,
+                                       ((len(rw) - 1) * (len(cz) - 1), w, z))
+                elif z in rw:
+                    del rw[z]
+                    del cz[w]
+        if self.track:
+            for w, b in col.items():
+                self._combine(self.u, w, i, -b * inv)
+            for z, a in row.items():
+                self._combine(self.v, z, j, -a * inv)
+            if inv != 1:
+                self._scale(self.u, i, inv)
+        self.pivots.append((i, j))
+        self.diag.append(1)
+
     def _add_row(self, dst, src, k):
-        # row[dst] += k*row[src]
-        if not k:
-            return
-        for j, v in list(self.r.get(src, {}).items()):
-            self._set(dst, j, self.r.get(dst, {}).get(j, 0) + k * v)
+        # row[dst] += k * row[src]
+        dst_row = self.r[dst]
+        for j, x in list(self.r[src].items()):
+            self._set(dst, j, dst_row.get(j, 0) + k * x)
         if self.track:
             self._combine(self.u, dst, src, k)
 
     def _add_col(self, dst, src, k):
-        # col[dst] += k*col[src]
-        if not k:
-            return
-        for i, v in list(self.c.get(src, {}).items()):
-            self._set(i, dst, self.r.get(i, {}).get(dst, 0) + k * v)
+        # col[dst] += k * col[src]
+        dst_col = self.c[dst]
+        for i, x in list(self.c[src].items()):
+            self._set(i, dst, dst_col.get(i, 0) + k * x)
         if self.track:
             self._combine(self.v, dst, src, k)
 
-    def _swap_rows(self, a, b):
-        if a == b:
-            return
-        ra, rb = dict(self.r.get(a, {})), dict(self.r.get(b, {}))
-        for j in set(ra) | set(rb):
-            self._set(a, j, rb.get(j, 0))
-            self._set(b, j, ra.get(j, 0))
-        if self.track:
-            self.u[a], self.u[b] = self.u.get(b, {}), self.u.get(a, {})
-
-    def _swap_cols(self, a, b):
-        if a == b:
-            return
-        ca, cb = dict(self.c.get(a, {})), dict(self.c.get(b, {}))
-        for i in set(ca) | set(cb):
-            va, vb = ca.get(i, 0), cb.get(i, 0)
-            self._set(i, a, vb)
-            self._set(i, b, va)
-        if self.track:
-            self.v[a], self.v[b] = self.v.get(b, {}), self.v.get(a, {})
-
-    def _scale_row(self, i, k):
-        # row[i] *= k, a unit: -1 over Z, a pivot's inverse over Z/p
-        for j, v in list(self.r.get(i, {}).items()):
-            self._set(i, j, k * v)
-        if self.track:
-            p = self.prime
-            self.u[i] = {j: (k * v) % p if p else k * v
-                         for j, v in self.u.get(i, {}).items()}
-
-    def _find_pivot(self, s):
+    def _smallest(self):
         best = None
         for i, row in self.r.items():
-            if i < s:
-                continue
-            for j, v in row.items():
-                if j < s:
-                    continue
-                key = (abs(v), len(row) + len(self.c[j]))
+            for j, x in row.items():
+                key = (abs(x), len(row) + len(self.c[j]))
                 if best is None or key < best[0]:
                     best = (key, i, j)
-                    if key[0] == 1 and key[1] <= 2:
-                        return i, j
-        if best is None:
-            return None
-        return best[1], best[2]
+        return None if best is None else best[1:]
+
+    def _reduce(self, i, j):
+        """Over Z: move the pivot at (i, j) by gcd steps until it is alone in
+        its row and column and divides every entry left, then isolate it."""
+        rows, cols = self.r, self.c
+        while True:
+            a = rows[i][j]
+            for w in [w for w in cols[j] if w != i]:
+                self._add_row(w, i, -(cols[j][w] // a))
+                if j in rows[w]:        # a remainder smaller than a
+                    i = w
+                    break
+            else:
+                for z in [z for z in rows[i] if z != j]:
+                    self._add_col(z, j, -(rows[i][z] // a))
+                    if i in cols[z]:
+                        j = z
+                        break
+                else:
+                    if a < 0:
+                        rows[i][j] = cols[j][i] = a = -a
+                        if self.track:
+                            self._scale(self.u, i, -1)
+                    bad = next((w for w, row in rows.items() if w != i
+                                for x in row.values() if x % a),
+                               None) if a > 1 else None
+                    if bad is None:
+                        break
+                    self._add_row(i, bad, 1)
+        del rows[i]
+        del cols[j]
+        self.pivots.append((i, j))
+        self.diag.append(a)
 
     def run(self):
-        s = 0
-        n = min(self.rows, self.cols)
-        p = self.prime
-        diag = []
-        while s < n:
-            piv = self._find_pivot(s)
+        """Eliminate every entry; returns ``diag``."""
+        while True:
+            for _ in self.units():
+                pass
+            piv = self._smallest()
             if piv is None:
-                break
-            self._swap_rows(s, piv[0])
-            self._swap_cols(s, piv[1])
-            if p and self.r[s][s] != 1:
-                self._scale_row(s, pow(self.r[s][s], -1, p))
-            while True:
-                a = self.r[s][s]
-                # clear column s
-                again = False
-                for i in [i for i in list(self.c.get(s, {})) if i > s]:
-                    v = self.r.get(i, {}).get(s, 0)
-                    if v:
-                        q = v // a
-                        self._add_row(i, s, -q)
-                        if self.r.get(i, {}).get(s, 0):
-                            # remainder smaller than pivot: swap it up
-                            self._swap_rows(s, i)
-                            again = True
-                            break
-                if again:
-                    continue
-                for j in [j for j in list(self.r.get(s, {})) if j > s]:
-                    v = self.r.get(s, {}).get(j, 0)
-                    if v:
-                        q = v // a
-                        self._add_col(j, s, -q)
-                        if self.r.get(s, {}).get(j, 0):
-                            self._swap_cols(s, j)
-                            again = True
-                            break
-                if again:
-                    continue
-                break
-            # pivot now alone in its row and column
-            a = self.r[s][s]
-            if a < 0:
-                self._scale_row(s, -1)
-                a = -a
-            if not p:
-                # enforce divisibility: fold in any entry a does not divide
-                bad = None
-                for i, row in self.r.items():
-                    if i <= s:
-                        continue
-                    for j, v in row.items():
-                        if j > s and v % a:
-                            bad = (i, j)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    self._add_row(s, bad[0], 1)
-                    continue
-            diag.append(a)
-            s += 1
-        return diag
+                return self.diag
+            self._reduce(*piv)
 
 
 def smith_normal_form(m, prime=0):
     """Return (diag, u, v) with u*m*v diagonal, d_1 | d_2 | ..., d_i > 0,
     and u, v unimodular.  Over Z/prime every d_i is 1 and u, v are
     invertible mod prime, with entries in 0..prime-1.  The empty matrix
-    gives an empty diagonal."""
-    worker = _SNFWorker(m, track=True, prime=prime)
-    diag = worker.run()
-    u = IntMatrix(m.rows, m.rows,
-                  {(i, j): v for i, row in worker.u.items() for j, v in row.items()})
-    v = IntMatrix(m.cols, m.cols,
-                  {(i, j): v for j, col in worker.v.items() for i, v in col.items()})
+    gives an empty diagonal.  The pivots' order, taken once as a
+    permutation of u's rows and v's columns, puts them on the diagonal."""
+    e = Eliminator(m, prime, track=True)
+    diag = e.run()
+    done_rows = [i for i, _ in e.pivots]
+    done_cols = [j for _, j in e.pivots]
+    row_order = done_rows + sorted(set(range(m.rows)).difference(done_rows))
+    col_order = done_cols + sorted(set(range(m.cols)).difference(done_cols))
+    u = IntMatrix(m.rows, m.rows, {(s, j): x for s, i in enumerate(row_order)
+                                   for j, x in e.u[i].items()})
+    v = IntMatrix(m.cols, m.cols, {(i, s): x for s, j in enumerate(col_order)
+                                   for i, x in e.v[j].items()})
     return diag, u, v
 
 
 def snf_diagonal(m, prime=0):
     """Invariant factors only (no transform tracking; faster)."""
-    return _SNFWorker(m, track=False, prime=prime).run()
+    return Eliminator(m, prime).run()
 
 
 def rank(m, prime=0):

@@ -38,6 +38,16 @@ class NotStabilized(Exception):
     pass
 
 
+# operad_homology refuses a family-T window with more symbols than this; a
+# built window costs about 2.6 KB per symbol (T(2) at cap 6, 101,234
+# symbols, peaked at 259 MiB with its homology)
+MAX_WINDOW_SYMBOLS = 400_000
+
+
+class InfeasibleSize(Exception):
+    pass
+
+
 # -- vectors over the symbol basis -------------------------------------------
 
 def vec_add(a, b, coeff=1):
@@ -256,9 +266,21 @@ class HomologyReport:
 
 def operad_homology(k, n, degrees, level_cap, strict=True):
     """Homology of the level-truncated operad arity with a stabilization
-    certificate: the groups must agree at level_cap and level_cap + 1."""
+    certificate: the groups must agree at level_cap and level_cap + 1.
+    For family T (n None) a window above MAX_WINDOW_SYMBOLS, counted by
+    ``boxprod.count_symbols``, raises InfeasibleSize before anything is
+    built; for Tn that count is only an upper bound, and nothing is
+    refused."""
     degrees = tuple(degrees)
     window = (min(degrees), max(degrees))
+    if n is None:
+        size = sum(boxprod.count_symbols(k, d + k - 1 + r, r)
+                   for d in range(window[0] - 1, window[1] + 2)
+                   for r in range(level_cap + 2) if d + r >= 0)
+        if size > MAX_WINDOW_SYMBOLS:
+            raise InfeasibleSize(
+                "the level-%d window of T(%d) has %d symbols, above the "
+                "limit %d" % (level_cap + 1, k, size, MAX_WINDOW_SYMBOLS))
     cx1 = level_truncated_complex(k, n, level_cap, window)
     cx2 = level_truncated_complex(k, n, level_cap + 1, window)
     g1 = reduced_homology(cx1, degrees)
@@ -415,7 +437,7 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
         blocksum = tuple(
             v + sum(_arity_of(g) for g in gs[:i])
             for i, t in enumerate(taus) for v in t)
-        rhs = act_perm_vec(operad.gamma(h, gs), blocksum)
+        rhs = act_perm_vec(out, blocksum)
         item.record(vec_eq(lhs, rhs), ("inner equivariance", h, gs, taus))
 
     if cross_check:

@@ -16,7 +16,7 @@ from chainops import intmat
 from chainops.boxprod import (INFINITY, NatTransform, Symbol, ValueOutOfRange,
                               _family_of, _sym, act_coface, act_codegeneracy,
                               act_perm, apply_tuple, box_basis, box_level,
-                              box_cosimplicial, complexity,
+                              box_cosimplicial, complexity, count_symbols,
                               conormalized_basis, enumerate_symbols, flatten,
                               internal_boundary, ker_expand,
                               ker_expand_checked, t_boundary)
@@ -165,6 +165,16 @@ def test_brute_force_symbol_counts():
                     continue
                 brute.append(Symbol(k, f, phi, r))
         assert sorted(brute) == list(enumerate_symbols(k, q, r))
+
+
+def test_count_symbols_closed_form():
+    # the closed form against enumeration on all 140 shapes k <= 4, q <= 6,
+    # r <= 4 (empty ones included)
+    for k in range(1, 5):
+        for q in range(7):
+            for r in range(5):
+                assert count_symbols(k, q, r) == \
+                    len(enumerate_symbols(k, q, r)), (k, q, r)
 
 
 def _reference_bases(k, q, r):

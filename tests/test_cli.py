@@ -221,6 +221,9 @@ BAD_INPUT = [
      "--qmax 2 leaves arity 5 without symbols"),
     (["verify-operad", "--kmax", "3", "--qmax", "1"],
      "--qmax 1 leaves arity 3 without symbols"),
+    (["verify-operad", "--exhaustive-cap", "-1"],
+     "--exhaustive-cap must be non-negative"),
+    (["verify-operad", "--samples", "-5"], "--samples must be non-negative"),
     (["export-complex", "--k", "2", "--qmax", "2", "--out",
       "{tmp}/missing/t2.json"], "cannot write --out file"),
 ]
@@ -330,3 +333,41 @@ def test_json_report_golden(tmp_path, capsys, args, expected):
     code, out = run(capsys, "--json", *args)
     assert code == 0
     assert out.splitlines()[-1] == expected
+
+
+def test_json_report_golden_integral_torsion(tmp_path, capsys):
+    # Z[x]/(x^3) over the integers: HH^2 = Z^2 + Z/3, recorded before the
+    # elimination engines were merged into one
+    algebra = tmp_path / "zx3.json"
+    algebra.write_text(json.dumps({
+        "ring": "Z", "p": 0, "rank": 3, "unit": [1, 0, 0],
+        "structure": [[[1 if t == i + j else 0 for t in range(3)]
+                       for j in range(3)] for i in range(3)]}))
+    code, out = run(capsys, "--json", "hochschild", "--algebra", str(algebra),
+                    "--pmax", "3", "--report", "gerstenhaber")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        '{"command": "hochschild", "config": {"algebra": "R", "p_max": 3, '
+        '"seed": 0}, "passed": true, "results": {"cohomology": {"0": [3, []], '
+        '"1": [2, []], "2": [2, [3]], "3": [2, []]}, "gerstenhaber": '
+        '{"algebra": "R", "certificates": 1, "items": {"Leibniz rule for cup": '
+        '{"failures": 0, "instances": 792}, "bracket is compatible with the '
+        'differential": {"failures": 0, "instances": 32}, "cup associativity": '
+        '{"failures": 0, "instances": 1728}, "cup unit": {"failures": 0, '
+        '"instances": 120}, "differential squares to zero": {"failures": 0, '
+        '"instances": 120}, "graded commutativity on cohomology": '
+        '{"failures": 0, "instances": 1}}, "p_max": 3, "passed": true}}}')
+
+
+def test_oversized_family_t_window_exits_2(capsys, monkeypatch):
+    # the refusal comes from the closed-form count, before any symbol is
+    # enumerated; a small limit stands in for a window too large to build
+    from chainops import operads
+
+    def never(*args):
+        raise AssertionError("enumerated an oversized window")
+    monkeypatch.setattr(operads, "MAX_WINDOW_SYMBOLS", 1000)
+    monkeypatch.setattr(operads, "level_truncated_complex", never)
+    err = _config_error(capsys, "homology-operad", "--k", "2", "--qmax", "5")
+    assert ("--k 2 --qmax 5 is too large: the level-5 window of T(2) has "
+            "29492 symbols, above the limit 1000") in err

@@ -302,6 +302,33 @@ def test_one_homology_path_mod_p_on_seeded_torsion_complexes():
     assert differs >= 10
 
 
+def two_term_complex(rng, degree):
+    """Z^cols -> Z^rows in degrees degree, degree - 1, entries in -3..3."""
+    rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+    m = IntMatrix(rows, cols, {(i, j): rng.randrange(-3, 4)
+                               for i in range(rows) for j in range(cols)})
+    basis = {degree - 1: tuple("r%d" % i for i in range(rows)),
+             degree: tuple("c%d" % j for j in range(cols))}
+    return GradedIntComplex((degree - 2, degree + 1), basis, {degree: m})
+
+
+def test_one_homology_path_where_residuals_need_gcd_steps():
+    # after the unit cancellations these residuals keep non-unit entries:
+    # torsion in H_0 of the two-term pieces and Tor terms in their tensor
+    # products come only out of the engine's non-unit phase
+    rng = random.Random(53)
+    torsion = 0
+    for _ in range(20):
+        a, b = two_term_complex(rng, 1), two_term_complex(rng, 1)
+        for cx in (a, tensor(a, b)):
+            got = assert_one_homology_path(cx)
+            torsion += sum(len(t) for _, t in got.values())
+            for p in (2, 3):
+                assert_one_homology_path(
+                    GradedIntComplex(cx.window, cx.basis, cx.diff, prime=p))
+    assert torsion >= 10
+
+
 def test_one_homology_path_on_benchmark_bicomplexes():
     from chainops.boxprod import box_cosimplicial
     from chainops.cosimplicial import conormalize_bicomplex

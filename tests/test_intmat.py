@@ -277,3 +277,90 @@ def test_not_unimodular_under_optimize():
     assert proc.stdout.splitlines() == [
         "rejected: matrix is not unimodular",
         "rejected: product of IntMatrix(2, 1, nnz=2) and IntMatrix(2, 1, nnz=2)"]
+
+
+# -- both phases of the engine: unit cancellations and non-unit pivots --------
+
+def scrambled(rng, m):
+    """u * m * v for random products u, v of elementary unimodular matrices."""
+    def unimodular(n):
+        u = IntMatrix.identity(n)
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            u = u + IntMatrix(n, n, {(i, j): rng.choice((-2, -1, 1, 2))}) * u
+        return u
+    return unimodular(m.rows) * m * unimodular(m.cols)
+
+
+def mixed_matrices(seed, count=40):
+    """Seeded integer matrices that need unit and non-unit pivots: entries in
+    -3..3, and diag(2, 4, 6) (+) an identity block (+) zeros, scrambled.
+    Yields (matrix, its invariant factors or None when not known)."""
+    rng = random.Random(seed)
+    for t in range(count):
+        if t % 2:
+            yield random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7),
+                                -3, 4), None
+            continue
+        units, rows, cols = (rng.randrange(0, 4), rng.randrange(0, 2),
+                             rng.randrange(0, 2))
+        factors = [2, 4, 6] + [1] * units
+        n = len(factors)
+        block = IntMatrix(n + rows, n + cols,
+                          {(i, i): f for i, f in enumerate(factors)})
+        # diag(2, 4, 6) has invariant factors 2, 2, 12
+        yield scrambled(rng, block), [1] * units + [2, 2, 12]
+
+
+def test_engine_on_mixed_matrices():
+    rng = random.Random(41)
+    known = 0
+    for m, want in mixed_matrices(41):
+        diag = check_snf(m)
+        if want is not None:
+            assert diag == want
+            known += 1
+        r = len(diag)
+        assert intmat.rank(m) == r
+        assert intmat.snf_diagonal(m) == diag
+        k = intmat.kernel_basis(m)
+        assert (m * k).is_zero()
+        assert r + k.cols == m.cols
+        assert intmat.snf_diagonal(k) == [1] * k.cols      # saturated
+        x = random_matrix(rng, m.cols, 2, -3, 4)
+        sol = intmat.solve(m, m * x)
+        assert sol is not None and m * sol == m * x
+    assert known == 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_engine_on_mixed_matrices_mod_p(p):
+    for m, _ in mixed_matrices(43 + p):
+        dense = [[x % p for x in row] for row in m.to_rows()]
+        rk = dense_row_echelon(dense, p)[0]
+        diag, u, v = intmat.smith_normal_form(m, p)
+        assert diag == [1] * rk
+        prod = {ij: x % p for ij, x in (u * m * v).data.items() if x % p}
+        assert prod == {(i, i): 1 for i in range(rk)}
+        for t in (u, v):
+            assert all(0 <= x < p for x in t.data.values())
+            assert dense_row_echelon(t.to_rows(), p)[0] == t.rows
+        k = intmat.kernel_basis(m, p)
+        assert all(x % p == 0 for x in (m * k).data.values())
+        assert k.cols == m.cols - rk == dense_row_echelon(k.to_rows(), p)[0]
+
+
+def test_unit_columns_need_no_gcd_step(monkeypatch):
+    # a matrix of +-1 unit columns (a coordinate quotient) is eliminated by
+    # the heap alone: one cancellation per distinct row hit
+    def no_gcd(self, i, j):
+        raise AssertionError("non-unit pivot at %r" % ((i, j),))
+    monkeypatch.setattr(intmat.Eliminator, "_reduce", no_gcd)
+    rng = random.Random(47)
+    for _ in range(30):
+        rows, cols = rng.randrange(1, 8), rng.randrange(0, 8)
+        hit = [rng.randrange(rows) for _ in range(cols)]
+        m = IntMatrix(rows, cols, {(i, j): rng.choice((-1, 1))
+                                   for j, i in enumerate(hit)})
+        diag = check_snf(m)
+        assert diag == [1] * len(set(hit))

@@ -262,6 +262,32 @@ def test_not_stabilized_raised(monkeypatch):
     assert not rep.stabilized and rep.groups != rep.groups_next
 
 
+def test_family_t_window_guard(monkeypatch):
+    # homology-operad --k 6 --qmax 2 builds T(6) at level caps 1 and 2; the
+    # closed-form count refuses it before any symbol is enumerated, while
+    # the largest family-T window of the tests, T(2) at cap 6, passes
+    from chainops import operads as ops
+
+    class Built(Exception):
+        pass
+
+    def stub(k, n, level_cap, window):
+        raise Built(level_cap)
+
+    monkeypatch.setattr(ops, "level_truncated_complex", stub)
+    with pytest.raises(ops.InfeasibleSize,
+                       match="level-2 window of T.6. has 2612444400 symbols"):
+        ops.operad_homology(6, None, (0, 1, 2), 1)
+    with pytest.raises(Built):
+        ops.operad_homology(2, None, (0, 1, 2), 5)
+    monkeypatch.setattr(ops, "MAX_WINDOW_SYMBOLS", 101233)
+    with pytest.raises(ops.InfeasibleSize, match="has 101234 symbols"):
+        ops.operad_homology(2, None, (0, 1, 2), 5)
+    # Tn is not guarded: the count is only an upper bound there
+    with pytest.raises(Built):
+        ops.operad_homology(6, 1, (0, 1, 2), 1)
+
+
 def test_little_cubes_comparison():
     # every T_n(k) with n, k <= 3 but T_3(3) against the closed form of
     # F(R^n, k), in degrees 0 .. (k-1)(n-1) + 1
