@@ -398,13 +398,23 @@ def ker_expand(sym):
     """The kernel-form representative of a symbol: the image of the
     projection (1 - d^r s^{r-1}) ... (1 - d^1 s^0), a vector over the box
     basis killed by every codegeneracy and congruent to the symbol modulo
-    positive-coface images.  Frozen as a sorted tuple of (Symbol, coeff)."""
-    vec = {sym: 1}
-    for i in range(sym.r):
-        lowered = ((act_codegeneracy(s, i), c) for s, c in vec.items())
-        vec = vec_sum(chain(vec.items(), ((act_coface(t, i + 1), -c)
-                                          for t, c in lowered if t is not None)))
-    return tuple(sorted(vec.items()))
+    positive-coface images.  Frozen as a sorted tuple of (Symbol, coeff).
+
+    Every term keeps f, so the stages run on phi alone: d^{i+1} s^i sends
+    the value i + 1 to i and fixes the others, and the term dies when that
+    makes phi equal across a repeat of f (condition (d))."""
+    k, f, phi, r = sym
+    reps = [t for t in range(len(f) - 1) if f[t] == f[t + 1]]
+    vec = {phi: 1}
+    for i in range(r):
+        out = dict(vec)
+        for p, c in vec.items():
+            moved = tuple(i if v == i + 1 else v for v in p)
+            if any(moved[t] == moved[t + 1] for t in reps):
+                continue
+            out[moved] = out.get(moved, 0) - c
+        vec = {p: c for p, c in out.items() if c}
+    return tuple((_sym(k, f, p, r), c) for p, c in sorted(vec.items()))
 
 
 def ker_expand_checked(sym):
@@ -459,13 +469,13 @@ def _flattening(host, arities):
     (value, phi) pairs per fiber position, values shifted past the earlier
     slots; ``glue(cuts)`` takes one cut per slot, lays the runs out in host
     order and returns the flattened symbol, or None when condition (d)
-    kills it."""
+    kills it.  The symbol is onto when every part is, which NatTransform
+    and ``flatten`` check, so ``glue`` does not."""
     fibers = [[] for _ in range(host.k)]
     for a, v in enumerate(host.f):
         fibers[v - 1].append(a)
     offsets = list(accumulate(arities, initial=0))
     total_k = offsets[-1]
-    onto = set(range(1, total_k + 1))
     # the runs of all parts, concatenated slot by slot, are in fiber order;
     # host position a reads run number order[a], the inverse permutation
     in_fiber_order = list(chain.from_iterable(fibers))
@@ -488,8 +498,6 @@ def _flattening(host, arities):
         if _repeats(pairs):
             return None
         f2, phi2 = zip(*pairs)
-        if set(f2) != onto:
-            raise InvalidSymbol("flattened symbol not onto", host, f2)
         return _sym(total_k, f2, phi2, host.r)
 
     return cut, glue
@@ -502,6 +510,9 @@ def flatten(host, parts):
     the class dies in the colimit."""
     if len(parts) != host.k:
         raise GradingMismatch("one part per slot", host, parts)
+    for part in parts:
+        if not part.is_onto():
+            raise InvalidSymbol("part not onto", host, part)
     cut, glue = _flattening(host, [part.k for part in parts])
     return glue([cut(i, part) for i, part in enumerate(parts)])
 
@@ -593,6 +604,9 @@ class NatTransform:
                 if not (s.k == arity and s.r == r and s.total_degree == degree):
                     raise GradingMismatch("term off its arity, level or "
                                           "degree", s, (arity, r, degree))
+                # flattening is onto exactly when its parts are
+                if not s.is_onto():
+                    raise InvalidSymbol("term not onto", s)
             comps[r] = MappingProxyType(vec)
         _setattr(self, "arity", arity)
         _setattr(self, "degree", degree)

@@ -98,10 +98,12 @@ def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
     twist = _multilinear_twist(h_vec, nats)
-    # the kernel terms of h share its fibers, so one check per h skips them
+    # the kernel terms of h share its fibers, so one check per h skips them;
+    # a flattened phi takes only its host's values, so a term whose phi
+    # misses a positive value gives only symbols the projection kills
     out = vec_sum((t, twist * c * w * v) for h, c in h_vec.items()
                   if levels_match(h, nats)
-                  for hk, w in ker_expand(h)
+                  for hk, w in ker_expand(h) if hk.phi_covers()
                   for t, v in apply_tuple(hk, nats).items())
     return cokernel_project(out, n)
 
@@ -475,15 +477,15 @@ def _index_by_level(operad, pool):
 
 
 def _pick_matching_args(operad, h, rng, pool, by_r=None):
-    """Arguments with levels matching a fiber pattern of some kernel term of
-    h, so the composite has a chance to be nonzero."""
+    """Arguments with levels matching the fiber degrees of h, which every
+    kernel term of h shares, so the composite has a chance to be nonzero.
+    A kernel term is still drawn, as the seeded samples were drawn so."""
     if by_r is None:
         by_r = _index_by_level(operad, pool)
     h_sym = _sym_of(h)
-    terms = [s for s, _ in ker_expand(h_sym)]
-    term = terms[rng.randrange(len(terms))]
+    rng.randrange(len(ker_expand(h_sym)))
     gs = []
-    for m in term.fiber_degrees():
+    for m in h_sym.fiber_degrees():
         cands = by_r.get(m)
         if not cands:
             return None

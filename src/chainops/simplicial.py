@@ -125,7 +125,12 @@ class FiniteSimplicialSet:
             raise InvalidSimplicialSet("a map into [%d] acting on the %d-cell "
                                        "%r" % (alpha.target.level,
                                                self.cell_dim(c), c))
-        gens = delta.decompose(alpha)
+        return self._apply(c, delta.decompose(alpha))
+
+    def _apply(self, c, gens):
+        """c o alpha for alpha given by ``delta.decompose(alpha)``, its
+        dimension already checked (callers decompose alpha once for many
+        cells)."""
         out = c
         for kind, _m, i in reversed(gens):
             out = self.face(out, i) if kind == "d" else self.degeneracy(out, i)
@@ -150,10 +155,11 @@ class FiniteSimplicialSet:
         for j in sorted(self.simplices):
             if j > m:
                 break
+            etas = [delta.decompose(eta) for eta in delta.all_surjections(
+                FinOrd.bracket(m), FinOrd.bracket(j))]
             for name in self.simplices[j]:
                 base = self.cell(name)
-                for eta in delta.all_surjections(FinOrd.bracket(m), FinOrd.bracket(j)):
-                    out.append(self.act(base, eta))
+                out.extend(self._apply(base, gens) for gens in etas)
         if len(set(out)) != len(out):
             raise InvalidSimplicialSet("two normal forms of one %d-cell" % m)
         return tuple(sorted(out))
@@ -201,9 +207,11 @@ class FiniteSimplicialSet:
 
         def op_matrix(alpha):
             # transpose of the pullback c -> c o alpha of simplices
+            # every cell of levels[mp] has alpha's target dimension
             m, mp = alpha.source.level, alpha.target.level
+            gens = delta.decompose(alpha)
             return IntMatrix.from_images(
-                levels[mp], levels[m], lambda c: ((self.act(c, alpha), 1),)
+                levels[mp], levels[m], lambda c: ((self._apply(c, gens), 1),)
             ).transpose()
 
         cofaces = {}

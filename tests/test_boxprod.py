@@ -13,8 +13,8 @@ import pytest
 
 import chainops
 from chainops import intmat
-from chainops.boxprod import (INFINITY, NatTransform, Symbol, ValueOutOfRange,
-                              _family_of, _sym, act_coface, act_codegeneracy,
+from chainops.boxprod import (INFINITY, InvalidSymbol, NatTransform, Symbol,
+                              ValueOutOfRange, _family_of, _sym, act_coface, act_codegeneracy,
                               act_perm, apply_tuple, box_basis, box_level,
                               box_cosimplicial, complexity, count_symbols,
                               conormalized_basis, enumerate_symbols, flatten,
@@ -475,6 +475,33 @@ def test_ker_expand_killed_by_codegeneracies():
                 assert not s.phi_covers()
 
 
+def _reference_ker_expand(sym):
+    """The projection (1 - d^r s^{r-1}) ... (1 - d^1 s^0) applied through
+    the cosimplicial action on whole symbols, one stage at a time."""
+    vec = {sym: 1}
+    for i in range(sym.r):
+        out = dict(vec)
+        for s, c in vec.items():
+            lowered = act_codegeneracy(s, i)
+            if lowered is not None:
+                lifted = act_coface(lowered, i + 1)
+                out[lifted] = out.get(lifted, 0) - c
+        vec = {s: c for s, c in out.items() if c}
+    return tuple(sorted(vec.items()))
+
+
+def test_ker_expand_equals_cosimplicial_action():
+    # every box symbol with k <= 3, q <= 4, at every level r <= q + 1
+    checked = 0
+    for k in (1, 2, 3):
+        for q in range(k - 1, 5):
+            for r in range(q + 2):
+                for sym in box_basis(k, q, r):
+                    assert ker_expand(sym) == _reference_ker_expand(sym), sym
+                    checked += 1
+    assert checked == 45759
+
+
 def test_ker_expand_against_generic_kernel():
     # the explicit projection lands in the SNF-computed kernel subspace
     for k, q, r in [(2, 1, 1), (2, 2, 1), (2, 2, 2), (1, 2, 2), (3, 2, 1)]:
@@ -700,6 +727,16 @@ def test_from_vector_shared_and_read_only():
     with pytest.raises(AttributeError):
         nat.degree = 3
     assert NatTransform.from_vector(2, vec).components == fresh.components
+
+
+def test_nat_transform_rejects_terms_not_onto():
+    # the flattening of parts is onto exactly when every part is, so the
+    # family checks each of its terms
+    lonely = Symbol(2, (1, 1), (0, 1), 1)
+    with pytest.raises(InvalidSymbol):
+        NatTransform(2, lonely.total_degree, {1: {lonely: 1}})
+    onto = Symbol(2, (1, 2), (0, 1), 1)
+    assert NatTransform(2, onto.total_degree, {1: {onto: 1}}).component(1)
 
 
 def test_incompatible_inputs():

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from chainops import boxprod
+from chainops import boxprod, operads
 from chainops.boxprod import (GradingMismatch, NatTransform, Symbol,
                               apply_tuple, enumerate_symbols, ker_expand,
                               levels_match, vec_sum)
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              _arity_of, _multilinear_twist, act_perm_vec,
+                              _arity_of, _composable_tuples,
+                              _multilinear_twist, act_perm_vec,
                               boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
@@ -71,8 +72,8 @@ def test_gamma_cross_validated_by_hand_matrix():
 
 
 def _gamma_unskipped(h_vec, arg_vecs):
-    """gamma_substitution without the fiber-level skip: every kernel term
-    of every h goes through apply_tuple."""
+    """gamma_substitution without the fiber-level and cover skips: every
+    kernel term of every h goes through apply_tuple."""
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
@@ -133,6 +134,41 @@ def test_fiber_skip_on_unit_laws():
                     right = op.gamma(g, [unit] * k)
                     assert right == _gamma_unskipped(g, [unit] * k)
                     assert vec_eq(right, g)
+
+
+def test_cover_skip_on_sampled_tuples(monkeypatch):
+    # the axiom sampler's tuples for T(3, q <= 4), seed 7.  A kernel term
+    # whose phi misses a positive value flattens only to symbols missing
+    # it too, which the projection kills; gamma_substitution applies the
+    # covering terms alone
+    op = TruncatedChainOperad(None, 3, 4)
+    tuples = _composable_tuples(op, random.Random(7), 60, 40)
+    applied = []
+
+    def counted(host, nats):
+        applied.append(host)
+        return apply_tuple(host, nats)
+    monkeypatch.setattr(operads, "apply_tuple", counted)
+    covering = skipped = skipped_nonzero = 0
+    for h_vec, gs in tuples:
+        nats = [NatTransform.from_vector(_arity_of(g), g) for g in gs]
+        for h in h_vec:
+            if not levels_match(h, nats):
+                continue
+            for hk, _ in ker_expand(h):
+                if hk.phi_covers():
+                    covering += 1
+                    continue
+                out = apply_tuple(hk, nats)
+                assert not any(t.phi_covers() for t in out), (hk, gs)
+                skipped += 1
+                skipped_nonzero += bool(out)
+        gamma_substitution(h_vec, gs)
+    assert all(hk.phi_covers() for hk in applied)
+    assert len(applied) == covering
+    # the sampler is seeded, so the counts are fixed: 49 applications
+    # skipped, each of them nonzero before the projection
+    assert (covering, skipped, skipped_nonzero) == (45, 49, 49)
 
 
 def test_wrong_argument_count_raises():
