@@ -33,7 +33,7 @@ from math import comb, prod
 from operator import eq, itemgetter
 from types import MappingProxyType
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, vec_sum
 from .complexes import GradedIntComplex
 
 
@@ -130,14 +130,6 @@ def _repeats(pairs):
 def _sym(k, f, phi, r):
     """Unchecked constructor for symbols valid by construction (hot loops)."""
     return tuple.__new__(Symbol, (k, f, phi, r))
-
-
-def vec_sum(terms):
-    """The vector sum of (symbol, coefficient) terms, without zeros."""
-    out = {}
-    for s, c in terms:
-        out[s] = out.get(s, 0) + c
-    return {s: c for s, c in out.items() if c}
 
 
 def complexity(seq):
@@ -407,20 +399,22 @@ def ker_expand(sym):
     reps = [t for t in range(len(f) - 1) if f[t] == f[t + 1]]
     vec = {phi: 1}
     for i in range(r):
-        out = dict(vec)
-        for p, c in vec.items():
-            moved = tuple(i if v == i + 1 else v for v in p)
-            if any(moved[t] == moved[t + 1] for t in reps):
-                continue
-            out[moved] = out.get(moved, 0) - c
-        vec = {p: c for p, c in out.items() if c}
+        moved = ((tuple(i if v == i + 1 else v for v in p), -c)
+                 for p, c in vec.items())
+        vec = vec_sum(chain(vec.items(), (
+            (p, c) for p, c in moved
+            if not any(p[t] == p[t + 1] for t in reps))))
     return tuple((_sym(k, f, p, r), c) for p, c in sorted(vec.items()))
 
 
 def ker_expand_checked(sym):
-    """ker_expand plus the mechanical verification that every codegeneracy
+    """ker_expand plus the mechanical verification that every term is a
+    box-basis symbol (onto and interleaved) and that every codegeneracy
     kills the result; failure would signal a bug, never expected."""
     vec = dict(ker_expand(sym))
+    for s in vec:
+        if not (s.is_onto() and s.interleaved()):
+            raise NormalizationFailure(("not a box-basis symbol", sym, s))
     for i in range(sym.r):
         lowered = ((act_codegeneracy(s, i), c) for s, c in vec.items())
         if vec_sum((t, c) for t, c in lowered if t is not None):

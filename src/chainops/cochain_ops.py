@@ -15,6 +15,7 @@ from functools import cached_property
 
 from . import delta
 from .delta import FinOrd, OrderedMap
+from .intmat import vec_sum
 from .operads import CheckReport
 
 
@@ -45,16 +46,11 @@ class CochainElement:
     def value(self, cell):
         return self._lookup.get(cell, 0)
 
-    def as_dict(self):
-        return dict(self.values)
-
     def __add__(self, other):
         if self.level != other.level:
             raise LevelMismatch((self.level, other.level))
-        out = self.as_dict()
-        for c, v in other.values:
-            out[c] = out.get(c, 0) + v
-        return CochainElement.make(self.level, out)
+        return CochainElement.make(self.level,
+                                   vec_sum(self.values + other.values))
 
     def scale(self, c):
         return CochainElement.make(self.level, {k: c * v for k, v in self.values})

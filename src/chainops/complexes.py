@@ -11,7 +11,7 @@ import json
 from functools import partial
 
 from . import intmat
-from .intmat import IntMatrix, ShapeMismatch
+from .intmat import IntMatrix, ShapeMismatch, vec_sum
 
 
 class DegreeOutsideWindow(Exception):
@@ -80,8 +80,7 @@ class GradedIntComplex:
         lo, hi = self.window
         for d in range(lo + 2, hi + 1):
             prod = self.diff[d - 1] * self.diff[d]
-            if any(v % self.prime if self.prime else v
-                   for v in prod.data.values()):
+            if vec_sum(prod.data.items(), self.prime):
                 raise NotSquareZero(
                     "d o d != 0 between degrees %d -> %d" % (d, d - 2))
 

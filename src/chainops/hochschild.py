@@ -19,7 +19,7 @@ from itertools import product
 
 from . import intmat
 from .complexes import GradedIntComplex, reduced_homology
-from .intmat import IntMatrix
+from .intmat import IntMatrix, vec_sum
 
 
 # hochschild_cohomology refuses cochain spaces above this dimension, and
@@ -173,12 +173,8 @@ class HochschildCochain:
     @classmethod
     def sum(cls, algebra, degree, terms):
         """The cochain sum c * label over the (label, c) pairs of terms."""
-        acc = {}
-        for label, c in terms:
-            acc[label] = acc.get(label, 0) + c
-        red = algebra._red
-        return cls(algebra, degree, tuple(sorted(
-            (label, r) for label, c in acc.items() if (r := red(c)))))
+        return cls(algebra, degree,
+                   tuple(sorted(vec_sum(terms, algebra.prime).items())))
 
     @classmethod
     def make(cls, algebra, degree, mapping):
@@ -305,8 +301,7 @@ def differential_matrix(R, p):
     pushed straight through ``_differential_terms``."""
     m = IntMatrix.from_images(coordinates(R, p), coordinates(R, p + 1),
                               lambda label: _differential_terms(R, p, label))
-    return IntMatrix(m.rows, m.cols,
-                     {ij: R._red(c) for ij, c in m.data.items()})
+    return IntMatrix(m.rows, m.cols, vec_sum(m.data.items(), R.prime))
 
 
 def modp_eliminate(m, p):

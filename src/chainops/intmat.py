@@ -7,12 +7,25 @@ after construction; every operation returns a fresh matrix.
 """
 
 import heapq
+from itertools import chain
 
 
 class ShapeMismatch(AssertionError):
     """Matrix shapes or indices that do not fit together.  Raised
     explicitly, so the checks also run under ``python -O``; an
     AssertionError, as the checks used to be asserts."""
+
+
+def vec_sum(terms, prime=0):
+    """The sum of (key, coefficient) terms as a dict, over Z or, for a
+    nonzero prime, with coefficients reduced mod prime; zeros are dropped
+    and keys keep their first-seen order."""
+    out = {}
+    for s, c in terms:
+        out[s] = out.get(s, 0) + c
+    if prime:
+        return {s: r for s, c in out.items() if (r := c % prime)}
+    return {s: c for s, c in out.items() if c}
 
 
 class IntMatrix:
@@ -49,12 +62,9 @@ class IntMatrix:
         an iterable of (target label, coefficient) pairs.  Repeated targets
         add up; a target outside ``targets`` raises KeyError."""
         index = {t: i for i, t in enumerate(targets)}
-        data = {}
-        for j, s in enumerate(sources):
-            for t, c in image(s):
-                key = (index[t], j)
-                data[key] = data.get(key, 0) + c
-        return cls(len(targets), len(sources), data)
+        return cls(len(targets), len(sources), vec_sum(
+            ((index[t], j), c) for j, s in enumerate(sources)
+            for t, c in image(s)))
 
     def columns(self):
         """Column view {j: [(i, value), ...]} of the nonzero entries."""
@@ -116,10 +126,8 @@ class IntMatrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("sum of %r and %r" % (self, other))
-        data = dict(self.data)
-        for k, v in other.data.items():
-            data[k] = data.get(k, 0) + v
-        return IntMatrix(self.rows, self.cols, data)
+        return IntMatrix(self.rows, self.cols, vec_sum(
+            chain(self.data.items(), other.data.items())))
 
     def __sub__(self, other):
         return self + (-other)
@@ -450,18 +458,14 @@ def solve(m, b, prime=0):
         raise ShapeMismatch("solving %r against %r" % (m, b))
     diag, u, v = smith_normal_form(m, prime)
     y = {}
-    for (i, l), x in (u * b).data.items():
-        if prime:
-            x %= prime
-            if not x:
-                continue
+    for (i, l), x in vec_sum((u * b).data.items(), prime).items():
         if i >= len(diag) or x % diag[i]:
             return None
         y[(i, l)] = x // diag[i]
     x = v * IntMatrix(m.cols, b.cols, y)
     if prime:
-        x = IntMatrix(x.rows, x.cols, {k: c % prime for k, c in x.data.items()})
-        if any(c % prime for c in (m * x - b).data.values()):
+        x = IntMatrix(x.rows, x.cols, vec_sum(x.data.items(), prime))
+        if vec_sum((m * x - b).data.items(), prime):
             return None
     return x
 

@@ -6,10 +6,15 @@ Composition is implemented twice and cross-validated:
 
 * substitution: expand each factor into its kernel form, substitute along
   matching fiber sizes, flatten through the coherence map, and project back
-  to the symbol basis;
-* matrix composite: assemble the full induced map on a box level for the
-  tuple of arguments (checked to be a chain map and natural in the level)
-  and apply it to the kernel form of the first factor.
+  to the symbol basis, skipping the kernel terms that cannot survive;
+* matrix composite: apply the map that the arguments induce on the box
+  product (``boxprod.apply_tuple``) to every term of the kernel form of the
+  first factor, checked to be killed by the codegeneracies and to lie in
+  the box basis, with no skip, and project the sum.
+
+That the induced map is a chain map and natural in the level is tested on
+whole box levels through ``boxprod.box_functorial_map`` in
+``tests/test_boxprod.py``.
 
 Truncations come in two flavors.  Axiom windows cap the simplex budget q
 (the symbols span a subcomplex since the differential never raises q).
@@ -118,25 +123,19 @@ def _multilinear_twist(h_vec, nats):
 
 
 def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
-    """Composition through the assembled functorial map on box levels."""
+    """Composition by the induced map on the box product, evaluated on the
+    checked kernel form of h term by term: the unskipped reference that
+    ``gamma_substitution`` is cross-checked against.  Terms at different
+    levels are different symbols, so one sum serves all levels."""
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
     twist = _multilinear_twist(h_vec, nats)
-    expanded = {}
-    for h, c in h_vec.items():
-        expanded.setdefault(h.r, []).extend(
-            (hk, c * w) for hk, w in ker_expand_checked(h).items())
-    terms = []
-    for r, level in expanded.items():
-        kvec = vec_sum(level)
-        if not kvec:
-            continue
-        table = boxprod.box_functorial_map(len(nats), nats, r,
-                                           max(s.q for s in kvec))
-        terms.extend((t, twist * c * v) for s, c in kvec.items()
-                     for t, v in table[s].items())
-    return cokernel_project(vec_sum(terms), n)
+    kvec = vec_sum((hk, c * w) for h, c in h_vec.items()
+                   for hk, w in ker_expand_checked(h).items())
+    return cokernel_project(vec_sum(
+        (t, twist * c * v) for s, c in kvec.items()
+        for t, v in apply_tuple(s, nats).items()), n)
 
 
 def _arity_of(vec):
@@ -175,16 +174,15 @@ def act_perm_vec(vec, sigma):
 
 @dataclass
 class TruncatedChainOperad:
-    """Arity-indexed symbol complexes with unit, symmetric actions, and
-    composition, truncated at simplex budget q <= q_cap."""
+    """The operad data, its unit and composition, truncated at simplex
+    budget q <= q_cap: arity k has symbols exactly when k <= q_cap + 1."""
     n: object            # complexity bound (None for the E-infinity operad)
     k_max: int
     q_cap: int
-    complexes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for k in range(1, self.k_max + 1):
-            self.complexes[k] = symbol_complex(k, self.n, self.q_cap)
+        if self.k_max > self.q_cap + 1:
+            raise BoundsExceededError((self.q_cap + 2, self.q_cap))
 
     @property
     def family(self):
@@ -201,15 +199,6 @@ class TruncatedChainOperad:
 
     def gamma(self, h_vec, arg_vecs):
         return gamma_substitution(h_vec, arg_vecs, self.n)
-
-    def gamma_matrix(self, h_vec, arg_vecs):
-        return gamma_matrix(h_vec, arg_vecs, self.n)
-
-    def boundary(self, vec):
-        return boundary_vec(vec)
-
-    def sigma(self, vec, sigma):
-        return act_perm_vec(vec, sigma)
 
 
 def symbol_complex(k, n, q_cap):
@@ -266,9 +255,10 @@ class HomologyReport:
         }
 
 
-def operad_homology(k, n, degrees, level_cap, strict=True):
+def operad_homology(k, n, degrees, level_cap):
     """Homology of the level-truncated operad arity with a stabilization
-    certificate: the groups must agree at level_cap and level_cap + 1.
+    certificate: the groups must agree at level_cap and level_cap + 1, or
+    NotStabilized is raised with the report as its argument.
     For family T (n None) a window above MAX_WINDOW_SYMBOLS, counted by
     ``boxprod.count_symbols``, raises InfeasibleSize before anything is
     built; for Tn that count is only an upper bound, and nothing is
@@ -290,7 +280,7 @@ def operad_homology(k, n, degrees, level_cap, strict=True):
     stable = g1 == g2
     family = "T" if n in (None, INFINITY) else "T%d" % n
     report = HomologyReport(family, k, level_cap, degrees, g1, g2, stable)
-    if strict and not stable:
+    if not stable:
         raise NotStabilized(report)
     return report
 
@@ -385,7 +375,7 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
 
     item = report.item("gamma is a chain map")
     for h, gs, out in results:
-        lhs = operad.boundary(out)
+        lhs = boundary_vec(out)
         rhs = operad.gamma(boundary_vec(h), gs)
         sgn = vec_degree(h)
         for i, g in enumerate(gs):
@@ -416,7 +406,7 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
             inv = [0] * (k + 1)
             for i, v in enumerate(sigma):
                 inv[v] = i + 1
-            hs = operad.sigma(h, sigma)
+            hs = act_perm_vec(h, sigma)
             lhs = operad.gamma(hs, gs)
             permuted = [gs[inv[s] - 1] for s in range(1, k + 1)]
             eps = koszul_sign([vec_degree(g) for g in gs],
@@ -435,7 +425,7 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
             continue
         taus = [t if t is not None else tuple(range(1, _arity_of(g) + 1))
                 for t, g in zip(taus, gs)]
-        lhs = operad.gamma(h, [operad.sigma(g, t) for g, t in zip(gs, taus)])
+        lhs = operad.gamma(h, [act_perm_vec(g, t) for g, t in zip(gs, taus)])
         blocksum = tuple(
             v + sum(_arity_of(g) for g in gs[:i])
             for i, t in enumerate(taus) for v in t)
@@ -445,7 +435,7 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
     if cross_check:
         item = report.item("substitution gamma equals matrix gamma")
         for h, gs, out in results:
-            other = operad.gamma_matrix(h, gs)
+            other = gamma_matrix(h, gs, operad.n)
             item.record(vec_eq(out, other), ("pipelines", h, gs))
 
     return report

@@ -246,6 +246,17 @@ def test_from_images():
         IntMatrix.from_images(("u",), ("a",), image.__getitem__)
 
 
+def test_vec_sum_over_z_and_mod_p():
+    # zeros dropped after summing, keys in first-seen order, coefficients
+    # reduced into 0..p-1 over Z/p
+    terms = [("a", 2), ("b", 3), ("c", 1), ("a", -2), ("b", 2), ("d", 0)]
+    assert list(intmat.vec_sum(terms).items()) == [("b", 5), ("c", 1)]
+    assert list(intmat.vec_sum(terms, 5).items()) == [("c", 1)]
+    assert list(intmat.vec_sum(terms, 3).items()) == [("b", 2), ("c", 1)]
+    assert intmat.vec_sum([("x", -1)], 7) == {"x": 6}
+    assert intmat.vec_sum(iter(())) == {}
+
+
 def test_inverse_unimodular_rejects():
     with pytest.raises(intmat.NotUnimodular):
         intmat.inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from chainops import boxprod, operads
-from chainops.boxprod import (GradingMismatch, NatTransform, Symbol,
-                              apply_tuple, enumerate_symbols, ker_expand,
-                              levels_match, vec_sum)
+from chainops.boxprod import (GradingMismatch, NatTransform,
+                              NormalizationFailure, Symbol, apply_tuple,
+                              enumerate_symbols, ker_expand,
+                              ker_expand_checked, levels_match, vec_sum)
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
                               _arity_of, _composable_tuples,
                               _multilinear_twist, act_perm_vec,
@@ -171,14 +172,73 @@ def test_cover_skip_on_sampled_tuples(monkeypatch):
     assert (covering, skipped, skipped_nonzero) == (45, 49, 49)
 
 
+def test_gamma_matrix_applies_each_kernel_term_once(monkeypatch):
+    # the axiom sampler's tuples for T(3, q <= 4), seed 7: the matrix
+    # composite evaluates the induced map on the summed kernel form of h
+    # alone, one apply_tuple per term, and builds no box-level table
+    op = TruncatedChainOperad(None, 3, 4)
+    tuples = _composable_tuples(op, random.Random(7), 60, 40)
+    applied = []
+
+    def counted(host, nats):
+        applied.append(host)
+        return apply_tuple(host, nats)
+
+    def table(*args):
+        raise AssertionError("box-level table built", args)
+    monkeypatch.setattr(operads, "apply_tuple", counted)
+    monkeypatch.setattr(boxprod, "box_functorial_map", table)
+    for h_vec, gs in tuples:
+        kvec = vec_sum((hk, c * w) for h, c in h_vec.items()
+                       for hk, w in ker_expand(h))
+        applied.clear()
+        gamma_matrix(h_vec, gs)
+        assert sorted(applied) == sorted(kvec), (h_vec, gs)
+
+
+def test_kernel_term_outside_box_basis_raised(monkeypatch):
+    # a kernel term that is not interleaved, or not onto, has no value
+    # under the induced map: ker_expand_checked refuses it, and the matrix
+    # composite passes the refusal on
+    h = Symbol(2, (1, 2), (0, 0), 0)
+    g = {Symbol(1, (1,), (0,), 0): 1}
+    real = boxprod.ker_expand
+    for bad in (Symbol(2, (1, 1, 2), (0, 0, 0), 0),
+                Symbol(2, (1, 1), (0, 0), 0)):
+        monkeypatch.setattr(boxprod, "ker_expand",
+                            lambda s: ((bad, 1),) if s == h else real(s))
+        with pytest.raises(NormalizationFailure):
+            ker_expand_checked(h)
+        with pytest.raises(NormalizationFailure):
+            gamma_matrix({h: 1}, [g, g])
+
+
+def test_symbol_complexes_close_under_the_differential():
+    # building a window checks that t_boundary stays inside it (from_images
+    # raises KeyError on a target outside the basis) and that d o d = 0;
+    # for family T the basis is every counted symbol
+    for n, q_cap in ((1, 5), (2, 4), (None, 4)):
+        for k in (1, 2, 3):
+            cx = symbol_complex(k, n, q_cap)
+            size = sum(len(labels) for labels in cx.basis.values())
+            assert size == sum(len(enumerate_symbols(k, q, r, n))
+                               for q in range(k - 1, q_cap + 1)
+                               for r in range(q + 2))
+            if n is None:
+                assert size == sum(boxprod.count_symbols(k, q, r)
+                                   for q in range(k - 1, q_cap + 1)
+                                   for r in range(q + 2))
+
+
 def test_wrong_argument_count_raises():
     # one argument per slot of h, even when no fiber of h could match
     h = {Symbol(2, (1, 2), (0, 0), 0): 1}
     g = {Symbol(1, (1,), (0,), 0): 1}
     far = {Symbol(1, (1, 1, 1, 1), (0, 1, 2, 3), 3): 1}
     for args in ([g], [g, g, g], [far], [far, far, far]):
-        with pytest.raises(GradingMismatch):
-            gamma_substitution(h, args)
+        for gamma in (gamma_substitution, gamma_matrix):
+            with pytest.raises(GradingMismatch):
+                gamma(h, args)
     nats = [NatTransform.from_vector(1, far)]
     with pytest.raises(GradingMismatch):
         levels_match(next(iter(h)), nats)
@@ -292,9 +352,9 @@ def test_not_stabilized_raised(monkeypatch):
         return real(k, n, level_cap, window)
 
     monkeypatch.setattr(ops, "level_truncated_complex", fake)
-    with pytest.raises(NotStabilized):
+    with pytest.raises(NotStabilized) as info:
         ops.operad_homology(2, None, (0,), 3)
-    rep = ops.operad_homology(2, None, (0,), 3, strict=False)
+    rep = info.value.args[0]
     assert not rep.stabilized and rep.groups != rep.groups_next
 
 
