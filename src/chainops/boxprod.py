@@ -619,16 +619,6 @@ class NatTransform:
         items: one family per argument however often it is composed with."""
         return _family_of(arity, tuple(vec.items()))
 
-    @classmethod
-    def identity(cls, level_cap):
-        """The identity of the standard cosimplicial chain complex, i.e. the
-        operad unit: top cell at every level."""
-        comp = {}
-        for r in range(level_cap + 1):
-            sym = Symbol(1, (1,) * (r + 1), tuple(range(r + 1)), r)
-            comp[r] = {sym: 1}
-        return cls(1, 0, comp)
-
     def component(self, r):
         return self.components.get(r, {})
 

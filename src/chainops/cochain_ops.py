@@ -28,10 +28,10 @@ class LevelMismatch(AssertionError):
 @dataclass(frozen=True)
 class CochainElement:
     """Integer function on the simplices of one level; ``level`` is the
-    skeletal dimension m, or None for the empty level.  The sorted values
-    are the canonical form (equality, hashing, reports); ``value`` reads a
-    dict built from them on first use."""
-    level: object               # int >= 0 or None
+    skeletal dimension m, -1 for the empty level.  The sorted values are
+    the canonical form (equality, hashing, reports); ``value`` reads a dict
+    built from them on first use."""
+    level: int                  # >= -1
     values: tuple               # sorted ((cell, value), ...), zeros dropped
 
     @classmethod
@@ -58,26 +58,39 @@ class CochainElement:
 
 class AugmentedCochainSystem:
     """Levels of integer cochains on a finite simplicial set, with the full
-    action of ordered maps and the fiberwise operations.  Faces and the
-    action on cells are memoized for the life of the system."""
+    action of ordered maps and the fiberwise operations.  The empty level
+    is [-1], with the single cell (); the action of an ordered map on a
+    whole level is tabulated once for the life of the system."""
 
     def __init__(self, W, level_cap):
         self.W = W
         self.level_cap = level_cap
-        self._cells = {m: W.cells(m) for m in range(level_cap + 1)}
-        self._faces = {}        # (cell, subset) -> W.restrict(cell, subset)
-        self._acted = {}        # (cell, alpha) -> W.act(cell, alpha)
+        self._tables = {}       # (m, values) -> pullback(m, values)
 
     def cells(self, m):
-        if m is None:
-            return ((),)
         if m > self.level_cap:
             raise LevelMismatch((m, self.level_cap))
-        return self._cells[m]
+        return self.W.cells(m) if m >= 0 else ((),)
+
+    def pullback(self, m, values):
+        """The table {sigma: sigma o alpha} over the cells of level m, for
+        the ordered map alpha into [m] with these values; a map out of [-1]
+        sends every cell to the augmentation point ()."""
+        key = (m, values)
+        table = self._tables.get(key)
+        if table is None:
+            cells = self.cells(m)       # refuses levels above the cap
+            if values:
+                table = self.W.pullback(
+                    OrderedMap(FinOrd(len(values)), FinOrd.bracket(m), values))
+            else:
+                table = dict.fromkeys(cells, ())
+            self._tables[key] = table
+        return table
 
     def epsilon(self):
         """The distinguished generator of the empty level."""
-        return CochainElement.make(None, {(): 1})
+        return CochainElement.make(-1, {(): 1})
 
     def zero(self, level):
         return CochainElement.make(level, {})
@@ -89,52 +102,23 @@ class AugmentedCochainSystem:
         return CochainElement.make(self.W.cell_dim(cell), {cell: 1})
 
     def basis(self, m):
-        if m is None:
+        if m == -1:
             return [self.epsilon()]
         return [self.dual(name) for name in self.W.nondegenerate(m)]
 
-    def restrict(self, cell, subset):
-        """sigma(U): the face spanned by a subset of the vertex positions;
-        the empty subset gives the augmentation point (returned as ())."""
-        subset = tuple(subset)
-        if not subset:
-            return ()
-        key = (cell, subset)
-        face = self._faces.get(key)
-        if face is None:
-            face = self._faces[key] = self.W.restrict(cell, subset)
-        return face
-
-    def act(self, cell, alpha):
-        """The cell sigma o alpha, as ``W.act``."""
-        key = (cell, alpha)
-        out = self._acted.get(key)
-        if out is None:
-            out = self._acted[key] = self.W.act(cell, alpha)
-        return out
-
     def pushforward(self, x, alpha):
         """The map of cochain levels induced by an ordered map of levels:
-        (alpha_* x)(sigma) = x(sigma o alpha).  Empty sources and targets
-        are the augmentation level."""
-        src_level = alpha.source.level if alpha.source.size else None
-        tgt_level = alpha.target.level if alpha.target.size else None
-        if x.level != src_level:
-            raise LevelMismatch((x.level, src_level))
-        if src_level is None:
-            c = x.value(())
-            return CochainElement.make(
-                tgt_level, {cell: c for cell in self.cells(tgt_level)})
-        out = {}
-        for cell in self.cells(tgt_level):
-            v = x.value(self.act(cell, alpha))
-            if v:
-                out[cell] = v
-        return CochainElement.make(tgt_level, out)
+        (alpha_* x)(sigma) = x(sigma o alpha)."""
+        if x.level != alpha.source.level:
+            raise LevelMismatch((x.level, alpha.source.level))
+        m = alpha.target.level
+        value = x.value
+        return CochainElement.make(m, {
+            cell: value(face)
+            for cell, face in self.pullback(m, alpha.values).items()})
 
     def coface(self, x, i):
-        m = x.level if x.level is not None else -1
-        return self.pushforward(x, delta.coface(m, i))
+        return self.pushforward(x, delta.coface(x.level, i))
 
     def codegeneracy(self, x, i):
         return self.pushforward(x, delta.codegeneracy(x.level, i))
@@ -144,11 +128,13 @@ class AugmentedCochainSystem:
     def _product(self, m, xs, subsets):
         """The level-m cochain whose value on a cell is the product of the
         x_i on its faces spanned by the vertex positions subsets[i]."""
+        factors = [(x.value, self.pullback(m, subset))
+                   for x, subset in zip(xs, subsets)]
         out = {}
         for cell in self.cells(m):
             prod = 1
-            for x, subset in zip(xs, subsets):
-                prod *= x.value(self.restrict(cell, subset))
+            for value, table in factors:
+                prod *= value(table[cell])
                 if not prod:
                     break
             if prod:
@@ -159,13 +145,14 @@ class AugmentedCochainSystem:
         """Front-face/back-face product: the vertex p is shared."""
         p, q = x.level, y.level
         return self._product(p + q, (x, y),
-                             (range(p + 1), range(p, p + q + 1)))
+                             (tuple(range(p + 1)), tuple(range(p, p + q + 1))))
 
     def sqcup(self, x, y):
         """Degree-raising join: the partition has no shared vertex."""
         p, q = x.level, y.level
         return self._product(p + q + 1, (x, y),
-                             (range(p + 1), range(p + 1, p + q + 2)))
+                             (tuple(range(p + 1)),
+                              tuple(range(p + 1, p + q + 2))))
 
     def angle(self, f, xs):
         """The operation indexed by f: [m] -> {1..k} (as a tuple of values):
@@ -180,10 +167,9 @@ class AugmentedCochainSystem:
         fibers = [tuple(t for t, v in enumerate(f) if v == i + 1)
                   for i in range(k)]
         for fib, x in zip(fibers, xs):
-            want = len(fib) - 1 if fib else None
-            if x.level != want:
-                raise LevelMismatch((x.level, want))
-        return self._product(len(f) - 1 if f else None, xs, fibers)
+            if x.level != len(fib) - 1:
+                raise LevelMismatch((x.level, len(fib) - 1))
+        return self._product(len(f) - 1, xs, fibers)
 
 
 # -- identity verification ----------------------------------------------------
@@ -212,9 +198,6 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     eps = sys_.epsilon()
     M = level_cap
 
-    def bases(m):
-        return sys_.basis(m if m >= 0 else None)
-
     # unit 0-cochain: the constant function 1 on vertices
     e = sys_.zero(0)
     for x in sys_.basis(0):
@@ -231,8 +214,8 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     it_cup_join = report.item("cup from join")
     for p in range(0, M):
         for q in range(0, M - p):
-            for x in bases(p):
-                for y in bases(q):
+            for x in sys_.basis(p):
+                for y in sys_.basis(q):
                     if p + q + 1 <= M:
                         xy = sys_.cup(x, y)
                         for i in range(p + q + 1):
@@ -290,7 +273,7 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
                             sys_.cup(x, y) == sys_.codegeneracy(lhs, p),
                             ("cup-from-join", p, q, x, y))
         if p + 1 <= M:
-            for x in bases(p):
+            for x in sys_.basis(p):
                 lhs = sys_.codegeneracy(sys_.sqcup(x, e), p)
                 rhs = sys_.codegeneracy(sys_.sqcup(e, x), 0)
                 it_join_e.record(lhs == x and rhs == x, ("join-unit", p, x))
@@ -300,8 +283,8 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     for p in range(0, M - 1):
         for q in range(0, M - 1 - p):
             f = tuple([1] * (p + 1) + [2] * (q + 1))
-            for x in bases(p):
-                for y in bases(q):
+            for x in sys_.basis(p):
+                for y in sys_.basis(q):
                     it_block.record(angle(f, [x, y]) == sys_.sqcup(x, y),
                                 ("join-block", f, x, y))
 
@@ -309,26 +292,16 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     it_nat = report.item("naturality of fiberwise operations (k=2)")
     for m1 in range(-1, min(3, M) + 1):
         for m2 in range(-1, min(3, M) + 1):
-            src = FinOrd(m1 + 1)
-            tgt = FinOrd(m2 + 1)
-            for phi in delta.all_ordered_maps(src, tgt):
+            for phi in delta.all_ordered_maps(FinOrd.bracket(m1),
+                                              FinOrd.bracket(m2)):
                 for gmask in range(2 ** (m2 + 1)):
                     g = tuple(1 + (gmask >> t & 1) for t in range(m2 + 1))
                     f = tuple(g[phi.values[t]] for t in range(m1 + 1))
                     phis = _restriction_map(f, g, phi)
                     fib_f = [sum(1 for v in f if v == i) - 1 for i in (1, 2)]
-                    for x in bases(fib_f[0]):
-                        for y in bases(fib_f[1]):
-                            if m1 >= 0:
-                                lhs = sys_.pushforward(angle(f, [x, y]), phi)
-                            else:
-                                # empty source: the operation lands in eps
-                                val = x.value(()) * y.value(())
-                                if m2 >= 0:
-                                    lhs = sys_.pushforward(
-                                        eps.scale(val), _empty_map(tgt))
-                                else:
-                                    lhs = eps.scale(val)
+                    for x in sys_.basis(fib_f[0]):
+                        for y in sys_.basis(fib_f[1]):
+                            lhs = sys_.pushforward(angle(f, [x, y]), phi)
                             xs2 = sys_.pushforward(x, phis[0])
                             ys2 = sys_.pushforward(y, phis[1])
                             rhs = angle(g, [xs2, ys2])
@@ -342,8 +315,8 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
             f = tuple(1 + (fmask >> t & 1) for t in range(m + 1))
             tf = tuple(3 - v for v in f)
             fib = [sum(1 for v in f if v == i) - 1 for i in (1, 2)]
-            for x in bases(fib[0]):
-                for y in bases(fib[1]):
+            for x in sys_.basis(fib[0]):
+                for y in sys_.basis(fib[1]):
                     it_sym.record(angle(f, [x, y]) == angle(tf, [y, x]),
                                 ("symmetry", f, x, y))
 
@@ -354,14 +327,14 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
         for g in _all_functions(m + 1, 3):
             fibs = [tuple(t for t, v in enumerate(g) if v == i)
                     for i in (1, 2, 3)]
-            levels = [len(fb) - 1 if fb else None for fb in fibs]
+            levels = [len(fb) - 1 for fb in fibs]
             alpha_g = tuple(1 if v in (1, 2) else 2 for v in g)
             beta_g = tuple(1 if v == 1 else 2 for v in g)
             g1 = tuple(v for v in g if v in (1, 2))
             g2 = tuple(v - 1 for v in g if v in (2, 3))
-            for x in bases(levels[0] if levels[0] is not None else -1):
-                for y in bases(levels[1] if levels[1] is not None else -1):
-                    for z in bases(levels[2] if levels[2] is not None else -1):
+            for x in sys_.basis(levels[0]):
+                for y in sys_.basis(levels[1]):
+                    for z in sys_.basis(levels[2]):
                         left = angle(alpha_g, [angle(g1, [x, y]), z])
                         right = angle(beta_g, [x, angle(g2, [y, z])])
                         direct = angle(g, [x, y, z])
@@ -374,15 +347,11 @@ def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
     for m in range(0, min(4, M) + 1):
         f1 = (1,) * (m + 1)
         f2 = (2,) * (m + 1)
-        for x in bases(m):
+        for x in sys_.basis(m):
             it_unit.record(angle(f1, [x, eps]) == x, ("unit-right", m, x))
             it_unit.record(angle(f2, [eps, x]) == x, ("unit-left", m, x))
 
     return report
-
-
-def _empty_map(tgt):
-    return OrderedMap(FinOrd(0), tgt, ())
 
 
 def _all_functions(length, k):

@@ -97,8 +97,8 @@ def cokernel_project(vec, n=INFINITY):
 
 def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
     """Composition by symbol substitution.  Arguments are vectors over the
-    conormalized symbol basis; the unit is NatTransform.identity promoted to
-    a vector on demand (use TruncatedChainOperad.gamma for that)."""
+    conormalized symbol basis, the operad unit included (the top cell at
+    every level, as ``TruncatedChainOperad.unit`` builds it)."""
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
@@ -322,13 +322,18 @@ class CheckReport:
         }
 
 
-def _basis_vectors(operad, k):
-    out = []
-    for q in range(k - 1, operad.q_cap + 1):
-        for r in range(q + 2):
-            for s in enumerate_symbols(k, q, r, operad.n):
-                out.append({s: 1})
-    return out
+def _symbol_pools(operad):
+    """The basis vectors {s: 1} of each arity, and the same vectors by
+    level."""
+    pool, by_r = {}, {}
+    for k in range(1, operad.k_max + 1):
+        vecs = pool[k] = []
+        for q in range(k - 1, operad.q_cap + 1):
+            for r in range(q + 2):
+                for s in enumerate_symbols(k, q, r, operad.n):
+                    vecs.append({s: 1})
+                    by_r.setdefault(r, []).append(vecs[-1])
+    return pool, by_r
 
 
 def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
@@ -343,24 +348,26 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
     report = CheckReport({"family": operad.family, "q_cap": operad.q_cap,
                           "seed": seed})
     unit = operad.unit()
+    pool, by_r = _symbol_pools(operad)
 
     # unit laws: exhaustive per arity up to the cap, sampled beyond
     item = report.item("unit laws")
     for k in range(1, operad.k_max + 1):
-        pool = _basis_vectors(operad, k)
-        if len(pool) > unit_cap:
-            head = [g for g in pool if _sym_of(g).q <= 3]
-            rest = [g for g in pool if _sym_of(g).q > 3]
+        gs = pool[k]
+        if len(gs) > unit_cap:
+            head = [g for g in gs if _sym_of(g).q <= 3]
+            rest = [g for g in gs if _sym_of(g).q > 3]
             rng.shuffle(rest)
-            pool = head + rest[:max(0, unit_cap - len(head))]
-        for g in pool:
+            gs = head + rest[:max(0, unit_cap - len(head))]
+        for g in gs:
             lhs = operad.gamma(unit, [g])
             item.record(vec_eq(lhs, g), ("gamma(1;g)", g))
             rhs = operad.gamma(g, [unit] * k)
             item.record(vec_eq(rhs, g), ("gamma(g;1..1)", g))
 
     # composable tuples (h; g_1..g_k) with the result inside the window
-    tuples = _composable_tuples(operad, rng, exhaustive_cap, samples)
+    tuples = _composable_tuples(operad, rng, exhaustive_cap, samples,
+                                pool, by_r)
 
     item = report.item("degree additivity")
     results = []
@@ -385,7 +392,8 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
         item.record(vec_eq(lhs, rhs), ("d gamma", h, gs))
 
     item = report.item("associativity (composition diagram)")
-    for h, gs, es_list in _assoc_tuples(operad, rng, exhaustive_cap, samples):
+    for h, gs, es_list in _assoc_tuples(operad, rng, exhaustive_cap, samples,
+                                        pool, by_r):
         inner = [operad.gamma(g, es) for g, es in zip(gs, es_list)]
         lhs = operad.gamma(h, inner)
         flat = [e for es in es_list for e in es]
@@ -458,20 +466,10 @@ def _q_of_composite(gs):
     return sum(_sym_of(g).q for g in gs) + len(gs) - 1
 
 
-def _index_by_level(operad, pool):
-    by_r = {}
-    for j in range(1, operad.k_max + 1):
-        for v in pool[j]:
-            by_r.setdefault(_sym_of(v).r, []).append(v)
-    return by_r
-
-
-def _pick_matching_args(operad, h, rng, pool, by_r=None):
+def _pick_matching_args(h, rng, by_r):
     """Arguments with levels matching the fiber degrees of h, which every
     kernel term of h shares, so the composite has a chance to be nonzero.
     A kernel term is still drawn, as the seeded samples were drawn so."""
-    if by_r is None:
-        by_r = _index_by_level(operad, pool)
     h_sym = _sym_of(h)
     rng.randrange(len(ker_expand(h_sym)))
     gs = []
@@ -483,12 +481,12 @@ def _pick_matching_args(operad, h, rng, pool, by_r=None):
     return gs
 
 
-def _composable_tuples(operad, rng, exhaustive_cap, samples):
+def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
     """(h; g_1..g_k) tuples with the composite inside the q window:
     exhaustive over the smallest symbols (bounded by the cap), then seeded
-    random sampling biased toward level-matched (nonzero) composites."""
+    random sampling biased toward level-matched (nonzero) composites.
+    ``pool`` and ``by_r`` are the pair ``_symbol_pools`` returns."""
     from itertools import product as iproduct
-    pool = {k: _basis_vectors(operad, k) for k in range(1, operad.k_max + 1)}
     tiny = {k: [v for v in pool[k] if _sym_of(v).q <= max(1, k - 1)]
             for k in range(1, operad.k_max + 1)}
     out = []
@@ -518,23 +516,20 @@ def _composable_tuples(operad, rng, exhaustive_cap, samples):
             break
     rng.shuffle(out)
     out = out[:exhaustive_cap]
-    by_r = _index_by_level(operad, pool)
     tries = 0
     while len(out) < exhaustive_cap + samples and tries < 50 * samples:
         tries += 1
         k = rng.randrange(1, operad.k_max + 1)
         h = pool[k][rng.randrange(len(pool[k]))]
-        gs = _pick_matching_args(operad, h, rng, pool, by_r)
+        gs = _pick_matching_args(h, rng, by_r)
         if gs is None or _q_of_composite(gs) > operad.q_cap:
             continue
         out.append((h, gs))
     return out
 
 
-def _assoc_tuples(operad, rng, exhaustive_cap, samples):
+def _assoc_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
     """(h; g_i; e_{i,n}) towers with the flattened composite in window."""
-    pool = {k: _basis_vectors(operad, k) for k in range(1, operad.k_max + 1)}
-    by_r = _index_by_level(operad, pool)
     out = []
     tries = 0
     want = max(exhaustive_cap // 2, samples)
@@ -542,12 +537,12 @@ def _assoc_tuples(operad, rng, exhaustive_cap, samples):
         tries += 1
         k = rng.randrange(1, operad.k_max + 1)
         h = pool[k][rng.randrange(len(pool[k]))]
-        gs = _pick_matching_args(operad, h, rng, pool, by_r)
+        gs = _pick_matching_args(h, rng, by_r)
         if gs is None:
             continue
         es_list, ok = [], True
         for g in gs:
-            es = _pick_matching_args(operad, g, rng, pool, by_r)
+            es = _pick_matching_args(g, rng, by_r)
             if es is None:
                 ok = False
                 break

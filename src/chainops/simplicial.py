@@ -9,7 +9,7 @@ identities, which are verified on all generators when the set is built.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import delta
 from .delta import FinOrd, OrderedMap
@@ -17,10 +17,12 @@ from .intmat import IntMatrix
 from .complexes import GradedIntComplex
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    word: tuple   # strictly decreasing degeneracy indices, outermost first
-    base: str
+class Cell(namedtuple("Cell", "word base")):
+    """A degeneracy word (strictly decreasing degeneracy indices, outermost
+    first) applied to the nondegenerate simplex named base.  A plain tuple,
+    so hashing, equality and order run in C: the pullback tables and the
+    cochains are keyed by cells."""
+    __slots__ = ()
 
     @property
     def is_degenerate(self):
@@ -38,6 +40,7 @@ class FiniteSimplicialSet:
     """Nondegenerate simplices per dimension plus their faces."""
 
     def __init__(self, simplices, faces):
+        self._cells = {}        # m -> cells(m); the set does not change
         self.simplices = {d: tuple(names) for d, names in sorted(simplices.items())}
         self.dim_of = {}
         for d, names in self.simplices.items():
@@ -149,8 +152,22 @@ class FiniteSimplicialSet:
         inj = OrderedMap(FinOrd(len(subset)), FinOrd.bracket(m), tuple(subset))
         return self.act(c, inj)
 
+    def pullback(self, alpha):
+        """The table {c: c o alpha} over the cells of alpha's target
+        dimension, alpha decomposed once."""
+        if not alpha.source.size:
+            raise InvalidSimplicialSet("a map out of [-1] pulls back to the "
+                                       "augmentation point")
+        gens = delta.decompose(alpha)
+        return {c: self._apply(c, gens)
+                for c in self.cells(alpha.target.level)}
+
     def cells(self, m):
-        """All m-cells (degenerate included), deterministically ordered."""
+        """All m-cells (degenerate included), deterministically ordered;
+        memoized."""
+        found = self._cells.get(m)
+        if found is not None:
+            return found
         out = []
         for j in sorted(self.simplices):
             if j > m:
@@ -162,7 +179,8 @@ class FiniteSimplicialSet:
                 out.extend(self._apply(base, gens) for gens in etas)
         if len(set(out)) != len(out):
             raise InvalidSimplicialSet("two normal forms of one %d-cell" % m)
-        return tuple(sorted(out))
+        found = self._cells[m] = tuple(sorted(out))
+        return found
 
     def _check_identities(self):
         for d, names in self.simplices.items():
@@ -181,12 +199,11 @@ class FiniteSimplicialSet:
 
     # -- derived algebra ---------------------------------------------------
 
-    def cochain_complex(self, cap=None):
+    def cochain_complex(self):
         """Normalized cochain complex, stored homologically: chain degree -m
         holds the duals of the nondegenerate m-simplices."""
-        if cap is None:
-            cap = self.max_dim()
-        basis = {-m: tuple(self.nondegenerate(m)) for m in range(cap + 1)}
+        top = self.max_dim()
+        basis = {-m: tuple(self.nondegenerate(m)) for m in range(top + 1)}
 
         def faces(name):
             return ((f.base, (-1) ** i) for i, f in enumerate(self.faces[name])
@@ -195,8 +212,8 @@ class FiniteSimplicialSet:
         # the transpose of the normalized boundary C_{m+1} -> C_m
         diff = {-m: IntMatrix.from_images(self.nondegenerate(m + 1),
                                           self.nondegenerate(m), faces).transpose()
-                for m in range(cap)}
-        return GradedIntComplex((-cap - 1, 1), basis, diff,
+                for m in range(top)}
+        return GradedIntComplex((-top - 1, 1), basis, diff,
                                 regrade="cochain (chain degree -m holds C^m)")
 
     def dual_cosimplicial(self, level_cap):
@@ -206,13 +223,11 @@ class FiniteSimplicialSet:
         levels = {m: self.cells(m) for m in range(level_cap + 1)}
 
         def op_matrix(alpha):
-            # transpose of the pullback c -> c o alpha of simplices
-            # every cell of levels[mp] has alpha's target dimension
-            m, mp = alpha.source.level, alpha.target.level
-            gens = delta.decompose(alpha)
+            # transpose of the pullback c -> c o alpha of simplices; the
+            # table lists the cells c in the order of their level
             return IntMatrix.from_images(
-                levels[mp], levels[m], lambda c: ((self._apply(c, gens), 1),)
-            ).transpose()
+                self.pullback(alpha).values(), levels[alpha.source.level],
+                lambda face: ((face, 1),)).transpose()
 
         cofaces = {}
         codegens = {}

@@ -613,8 +613,11 @@ def test_symbol_boundary_squares_to_zero():
 
 
 def _identity_nat(level_cap):
-    from chainops.boxprod import NatTransform
-    return NatTransform.identity(level_cap)
+    # the operad unit: the top cell at every level
+    from chainops.boxprod import NatTransform, Symbol
+    return NatTransform.from_vector(1, {
+        Symbol(1, (1,) * (r + 1), tuple(range(r + 1)), r): 1
+        for r in range(level_cap + 1)})
 
 
 def _scaling_nat(coeffs):

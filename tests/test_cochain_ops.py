@@ -24,11 +24,13 @@ def d2():
 def test_restrict_examples(d2):
     W = d2.W
     top = W.cell("0.1.2")
-    assert d2.restrict(top, (0, 2)) == Cell((), "0.2")
-    assert d2.restrict(top, (0, 1, 2)) == top
+    assert d2.pullback(2, (0, 2))[top] == Cell((), "0.2")
+    assert d2.pullback(2, (0, 1, 2))[top] == top
     e = W.cell("0.1")
-    assert d2.restrict(e, (0,)) == Cell((), "0")
-    assert d2.restrict(e, ()) == ()
+    assert d2.pullback(1, (0,))[e] == Cell((), "0")
+    assert d2.pullback(1, ())[e] == ()
+    assert d2.cells(-1) == ((),)
+    assert d2.pullback(-1, ()) == {(): ()}
 
 
 def test_memoized_faces_equal_direct():
@@ -39,16 +41,21 @@ def test_memoized_faces_equal_direct():
         sys_ = AugmentedCochainSystem(W, cap)
         for _ in range(2):      # the second pass reads the memo
             for m in range(cap + 1):
-                for cell in sys_.cells(m):
-                    for size in range(1, m + 2):
-                        for subset in combinations(range(m + 1), size):
-                            assert sys_.restrict(cell, subset) == \
-                                W.restrict(cell, subset)
-                    for j in range(cap + 1):
-                        for alpha in delta.all_ordered_maps(
-                                FinOrd.bracket(j), FinOrd.bracket(m)):
-                            assert sys_.act(cell, alpha) == W.act(cell, alpha)
-        # pushforward reads the memoized action
+                for size in range(1, m + 2):
+                    for subset in combinations(range(m + 1), size):
+                        table = sys_.pullback(m, subset)
+                        for cell in sys_.cells(m):
+                            assert table[cell] == W.restrict(cell, subset)
+                assert sys_.pullback(m, ()) == dict.fromkeys(sys_.cells(m), ())
+                for j in range(cap + 1):
+                    for alpha in delta.all_ordered_maps(
+                            FinOrd.bracket(j), FinOrd.bracket(m)):
+                        table = sys_.pullback(m, alpha.values)
+                        assert table is sys_.pullback(m, alpha.values)
+                        assert list(table) == list(sys_.cells(m))
+                        for cell in sys_.cells(m):
+                            assert table[cell] == W.act(cell, alpha)
+        # pushforward reads the tables
         for j in range(cap + 1):
             for m in range(cap + 1):
                 for alpha in delta.all_ordered_maps(FinOrd.bracket(j),
@@ -58,6 +65,29 @@ def test_memoized_faces_equal_direct():
                                   for cell in sys_.cells(m)}
                         assert sys_.pushforward(x, alpha) == \
                             CochainElement.make(m, direct)
+        with pytest.raises(LevelMismatch):
+            sys_.pullback(cap + 1, ())
+
+
+def test_identities_build_each_table_once(monkeypatch):
+    # verify_identities reads the action only through the system's tables:
+    # no per-cell action or restriction, and one table per ordered map
+    from chainops.simplicial import FiniteSimplicialSet
+
+    def refuse(*args):
+        raise AssertionError("per-cell action during verify_identities")
+    built = []
+    pullback = FiniteSimplicialSet.pullback
+
+    def counted(self, alpha):
+        built.append((alpha.target.level, alpha.values))
+        return pullback(self, alpha)
+    monkeypatch.setattr(FiniteSimplicialSet, "act", refuse)
+    monkeypatch.setattr(FiniteSimplicialSet, "restrict", refuse)
+    monkeypatch.setattr(FiniteSimplicialSet, "pullback", counted)
+    rep = verify_identities(standard_simplex_sset(2))
+    assert rep.passed
+    assert built and len(built) == len(set(built))
 
 
 def test_pushforward_between_augmentation_points(d1):
@@ -135,7 +165,7 @@ def test_corrupted_angle_fails_naturality():
             for fib, x in zip(fibers, xs):
                 seg = tuple(range(offset, offset + len(fib)))
                 offset += len(fib)
-                prod *= x.value(sys_.restrict(cell, seg))
+                prod *= x.value(sys_.pullback(m, seg)[cell])
                 if not prod:
                     break
             if prod:
@@ -153,7 +183,6 @@ def sampled_decomposition_check(W, seed=0, max_level=5, samples=60):
     sources: the 3-ary operation equals a composite of 2-ary ones."""
     rng = random.Random(seed)
     sys_ = AugmentedCochainSystem(W, max_level + 1)
-    eps = sys_.epsilon()
     checked = 0
     for _ in range(samples * 5):
         if checked >= samples:
@@ -161,16 +190,11 @@ def sampled_decomposition_check(W, seed=0, max_level=5, samples=60):
         m = rng.randrange(2, max_level + 1)
         g = tuple(rng.randrange(1, 4) for _ in range(m + 1))
         fibs = [tuple(t for t, v in enumerate(g) if v == i) for i in (1, 2, 3)]
-        levels = [len(fb) - 1 if fb else None for fb in fibs]
+        levels = [len(fb) - 1 for fb in fibs]
         xs = []
         for lvl in levels:
             pool = sys_.basis(lvl)
-            if pool:
-                xs.append(rng.choice(pool))
-            elif lvl is None:
-                xs.append(eps)
-            else:
-                xs.append(sys_.zero(lvl))
+            xs.append(rng.choice(pool) if pool else sys_.zero(lvl))
         alpha_g = tuple(1 if v in (1, 2) else 2 for v in g)
         g1 = tuple(v for v in g if v in (1, 2))
         left = sys_.angle(alpha_g, [sys_.angle(g1, [xs[0], xs[1]]), xs[2]])

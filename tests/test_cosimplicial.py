@@ -158,7 +158,7 @@ def test_shape_checks_under_optimize():
     # python -O strips assert statements; the shape and level checks of the
     # cosimplicial, complex and cochain types must still fire
     script = "\n".join([
-        "from chainops import cosimplicial as cs",
+        "from chainops import cosimplicial as cs, delta",
         "from chainops.cochain_ops import AugmentedCochainSystem, CochainElement",
         "from chainops.complexes import ChainMap, GradedIntComplex",
         "from chainops.intmat import IntMatrix",
@@ -189,6 +189,7 @@ def test_shape_checks_under_optimize():
         "rejects(lambda: CochainElement.make(0, {}) + CochainElement.make(1, {}))",
         "W = AugmentedCochainSystem(standard_simplex_sset(1), 2)",
         "rejects(lambda: W.angle((1, 3), [W.epsilon(), W.epsilon()]))",
+        "rejects(lambda: W.pushforward(W.epsilon(), delta.coface(0, 0)))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -199,7 +200,8 @@ def test_shape_checks_under_optimize():
         "rejected: ShapeMismatch", "rejected: ShapeMismatch",
         "rejected: ShapeMismatch", "rejected: InvalidComplex",
         "rejected: ShapeMismatch", "rejected: NotAChainMap",
-        "rejected: LevelMismatch", "rejected: LevelMismatch"]
+        "rejected: LevelMismatch", "rejected: LevelMismatch",
+        "rejected: LevelMismatch"]
 
 
 def test_torsion_cokernel_detected():

@@ -123,7 +123,8 @@ def test_invalid_maps_and_cells_rejected_under_optimize():
         "            lambda: W.degeneracy(v, 1),",
         "            lambda: W.act(v, delta.coface(0, 0)),",
         "            lambda: W.restrict(e, []),",
-        "            lambda: W.restrict(e, [0, 2])):",
+        "            lambda: W.restrict(e, [0, 2]),",
+        "            lambda: W.pullback(OrderedMap(FinOrd(0), FinOrd(2), ()))):",
         "    try:",
         "        bad()",
         "    except AssertionError as exc:",
@@ -149,4 +150,6 @@ def test_invalid_maps_and_cells_rejected_under_optimize():
         "InvalidSimplicialSet: no degeneracy s_1 of the 0-cell " + v,
         "InvalidSimplicialSet: a map into [1] acting on the 0-cell " + v,
         "InvalidSimplicialSet: empty restriction is the augmentation point",
-        "InvalidSimplicialSet: vertex positions (0, 2) outside the 1-cell " + e]
+        "InvalidSimplicialSet: vertex positions (0, 2) outside the 1-cell " + e,
+        "InvalidSimplicialSet: a map out of [-1] pulls back to the "
+        "augmentation point"]

@@ -9,8 +9,8 @@ from chainops.boxprod import (GradingMismatch, NatTransform,
                               ker_expand_checked, levels_match, vec_sum)
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
                               _arity_of, _composable_tuples,
-                              _multilinear_twist, act_perm_vec,
-                              boundary_vec, block_permutation,
+                              _multilinear_twist, _symbol_pools,
+                              act_perm_vec, boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
                               little_cubes_comparison, operad_homology,
@@ -143,7 +143,8 @@ def test_cover_skip_on_sampled_tuples(monkeypatch):
     # it too, which the projection kills; gamma_substitution applies the
     # covering terms alone
     op = TruncatedChainOperad(None, 3, 4)
-    tuples = _composable_tuples(op, random.Random(7), 60, 40)
+    tuples = _composable_tuples(op, random.Random(7), 60, 40,
+                                *_symbol_pools(op))
     applied = []
 
     def counted(host, nats):
@@ -177,7 +178,8 @@ def test_gamma_matrix_applies_each_kernel_term_once(monkeypatch):
     # composite evaluates the induced map on the summed kernel form of h
     # alone, one apply_tuple per term, and builds no box-level table
     op = TruncatedChainOperad(None, 3, 4)
-    tuples = _composable_tuples(op, random.Random(7), 60, 40)
+    tuples = _composable_tuples(op, random.Random(7), 60, 40,
+                                *_symbol_pools(op))
     applied = []
 
     def counted(host, nats):
