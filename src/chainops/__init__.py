@@ -3,7 +3,8 @@ the cochain operation calculus, Hochschild cohomology with its Gerstenhaber
 structure, and a rational little-cubes model."""
 
 from .intmat import IntMatrix, smith_normal_form
-from .complexes import GradedIntComplex, ChainMap, tensor, reduced_homology
+from .complexes import (GradedIntComplex, ChainMap, tensor, reduced_homology,
+                        homology_basis)
 from .delta import FinOrd, OrderedMap, coface, codegeneracy, factor_epi_mono
 from .simplicial import (FiniteSimplicialSet, simplicial_circle,
                          standard_simplex_chains, standard_simplex_sset)
@@ -24,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntMatrix", "smith_normal_form", "GradedIntComplex", "ChainMap",
-    "tensor", "reduced_homology", "FinOrd", "OrderedMap", "coface",
-    "codegeneracy", "factor_epi_mono", "FiniteSimplicialSet",
+    "tensor", "reduced_homology", "homology_basis", "FinOrd", "OrderedMap",
+    "coface", "codegeneracy", "factor_epi_mono", "FiniteSimplicialSet",
     "simplicial_circle", "standard_simplex_chains", "standard_simplex_sset",
     "CosimplicialAbGroup", "CosimplicialChainComplex",
     "compare_conormalizations", "conormalize_bicomplex",

@@ -186,14 +186,14 @@ def _restriction_map(f, g, phi):
     return out
 
 
-def verify_identities(W, level_cap=None, name="complex", angle_impl=None):
+def verify_identities(W, level_cap=None, name="complex"):
     """Exhaustive verification of the cup/join/fiberwise-operation
     identities on all normalized basis cochains of W, within level caps.
     Returns a report; failures carry replayable witnesses."""
     if level_cap is None:
         level_cap = W.max_dim() + 2
     sys_ = AugmentedCochainSystem(W, level_cap)
-    angle = angle_impl or sys_.angle
+    angle = sys_.angle
     report = CheckReport({"complex": name, "level_cap": level_cap})
     eps = sys_.epsilon()
     M = level_cap

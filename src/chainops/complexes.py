@@ -165,16 +165,6 @@ class ChainMap:
             if left != right:
                 raise NotAChainMap("not a chain map in degree %d" % d)
 
-    def compose(self, other):
-        """self o other."""
-        if not (other.target is self.source or other.target == self.source):
-            raise NotAChainMap("composing maps that do not meet")
-        mats = {}
-        for d in other.matrices:
-            mats[d] = self.matrix(d + other.shift) * other.matrix(d)
-        return ChainMap(other.source, self.target, mats,
-                        self.shift + other.shift, check=False)
-
 
 def reduced_homology(cx, degrees):
     """Homology over a degree window, in the complex's coefficient ring.
@@ -195,8 +185,7 @@ def reduced_homology(cx, degrees):
     if not degrees:
         return {}
     for d in degrees:
-        if not (cx.window[0] <= d - 1 and d + 1 <= cx.window[1]):
-            raise DegreeOutsideWindow(d)
+        _check_interior(cx, d)
     lo, hi = min(degrees) - 1, max(degrees) + 1
     engines = {d: intmat.Eliminator(cx.diff[d], cx.prime)
                for d in range(lo + 1, hi + 1)}
@@ -211,6 +200,35 @@ def reduced_homology(cx, degrees):
     return {d: (cx.rank(d) - len(diag[d]) - len(diag[d + 1]),
                 tuple(f for f in diag[d + 1] if f > 1))
             for d in degrees}
+
+
+def _check_interior(cx, d):
+    if not (cx.window[0] <= d - 1 and d + 1 <= cx.window[1]):
+        raise DegreeOutsideWindow(d)
+
+
+def homology_basis(cx, d):
+    """Cycles of degree d, as {label: coefficient} vectors, whose classes
+    form a basis of H_d over Z/p; needs d - 1 and d + 1 inside the window,
+    like ``reduced_homology``.  With u * d_(d+1) * v in Smith normal form of
+    rank r, a vector x of C_d is a boundary exactly when rows r.. of u * x
+    vanish, so those rows of u * K, for K a kernel basis of d_d, are the
+    classes of K's columns; one elimination picks independent columns among
+    them, and the columns of K there, in order, are returned."""
+    if not cx.prime:
+        raise InvalidComplex("homology bases need a prime field")
+    _check_interior(cx, d)
+    p = cx.prime
+    kernel = intmat.kernel_basis(cx.diff[d], p)
+    diag, u, _v = intmat.smith_normal_form(cx.diff[d + 1], p)
+    r = len(diag)
+    classes = IntMatrix(u.rows - r, kernel.cols, {
+        (i - r, j): x for (i, j), x in (u * kernel).data.items() if i >= r})
+    engine = intmat.Eliminator(classes, p)
+    engine.run()
+    labels, columns = cx.basis[d], kernel.columns()
+    return [{labels[i]: x for i, x in sorted(columns[j])}
+            for j in sorted(j for _, j in engine.pivots)]
 
 
 def tensor(a, b):

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 
 from . import intmat
-from .complexes import GradedIntComplex, reduced_homology
+from .complexes import GradedIntComplex, homology_basis, reduced_homology
 from .intmat import IntMatrix, vec_sum
 
 
@@ -39,9 +39,8 @@ class InvalidAlgebra(AssertionError):
 
 
 class OutsideDomain(AssertionError):
-    """Cochains of different degrees added, a bracket of two 0-cochains, or
-    representatives asked for over Z (raised explicitly, like
-    InvalidAlgebra)."""
+    """Cochains of different degrees added, or a bracket of two 0-cochains
+    (raised explicitly, like InvalidAlgebra)."""
 
 
 class FiniteRankAlgebra:
@@ -310,21 +309,25 @@ def modp_eliminate(m, p):
     return intmat.rank(m, p)
 
 
+def hochschild_complex(R, top):
+    """The cochain complex of R up to C^(top + 1), over R's coefficients:
+    chain degree -p holds C^p on ``coordinates(R, p)``, so the cohomology
+    of degrees 0..top can be read in chain degrees -top..0."""
+    basis = {-p: coordinates(R, p) for p in range(top + 2)}
+    diff = {-p: differential_matrix(R, p) for p in range(top + 1)}
+    return GradedIntComplex((-top - 1, 1), basis, diff, prime=R.prime,
+                            regrade="cochain (chain degree -m holds degree m)")
+
+
 def hochschild_cohomology(R, p_max):
-    """Per-degree cohomology of the truncated complex, from
-    ``reduced_homology`` over R's coefficients: {p: (betti, torsion)} over
-    the integers, {p: (dimension, ())} over Z/p.  Chain degree -p holds
-    C^p on ``coordinates(R, p)``; degree p_max reads the differential into
-    C^(p_max + 1), the largest space built."""
+    """Per-degree cohomology of ``hochschild_complex(R, p_max)``, from
+    ``reduced_homology``: {p: (betti, torsion)} over the integers,
+    {p: (dimension, ())} over Z/p."""
     if R.n ** (p_max + 2) > MAX_COCHAIN_DIM:
         raise InfeasibleSize(
             "degree %d cochains of %s have dimension %d, above the limit %d"
             % (p_max + 1, R.name, R.n ** (p_max + 2), MAX_COCHAIN_DIM))
-    basis = {-p: coordinates(R, p) for p in range(p_max + 2)}
-    diff = {-p: differential_matrix(R, p) for p in range(p_max + 1)}
-    cx = GradedIntComplex((-p_max - 1, 1), basis, diff, prime=R.prime,
-                          regrade="cochain (chain degree -m holds degree m)")
-    groups = reduced_homology(cx, range(-p_max, 1))
+    groups = reduced_homology(hochschild_complex(R, p_max), range(-p_max, 1))
     return {p: groups[-p] for p in range(p_max + 1)}
 
 
@@ -334,6 +337,7 @@ def hochschild_cohomology(R, p_max):
 class Certificate:
     kind: str
     degrees: tuple
+    cocycle: object         # the HochschildCochain certified a coboundary
     cobounding: object      # HochschildCochain or None when strict zero
     strict: bool
 
@@ -359,7 +363,8 @@ class GerstenhaberReport:
         is zero, else through an explicit cobounding cochain."""
         zeta = None if w.is_zero() else _cobound(w.algebra, w)
         self.record(name, w.is_zero() or zeta is not None)
-        self.certificates.append(Certificate(kind, degrees, zeta, w.is_zero()))
+        self.certificates.append(Certificate(kind, degrees, w, zeta,
+                                             w.is_zero()))
 
     @property
     def passed(self):
@@ -373,29 +378,6 @@ class GerstenhaberReport:
                       for k, (a, b) in sorted(self.items.items())},
             "certificates": len(self.certificates),
         }
-
-
-def cohomology_representatives(R, p):
-    """Representative cocycles for a basis of H^p over Z/p: the kernel
-    vectors of d, in order, that are independent of the coboundaries and
-    of the representatives taken before them."""
-    if not R.prime:
-        raise OutsideDomain("representatives need a prime field")
-    kernel = intmat.kernel_basis(differential_matrix(R, p), R.prime)
-    span = differential_matrix(R, p - 1) if p else IntMatrix(kernel.rows, 0)
-    rank = intmat.rank(span, R.prime)
-    wanted = kernel.cols - rank     # dim H^p: the coboundaries are cocycles
-    reps = []
-    for j in range(kernel.cols):
-        if len(reps) == wanted:
-            break
-        test = span.stack_cols(kernel.submatrix_cols([j]))
-        rk = intmat.rank(test, R.prime)
-        if rk > rank:
-            span, rank = test, rk
-            reps.append(HochschildCochain.sum(
-                R, p, zip(coordinates(R, p), kernel.column(j))))
-    return reps
 
 
 def _cobound(R, target):
@@ -433,23 +415,29 @@ def gerstenhaber_report(R, p_max=3):
 
     # cup associativity and unit, exhaustively in low degrees
     e = unit_cochain(R)
-    for p in range(0, min(1, p_max) + 1):
-        for q in range(0, min(1, p_max) + 1):
-            for r in range(0, min(1, p_max) + 1):
+    low = range(min(1, p_max) + 1)
+    # each r2 u r3 is tabulated once per (q, r), each r1 u r2 once per r3 loop
+    right = {(q, r): [[hochschild_cup(r2, r3) for r3 in basis[r]]
+                      for r2 in basis[q]] for q in low for r in low}
+    for p in low:
+        for q in low:
+            for r in low:
                 for r1 in basis[p]:
-                    for r2 in basis[q]:
-                        for r3 in basis[r]:
-                            lhs = hochschild_cup(hochschild_cup(r1, r2), r3)
-                            rhs = hochschild_cup(r1, hochschild_cup(r2, r3))
-                            rep.record("cup associativity", lhs == rhs)
+                    for r2, cups in zip(basis[q], right[q, r]):
+                        left = hochschild_cup(r1, r2)
+                        for r3, r23 in zip(basis[r], cups):
+                            rep.record("cup associativity",
+                                       hochschild_cup(left, r3) ==
+                                       hochschild_cup(r1, r23))
     for p in range(p_max + 1):
         for rho in basis[p]:
             rep.record("cup unit", hochschild_cup(e, rho) == rho and
                        hochschild_cup(rho, e) == rho)
 
-    # bracket descends to cohomology: d[a,b] = (-1)^(q+1) [da,b] + [a,db]
+    # bracket descends to cohomology: d[a,b] = (-1)^(q+1) [da,b] + [a,db];
+    # degrees are drawn below p_max, so p_max = 0 draws none
     rng = random.Random(5)
-    for _ in range(40):
+    for _ in range(40 if p_max else 0):
         p = rng.randrange(0, p_max)
         q = rng.randrange(0, p_max)
         if p + q < 1:
@@ -463,8 +451,10 @@ def gerstenhaber_report(R, p_max=3):
         rep.record("bracket is compatible with the differential", lhs == rhs)
 
     if R.prime:
-        reps = {p: cohomology_representatives(R, p)
-                for p in range(min(p_max, MAX_REPRESENTATIVE_DEGREE) + 1)}
+        top = min(p_max, MAX_REPRESENTATIVE_DEGREE)
+        cx = hochschild_complex(R, top)
+        reps = {p: [HochschildCochain.sum(R, p, v.items())
+                    for v in homology_basis(cx, -p)] for p in range(top + 1)}
     else:
         # over the integers only the unit class is in scope
         reps = {0: [unit_cochain(R)]}

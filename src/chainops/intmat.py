@@ -254,14 +254,13 @@ class Eliminator:
             del self.r[i][j]
 
     def _set(self, i, j, val):
-        p = self.prime
-        if p:
-            val %= p
+        # only _reduce comes here, over Z: over Z/p every entry is a unit
+        # and ``units`` has cancelled them all before
         row = self.r.setdefault(i, {})
         if val:
             col = self.c.setdefault(j, {})
             row[j] = col[i] = val
-            if p or val in (1, -1):
+            if val in (1, -1):
                 heapq.heappush(self.heap,
                                ((len(row) - 1) * (len(col) - 1), i, j))
         elif j in row:

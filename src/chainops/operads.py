@@ -24,7 +24,6 @@ the approximation that stabilizes degreewise.
 """
 
 import random
-from itertools import chain
 from dataclasses import dataclass, field
 
 from . import boxprod, cubes
@@ -54,20 +53,6 @@ class InfeasibleSize(Exception):
 
 
 # -- vectors over the symbol basis -------------------------------------------
-
-def vec_add(a, b, coeff=1):
-    return vec_sum(chain(a.items(), ((s, coeff * c) for s, c in b.items())))
-
-
-def vec_scale(a, coeff):
-    if coeff == 0:
-        return {}
-    return {s: coeff * c for s, c in a.items()}
-
-
-def vec_eq(a, b):
-    return vec_add(a, b, -1) == {}
-
 
 def boundary_vec(vec, level_cap=None):
     return vec_sum((t, c * v) for s, c in vec.items()
@@ -361,9 +346,9 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
             gs = head + rest[:max(0, unit_cap - len(head))]
         for g in gs:
             lhs = operad.gamma(unit, [g])
-            item.record(vec_eq(lhs, g), ("gamma(1;g)", g))
+            item.record(lhs == g, ("gamma(1;g)", g))
             rhs = operad.gamma(g, [unit] * k)
-            item.record(vec_eq(rhs, g), ("gamma(g;1..1)", g))
+            item.record(rhs == g, ("gamma(g;1..1)", g))
 
     # composable tuples (h; g_1..g_k) with the result inside the window
     tuples = _composable_tuples(operad, rng, exhaustive_cap, samples,
@@ -383,13 +368,14 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
     item = report.item("gamma is a chain map")
     for h, gs, out in results:
         lhs = boundary_vec(out)
-        rhs = operad.gamma(boundary_vec(h), gs)
+        rhs = list(operad.gamma(boundary_vec(h), gs).items())
         sgn = vec_degree(h)
         for i, g in enumerate(gs):
             term = operad.gamma(h, gs[:i] + [boundary_vec(g)] + gs[i + 1:])
-            rhs = vec_add(rhs, term, -1 if sgn % 2 else 1)
+            sign = -1 if sgn % 2 else 1
+            rhs += ((s, sign * c) for s, c in term.items())
             sgn += vec_degree(g)
-        item.record(vec_eq(lhs, rhs), ("d gamma", h, gs))
+        item.record(lhs == vec_sum(rhs), ("d gamma", h, gs))
 
     item = report.item("associativity (composition diagram)")
     for h, gs, es_list in _assoc_tuples(operad, rng, exhaustive_cap, samples,
@@ -404,7 +390,8 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
         for mp in range(1, len(gs)):
             if degs_g[mp] % 2 and sum(sum(d) for d in degs_e[:mp]) % 2:
                 eps = -eps
-        item.record(vec_eq(lhs, vec_scale(rhs, eps)), ("assoc", h, gs, es_list))
+        item.record(lhs == {s: eps * c for s, c in rhs.items()},
+                    ("assoc", h, gs, es_list))
 
     item = report.item("equivariance (outer permutation)")
     perms = {2: [(2, 1)], 3: [(2, 1, 3), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]}
@@ -421,7 +408,7 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
                               tuple(inv[s] - 1 for s in range(1, k + 1)))
             bp = block_permutation(sigma, [_arity_of(g) for g in gs])
             rhs = act_perm_vec(operad.gamma(h, permuted), bp)
-            item.record(vec_eq(lhs, vec_scale(rhs, eps)),
+            item.record(lhs == {s: eps * c for s, c in rhs.items()},
                         ("outer equivariance", h, gs, sigma))
 
     item = report.item("equivariance (inner permutations)")
@@ -438,13 +425,13 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
             v + sum(_arity_of(g) for g in gs[:i])
             for i, t in enumerate(taus) for v in t)
         rhs = act_perm_vec(out, blocksum)
-        item.record(vec_eq(lhs, rhs), ("inner equivariance", h, gs, taus))
+        item.record(lhs == rhs, ("inner equivariance", h, gs, taus))
 
     if cross_check:
         item = report.item("substitution gamma equals matrix gamma")
         for h, gs, out in results:
             other = gamma_matrix(h, gs, operad.n)
-            item.record(vec_eq(out, other), ("pipelines", h, gs))
+            item.record(out == other, ("pipelines", h, gs))
 
     return report
 
@@ -469,16 +456,13 @@ def _q_of_composite(gs):
 def _pick_matching_args(h, rng, by_r):
     """Arguments with levels matching the fiber degrees of h, which every
     kernel term of h shares, so the composite has a chance to be nonzero.
-    A kernel term is still drawn, as the seeded samples were drawn so."""
+    Every such level m holds the arity-1 symbol (1^(m+1), id_[m]), so
+    there is always a candidate.  A kernel term is still drawn, as the
+    seeded samples were drawn so."""
     h_sym = _sym_of(h)
     rng.randrange(len(ker_expand(h_sym)))
-    gs = []
-    for m in h_sym.fiber_degrees():
-        cands = by_r.get(m)
-        if not cands:
-            return None
-        gs.append(cands[rng.randrange(len(cands))])
-    return gs
+    pools = [by_r[m] for m in h_sym.fiber_degrees()]
+    return [cands[rng.randrange(len(cands))] for cands in pools]
 
 
 def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
@@ -522,9 +506,8 @@ def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
         k = rng.randrange(1, operad.k_max + 1)
         h = pool[k][rng.randrange(len(pool[k]))]
         gs = _pick_matching_args(h, rng, by_r)
-        if gs is None or _q_of_composite(gs) > operad.q_cap:
-            continue
-        out.append((h, gs))
+        if _q_of_composite(gs) <= operad.q_cap:
+            out.append((h, gs))
     return out
 
 
@@ -538,17 +521,7 @@ def _assoc_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
         k = rng.randrange(1, operad.k_max + 1)
         h = pool[k][rng.randrange(len(pool[k]))]
         gs = _pick_matching_args(h, rng, by_r)
-        if gs is None:
-            continue
-        es_list, ok = [], True
-        for g in gs:
-            es = _pick_matching_args(g, rng, by_r)
-            if es is None:
-                ok = False
-                break
-            es_list.append(es)
-        if not ok:
-            continue
+        es_list = [_pick_matching_args(g, rng, by_r) for g in gs]
         inner_q = [_q_of_composite(es) for es in es_list]
         if sum(inner_q) + len(gs) - 1 <= operad.q_cap:
             out.append((h, gs, es_list))

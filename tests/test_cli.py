@@ -71,6 +71,49 @@ def test_hochschild_cli(capsys):
     assert payload["results"]["gerstenhaber"]["passed"] is True
 
 
+def test_hochschild_pmax_zero(capsys):
+    # the sampled bracket check draws degrees below p_max, so --pmax 0
+    # used to end in a traceback
+    code, out = run(capsys, "--json", "hochschild", "--algebra", "dual2",
+                    "--pmax", "0", "--report", "gerstenhaber")
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["results"]["cohomology"] == {"0": [2, []]}
+    report = payload["results"]["gerstenhaber"]
+    assert report["passed"] is True and report["p_max"] == 0
+    assert "bracket is compatible with the differential" not in report["items"]
+
+
+def test_homology_operad_degree_list(capsys):
+    code, out = run(capsys, "--json", "homology-operad", "--family", "Tn",
+                    "--n", "2", "--k", "2", "--qmax", "4", "--degrees", "0,2")
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["results"]["degrees"] == [0, 2]
+    assert payload["results"]["groups"] == {"0": [1, []], "2": [0, []]}
+
+
+def test_homology_operad_not_stabilized_exits_1(capsys, monkeypatch):
+    # groups that differ between level_cap and level_cap + 1 are reported,
+    # not raised; a stub stands in for a window that has not stabilized
+    from chainops import operads
+
+    def unstable(k, n, degrees, level_cap):
+        raise operads.NotStabilized(operads.HomologyReport(
+            "T2", k, level_cap, tuple(degrees), {0: (1, ()), 1: (2, ())},
+            {0: (1, ()), 1: (1, ())}, False))
+    monkeypatch.setattr(operads, "operad_homology", unstable)
+    code, out = run(capsys, "--json", "homology-operad", "--family", "Tn",
+                    "--n", "2", "--k", "2", "--qmax", "4", "--degrees", "0..1")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == "homology of T2(2), level cap 3 (stabilized: False)"
+    payload = json.loads(lines[-1])
+    assert payload["passed"] is False
+    assert payload["results"]["stabilized"] is False
+    assert payload["results"]["groups"] == {"0": [1, []], "1": [2, []]}
+
+
 def test_cubes_components(capsys):
     code, out = run(capsys, "cubes", "--n", "1", "--k", "2",
                     "--resolution", "5")

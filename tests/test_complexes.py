@@ -11,7 +11,9 @@ import chainops
 from chainops import intmat
 from chainops.intmat import IntMatrix
 from chainops.complexes import (DegreeOutsideWindow, GradedIntComplex, ChainMap,
-                                NotSquareZero, reduced_homology, tensor)
+                                InvalidComplex, NotSquareZero, homology_basis,
+                                reduced_homology, tensor)
+from tests.test_intmat import dense_row_echelon
 
 
 def point_complex(label="pt"):
@@ -335,6 +337,60 @@ def test_one_homology_path_on_benchmark_bicomplexes():
     for n, level_cap, q_cap in ((None, 3, 4), (2, 3, 5), (None, 2, 4)):
         box = box_cosimplicial(2, n, level_cap, q_cap)
         assert_one_homology_path(conormalize_bicomplex(box, level_cap))
+
+
+def assert_homology_basis(cx):
+    """In every interior degree, homology_basis gives as many vectors as
+    reduced_homology counts, each a cycle mod p, and they stay independent
+    modulo the boundaries (dense elimination over Z/p)."""
+    lo, hi = cx.window
+    p = cx.prime
+    for d in range(lo + 1, hi):
+        vecs = homology_basis(cx, d)
+        assert len(vecs) == reduced_homology(cx, (d,))[d][0], d
+        index = {x: i for i, x in enumerate(cx.basis[d])}
+        dense = []
+        for vec in vecs:
+            col = [0] * cx.rank(d)
+            for label, c in vec.items():
+                col[index[label]] = c
+            assert all(x % p == 0 for x in cx.diff[d].apply(col)), d
+            dense.append(col)
+        bounds = cx.diff[d + 1].transpose().to_rows()
+        base = dense_row_echelon(bounds, p)[0]
+        assert dense_row_echelon(bounds + dense, p)[0] == base + len(vecs), d
+
+
+def test_homology_basis_on_seeded_torsion_complexes():
+    rng = random.Random(31)
+    classes = 0
+    for _ in range(25):
+        cx, _expect = seeded_torsion_complex(rng)
+        for p in (2, 3):
+            modp = GradedIntComplex(cx.window, cx.basis, cx.diff, prime=p)
+            assert_homology_basis(modp)
+            classes += sum(len(homology_basis(modp, d))
+                           for d in range(cx.window[0] + 1, cx.window[1]))
+    assert classes >= 50
+
+
+def test_homology_basis_on_hochschild_complexes():
+    from chainops.hochschild import (dual_numbers_mod2, hochschild_complex,
+                                     matrix2_mod2, upper_triangular_mod2)
+    for R, top in ((dual_numbers_mod2(), 3), (upper_triangular_mod2(), 3),
+                   (matrix2_mod2(), 2)):
+        assert_homology_basis(hochschild_complex(R, top))
+
+
+def test_homology_basis_refuses_z_and_degrees_outside_the_window():
+    with pytest.raises(InvalidComplex):
+        homology_basis(circle_complex(), 0)
+    cx = circle_complex()
+    modp = GradedIntComplex(cx.window, cx.basis, cx.diff, prime=2)
+    assert len(homology_basis(modp, 0)) == 1
+    for d in (cx.window[0], cx.window[1]):
+        with pytest.raises(DegreeOutsideWindow):
+            homology_basis(modp, d)
 
 
 def _operators_json(cofaces, codegens):

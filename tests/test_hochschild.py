@@ -7,25 +7,34 @@ from itertools import product
 
 import pytest
 
+from chainops.complexes import homology_basis
 from chainops.hochschild import (FiniteRankAlgebra, HochschildCochain,
                                  InfeasibleSize, InvalidAlgebra,
                                  basis_cochains, circle_product,
                                  differential_matrix, dual_numbers_mod2,
                                  gerstenhaber_bracket, gerstenhaber_report,
-                                 hochschild_cohomology, hochschild_cup,
-                                 hochschild_differential, integers,
-                                 matrix2_mod2, unit_cochain,
+                                 hochschild_cohomology, hochschild_complex,
+                                 hochschild_cup, hochschild_differential,
+                                 integers, matrix2_mod2, unit_cochain,
                                  upper_triangular_mod2)
 from chainops.intmat import IntMatrix
 from tests.test_intmat import dense_row_echelon
 
 
-def truncated_polynomial(m):
-    """Z[x]/(x^m) over the integers, basis 1, x, ..., x^(m-1)."""
+def truncated_polynomial(m, prime=0):
+    """Z[x]/(x^m), or F_p[x]/(x^m) for a prime, basis 1, x, ..., x^(m-1)."""
     s = [[tuple(1 if t == i + j else 0 for t in range(m)) for j in range(m)]
          for i in range(m)]
     unit = tuple(1 if t == 0 else 0 for t in range(m))
-    return FiniteRankAlgebra(s, unit, 0, name="Z[x]/(x^%d)" % m)
+    name = "F%d[x]/(x^%d)" % (prime, m) if prime else "Z[x]/(x^%d)" % m
+    return FiniteRankAlgebra(s, unit, prime, name=name)
+
+
+def representatives(R, p, top):
+    """Cocycles whose classes form a basis of HH^p(R), p <= top, as
+    ``gerstenhaber_report`` takes them."""
+    return [HochschildCochain.sum(R, p, v.items())
+            for v in homology_basis(hochschild_complex(R, top), -p)]
 
 
 def cyclic_group_ring(m):
@@ -314,11 +323,11 @@ def test_bracket_degree_one_is_commutator():
 
 def test_bracket_with_unit_vanishes_on_cohomology():
     # insertion into the unit collapses up to an explicit coboundary
-    from chainops.hochschild import _cobound, cohomology_representatives
+    from chainops.hochschild import _cobound
     R = dual_numbers_mod2()
     e = unit_cochain(R)
     for p in (1, 2):
-        for rho in cohomology_representatives(R, p):
+        for rho in representatives(R, p, 2):
             br = gerstenhaber_bracket(rho, e)
             assert br.is_zero() or _cobound(R, br) is not None
 
@@ -394,12 +403,11 @@ def _dense(rho):
 
 
 def test_cohomology_representatives_are_independent_classes():
-    from chainops.hochschild import cohomology_representatives
     for R, p_max in ((dual_numbers_mod2(), 3), (upper_triangular_mod2(), 3),
                      (matrix2_mod2(), 2)):
         dims = hochschild_cohomology(R, p_max)
         for p in range(p_max + 1):
-            reps = cohomology_representatives(R, p)
+            reps = representatives(R, p, p_max)
             assert len(reps) == dims[p][0], (R.name, p)
             for rho in reps:
                 assert rho.degree == p
@@ -426,25 +434,30 @@ def test_gerstenhaber_reports_pass():
 
 
 def test_certificates_are_explicit():
-    R = dual_numbers_mod2()
-    rep = gerstenhaber_report(R, p_max=3)
-    found = 0
-    for cert in rep.certificates:
-        if cert.cobounding is not None:
-            # re-verify: d(zeta) really cobounds something nonzero
-            d = hochschild_differential(cert.cobounding)
-            assert not cert.strict
-            found += 1
-    # the structure is strict for this algebra in char 2 or certificates
-    # exist; either way every certificate re-verifies
-    assert found >= 0
+    # every certificate re-verifies: a strict one certifies a zero cocycle,
+    # any other carries zeta with d(zeta) equal to its cocycle.  F3[x]/(x^2)
+    # (derivation) and F2[x]/(x^3) (commutativity and derivation) have
+    # non-strict ones at p <= 2; dual2's are all strict
+    nonstrict = 0
+    for R, p_max in ((dual_numbers_mod2(), 3), (truncated_polynomial(2, 3), 2),
+                     (truncated_polynomial(3, 2), 2)):
+        rep = gerstenhaber_report(R, p_max)
+        assert rep.passed, rep.to_dict()
+        for cert in rep.certificates:
+            if cert.strict:
+                assert cert.cocycle.is_zero() and cert.cobounding is None
+            else:
+                assert hochschild_differential(cert.cobounding) == \
+                    cert.cocycle, (R.name, cert.kind, cert.degrees)
+                nonstrict += 1
+    assert nonstrict >= 1
 
 
 def test_negative_control_skewed_cup():
     # corrupting the cup (dropping one factor) breaks commutativity up to
     # coboundary on cohomology
     R = dual_numbers_mod2()
-    from chainops.hochschild import cohomology_representatives, _cobound
+    from chainops.hochschild import _cobound
 
     def skewed_cup(r1, r2):
         out = {}
@@ -453,7 +466,7 @@ def test_negative_control_skewed_cup():
                 out[k1 + k2] = r1.value(k1)   # ignores the second factor
         return HochschildCochain.make(R, r1.degree + r2.degree, out)
 
-    reps1 = cohomology_representatives(R, 1)
+    reps1 = representatives(R, 1, 1)
     bad = None
     for x in reps1:
         for y in reps1:
@@ -498,11 +511,11 @@ def test_invalid_algebra_rejected_under_optimize():
         "    FiniteRankAlgebra([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (0, 1), 2)",
         "except InvalidAlgebra as exc:",
         "    print('rejected:', exc)",
-        "from chainops.hochschild import OutsideDomain, integers",
-        "from chainops.hochschild import cohomology_representatives",
+        "from chainops.complexes import InvalidComplex, homology_basis",
+        "from chainops.hochschild import hochschild_complex, integers",
         "try:",
-        "    cohomology_representatives(integers(), 1)",
-        "except OutsideDomain as exc:",
+        "    homology_basis(hochschild_complex(integers(), 1), -1)",
+        "except InvalidComplex as exc:",
         "    print('rejected:', exc)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
@@ -512,4 +525,4 @@ def test_invalid_algebra_rejected_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "rejected: left unit fails",
-        "rejected: representatives need a prime field"]
+        "rejected: homology bases need a prime field"]

@@ -14,7 +14,7 @@ from chainops.operads import (NotStabilized, TruncatedChainOperad,
                               cokernel_project, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
                               little_cubes_comparison, operad_homology,
-                              symbol_complex, vec_degree, vec_eq,
+                              symbol_complex, vec_degree,
                               verify_operad_axioms)
 
 
@@ -43,8 +43,8 @@ def test_gamma_substitution_example():
     # composing with units reproduces the degree-0 generators
     for f in ((1, 2), (2, 1)):
         g = sym_vec(2, f, (0, 0), 0)
-        assert vec_eq(op.gamma(g, [op.unit(), op.unit()]), g)
-        assert vec_eq(op.gamma(op.unit(), [g]), g)
+        assert op.gamma(g, [op.unit(), op.unit()]) == g
+        assert op.gamma(op.unit(), [g]) == g
 
 
 def test_gamma_cross_validated_by_hand_matrix():
@@ -68,7 +68,7 @@ def test_gamma_cross_validated_by_hand_matrix():
             gs.append({rng.choice(cands): 1})
         if not ok:
             continue
-        assert vec_eq(gamma_substitution({h: 1}, gs), gamma_matrix({h: 1}, gs))
+        assert gamma_substitution({h: 1}, gs) == gamma_matrix({h: 1}, gs)
         done += 1
 
 
@@ -115,7 +115,7 @@ def test_fiber_skip_on_pipeline_strata():
                     skipped += sum(not levels_match(s, nats) for s in h_vec)
                     out = gamma_substitution(h_vec, gs)
                     assert out == _gamma_unskipped(h_vec, gs), (h_vec, gs)
-                    assert vec_eq(out, gamma_matrix(h_vec, gs)), (h_vec, gs)
+                    assert out == gamma_matrix(h_vec, gs), (h_vec, gs)
                     nonzero += bool(out)
     assert nonzero > 10 and skipped > 40, (nonzero, skipped)
 
@@ -131,10 +131,10 @@ def test_fiber_skip_on_unit_laws():
                 for s in enumerate_symbols(k, q, r):
                     g = {s: 1}
                     left = op.gamma(unit, [g])
-                    assert left == _gamma_unskipped(unit, [g]) and vec_eq(left, g)
+                    assert left == _gamma_unskipped(unit, [g]) and left == g
                     right = op.gamma(g, [unit] * k)
                     assert right == _gamma_unskipped(g, [unit] * k)
-                    assert vec_eq(right, g)
+                    assert right == g
 
 
 def test_cover_skip_on_sampled_tuples(monkeypatch):
@@ -323,7 +323,7 @@ def test_witnesses_replay():
     assert item and item.failures
     tag, h, gs = item.failures[0]
     # re-evaluating the witness reproduces the discrepancy
-    assert not vec_eq(bad.gamma(h, gs), gamma_matrix(h, gs, bad.n))
+    assert bad.gamma(h, gs) != gamma_matrix(h, gs, bad.n)
 
 
 def test_homology_T1_and_T2():
@@ -438,7 +438,7 @@ def test_filtration_inclusions_are_chain_maps():
             continue
         low = gamma_substitution({h: 1}, gs, 1)
         high = gamma_substitution({h: 1}, gs, None)
-        assert vec_eq(low, high)
+        assert low == high
         done += 1
 
 
