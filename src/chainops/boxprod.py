@@ -33,6 +33,7 @@ from math import comb, prod
 from operator import eq, itemgetter
 from types import MappingProxyType
 
+from . import delta
 from .intmat import IntMatrix, vec_sum
 from .complexes import GradedIntComplex
 
@@ -42,7 +43,7 @@ class ValueOutOfRange(Exception):
 
 
 class BoundsExceeded(Exception):
-    pass
+    """No symbols under a q cap: args[0] is (arity, q cap)."""
 
 
 class NormalizationFailure(Exception):
@@ -241,10 +242,12 @@ def _fs_by_phi(k, q, r, n, cover):
     return out
 
 
+@lru_cache(maxsize=8192)
 def _symbols(k, q, r, n, cover):
     """Sorted tuple of the symbols (f, phi) at arity k, size q + 1 and level
-    r, onto and interleaved, of complexity <= n; k and r are fixed, so
-    sorting on (f, phi) is sorting on the symbols' order."""
+    r, onto and interleaved when cover, of complexity <= n; k and r are
+    fixed, so sorting on (f, phi) is sorting on the symbols' order.  One
+    cache serves enumerate_symbols (cover) and box_basis (not cover)."""
     pairs = sorted((f, phi) for phi, fs in _fs_by_phi(k, q, r, n, cover)
                    for f in fs)
     return tuple(_sym(k, f, phi, r) for f, phi in pairs)
@@ -255,16 +258,11 @@ def _check_shape(k, q, r):
         raise InvalidSymbol("no symbols of shape (k, q, r)", (k, q, r))
 
 
-@lru_cache(maxsize=4096)
-def _enumerate_cached(k, q, r, n):
-    return _symbols(k, q, r, n, cover=True)
-
-
 def enumerate_symbols(k, q, r, n=INFINITY):
     """All symbols with conditions (a)-(d) and complexity(f) <= n, in
     deterministic lexicographic order."""
     _check_shape(k, q, r)
-    return list(_enumerate_cached(k, q, r, n))
+    return list(_symbols(k, q, r, n, True))
 
 
 def count_symbols(k, q, r):
@@ -284,17 +282,12 @@ def count_symbols(k, q, r):
     return total
 
 
-@lru_cache(maxsize=4096)
-def _box_basis_cached(k, q, r, n):
-    return _symbols(k, q, r, n, cover=False)
-
-
 def box_basis(k, q, r, n=INFINITY):
     """Basis of the k-fold box product at level [r], internal degree q+1-k:
     conditions (a), (c), (d) but no constraint on the image of phi.  A fresh
     list over a cached tuple, in the same order as enumerate_symbols."""
     _check_shape(k, q, r)
-    return list(_box_basis_cached(k, q, r, n))
+    return list(_symbols(k, q, r, n, False))
 
 
 # -- the cosimplicial action -----------------------------------------------
@@ -310,16 +303,14 @@ def act_ordered(sym, values, new_r):
 
 
 def act_coface(sym, i):
-    vals = tuple(j if j < i else j + 1 for j in range(sym.r + 1))
-    out = act_ordered(sym, vals, sym.r + 1)
+    out = act_ordered(sym, delta.coface(sym.r, i).values, sym.r + 1)
     if out is None:   # injective maps never collapse
         raise InvalidSymbol("coface collapsed", sym, i)
     return out
 
 
 def act_codegeneracy(sym, i):
-    vals = tuple(j if j <= i else j - 1 for j in range(sym.r + 1))
-    return act_ordered(sym, vals, sym.r - 1)
+    return act_ordered(sym, delta.codegeneracy(sym.r, i).values, sym.r - 1)
 
 
 def _faces(sym):
@@ -529,27 +520,19 @@ def box_level(k, n, r, q_cap):
 def box_cosimplicial(k, n, level_cap, q_cap):
     """The whole family of box levels 0..level_cap as a cosimplicial chain
     complex (generic machinery input; sizes stay moderate)."""
-    from .cosimplicial import CosimplicialChainComplex
+    from .cosimplicial import CosimplicialChainComplex, operator_tables
     levels = {r: box_level(k, n, r, q_cap) for r in range(level_cap + 1)}
 
-    def op(alpha_values, new_r, src, tgt):
+    def op(_gen, alpha):
         def image(sym):
-            out = act_ordered(sym, alpha_values, new_r)
+            out = act_ordered(sym, alpha.values, alpha.target.level)
             return () if out is None else ((out, 1),)
+        src, tgt = levels[alpha.source.level], levels[alpha.target.level]
         lo, hi = src.window
         return {m: IntMatrix.from_images(src.basis[m], tgt.basis[m], image)
                 for m in range(max(lo, 0), hi)}
 
-    cofaces, codegens = {}, {}
-    for r in range(level_cap):
-        for i in range(r + 2):
-            vals = tuple(j if j < i else j + 1 for j in range(r + 1))
-            cofaces[(r, i)] = op(vals, r + 1, levels[r], levels[r + 1])
-    for r in range(1, level_cap + 1):
-        for i in range(r):
-            vals = tuple(j if j <= i else j - 1 for j in range(r + 1))
-            codegens[(r, i)] = op(vals, r - 1, levels[r], levels[r - 1])
-    return CosimplicialChainComplex(levels, cofaces, codegens)
+    return CosimplicialChainComplex(levels, *operator_tables(level_cap, op))
 
 
 def conormalized_basis(k, n, q_cap):
@@ -565,7 +548,7 @@ def conormalized_basis(k, n, q_cap):
             if r >= 1:
                 lower = _fs_by_phi(k, q, r - 1, n, cover=False)
                 for i in range(1, r + 1):
-                    vals = tuple(j if j < i else j + 1 for j in range(r))
+                    vals = delta.coface(r - 1, i).values
                     for phi, fs in lower:
                         image = tuple(vals[p] for p in phi)
                         killed.setdefault(image, set()).update(fs)

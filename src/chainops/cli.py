@@ -75,10 +75,6 @@ def _complexity_bound(args):
     return None if args.family == "T" else args.n
 
 
-def _family_tag(args):
-    return "T" if args.family == "T" else "T%d" % args.n
-
-
 def _read(path, what):
     try:
         with open(path) as fh:
@@ -124,7 +120,7 @@ def cmd_homology_operad(args):
         raise ConfigError("--k %d --qmax %d is too large: %s"
                           % (args.k, args.qmax, exc))
     lines = ["homology of %s(%d), level cap %d (stabilized: %s)" %
-             (_family_tag(args), args.k, rep.level_cap, rep.stabilized)]
+             (rep.family, args.k, rep.level_cap, rep.stabilized)]
     for d in degrees:
         betti, tors = rep.groups[d]
         lines.append("  degree %2d: rank %d%s" %
@@ -136,18 +132,18 @@ def cmd_homology_operad(args):
 
 
 def cmd_verify_operad(args):
-    from .operads import (BoundsExceededError, TruncatedChainOperad,
-                          verify_operad_axioms)
+    from .boxprod import BoundsExceeded
+    from .operads import TruncatedChainOperad, verify_operad_axioms
     try:
         op = TruncatedChainOperad(_complexity_bound(args), args.kmax,
                                   args.qmax)
-    except BoundsExceededError as exc:
+    except BoundsExceeded as exc:
         raise _no_symbols(exc)
     rep = verify_operad_axioms(op, seed=args.seed,
                                exhaustive_cap=args.exhaustive_cap,
                                samples=args.samples)
     lines = ["operad axioms for %s, arities <= %d, q <= %d (seed %d)" %
-             (_family_tag(args), args.kmax, args.qmax, args.seed)]
+             (op.family, args.kmax, args.qmax, args.seed)]
     lines += _check_lines(_check_rows(rep), 44, 6)
     config = _echo_config(args, family=args.family, n=args.n,
                           k_max=args.kmax, qmax=args.qmax,
@@ -292,10 +288,12 @@ def cmd_cubes(args):
 
 
 def cmd_export_complex(args):
-    from .operads import BoundsExceededError, symbol_complex
+    from .boxprod import BoundsExceeded
+    from .operads import family_name, symbol_complex
+    n = _complexity_bound(args)
     try:
-        cx = symbol_complex(args.k, _complexity_bound(args), args.qmax)
-    except BoundsExceededError as exc:
+        cx = symbol_complex(args.k, n, args.qmax)
+    except BoundsExceeded as exc:
         raise _no_symbols(exc)
     text = cx.to_json()
     if args.out:
@@ -306,7 +304,7 @@ def cmd_export_complex(args):
             raise ConfigError("cannot write --out file %r: %s" %
                               (args.out, exc.strerror))
         lines = ["wrote %s(%d) with q <= %d to %s" %
-                 (_family_tag(args), args.k, args.qmax, args.out)]
+                 (family_name(n), args.k, args.qmax, args.out)]
     else:
         lines = [text]
     ranks = {str(d): cx.rank(d) for d in cx.degrees() if cx.rank(d)}

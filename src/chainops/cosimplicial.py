@@ -13,10 +13,9 @@ check guarding the truncation.
 
 from dataclasses import dataclass
 
-from . import intmat
+from . import delta, intmat
 from .intmat import IntMatrix, ShapeMismatch
-from .complexes import (GradedIntComplex, NotAChainMap, label_str,
-                        reduced_homology)
+from .complexes import GradedIntComplex, NotAChainMap, reduced_homology
 
 
 class NonSplitKernel(Exception):
@@ -51,16 +50,13 @@ class CosimplicialAbGroup:
             raise ShapeMismatch("levels %r are not 0..top" % sorted(levels))
         self.cofaces = dict(cofaces)      # (m, i): A^m -> A^{m+1}
         self.codegens = dict(codegens)    # (m, i): A^m -> A^{m-1}
-        for m in range(self.max_level):
-            for i in range(m + 2):
-                mat = self.cofaces[(m, i)]
-                if (mat.rows, mat.cols) != (self.rank(m + 1), self.rank(m)):
-                    raise ShapeMismatch("coface %r is %r" % ((m, i), mat))
-        for m in range(1, self.max_level + 1):
-            for i in range(m):
-                mat = self.codegens[(m, i)]
-                if (mat.rows, mat.cols) != (self.rank(m - 1), self.rank(m)):
-                    raise ShapeMismatch("codegeneracy %r is %r" % ((m, i), mat))
+        self._ops = {"d": self.cofaces, "s": self.codegens}
+        for (kind, m, i), alpha in delta.generators(self.max_level).items():
+            mat = self._ops[kind][(m, i)]
+            if (mat.rows, mat.cols) != (self.rank(alpha.target.level),
+                                        self.rank(m)):
+                raise ShapeMismatch("%s %r is %r" %
+                                    (delta.KINDS[kind], (m, i), mat))
         if check:
             self._check_identities()
 
@@ -74,33 +70,20 @@ class CosimplicialAbGroup:
         return self.codegens[(m, i)]
 
     def _check_identities(self):
-        M = self.max_level
-        for m in range(M - 1):
-            for j in range(m + 3):
-                for i in range(j):
-                    # d^j d^i = d^i d^{j-1}, maps A^m -> A^{m+2}
-                    if (self.d(m + 1, j) * self.d(m, i) !=
-                            self.d(m + 1, i) * self.d(m, j - 1)):
-                        raise CosimplicialIdentityFails("d^j d^i", m, i, j)
-        for m in range(2, M + 1):
-            for j in range(m - 1):
-                for i in range(j + 1):
-                    # s^j s^i = s^i s^{j+1}, maps A^m -> A^{m-2}
-                    if (self.s(m - 1, j) * self.s(m, i) !=
-                            self.s(m - 1, i) * self.s(m, j + 1)):
-                        raise CosimplicialIdentityFails("s^j s^i", m, i, j)
-        for m in range(M):
-            for j in range(m + 1):
-                for i in range(m + 2):
-                    lhs = self.s(m + 1, j) * self.d(m, i)
-                    if i < j:
-                        rhs = self.d(m - 1, i) * self.s(m, j - 1)
-                    elif i in (j, j + 1):
-                        rhs = IntMatrix.identity(self.rank(m))
-                    else:
-                        rhs = self.d(m - 1, i - 1) * self.s(m, j)
-                    if lhs != rhs:
-                        raise CosimplicialIdentityFails("s^j d^i", m, i, j)
+        """Functoriality on Delta's two-letter words: the words of a group
+        have one matrix, the identity when their composite is one."""
+        for composite, words in delta.two_letter_words(self.max_level).items():
+            want = []
+            if composite.is_injective() and composite.is_surjective():
+                # the only automorphism of [m] is its identity
+                want = [IntMatrix.identity(self.rank(composite.source.level))]
+            elif len(words) == 1:
+                continue
+            for (ka, ma, ia), (kb, mb, ib) in words:
+                want.append(self._ops[kb][mb, ib] * self._ops[ka][ma, ia])
+                if want[-1] != want[0]:
+                    raise CosimplicialIdentityFails("%s^j %s^i" % (kb, ka),
+                                                    ma, ia, ib)
 
     def alternating_coface(self, m):
         """sum_i (-1)^i d^i : A^m -> A^{m+1}."""
@@ -245,6 +228,7 @@ class CosimplicialChainComplex:
             raise ShapeMismatch("levels %r are not 0..top" % sorted(levels))
         self.cofaces = {k: dict(v) for k, v in cofaces.items()}
         self.codegens = {k: dict(v) for k, v in codegens.items()}
+        self._ops = {"d": self.cofaces, "s": self.codegens}
         self._check()
 
     def internal_degrees(self):
@@ -252,43 +236,30 @@ class CosimplicialChainComplex:
         hi = max(c.window[1] for c in self.levels.values())
         return lo, hi
 
-    def _op(self, table, key, m, rows, cols):
-        mat = table.get(key, {}).get(m)
+    def _op(self, gen, alpha, m):
+        """The generator gen = (kind, r, i), with map alpha, in internal
+        degree m; zero where the tables give none."""
+        shape = (self.levels[alpha.target.level].rank(m),
+                 self.levels[gen[1]].rank(m))
+        mat = self._ops[gen[0]].get(gen[1:], {}).get(m)
         if mat is None:
-            mat = IntMatrix.zeros(rows, cols)
-        if (mat.rows, mat.cols) != (rows, cols):
-            raise ShapeMismatch("operator %r is %r" % ((key, m), mat))
+            mat = IntMatrix.zeros(*shape)
+        if (mat.rows, mat.cols) != shape:
+            raise ShapeMismatch("%s %r in degree %d is %r" %
+                                (delta.KINDS[gen[0]], gen[1:], m, mat))
         return mat
-
-    def d(self, r, i, m):
-        src, tgt = self.levels[r], self.levels[r + 1]
-        return self._op(self.cofaces, (r, i), m, tgt.rank(m), src.rank(m))
-
-    def s(self, r, i, m):
-        src, tgt = self.levels[r], self.levels[r - 1]
-        return self._op(self.codegens, (r, i), m, tgt.rank(m), src.rank(m))
 
     def _check(self):
         lo, hi = self.internal_degrees()
         # operators are chain maps
-        for r in range(self.max_level):
-            for i in range(r + 2):
-                for m in range(lo + 1, hi + 1):
-                    if self.levels[r].rank(m) == 0:
-                        continue
-                    lhs = _diff_or_zero(self.levels[r + 1], m) * self.d(r, i, m)
-                    rhs = self.d(r, i, m - 1) * _diff_or_zero(self.levels[r], m)
-                    if lhs != rhs:
-                        raise NotAChainMap("coface not a chain map", r, i, m)
-        for r in range(1, self.max_level + 1):
-            for i in range(r):
-                for m in range(lo + 1, hi + 1):
-                    if self.levels[r].rank(m) == 0:
-                        continue
-                    lhs = _diff_or_zero(self.levels[r - 1], m) * self.s(r, i, m)
-                    rhs = self.s(r, i, m - 1) * _diff_or_zero(self.levels[r], m)
-                    if lhs != rhs:
-                        raise NotAChainMap("codegeneracy not a chain map", r, i, m)
+        for gen, alpha in delta.generators(self.max_level).items():
+            src, tgt = self.levels[gen[1]], self.levels[alpha.target.level]
+            for m in range(lo + 1, hi + 1):
+                if src.rank(m) and (
+                        _diff_or_zero(tgt, m) * self._op(gen, alpha, m) !=
+                        self._op(gen, alpha, m - 1) * _diff_or_zero(src, m)):
+                    raise NotAChainMap(delta.KINDS[gen[0]] +
+                                       " not a chain map", *gen[1:], m)
         # identities levelwise
         for m in range(lo, hi + 1):
             self.level_ab_group(m, self.max_level, check=True)
@@ -296,14 +267,21 @@ class CosimplicialChainComplex:
     def level_ab_group(self, m, level_cap, check=False):
         """The cosimplicial abelian group obtained by fixing internal
         degree m, on the levels 0..level_cap."""
-        levels = {r: tuple("r%d:%s" % (r, label_str(lbl))
-                           for lbl in self.levels[r].basis.get(m, ()))
+        levels = {r: self.levels[r].basis.get(m, ())
                   for r in range(level_cap + 1)}
-        cofaces = {(r, i): self.d(r, i, m)
-                   for r in range(level_cap) for i in range(r + 2)}
-        codegens = {(r, i): self.s(r, i, m)
-                    for r in range(1, level_cap + 1) for i in range(r)}
+        cofaces, codegens = operator_tables(
+            level_cap, lambda gen, alpha: self._op(gen, alpha, m))
         return CosimplicialAbGroup(levels, cofaces, codegens, check=check)
+
+
+def operator_tables(top, matrix):
+    """The coface and codegeneracy tables {(m, i): matrix(gen, alpha)} on
+    the levels 0..top, one entry per generator gen -> alpha of
+    ``delta.generators(top)``."""
+    tables = {"d": {}, "s": {}}
+    for gen, alpha in delta.generators(top).items():
+        tables[gen[0]][gen[1:]] = matrix(gen, alpha)
+    return tables["d"], tables["s"]
 
 
 def _diff_or_zero(cx, m):

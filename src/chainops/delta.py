@@ -8,7 +8,9 @@ ordered sets are always presented through their unique isomorphism to some
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
+from types import MappingProxyType
 
 
 class IndexOutOfRange(Exception):
@@ -42,9 +44,6 @@ class FinOrd:
         """m such that this object is [m]; the empty set gives -1."""
         return self.size - 1
 
-    def __iter__(self):
-        return iter(range(self.size))
-
 
 @dataclass(frozen=True, order=True)
 class OrderedMap:
@@ -65,9 +64,6 @@ class OrderedMap:
         if any(a > b for a, b in zip(values, values[1:])):
             raise InvalidOrderedMap("values %r not weakly increasing" %
                                     (values,))
-
-    def __call__(self, i):
-        return self.values[i]
 
     def compose(self, other):
         """self o other."""
@@ -91,6 +87,7 @@ class OrderedMap:
         return sorted(set(self.values))
 
 
+@lru_cache(maxsize=None)
 def coface(m, i):
     """d^i : [m] -> [m+1], the ordered injection missing i."""
     if not (0 <= i <= m + 1):
@@ -99,12 +96,40 @@ def coface(m, i):
     return OrderedMap(FinOrd.bracket(m), FinOrd.bracket(m + 1), vals)
 
 
+@lru_cache(maxsize=None)
 def codegeneracy(m, i):
     """s^i : [m] -> [m-1], the ordered surjection hitting i twice."""
     if not (0 <= i <= m - 1):
         raise IndexOutOfRange((m, i))
     vals = tuple(j if j <= i else j - 1 for j in range(m + 1))
     return OrderedMap(FinOrd.bracket(m), FinOrd.bracket(m - 1), vals)
+
+
+KINDS = {"d": "coface", "s": "codegeneracy"}
+
+
+@lru_cache(maxsize=None)
+def generators(top):
+    """Delta's generators on the levels 0..top, by name: ("d", m, i) -> d^i
+    and then ("s", m, i) -> s^i; read only, as callers share it."""
+    gens = {("d", m, i): coface(m, i)
+            for m in range(top) for i in range(m + 2)}
+    gens.update((("s", m, i), codegeneracy(m, i))
+                for m in range(1, top + 1) for i in range(m))
+    return MappingProxyType(gens)
+
+
+@lru_cache(maxsize=None)
+def two_letter_words(top):
+    """{b o a: ((a, b), ...)}: the composable pairs of generator names
+    among the levels 0..top, grouped by composite, read only.  A one-word
+    group that is no identity is a d^i s^j out of [top], whose other word
+    would pass through [top + 1]."""
+    groups = {}
+    for (a, alpha), (b, beta) in product(generators(top).items(), repeat=2):
+        if beta.source == alpha.target:
+            groups.setdefault(beta.compose(alpha), []).append((a, b))
+    return MappingProxyType({c: tuple(words) for c, words in groups.items()})
 
 
 def factor_epi_mono(phi):

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from math import isqrt
 
 from . import intmat
 from .complexes import GradedIntComplex, homology_basis, reduced_homology
@@ -50,8 +51,10 @@ class FiniteRankAlgebra:
         self.n = n = len(structure)
         self.prime = prime
         self.name = name
-        if not (prime == 0 or prime >= 2):
-            raise InvalidAlgebra("the prime must be 0 or at least 2")
+        if not (prime == 0 or prime >= 2 and all(
+                prime % d for d in range(2, isqrt(prime) + 1))):
+            raise InvalidAlgebra("the modulus must be 0 or a prime, not %r"
+                                 % (prime,))
         if len(unit) != n or any(len(row) != n or any(len(v) != n for v in row)
                                  for row in structure):
             raise InvalidAlgebra("structure constants must be a rank x rank "
@@ -121,7 +124,10 @@ class FiniteRankAlgebra:
         if not isinstance(obj, dict) or not {"structure", "unit"} <= set(obj):
             raise InvalidAlgebra('an algebra is a JSON object with '
                                  '"structure" and "unit"')
-        prime = obj.get("p", 0) if obj.get("ring") != "Z" else 0
+        ring = obj.get("ring")
+        if ring not in ("Z", "Zp") or ring == "Zp" and not obj.get("p"):
+            raise InvalidAlgebra('the ring is "Z", or "Zp" with a prime "p"')
+        prime = obj["p"] if ring == "Zp" else 0
         return cls(obj["structure"], obj["unit"], prime)
 
 
@@ -440,7 +446,7 @@ def gerstenhaber_report(R, p_max=3):
     for _ in range(40 if p_max else 0):
         p = rng.randrange(0, p_max)
         q = rng.randrange(0, p_max)
-        if p + q < 1:
+        if p + q < 1 or not (basis[p] and basis[q]):
             continue
         r1 = rng.choice(basis[p])
         r2 = rng.choice(basis[q])

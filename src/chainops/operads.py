@@ -34,10 +34,6 @@ from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
 from .complexes import GradedIntComplex, reduced_homology
 
 
-class BoundsExceededError(Exception):
-    pass
-
-
 class NotStabilized(Exception):
     pass
 
@@ -157,6 +153,11 @@ def act_perm_vec(vec, sigma):
 
 # -- the truncated operads ----------------------------------------------------
 
+def family_name(n):
+    """The family's name: T with no complexity bound n, else Tn."""
+    return "T" if n is None else "T%d" % n
+
+
 @dataclass
 class TruncatedChainOperad:
     """The operad data, its unit and composition, truncated at simplex
@@ -167,11 +168,11 @@ class TruncatedChainOperad:
 
     def __post_init__(self):
         if self.k_max > self.q_cap + 1:
-            raise BoundsExceededError((self.q_cap + 2, self.q_cap))
+            raise boxprod.BoundsExceeded((self.q_cap + 2, self.q_cap))
 
     @property
     def family(self):
-        return "T" if self.n in (None, INFINITY) else "T%d" % self.n
+        return family_name(self.n)
 
     def unit(self):
         """The operad unit: the identity family of the standard cosimplicial
@@ -195,7 +196,7 @@ def symbol_complex(k, n, q_cap):
             for s in enumerate_symbols(k, q, r, n):
                 by_degree.setdefault(s.total_degree, []).append(s)
     if not by_degree:
-        raise BoundsExceededError((k, q_cap))
+        raise boxprod.BoundsExceeded((k, q_cap))
     lo, hi = min(by_degree) - 2, max(by_degree) + 2
     basis = {d: tuple(sorted(by_degree.get(d, ())))
              for d in range(lo, hi + 1)}
@@ -263,8 +264,8 @@ def operad_homology(k, n, degrees, level_cap):
     g1 = reduced_homology(cx1, degrees)
     g2 = reduced_homology(cx2, degrees)
     stable = g1 == g2
-    family = "T" if n in (None, INFINITY) else "T%d" % n
-    report = HomologyReport(family, k, level_cap, degrees, g1, g2, stable)
+    report = HomologyReport(family_name(n), k, level_cap, degrees, g1, g2,
+                            stable)
     if not stable:
         raise NotStabilized(report)
     return report

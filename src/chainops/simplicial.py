@@ -10,6 +10,7 @@ identities, which are verified on all generators when the set is built.
 
 import json
 from collections import namedtuple
+from itertools import product
 
 from . import delta
 from .delta import FinOrd, OrderedMap
@@ -183,19 +184,14 @@ class FiniteSimplicialSet:
         return found
 
     def _check_identities(self):
+        # d_i d_j c depends only on the composite [d-2] -> [d] of the cofaces
         for d, names in self.simplices.items():
-            if d < 2:
-                continue
-            for name in names:
-                c = self.cell(name)
-                for j in range(d + 1):
-                    for i in range(j):
-                        left = self.face(self.face(c, j), i)
-                        right = self.face(self.face(c, i), j - 1)
-                        if left != right:
-                            raise InvalidSimplicialSet(
-                                "simplicial identity fails on %r (i=%d, j=%d)"
-                                % (name, i, j))
+            groups = [words for alpha, words in delta.two_letter_words(d).items()
+                      if alpha.target.level == d == alpha.source.level + 2]
+            for name, words in product(names, groups):
+                if len({self._apply(self.cell(name), w) for w in words}) > 1:
+                    raise InvalidSimplicialSet("simplicial identity fails on "
+                                               "%r: %r" % (name, words))
 
     # -- derived algebra ---------------------------------------------------
 
@@ -219,26 +215,18 @@ class FiniteSimplicialSet:
     def dual_cosimplicial(self, level_cap):
         """The cosimplicial abelian group of integer-valued functions on all
         simplices (degenerate included), levels 0..level_cap."""
-        from .cosimplicial import CosimplicialAbGroup
+        from .cosimplicial import CosimplicialAbGroup, operator_tables
         levels = {m: self.cells(m) for m in range(level_cap + 1)}
 
-        def op_matrix(alpha):
+        def op_matrix(_gen, alpha):
             # transpose of the pullback c -> c o alpha of simplices; the
             # table lists the cells c in the order of their level
             return IntMatrix.from_images(
                 self.pullback(alpha).values(), levels[alpha.source.level],
                 lambda face: ((face, 1),)).transpose()
 
-        cofaces = {}
-        codegens = {}
-        for m in range(level_cap):
-            for i in range(m + 2):
-                cofaces[(m, i)] = op_matrix(delta.coface(m, i))
-        for m in range(1, level_cap + 1):
-            for i in range(m):
-                codegens[(m, i)] = op_matrix(delta.codegeneracy(m, i))
-        return CosimplicialAbGroup(
-            {m: tuple(levels[m]) for m in levels}, cofaces, codegens)
+        return CosimplicialAbGroup(levels,
+                                   *operator_tables(level_cap, op_matrix))
 
     # -- serialization -----------------------------------------------------
 

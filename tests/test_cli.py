@@ -189,6 +189,35 @@ def test_hochschild_invalid_algebra_file(tmp_path, capsys):
         assert why in err
 
 
+def test_hochschild_algebra_over_the_wrong_ring(tmp_path, capsys):
+    # Z/4 is no field, "Q" is no ring the library computes over, and "Zp"
+    # without a prime "p" names no field at all
+    dual = {"unit": [1, 0], "structure": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
+    for name, ring, why in (
+            ("z4.json", {"ring": "Zp", "p": 4}, "0 or a prime, not 4"),
+            ("z6.json", {"ring": "Zp", "p": 6}, "0 or a prime, not 6"),
+            ("q.json", {"ring": "Q"}, 'the ring is "Z", or "Zp" with a'),
+            ("nop.json", {"ring": "Zp"}, 'the ring is "Z", or "Zp" with a'),
+            ("p0.json", {"ring": "Zp", "p": 0}, 'the ring is "Z", or "Zp"')):
+        path = tmp_path / name
+        path.write_text(json.dumps(dict(dual, **ring)))
+        for report in ((), ("--report", "gerstenhaber")):
+            err = _hochschild_error(capsys, "--algebra", str(path),
+                                    "--pmax", "2", *report)
+            assert why in err
+
+
+def test_hochschild_zero_ring_report(tmp_path, capsys):
+    # rank 0: every cochain space is zero, so no bracket can be drawn
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"ring": "Z", "p": 0, "rank": 0,
+                                "structure": [], "unit": []}))
+    code, out = run(capsys, "hochschild", "--algebra", str(path),
+                    "--pmax", "2", "--report", "gerstenhaber")
+    assert code == 0
+    assert "H^2: rank 0" in out
+
+
 def test_hochschild_negative_pmax(capsys):
     err = _hochschild_error(capsys, "--algebra", "dual2", "--pmax", "-1")
     assert "--pmax" in err

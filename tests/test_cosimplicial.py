@@ -12,7 +12,9 @@ from chainops.complexes import GradedIntComplex
 from chainops.simplicial import (standard_simplex_sset,
                                  standard_simplex_chains, from_simplicial_complex)
 from chainops.cosimplicial import (ComparisonFailed, CosimplicialAbGroup,
-                                   CosimplicialChainComplex, TorsionCokernel, WindowTooSmall,
+                                   CosimplicialChainComplex,
+                                   CosimplicialIdentityFails, TorsionCokernel,
+                                   WindowTooSmall,
                                    compare_conormalizations, conormalize_bicomplex,
                                    conormalize_cokernel, conormalize_kernel,
                                    stabilized_bicomplex_homology)
@@ -110,6 +112,22 @@ def test_certificate_rejects_non_inverse_and_non_unimodular():
     with pytest.raises(ComparisonFailed) as info:
         compare_conormalizations(A, kres, cres)
     assert info.value.args == (1,)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("d", (1, 0)),     # a coface
+    ("s", (3, 0)),     # a codegeneracy out of the top level
+    ("s", (2, 0)),     # a codegeneracy in the middle
+])
+def test_corrupted_operator_breaks_an_identity(kind, key):
+    # the neighbouring operator has the same shape, as an off-by-one would
+    A = standard_simplex_sset(2).dual_cosimplicial(3)
+    cofaces, codegens = dict(A.cofaces), dict(A.codegens)
+    table = cofaces if kind == "d" else codegens
+    table[key] = table[(key[0], key[1] + 1)]
+    assert table[key] != getattr(A, kind)(*key)
+    with pytest.raises(CosimplicialIdentityFails):
+        CosimplicialAbGroup(A.levels, cofaces, codegens)
 
 
 def test_certificate_check_under_optimize():

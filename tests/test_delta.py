@@ -47,6 +47,23 @@ def test_cosimplicial_identities_exhaustive():
                 assert lhs == rhs
 
 
+def test_two_letter_words_group_by_composite():
+    for top in range(1, 6):
+        gens = delta.generators(top)
+        groups = delta.two_letter_words(top)
+        lonely = 0
+        for composite, words in groups.items():
+            for a, b in words:
+                assert gens[b].compose(gens[a]) == composite
+            if composite == OrderedMap.identity(composite.source):
+                m = composite.source.level
+                assert len(words) == 2 * (m + 1), (top, m)
+            else:
+                assert len(words) in (1, 2), (top, composite)
+                lonely += len(words) == 1
+        assert lonely == top * (top + 1)
+
+
 def test_factor_epi_mono_examples():
     f = OrderedMap(FinOrd(3), FinOrd(2), (0, 0, 1))
     epi, mono = delta.factor_epi_mono(f)

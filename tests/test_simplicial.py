@@ -136,6 +136,22 @@ def test_bad_faces_rejected():
                             {"T": (Cell((), "v"), Cell((), "v"), Cell((), "v"))})
 
 
+def test_broken_face_identity_rejected():
+    # faces d_0 and d_1 of the triangle swapped: d_0 d_2 t = b but
+    # d_1 d_0 t = a, so d_i d_j = d_(j-1) d_i fails for i = 0, j = 2
+    def cell(name):
+        return Cell((), name)
+    simplices = {0: ("a", "b", "c"), 1: ("ab", "ac", "bc"), 2: ("t",)}
+    faces = {"ab": (cell("b"), cell("a")), "ac": (cell("c"), cell("a")),
+             "bc": (cell("c"), cell("b")),
+             "t": (cell("ac"), cell("bc"), cell("ab"))}
+    with pytest.raises(InvalidSimplicialSet,
+                       match="simplicial identity fails on 't'"):
+        FiniteSimplicialSet(simplices, faces)
+    faces["t"] = (cell("bc"), cell("ac"), cell("ab"))
+    assert FiniteSimplicialSet(simplices, faces).max_dim() == 2
+
+
 def test_wrong_face_count_named():
     with pytest.raises(InvalidSimplicialSet, match="needs 2 faces, got 1"):
         FiniteSimplicialSet({0: ("a",), 1: ("e",)}, {"e": (Cell((), "a"),)})
