@@ -13,14 +13,14 @@ identifies them with degenerate tensors).  Conormalizing additionally kills
 the symbols whose phi misses a value in {1,...,r}; what survives is exactly
 the normal-form basis used throughout the operad layer.
 
-Enumeration is a depth-first search over f, one position at a time, that
-only ever extends prefixes with a completion.  A value that would repeat
-across an equal step of phi is skipped (condition (d)); a prefix whose
-remaining positions can no longer reach every unseen value is cut (onto);
-under a complexity bound n, a change counter per pair of values is kept and a
-prefix is cut as soon as one exceeds n.  Appending v adds one change to the
-pair {u, v} exactly when u occurred after the last v.  A Symbol is the tuple
-(k, f, phi, r); results are sorted in that order and cached.
+Enumeration is one depth-first search over f, position by position, for
+all phi at once: where f repeats, phi must step up (condition (d)).  A
+prefix is cut when its repeats force more up steps than any phi has, when
+its remaining positions cannot reach every unseen value (onto), or, under
+a complexity bound n, once a pair of values has more than n changes;
+appending v adds one change to the pair {u, v} exactly when u occurred
+after the last v.  A Symbol is the tuple (k, f, phi, r); results are
+sorted in that order and cached.
 
 The kernel form of the conormalization has an explicit section given by the
 operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` applies
@@ -30,7 +30,7 @@ it symbolically and is the engine behind both composition pipelines.
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
-from operator import eq, itemgetter
+from operator import eq, itemgetter, ne
 from types import MappingProxyType
 
 from . import delta
@@ -174,34 +174,40 @@ def _phis(q, r, cover):
     return out
 
 
-def _fs(k, phi, n):
-    """Onto functions [q] -> {1..k} compatible with condition (d) along phi
-    and of complexity <= n, in lexicographic order.
+@lru_cache(maxsize=8192)
+def _symbols(k, q, r, n, cover):
+    """Sorted tuple of the symbols (f, phi) at arity k, size q + 1 and level
+    r, onto and interleaved when cover, of complexity <= n; k and r are
+    fixed, so sorting on (f, phi) is sorting on the symbols' order.  One
+    cache serves enumerate_symbols (cover) and box_basis (not cover).
 
-    Depth-first over positions.  A prefix is cut as soon as its remaining
-    positions cannot reach every unseen value, or (when n is not None) as
-    soon as a pair {u, v} has more than n changes: appending v adds one
-    change to {u, v} exactly when u's last position comes after v's.  With
-    n None no counters are kept.  ``complexity`` is the reference."""
-    q1 = len(phi)
-    if n is not None and n < 0:
-        return []
+    The search (see the module notes) grows f for every phi of ``_phis(q,
+    r, cover)`` at once.  Each f found chooses its other up steps among its
+    non-repeats and reads the phis of each step pattern from a table; the f
+    come in lexicographic order and each f's phis are sorted, so the
+    symbols come sorted.  ``complexity`` is the reference."""
+    by_steps = {}                   # equal steps of phi -> the phis
+    for phi in _phis(q, r, cover):
+        by_steps.setdefault(tuple(map(eq, phi, islice(phi, 1, None))),
+                            []).append(phi)
+    counts = {steps.count(False) for steps in by_steps}     # up steps
+    if not counts or (n is not None and n < 0):
+        return ()
+    lo, hi = min(counts), max(counts)
     out = []
-    seq = [0] * q1
+    seq = [0] * (q + 1)
     last = [-1] * (k + 1)           # last position of each value, -1 unseen
-    repeat = [t > 0 and phi[t] == phi[t - 1] for t in range(q1)]
     values = range(1, k + 1)
     changes = None if n is None else [[0] * (k + 1) for _ in range(k + 1)]
 
-    def grow(t, unseen):
+    def grow(t, unseen, forced):
         prev = seq[t - 1] if t else 0
-        slack = q1 - 1 - t          # positions after t
+        slack = q - t               # positions after t
         for v in values:
-            if v == prev and repeat[t]:
-                continue
             lv = last[v]
             rest = unseen - 1 if lv < 0 else unseen
-            if rest > slack:
+            ups = forced + (v == prev)
+            if rest > slack or ups > hi:
                 continue
             bumped = ()
             if changes is not None and v != prev:
@@ -215,42 +221,29 @@ def _fs(k, phi, n):
             seq[t] = v
             if slack:
                 last[v] = t
-                grow(t + 1, rest)
+                grow(t + 1, rest, ups)
                 last[v] = lv
             else:
-                out.append(tuple(seq))
+                expand(tuple(seq), ups)
             for u in bumped:
                 row[u] -= 1
                 changes[u][v] -= 1
 
-    grow(0, k)
-    return out
+    def expand(f, forced):
+        equal = list(map(ne, f, islice(f, 1, None)))    # where phi may stay
+        free = [s for s, e in enumerate(equal) if e]
+        phis = []
+        for u in range(max(lo, forced), hi + 1):
+            for extra in combinations(free, u - forced):
+                steps = equal.copy()
+                for s in extra:
+                    steps[s] = False
+                phis += by_steps.get(tuple(steps), ())
+        phis.sort()
+        out.extend(_sym(k, f, phi, r) for phi in phis)
 
-
-def _fs_by_phi(k, q, r, n, cover):
-    """(phi, fs) for each phi of ``_phis(q, r, cover)``, fs the onto,
-    interleaved f of complexity <= n over it.  ``_fs`` sees phi only through
-    its equal steps, so phis sharing them share one search."""
-    found = {}
-    out = []
-    for phi in _phis(q, r, cover):
-        steps = tuple(a == b for a, b in zip(phi, phi[1:]))
-        fs = found.get(steps)
-        if fs is None:
-            fs = found[steps] = _fs(k, phi, n)
-        out.append((phi, fs))
-    return out
-
-
-@lru_cache(maxsize=8192)
-def _symbols(k, q, r, n, cover):
-    """Sorted tuple of the symbols (f, phi) at arity k, size q + 1 and level
-    r, onto and interleaved when cover, of complexity <= n; k and r are
-    fixed, so sorting on (f, phi) is sorting on the symbols' order.  One
-    cache serves enumerate_symbols (cover) and box_basis (not cover)."""
-    pairs = sorted((f, phi) for phi, fs in _fs_by_phi(k, q, r, n, cover)
-                   for f in fs)
-    return tuple(_sym(k, f, phi, r) for f, phi in pairs)
+    grow(0, k, 0)
+    return tuple(out)
 
 
 def _check_shape(k, q, r):
@@ -533,31 +526,6 @@ def box_cosimplicial(k, n, level_cap, q_cap):
                 for m in range(max(lo, 0), hi)}
 
     return CosimplicialChainComplex(levels, *operator_tables(level_cap, op))
-
-
-def conormalized_basis(k, n, q_cap):
-    """Symbol basis of the conormalized box product, derived through the
-    colimit machinery: start from the box basis and remove the image of the
-    positive cofaces.  Returns {(q, r): tuple of Symbols}."""
-    out = {}
-    for q in range(k - 1, q_cap + 1):
-        for r in range(q + 2):
-            # a coface moves phi and keeps f, so the box basis is worked on
-            # grouped by phi; killed[phi] is the set of f hit over it
-            killed = {}
-            if r >= 1:
-                lower = _fs_by_phi(k, q, r - 1, n, cover=False)
-                for i in range(1, r + 1):
-                    vals = delta.coface(r - 1, i).values
-                    for phi, fs in lower:
-                        image = tuple(vals[p] for p in phi)
-                        killed.setdefault(image, set()).update(fs)
-            survivors = sorted(
-                (f, phi) for phi, fs in _fs_by_phi(k, q, r, n, cover=False)
-                for f in fs if f not in killed.get(phi, ()))
-            if survivors:
-                out[(q, r)] = tuple(_sym(k, f, phi, r) for f, phi in survivors)
-    return out
 
 
 # -- natural transformations out of the standard cosimplicial chain complex --

@@ -153,8 +153,15 @@ def cmd_verify_operad(args):
 
 
 def cmd_enumerate_basis(args):
-    from .boxprod import enumerate_symbols
+    from .boxprod import count_symbols, enumerate_symbols
+    from .operads import MAX_WINDOW_SYMBOLS
     n = args.max_complexity
+    # exact without a complexity bound; with one, only an upper bound
+    size = count_symbols(args.k, args.q, args.r) if n is None else 0
+    if size > MAX_WINDOW_SYMBOLS:
+        raise ConfigError("--k %d --q %d --r %d is too large: %d symbols, "
+                          "above the limit %d" % (args.k, args.q, args.r,
+                                                  size, MAX_WINDOW_SYMBOLS))
     syms = enumerate_symbols(args.k, args.q, args.r, n)
     lines = ["symbols with k=%d q=%d r=%d%s: %d" %
              (args.k, args.q, args.r,

@@ -32,6 +32,7 @@ from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       ker_expand, ker_expand_checked, koszul_sign,
                       levels_match, NatTransform, t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
+from .intmat import IntMatrix
 
 
 class NotStabilized(Exception):
@@ -222,6 +223,25 @@ def level_truncated_complex(k, n, level_cap, degree_window):
         (lo, hi), basis, lambda d, s: t_boundary(s, level_cap=level_cap).items())
 
 
+def _below_level(cx, level_cap):
+    """The quotient of a level-truncated complex by its symbols above
+    ``level_cap``, which span a subcomplex (d^0 raises the level, the
+    internal part keeps it): the rows and columns of the other symbols, in
+    their order.  It is ``level_truncated_complex`` at ``level_cap``."""
+    keep = {d: [i for i, s in enumerate(labels) if s.r <= level_cap]
+            for d, labels in cx.basis.items()}
+    index = {d: {i: a for a, i in enumerate(kept)} for d, kept in keep.items()}
+    diff = {}
+    for d, m in cx.diff.items():
+        rows, cols = index[d - 1], index[d]
+        diff[d] = IntMatrix(len(rows), len(cols), {
+            (rows[i], cols[j]): v for (i, j), v in m.data.items()
+            if i in rows and j in cols})
+    return GradedIntComplex(
+        cx.window, {d: tuple(cx.basis[d][i] for i in kept)
+                    for d, kept in keep.items()}, diff)
+
+
 @dataclass
 class HomologyReport:
     family: str
@@ -244,7 +264,8 @@ class HomologyReport:
 def operad_homology(k, n, degrees, level_cap):
     """Homology of the level-truncated operad arity with a stabilization
     certificate: the groups must agree at level_cap and level_cap + 1, or
-    NotStabilized is raised with the report as its argument.
+    NotStabilized is raised with the report as its argument.  Only the
+    level_cap + 1 complex is assembled; the other is its quotient.
     For family T (n None) a window above MAX_WINDOW_SYMBOLS, counted by
     ``boxprod.count_symbols``, raises InfeasibleSize before anything is
     built; for Tn that count is only an upper bound, and nothing is
@@ -259,8 +280,8 @@ def operad_homology(k, n, degrees, level_cap):
             raise InfeasibleSize(
                 "the level-%d window of T(%d) has %d symbols, above the "
                 "limit %d" % (level_cap + 1, k, size, MAX_WINDOW_SYMBOLS))
-    cx1 = level_truncated_complex(k, n, level_cap, window)
     cx2 = level_truncated_complex(k, n, level_cap + 1, window)
+    cx1 = _below_level(cx2, level_cap)
     g1 = reduced_homology(cx1, degrees)
     g2 = reduced_homology(cx2, degrees)
     stable = g1 == g2

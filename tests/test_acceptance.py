@@ -23,6 +23,7 @@ from chainops.operads import (TruncatedChainOperad, little_cubes_comparison,
                               verify_operad_axioms)
 from chainops.simplicial import (from_simplicial_complex, simplicial_circle,
                                  standard_simplex_sset)
+from tests.test_boxprod import conormalized_basis
 
 
 def _line(num, name, ok):
@@ -90,7 +91,7 @@ def test_acceptance_3_basis_reconciliation():
     # the colimit/coface route against the normal-form enumeration, exact
     # equality of ordered symbol lists cell by cell
     for k in (1, 2, 3):
-        table = boxprod.conormalized_basis(k, None, 6)
+        table = conormalized_basis(k, None, 6)
         for q in range(k - 1, 7):
             for r in range(q + 2):
                 expected = tuple(enumerate_symbols(k, q, r))

@@ -6,7 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -14,10 +14,10 @@ import pytest
 import chainops
 from chainops import intmat
 from chainops.boxprod import (INFINITY, InvalidSymbol, NatTransform, Symbol,
-                              ValueOutOfRange, _family_of, _sym, act_coface, act_codegeneracy,
+                              ValueOutOfRange, _family_of, _sym, _symbols, act_coface, act_codegeneracy,
                               act_perm, apply_tuple, box_basis, box_level,
                               box_cosimplicial, complexity, count_symbols,
-                              conormalized_basis, enumerate_symbols, flatten,
+                              enumerate_symbols, flatten,
                               internal_boundary, ker_expand,
                               ker_expand_checked, t_boundary)
 from chainops.delta import FinOrd
@@ -178,28 +178,38 @@ def test_count_symbols_closed_form():
 
 
 def _reference_bases(k, q, r):
-    """Brute force: every (f, phi) from itertools.product that is onto and
-    interleaved, sorted by the dataclass order; with complexity(f) and
+    """Brute force: every onto f from itertools.product and every
+    order-preserving phi (a multiset of q + 1 values in [r]) whose pair is
+    interleaved, sorted in the symbols' order; with complexity(f) and
     whether phi covers {1..r}."""
     onto = [f for f in product(range(1, k + 1), repeat=q + 1)
             if set(f) == set(range(1, k + 1))]
-    phis = [phi for phi in product(range(r + 1), repeat=q + 1)
-            if all(a <= b for a, b in zip(phi, phi[1:]))]
-    syms = sorted(Symbol(k, f, phi, r) for f in onto for phi in phis
-                  if all(phi[i] != phi[i + 1] or f[i] != f[i + 1]
-                         for i in range(q)))
-    return [(s, complexity(s.f), set(range(1, r + 1)) <= set(s.phi))
-            for s in syms]
+    phis = list(combinations_with_replacement(range(r + 1), q + 1))
+    covers = {phi: set(range(1, r + 1)) <= set(phi) for phi in phis}
+    out = []
+    for f in onto:
+        c = complexity(f)
+        repeats = [i for i in range(q) if f[i] == f[i + 1]]
+        out.extend(((k, f, phi, r), c, covers[phi]) for phi in phis
+                   if all(phi[i] != phi[i + 1] for i in repeats))
+    return sorted(out)
+
+
+# the highest level swept at a shape, when below max(3, q + 2): from level
+# 4 on, (k, q) = (3, 5) has 42,000 to 444,240 box symbols per bound, some 10 s
+TOP_LEVEL = {(3, 5): 3}
 
 
 @pytest.mark.parametrize("k,q_max", [(1, 5), (2, 5), (3, 5), (4, 4)])
 def test_enumeration_equals_brute_force_in_order(k, q_max):
-    # the pruned search against an exhaustive filter, as ordered lists, for
-    # every complexity bound that cuts anything and for no bound at all
+    # the pruned search against an exhaustive filter, as ordered lists, at
+    # every level up to 3 and up to q + 2 (the top level q + 1 and the empty
+    # levels past it included), for every complexity bound that cuts
+    # anything, the bound 0 and no bound at all
     for q in range(q_max + 1):
-        for r in range(4):
+        for r in range(TOP_LEVEL.get((k, q), max(3, q + 2)) + 1):
             ref = _reference_bases(k, q, r)
-            for n in [INFINITY] + list(range(1, q + 1)):
+            for n in [INFINITY] + list(range(q + 1)):
                 box = [s for s, c, _ in ref if n is None or c <= n]
                 assert box_basis(k, q, r, n) == box, (k, q, r, n)
                 conormal = [s for s, c, cover in ref
@@ -444,6 +454,32 @@ def test_box_cosimplicial_validates():
     # chain-map + cosimplicial identity checks run in the constructor
     box_cosimplicial(2, INFINITY, 2, 4)
     box_cosimplicial(1, INFINITY, 3, 4)
+
+
+def conormalized_basis(k, n, q_cap):
+    """Symbol basis of the conormalized box product through the colimit:
+    the box basis less the images of the positive cofaces, which move phi
+    and keep f.  Returns {(q, r): tuple of Symbols}.  Each level is built
+    past the enumeration cache, which would otherwise keep all of them."""
+    out = {}
+    for q in range(k - 1, q_cap + 1):
+        lower = {}                  # phi -> the f over it, at level r - 1
+        for r in range(q + 2):
+            hit = {}                # phi -> the f over it in a coface image
+            for i in range(1, r + 1):
+                values = delta.coface(r - 1, i).values
+                for phi, fs in lower.items():
+                    hit.setdefault(tuple(map(values.__getitem__, phi)),
+                                   set()).update(fs)
+            level = _symbols.__wrapped__(k, q, r, n, False)
+            survivors = tuple(s for s in level
+                              if s.f not in hit.get(s.phi, ()))
+            if survivors:
+                out[(q, r)] = survivors
+            lower = {}
+            for s in level:
+                lower.setdefault(s.phi, []).append(s.f)
+    return out
 
 
 def test_conormalized_basis_matches_enumeration():

@@ -443,3 +443,25 @@ def test_oversized_family_t_window_exits_2(capsys, monkeypatch):
     err = _config_error(capsys, "homology-operad", "--k", "2", "--qmax", "5")
     assert ("--k 2 --qmax 5 is too large: the level-5 window of T(2) has "
             "29492 symbols, above the limit 1000") in err
+
+
+def test_oversized_enumeration_exits_2(capsys, monkeypatch):
+    # without a complexity bound the closed-form count is exact, and a shape
+    # above the limit is refused before any symbol is enumerated; with a
+    # bound the count is only an upper bound, and nothing is refused
+    from chainops import operads
+    err = _config_error(capsys, "enumerate-basis", "--k", "40", "--q", "60",
+                        "--r", "30")
+    assert "--k 40 --q 60 --r 30 is too large" in err
+    assert "above the limit 400000" in err
+    monkeypatch.setattr(operads, "MAX_WINDOW_SYMBOLS", 9)
+    err = _config_error(capsys, "enumerate-basis", "--k", "2", "--q", "2",
+                        "--r", "1")
+    assert "--k 2 --q 2 --r 1 is too large: 10 symbols, above the limit 9" \
+        in err
+    monkeypatch.setattr(operads, "MAX_WINDOW_SYMBOLS", 10)
+    assert run(capsys, "enumerate-basis", "--k", "2", "--q", "2",
+               "--r", "1")[0] == 0
+    monkeypatch.setattr(operads, "MAX_WINDOW_SYMBOLS", 0)
+    assert run(capsys, "enumerate-basis", "--k", "2", "--q", "2", "--r", "1",
+               "--max-complexity", "1")[0] == 0

@@ -8,7 +8,7 @@ from chainops.boxprod import (GradingMismatch, NatTransform,
                               enumerate_symbols, ker_expand,
                               ker_expand_checked, levels_match, vec_sum)
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              _arity_of, _composable_tuples,
+                              _arity_of, _below_level, _composable_tuples,
                               _multilinear_twist, _symbol_pools,
                               act_perm_vec, boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
@@ -343,27 +343,45 @@ def test_homology_filtration_levels():
 
 
 def test_not_stabilized_raised(monkeypatch):
-    # manufactured mismatch between the two truncation levels
+    # manufactured mismatch between the two truncation levels: the groups
+    # of the second complex, the level-4 one, gain a rank
     from chainops import operads as ops
-    real = ops.level_truncated_complex
+    real = ops.reduced_homology
+    seen = []
 
-    def fake(k, n, level_cap, window):
-        if level_cap >= 4:
-            from chainops.complexes import GradedIntComplex
-            return GradedIntComplex((-2, 3), {0: ("x", "y")}, {})
-        return real(k, n, level_cap, window)
+    def fake(cx, degrees):
+        seen.append(max(s.r for s in cx.basis[0]))
+        groups = real(cx, degrees)
+        if len(seen) == 2:
+            groups = {d: (b + 1, t) for d, (b, t) in groups.items()}
+        return groups
 
-    monkeypatch.setattr(ops, "level_truncated_complex", fake)
+    monkeypatch.setattr(ops, "reduced_homology", fake)
     with pytest.raises(NotStabilized) as info:
         ops.operad_homology(2, None, (0,), 3)
     rep = info.value.args[0]
+    assert seen == [3, 4]
     assert not rep.stabilized and rep.groups != rep.groups_next
 
 
+@pytest.mark.parametrize("k,n,window,caps", [
+    (2, None, (0, 2), (1, 3)), (3, 1, (0, 1), (0, 2)), (3, 2, (0, 3), (0, 1))])
+def test_level_quotient_equals_truncation(k, n, window, caps):
+    # the quotient of the cap L + 1 complex by its top level is the cap L
+    # complex: the same labels in the same order and the same matrices
+    for cap in caps:
+        got = _below_level(level_truncated_complex(k, n, cap + 1, window), cap)
+        want = level_truncated_complex(k, n, cap, window)
+        assert got.window == want.window
+        assert got.basis == want.basis
+        assert all(got.diff[d] == want.diff[d] for d in want.diff)
+
+
 def test_family_t_window_guard(monkeypatch):
-    # homology-operad --k 6 --qmax 2 builds T(6) at level caps 1 and 2; the
-    # closed-form count refuses it before any symbol is enumerated, while
-    # the largest family-T window of the tests, T(2) at cap 6, passes
+    # homology-operad --k 6 --qmax 2 builds T(6) at level cap 2 (cap 1 is
+    # its quotient); the closed-form count refuses it before any symbol is
+    # enumerated, while the largest family-T window of the tests, T(2) at
+    # cap 6, passes
     from chainops import operads as ops
 
     class Built(Exception):
