@@ -22,6 +22,13 @@ appending v adds one change to the pair {u, v} exactly when u occurred
 after the last v.  A Symbol is the tuple (k, f, phi, r); results are
 sorted in that order and cached.
 
+The faces of a symbol merge two cached tables.  The f-table holds the
+repeats of f as a bit mask and, per position t of a fiber of two or more
+entries, the Koszul sign, f without t and whether f[t-1] == f[t+1]; the
+phi-table holds whether phi covers [1..r], its equal steps as a bit mask
+and, per t, phi without t and whether that still covers.  Condition (d)
+holds when the two masks share no bit.
+
 The kernel form of the conormalization has an explicit section given by the
 operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` applies
 it symbolically and is the engine behind both composition pipelines.
@@ -95,9 +102,6 @@ class Symbol(tuple):
     @property
     def total_degree(self):
         return self.q + 1 - self.k - self.r
-
-    def fiber(self, i):
-        return tuple(t for t, v in enumerate(self.f) if v == i)
 
     def fiber_sizes(self):
         sizes = [0] * self.k
@@ -289,10 +293,10 @@ def act_ordered(sym, values, new_r):
     """Postcompose phi with an order-preserving map [r] -> [new_r]; classes
     where condition (d) collapses are zero.  Returns Symbol or None."""
     k, f, phi, r = sym
-    out = _sym(k, f, tuple(map(values.__getitem__, phi)), new_r)
-    if not out.interleaved():
+    phi = tuple(map(values.__getitem__, phi))
+    if _repeats(tuple(zip(f, phi))):
         return None
-    return out
+    return _sym(k, f, phi, new_r)
 
 
 def act_coface(sym, i):
@@ -306,35 +310,64 @@ def act_codegeneracy(sym, i):
     return act_ordered(sym, delta.codegeneracy(sym.r, i).values, sym.r - 1)
 
 
-def _faces(sym):
-    """(position, sign, face) for each face of the internal boundary that
-    survives condition (d).  Removing position t of an interleaved symbol
-    creates only the adjacency (t-1, t+1), so only that pair is checked;
-    other symbols get the full check."""
-    k, f, phi, r = sym
-    q = len(f) - 1
+def _steps(seq):
+    """The positions s with seq[s] == seq[s + 1], as a bit mask."""
+    return sum(1 << s for s, e in enumerate(map(eq, seq, islice(seq, 1, None)))
+               if e)
+
+
+# A basis is sorted by (k, f, phi, r), so the symbols of one f come together
+# and a few f-tables serve a whole assembly.
+@lru_cache(maxsize=16)
+def _f_table(k, f):
+    """The faces' share of f: its repeats as a bit mask, and for each
+    position t whose fiber has two or more entries, (t, Koszul sign, f
+    without t, whether f[t - 1] == f[t + 1])."""
     sizes = [0] * k
     pos_in_fiber = []
     for v in f:
         pos_in_fiber.append(sizes[v - 1])
         sizes[v - 1] += 1
-    prefix = [0] * (k + 1)
-    for i in range(k):
-        prefix[i + 1] = prefix[i] + sizes[i] - 1
-    clean = sym.interleaved()
+    prefix = list(accumulate((s - 1 for s in sizes), initial=0))
+    q = len(f) - 1
+    return _steps(f), tuple(
+        (t, -1 if (prefix[v - 1] + pos_in_fiber[t]) % 2 else 1,
+         f[:t] + f[t + 1:], 0 < t < q and f[t - 1] == f[t + 1])
+        for t, v in enumerate(f) if sizes[v - 1] > 1)
+
+
+@lru_cache(maxsize=4096)
+def _phi_table(phi, r):
+    """The faces' share of phi at level r: whether it covers [1..r], its
+    equal steps as a bit mask, and for each position t, (phi without t,
+    whether that covers, whether phi[t - 1] == phi[t + 1])."""
+    covers = set(range(1, r + 1)) <= set(phi)
+    q = len(phi) - 1
+    # equal values of a sorted phi are adjacent, so dropping t keeps the
+    # cover unless phi[t] is positive and alone
+    return covers, _steps(phi), tuple(
+        (phi[:t] + phi[t + 1:], covers and (v == 0 or phi.count(v) > 1),
+         0 < t < q and phi[t - 1] == phi[t + 1])
+        for t, v in enumerate(phi))
+
+
+def _faces(sym):
+    """(sign, face, whether the face's phi covers) for each face of the
+    internal boundary that survives condition (d).  Removing position t of
+    an interleaved symbol creates only the adjacency (t-1, t+1), so only
+    that pair is checked; other symbols get the full check."""
+    k, f, phi, r = sym
+    repeats, f_faces = _f_table(k, f)
+    _, equal, phi_faces = _phi_table(phi, r)
+    clean = not repeats & equal
     out = []
-    for t in range(q + 1):
-        i = f[t]
-        if sizes[i - 1] < 2:
+    for t, sign, f2, bridged in f_faces:
+        phi2, covers, flat = phi_faces[t]
+        if clean and bridged and flat:
             continue
-        if clean and 0 < t < q and phi[t - 1] == phi[t + 1] and \
-                f[t - 1] == f[t + 1]:
-            continue
-        face = _sym(k, f[:t] + f[t + 1:], phi[:t] + phi[t + 1:], r)
-        if not (clean or face.interleaved()):
-            continue
-        sign = -1 if (prefix[i - 1] + pos_in_fiber[t]) % 2 else 1
-        out.append((t, sign, face))
+        face = _sym(k, f2, phi2, r)
+        if clean or face.interleaved():
+            out.append((sign, face, covers))
     return out
 
 
@@ -342,7 +375,7 @@ def internal_boundary(sym):
     """Boundary of the tensor of top simplices, canonicalized in the
     colimit; a list of (coefficient, Symbol) at level r, degree one lower.
     Condition (b) is not imposed here (box level, not conormalized)."""
-    return [(sign, face) for _, sign, face in _faces(sym)]
+    return [(sign, face) for sign, face, _ in _faces(sym)]
 
 
 def t_boundary(sym, level_cap=None):
@@ -350,15 +383,10 @@ def t_boundary(sym, level_cap=None):
     internal boundary with non-covering phis killed, plus the coface part
     induced by d^0 with sign -(-1)^degree.  ``level_cap`` drops the coface
     part past the truncation level (quotient truncation)."""
-    if not sym.phi_covers():
+    _, _, phi, r = sym
+    if not _phi_table(phi, r)[0]:
         raise InvalidSymbol("t_boundary needs a covering phi", sym)
-    phi, r = sym.phi, sym.r
-    q = len(phi) - 1
-    # phi covers, so dropping position t uncovers phi[t] unless it is 0 or
-    # repeated next door (equal values of a sorted phi are adjacent)
-    terms = [(face, sign) for t, sign, face in _faces(sym)
-             if phi[t] == 0 or (t > 0 and phi[t - 1] == phi[t])
-             or (t < q and phi[t + 1] == phi[t])]
+    terms = [(face, sign) for sign, face, covers in _faces(sym) if covers]
     if 0 in phi and (level_cap is None or r + 1 <= level_cap):
         lifted = act_coface(sym, 0)
         if not lifted.phi_covers():

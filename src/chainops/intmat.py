@@ -49,6 +49,14 @@ class IntMatrix:
         self.data = d
 
     @classmethod
+    def _trusted(cls, rows, cols, data):
+        """A matrix on entries that are in range, nonzero and int by
+        construction: the constructor for results of other matrices."""
+        self = object.__new__(cls)
+        self.rows, self.cols, self.data = rows, cols, data
+        return self
+
+    @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols)
 
@@ -62,8 +70,8 @@ class IntMatrix:
         an iterable of (target label, coefficient) pairs.  Repeated targets
         add up; a target outside ``targets`` raises KeyError."""
         index = {t: i for i, t in enumerate(targets)}
-        return cls(len(targets), len(sources), vec_sum(
-            ((index[t], j), c) for j, s in enumerate(sources)
+        return cls._trusted(len(targets), len(sources), vec_sum(
+            ((index[t], j), int(c)) for j, s in enumerate(sources)
             for t, c in image(s)))
 
     def columns(self):
@@ -106,9 +114,6 @@ class IntMatrix:
             out[i][j] = v
         return out
 
-    def entry(self, i, j):
-        return self.data.get((i, j), 0)
-
     def column(self, j):
         return [self.data.get((i, j), 0) for i in range(self.rows)]
 
@@ -116,8 +121,8 @@ class IntMatrix:
         return not self.data
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.data.items()})
+        return IntMatrix._trusted(self.cols, self.rows,
+                                  {(j, i): v for (i, j), v in self.data.items()})
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -126,20 +131,20 @@ class IntMatrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("sum of %r and %r" % (self, other))
-        return IntMatrix(self.rows, self.cols, vec_sum(
+        return IntMatrix._trusted(self.rows, self.cols, vec_sum(
             chain(self.data.items(), other.data.items())))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols,
-                         {k: -v for k, v in self.data.items()})
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  {k: -v for k, v in self.data.items()})
 
     def __rmul__(self, c):
         c = int(c)
-        return IntMatrix(self.rows, self.cols,
-                         {k: c * v for k, v in self.data.items()})
+        return IntMatrix._trusted(self.rows, self.cols, {
+            k: c * v for k, v in self.data.items()} if c else {})
 
     def __mul__(self, other):
         """Matrix product self @ other (sparse column-wise)."""
@@ -151,18 +156,8 @@ class IntMatrix:
             for i, v in rows_of.get(j, ()):
                 key = (i, l)
                 data[key] = data.get(key, 0) + v * w
-        return IntMatrix(self.rows, other.cols, data)
-
-    def apply(self, vec):
-        """Apply to a dense column vector (list of ints)."""
-        if len(vec) != self.cols:
-            raise ShapeMismatch("%r applied to a vector of length %d"
-                                % (self, len(vec)))
-        out = [0] * self.rows
-        for (i, j), v in self.data.items():
-            if vec[j]:
-                out[i] += v * vec[j]
-        return out
+        return IntMatrix._trusted(self.rows, other.cols,
+                                  {key: x for key, x in data.items() if x})
 
     def stack_rows(self, other):
         """Block matrix [self; other]."""
@@ -171,7 +166,7 @@ class IntMatrix:
         data = dict(self.data)
         for (i, j), v in other.data.items():
             data[(i + self.rows, j)] = v
-        return IntMatrix(self.rows + other.rows, self.cols, data)
+        return IntMatrix._trusted(self.rows + other.rows, self.cols, data)
 
     def stack_cols(self, other):
         """Block matrix [self | other]."""
@@ -180,15 +175,7 @@ class IntMatrix:
         data = dict(self.data)
         for (i, j), v in other.data.items():
             data[(i, j + self.cols)] = v
-        return IntMatrix(self.rows, self.cols + other.cols, data)
-
-    def submatrix_cols(self, col_indices):
-        pos = {j: l for l, j in enumerate(col_indices)}
-        data = {}
-        for (i, j), v in self.data.items():
-            if j in pos:
-                data[(i, pos[j])] = v
-        return IntMatrix(self.rows, len(col_indices), data)
+        return IntMatrix._trusted(self.rows, self.cols + other.cols, data)
 
     def __repr__(self):
         return "IntMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, len(self.data))
@@ -423,10 +410,10 @@ def smith_normal_form(m, prime=0):
     done_cols = [j for _, j in e.pivots]
     row_order = done_rows + sorted(set(range(m.rows)).difference(done_rows))
     col_order = done_cols + sorted(set(range(m.cols)).difference(done_cols))
-    u = IntMatrix(m.rows, m.rows, {(s, j): x for s, i in enumerate(row_order)
-                                   for j, x in e.u[i].items()})
-    v = IntMatrix(m.cols, m.cols, {(i, s): x for s, j in enumerate(col_order)
-                                   for i, x in e.v[j].items()})
+    u = IntMatrix._trusted(m.rows, m.rows, {
+        (s, j): x for s, i in enumerate(row_order) for j, x in e.u[i].items()})
+    v = IntMatrix._trusted(m.cols, m.cols, {
+        (i, s): x for s, j in enumerate(col_order) for i, x in e.v[j].items()})
     return diag, u, v
 
 

@@ -27,6 +27,11 @@ from chainops.intmat import IntMatrix
 
 # -- the symbol type ----------------------------------------------------------
 
+def fiber(sym, i):
+    """The positions where f takes the value i."""
+    return tuple(t for t, v in enumerate(sym.f) if v == i)
+
+
 def test_symbol_tuple_contract():
     # a Symbol is the tuple (k, f, phi, r): checked and unchecked
     # construction agree, and hashing, equality and order are the tuple's
@@ -242,7 +247,10 @@ def _reference_internal_boundary(sym):
 def test_internal_boundary_equals_full_check():
     # every symbol with k <= 3, q <= 5, r <= 2, interleaved or not; on the
     # covering ones t_boundary without its coface part keeps exactly the
-    # covering faces
+    # covering faces, and with it (no cap, or cap r + 1) appends d^0 of the
+    # symbol with sign -(-1)^degree when 0 is a value of phi; d^0 of a
+    # symbol that breaks condition (d) collapses, and a phi that does not
+    # cover is refused at every cap
     for k in range(1, 4):
         for q in range(6):
             for r in range(3):
@@ -253,13 +261,49 @@ def test_internal_boundary_equals_full_check():
                         sym = Symbol(k, f, phi, r)
                         want = _reference_internal_boundary(sym)
                         assert internal_boundary(sym) == want, sym
-                        if sym.phi_covers():
-                            covering = {}
-                            for c, face in want:
-                                if face.phi_covers():
-                                    covering[face] = covering.get(face, 0) + c
-                            assert t_boundary(sym, level_cap=r) == {
-                                s: c for s, c in covering.items() if c}, sym
+                        if not sym.phi_covers():
+                            for cap in (None, r, r + 1):
+                                with pytest.raises(InvalidSymbol):
+                                    t_boundary(sym, level_cap=cap)
+                            continue
+                        covering = {}
+                        for c, face in want:
+                            if face.phi_covers():
+                                covering[face] = covering.get(face, 0) + c
+                        faces = [(s, c) for s, c in covering.items() if c]
+                        assert list(t_boundary(sym, level_cap=r).items()) \
+                            == faces, sym
+                        for cap in (None, r + 1):
+                            if 0 not in phi:
+                                assert list(t_boundary(sym, cap).items()) \
+                                    == faces, sym
+                            elif sym.interleaved():
+                                lifted = (act_coface(sym, 0),
+                                          -(-1) ** sym.total_degree)
+                                assert list(t_boundary(sym, cap).items()) \
+                                    == faces + [lifted], sym
+                            else:
+                                with pytest.raises(InvalidSymbol,
+                                                   match="coface collapsed"):
+                                    t_boundary(sym, cap)
+
+
+def test_boundaries_do_not_depend_on_visit_order():
+    # a symbol's faces come from small caches keyed on its f and its phi;
+    # visiting the same symbols sorted and shuffled, so that the caches
+    # hold other entries each time, gives the same boundaries
+    syms = [s for k in (2, 3) for q in range(k - 1, 5) for r in range(q + 2)
+            for s in box_basis(k, q, r)]
+
+    def boundaries(order):
+        return {s: (internal_boundary(s), list(t_boundary(s).items()),
+                    list(t_boundary(s, s.r).items()))
+                if s.phi_covers() else internal_boundary(s) for s in order}
+    shuffled = list(syms)
+    random.Random(11).shuffle(shuffled)
+    first = boundaries(syms)
+    assert boundaries(shuffled) == first
+    assert boundaries(syms) == first
 
 
 # -- the colimit oracle -------------------------------------------------------
@@ -416,7 +460,7 @@ def test_internal_boundary_matches_free_boundary():
         if not pool:
             continue
         sym = pool[rng.randrange(len(pool))]
-        fibers = [sym.fiber(i + 1) for i in range(k)]
+        fibers = [fiber(sym, i + 1) for i in range(k)]
         expect = {}
         prefix = 0
         for i, fib in enumerate(fibers):
@@ -789,7 +833,7 @@ def test_incompatible_inputs():
 def _reference_flatten(host, parts):
     """Flattening by sorting every part position on its anchor, the host
     position its phi value lands on."""
-    fibers = [host.fiber(i + 1) for i in range(host.k)]
+    fibers = [fiber(host, i + 1) for i in range(host.k)]
     offset, entries = 0, []
     for i, part in enumerate(parts):
         assert part.r == len(fibers[i]) - 1

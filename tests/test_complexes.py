@@ -13,7 +13,7 @@ from chainops.intmat import IntMatrix
 from chainops.complexes import (DegreeOutsideWindow, GradedIntComplex, ChainMap,
                                 InvalidComplex, NotSquareZero, homology_basis,
                                 reduced_homology, tensor)
-from tests.test_intmat import dense_row_echelon
+from tests.test_intmat import apply, dense_row_echelon
 
 
 def point_complex(label="pt"):
@@ -354,7 +354,7 @@ def assert_homology_basis(cx):
             col = [0] * cx.rank(d)
             for label, c in vec.items():
                 col[index[label]] = c
-            assert all(x % p == 0 for x in cx.diff[d].apply(col)), d
+            assert all(x % p == 0 for x in apply(cx.diff[d], col)), d
             dense.append(col)
         bounds = cx.diff[d + 1].transpose().to_rows()
         base = dense_row_echelon(bounds, p)[0]
