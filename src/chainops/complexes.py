@@ -11,7 +11,7 @@ import json
 from functools import partial
 
 from . import intmat
-from .intmat import IntMatrix, ShapeMismatch, vec_sum
+from .intmat import IntMatrix, ShapeMismatch
 
 
 class DegreeOutsideWindow(Exception):
@@ -77,12 +77,21 @@ class GradedIntComplex:
         return cls(window, basis, diff)
 
     def check_dd_zero(self):
+        """d_(d-1) * d_d, one column at a time from one column view per
+        differential, up to the first column nonzero in the ring."""
         lo, hi = self.window
+        p = self.prime
+        cols = {d: m.columns() for d, m in self.diff.items()}
         for d in range(lo + 2, hi + 1):
-            prod = self.diff[d - 1] * self.diff[d]
-            if vec_sum(prod.data.items(), self.prime):
-                raise NotSquareZero(
-                    "d o d != 0 between degrees %d -> %d" % (d, d - 2))
+            left = cols[d - 1]
+            for col in cols[d].values():
+                acc = {}
+                for j, w in col:
+                    for i, v in left.get(j, ()):
+                        acc[i] = acc.get(i, 0) + v * w
+                if any(x % p for x in acc.values()) if p else any(acc.values()):
+                    raise NotSquareZero(
+                        "d o d != 0 between degrees %d -> %d" % (d, d - 2))
 
     def degrees(self):
         lo, hi = self.window
@@ -176,9 +185,9 @@ def reduced_homology(cx, degrees):
     summand, so homology is preserved; it drops row x of the differential
     one degree up and column y of the one below, which d o d = 0 makes
     combinations of the rows and columns kept.  Degrees go lowest first, so
-    those rows leave the differential above before it runs.  Then the same
-    engines find the invariant factors of what is left, and their pivots
-    count the ranks.  Returns {d: (betti, torsion)}: the rank and the
+    those rows leave the differential above before its heap is built.  Then
+    the same engines find the invariant factors of what is left, and their
+    pivots count the ranks.  Returns {d: (betti, torsion)}: the rank and the
     invariant factors > 1 over Z, the dimension and () over Z/p.  This is
     the one homology path: ``GradedIntComplex.homology`` delegates here."""
     degrees = tuple(degrees)
@@ -207,28 +216,38 @@ def _check_interior(cx, d):
         raise DegreeOutsideWindow(d)
 
 
-def homology_basis(cx, d):
-    """Cycles of degree d, as {label: coefficient} vectors, whose classes
-    form a basis of H_d over Z/p; needs d - 1 and d + 1 inside the window,
-    like ``reduced_homology``.  With u * d_(d+1) * v in Smith normal form of
-    rank r, a vector x of C_d is a boundary exactly when rows r.. of u * x
-    vanish, so those rows of u * K, for K a kernel basis of d_d, are the
-    classes of K's columns; one elimination picks independent columns among
-    them, and the columns of K there, in order, are returned."""
+def homology_basis(cx, degrees):
+    """{d: cycles} for each d in ``degrees``: cycles of degree d, as
+    {label: coefficient} vectors, whose classes form a basis of H_d over
+    Z/p; needs d - 1 and d + 1 inside the window, like ``reduced_homology``.
+    One tracked Smith normal form u * d_e * v of rank r serves d_e twice:
+    columns r.. of v span ker d_e, and x in C_(e-1) is a boundary exactly
+    when rows r.. of u * x vanish.  So with K the kernel basis of d_d and u
+    from d_(d+1), rows r.. of u * K are the classes of K's columns; one
+    elimination picks independent columns among them, and the columns of
+    K there, in order, are returned."""
     if not cx.prime:
         raise InvalidComplex("homology bases need a prime field")
-    _check_interior(cx, d)
+    degrees = tuple(degrees)
+    for d in degrees:
+        _check_interior(cx, d)
     p = cx.prime
-    kernel = intmat.kernel_basis(cx.diff[d], p)
-    diag, u, _v = intmat.smith_normal_form(cx.diff[d + 1], p)
-    r = len(diag)
-    classes = IntMatrix(u.rows - r, kernel.cols, {
-        (i - r, j): x for (i, j), x in (u * kernel).data.items() if i >= r})
-    engine = intmat.Eliminator(classes, p)
-    engine.run()
-    labels, columns = cx.basis[d], kernel.columns()
-    return [{labels[i]: x for i, x in sorted(columns[j])}
-            for j in sorted(j for _, j in engine.pivots)]
+    snf = {e: intmat.smith_normal_form(cx.diff[e], p)
+           for e in sorted({e for d in degrees for e in (d, d + 1)})}
+    out = {}
+    for d in degrees:
+        (diag, _, v), (image, u, _) = snf[d], snf[d + 1]
+        r, s = len(diag), len(image)
+        kernel = IntMatrix._trusted(v.rows, v.cols - r, {
+            (i, j - r): x for (i, j), x in v.data.items() if j >= r})
+        classes = IntMatrix._trusted(u.rows - s, kernel.cols, {
+            (i - s, j): x for (i, j), x in (u * kernel).data.items() if i >= s})
+        engine = intmat.Eliminator(classes, p)
+        engine.run()
+        labels, columns = cx.basis[d], kernel.columns()
+        out[d] = [{labels[i]: x for i, x in sorted(columns[j])}
+                  for j in sorted(j for _, j in engine.pivots)]
+    return out
 
 
 def tensor(a, b):

@@ -459,8 +459,9 @@ def gerstenhaber_report(R, p_max=3):
     if R.prime:
         top = min(p_max, MAX_REPRESENTATIVE_DEGREE)
         cx = hochschild_complex(R, top)
+        cycles = homology_basis(cx, [-p for p in range(top + 1)])
         reps = {p: [HochschildCochain.sum(R, p, v.items())
-                    for v in homology_basis(cx, -p)] for p in range(top + 1)}
+                    for v in cycles[-p]] for p in range(top + 1)}
     else:
         # over the integers only the unit class is in scope
         reps = {0: [unit_cochain(R)]}

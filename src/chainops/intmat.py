@@ -81,39 +81,6 @@ class IntMatrix:
             out.setdefault(j, []).append((i, v))
         return out
 
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        data = {}
-        for i, row in enumerate(rows_list):
-            if len(row) != cols:
-                raise ShapeMismatch("rows have varying lengths")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = int(v)
-        return cls(rows, cols, data)
-
-    @classmethod
-    def from_columns(cls, cols_list, rows=None):
-        cols = len(cols_list)
-        if rows is None:
-            rows = len(cols_list[0]) if cols else 0
-        data = {}
-        for j, col in enumerate(cols_list):
-            if len(col) != rows:
-                raise ShapeMismatch("columns have varying lengths")
-            for i, v in enumerate(col):
-                if v:
-                    data[(i, j)] = int(v)
-        return cls(rows, cols, data)
-
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            out[i][j] = v
-        return out
-
     def column(self, j):
         return [self.data.get((i, j), 0) for i in range(self.rows)]
 
@@ -192,15 +159,18 @@ class Eliminator:
     indexed by its row and column positions.
 
     Unit pivots (+-1 over Z, every nonzero entry over Z/p) come off a lazy
-    heap ordered by fill, (row length - 1) * (column length - 1), and are
-    cancelled by one Schur update each: an exact change of basis that
+    heap ordered by fill, (row length - 1) * (column length - 1), then row
+    i, then column j: its keys are the ints (fill * rows + i) * cols + j.
+    Each is cancelled by one Schur update, an exact change of basis that
     isolates the pivot (Kaczynski-Mrozek-Slusarek 1998; Mischaikow-Nanda
-    2013).  Entries that become units later are pushed as they appear, so
-    no unit pivot is found by rescanning.  Over Z the non-unit pivots left
-    after that take the smallest magnitude (then least fill) and go through
-    a gcd loop with a divisibility fold, so the invariant factors come out
-    in order d_1 | d_2 | ....  Nothing is swapped: ``pivots`` records each
-    pivot's (row, column) in elimination order and ``diag`` its factor.
+    2013).  The heap is built when ``units`` first runs, so rows and
+    columns dropped before that never enter it; entries that become units
+    later are pushed as they appear, so none is found by rescanning.  Over
+    Z the non-unit pivots left after that take the smallest magnitude (then
+    least fill) and go through a gcd loop with a divisibility fold, so the
+    invariant factors come out in order d_1 | d_2 | ....  Nothing is
+    swapped: ``pivots`` records each pivot's (row, column) in elimination
+    order and ``diag`` its factor.
 
     With ``track`` the row operations are kept in ``u`` (row-major) and the
     column operations in ``v`` (column-major), so that after ``run`` the
@@ -221,10 +191,8 @@ class Eliminator:
                     continue
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, {})[i] = v
-        self.heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
-                     for i, row in rows.items() for j, v in row.items()
-                     if p or v in (1, -1)]
-        heapq.heapify(self.heap)
+        self.size, self.width = m.rows * m.cols, m.cols
+        self.heap = None
         self.pivots = []
         self.diag = []
         self.track = track
@@ -248,8 +216,8 @@ class Eliminator:
             col = self.c.setdefault(j, {})
             row[j] = col[i] = val
             if val in (1, -1):
-                heapq.heappush(self.heap,
-                               ((len(row) - 1) * (len(col) - 1), i, j))
+                heapq.heappush(self.heap, ((len(row) - 1) * (len(col) - 1)
+                                           * self.size + i * self.width + j))
         elif j in row:
             del row[j]
             del self.c[j][i]
@@ -275,16 +243,27 @@ class Eliminator:
         """Cancel unit pivots, least fill first, yielding each (row, column)
         as it goes.  A heap entry whose fill grew since it was pushed goes
         back in while a cheaper one waits."""
-        heap, rows, cols, p = self.heap, self.r, self.c, self.prime
+        rows, cols, p = self.r, self.c, self.prime
+        size, width = self.size, self.width
+        if self.heap is None:
+            self.heap = [(len(row) - 1) * (len(cols[j]) - 1) * size
+                         + i * width + j
+                         for i, row in rows.items() for j, v in row.items()
+                         if p or v in (1, -1)]
+            heapq.heapify(self.heap)
+        heap, pop = self.heap, heapq.heappop
         while heap:
-            fill, i, j = heapq.heappop(heap)
+            key = pop(heap)
+            ij = key % size
+            i, j = divmod(ij, width)
             row = rows.get(i)
             v = row.get(j) if row else None
             if v is None or not (p or v in (1, -1)):
                 continue
-            cur = (len(row) - 1) * (len(cols[j]) - 1)
-            if cur > fill and heap and heap[0][0] < cur:
-                heapq.heappush(heap, (cur, i, j))
+            # cur > key exactly when the fill grew, as 0 <= ij < size
+            cur = (len(row) - 1) * (len(cols[j]) - 1) * size
+            if cur > key and heap and heap[0] < cur:
+                heapq.heappush(heap, cur + ij)
                 continue
             self._cancel(i, j, v)
             yield i, j
@@ -302,7 +281,8 @@ class Eliminator:
         del row[j]
         del col[i]
         # B[w, z] -= B[w, j] * inv * B[i, z]
-        heap = self.heap
+        heap, push = self.heap, heapq.heappush
+        size, width = self.size, self.width
         for z, a in row.items():
             coeff = a * inv
             cz = cols[z]
@@ -314,8 +294,8 @@ class Eliminator:
                 if cur:
                     rw[z] = cz[w] = cur
                     if p or cur in (1, -1):
-                        heapq.heappush(heap,
-                                       ((len(rw) - 1) * (len(cz) - 1), w, z))
+                        push(heap, (len(rw) - 1) * (len(cz) - 1) * size
+                             + w * width + z)
                 elif z in rw:
                     del rw[z]
                     del cz[w]

@@ -234,7 +234,7 @@ def _below_level(cx, level_cap):
     diff = {}
     for d, m in cx.diff.items():
         rows, cols = index[d - 1], index[d]
-        diff[d] = IntMatrix(len(rows), len(cols), {
+        diff[d] = IntMatrix._trusted(len(rows), len(cols), {
             (rows[i], cols[j]): v for (i, j), v in m.data.items()
             if i in rows and j in cols})
     return GradedIntComplex(

@@ -23,6 +23,7 @@ from chainops.boxprod import (INFINITY, InvalidSymbol, NatTransform, Symbol,
 from chainops.delta import FinOrd
 from chainops import delta
 from chainops.intmat import IntMatrix
+from tests.test_intmat import from_columns
 
 
 # -- the symbol type ----------------------------------------------------------
@@ -605,7 +606,7 @@ def test_ker_expand_against_generic_kernel():
             vec = [0] * len(full)
             for s, c in ker_expand(sym):
                 vec[idx[s]] = c
-            assert intmat.solve(kerbasis, IntMatrix.from_columns([vec])) \
+            assert intmat.solve(kerbasis, from_columns([vec])) \
                 is not None
 
 

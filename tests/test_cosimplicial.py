@@ -18,6 +18,7 @@ from chainops.cosimplicial import (ComparisonFailed, CosimplicialAbGroup,
                                    compare_conormalizations, conormalize_bicomplex,
                                    conormalize_cokernel, conormalize_kernel,
                                    stabilized_bicomplex_homology)
+from tests.test_intmat import from_rows
 
 
 def constant_group(levels):
@@ -223,9 +224,9 @@ def test_shape_checks_under_optimize():
 def test_torsion_cokernel_detected():
     # fake input: "coface" multiplication by 2 gives a torsion cokernel
     lv = {0: ("a",), 1: ("b",)}
-    cofaces = {(0, 0): IntMatrix.from_rows([[0]]),
-               (0, 1): IntMatrix.from_rows([[2]])}
-    codegens = {(1, 0): IntMatrix.from_rows([[1]])}
+    cofaces = {(0, 0): from_rows([[0]]),
+               (0, 1): from_rows([[2]])}
+    codegens = {(1, 0): from_rows([[1]])}
     A = CosimplicialAbGroup(lv, cofaces, codegens, check=False)
     with pytest.raises(TorsionCokernel):
         conormalize_cokernel(A)

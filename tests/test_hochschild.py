@@ -17,8 +17,7 @@ from chainops.hochschild import (FiniteRankAlgebra, HochschildCochain,
                                  hochschild_cup, hochschild_differential,
                                  integers, matrix2_mod2, unit_cochain,
                                  upper_triangular_mod2)
-from chainops.intmat import IntMatrix
-from tests.test_intmat import dense_row_echelon
+from tests.test_intmat import dense_row_echelon, from_columns
 
 
 def truncated_polynomial(m, prime=0):
@@ -34,7 +33,7 @@ def representatives(R, p, top):
     """Cocycles whose classes form a basis of HH^p(R), p <= top, as
     ``gerstenhaber_report`` takes them."""
     return [HochschildCochain.sum(R, p, v.items())
-            for v in homology_basis(hochschild_complex(R, top), -p)]
+            for v in homology_basis(hochschild_complex(R, top), (-p,))[-p]]
 
 
 def cyclic_group_ring(m):
@@ -114,7 +113,7 @@ def dense_differential_matrix(R, p):
         for key in product(range(R.n), repeat=p + 1):
             col.extend(d.value(key))
         cols.append(col)
-    return IntMatrix.from_columns(cols, rows=R.n ** (p + 2))
+    return from_columns(cols, rows=R.n ** (p + 2))
 
 
 def random_cochain(R, p, rng):
@@ -514,7 +513,7 @@ def test_invalid_algebra_rejected_under_optimize():
         "from chainops.complexes import InvalidComplex, homology_basis",
         "from chainops.hochschild import hochschild_complex, integers",
         "try:",
-        "    homology_basis(hochschild_complex(integers(), 1), -1)",
+        "    homology_basis(hochschild_complex(integers(), 1), (-1,))",
         "except InvalidComplex as exc:",
         "    print('rejected:', exc)",
     ])
