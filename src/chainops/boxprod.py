@@ -30,14 +30,14 @@ and, per t, phi without t and whether that still covers.  Condition (d)
 holds when the two masks share no bit.
 
 The kernel form of the conormalization has an explicit section given by the
-operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` applies
-it symbolically and is the engine behind both composition pipelines.
+operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` gives
+it in closed form, a signed sum over the sets of values of phi it lowers.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
-from operator import eq, itemgetter, ne
+from operator import eq, itemgetter, ne, or_
 from types import MappingProxyType
 
 from . import delta
@@ -104,13 +104,10 @@ class Symbol(tuple):
         return self.q + 1 - self.k - self.r
 
     def fiber_sizes(self):
-        sizes = [0] * self.k
-        for v in self.f:
-            sizes[v - 1] += 1
-        return tuple(sizes)
+        return _fiber_shape(self[0], self[1])[0]
 
     def fiber_degrees(self):
-        return tuple(s - 1 for s in self.fiber_sizes())
+        return _fiber_shape(self[0], self[1])[1]
 
     def is_onto(self):
         return set(self.f) == set(range(1, self.k + 1))
@@ -125,6 +122,19 @@ class Symbol(tuple):
     def __repr__(self):
         return "S(k=%d,f=%s,phi=%s,r=%d)" % (
             self.k, "".join(map(str, self.f)), "".join(map(str, self.phi)), self.r)
+
+
+@lru_cache(maxsize=1024)
+def _fiber_shape(k, f):
+    """(sizes, degrees, positions) of the fibers of f and the rank of each
+    position in fiber order, read over and over by composition."""
+    fibers = [[] for _ in range(k)]
+    for a, v in enumerate(f):
+        fibers[v - 1].append(a)
+    in_fiber_order = list(chain.from_iterable(fibers))
+    order = sorted(range(len(f)), key=in_fiber_order.__getitem__)
+    return (tuple(map(len, fibers)), tuple(len(p) - 1 for p in fibers),
+            tuple(map(tuple, fibers)), tuple(order))
 
 
 def _repeats(pairs):
@@ -404,19 +414,24 @@ def ker_expand(sym):
     basis killed by every codegeneracy and congruent to the symbol modulo
     positive-coface images.  Frozen as a sorted tuple of (Symbol, coeff).
 
-    Every term keeps f, so the stages run on phi alone: d^{i+1} s^i sends
-    the value i + 1 to i and fixes the others, and the term dies when that
-    makes phi equal across a repeat of f (condition (d))."""
+    Every term keeps f: the product is the sum of (-1)^|S| phi_S, phi_S
+    lowering each v in S to v - 1, over the S in [1..r] holding v - 1 when
+    they hold v and a repeat of f sits on (v - 1, v) (condition (d)); it is
+    0 if phi misses a value.  Lowering v before keeping it sorts the terms."""
     k, f, phi, r = sym
     reps = [t for t in range(len(f) - 1) if f[t] == f[t + 1]]
-    vec = {phi: 1}
-    for i in range(r):
-        moved = ((tuple(i if v == i + 1 else v for v in p), -c)
-                 for p, c in vec.items())
-        vec = vec_sum(chain(vec.items(), (
-            (p, c) for p, c in moved
-            if not any(p[t] == p[t + 1] for t in reps))))
-    return tuple((_sym(k, f, p, r), c) for p, c in sorted(vec.items()))
+    if any(phi[t] == phi[t + 1] for t in reps):
+        return ((_sym(k, f, phi, r), 1),)   # every lowered term dies
+    if not set(range(1, r + 1)) <= set(phi):
+        return ()
+    tied = {phi[t + 1] for t in reps if phi[t + 1] == phi[t] + 1}
+    terms = [((0,) * phi.count(0), 1, False)]  # (phi_S to v, sign, v in S)
+    for v in range(1, r + 1):
+        n = phi.count(v)
+        steps = (((v - 1,) * n, -1, True), ((v,) * n, 1, False))
+        terms = [(p + run, c * s, low) for p, c, below in terms
+                 for run, s, low in steps if below or not low or v not in tied]
+    return tuple((_sym(k, f, p, r), c) for p, c, _ in terms)
 
 
 def ker_expand_checked(sym):
@@ -467,7 +482,7 @@ def act_perm(sym, sigma):
 
 def _flattening(host, arities):
     """The flattening through ``host`` of one part per slot, the parts of
-    the given arities, prepared once per host: returns (cut, glue).
+    the given arities, prepared once per host: returns (cut, glue, reach).
 
     Part i sits on the i-th fiber of host, position j of that fiber
     receiving the part's positions over phi value j, in order.
@@ -476,17 +491,17 @@ def _flattening(host, arities):
     slots; ``glue(cuts)`` takes one cut per slot, lays the runs out in host
     order and returns the flattened symbol, or None when condition (d)
     kills it.  The symbol is onto when every part is, which NatTransform
-    and ``flatten`` check, so ``glue`` does not."""
-    fibers = [[] for _ in range(host.k)]
-    for a, v in enumerate(host.f):
-        fibers[v - 1].append(a)
-    offsets = list(accumulate(arities, initial=0))
-    total_k = offsets[-1]
+    and ``flatten`` check, so ``glue`` does not.  ``reach(i, part)`` is the
+    bit mask of the host phi values that the flattened phi takes from it."""
     # the runs of all parts, concatenated slot by slot, are in fiber order;
     # host position a reads run number order[a], the inverse permutation
-    in_fiber_order = list(chain.from_iterable(fibers))
-    order = sorted(range(len(in_fiber_order)), key=in_fiber_order.__getitem__)
+    _, _, fibers, order = _fiber_shape(host[0], host[1])
+    offsets = list(accumulate(arities, initial=0))
     hphi = host.phi
+    bits = [[1 << hphi[a] for a in fib] for fib in fibers]
+
+    def reach(i, part):
+        return reduce(or_, map(bits[i].__getitem__, part.phi))
 
     def cut(i, part):
         fib = fibers[i]
@@ -504,9 +519,9 @@ def _flattening(host, arities):
         if _repeats(pairs):
             return None
         f2, phi2 = zip(*pairs)
-        return _sym(total_k, f2, phi2, host.r)
+        return _sym(offsets[-1], f2, phi2, host.r)
 
-    return cut, glue
+    return cut, glue, reach
 
 
 def flatten(host, parts):
@@ -519,7 +534,7 @@ def flatten(host, parts):
     for part in parts:
         if not part.is_onto():
             raise InvalidSymbol("part not onto", host, part)
-    cut, glue = _flattening(host, [part.k for part in parts])
+    cut, glue, _ = _flattening(host, [part.k for part in parts])
     return glue([cut(i, part) for i, part in enumerate(parts)])
 
 
@@ -635,28 +650,33 @@ def levels_match(host, nats):
                for nat, d in zip(nats, host.fiber_degrees()))
 
 
-def apply_tuple(host, nats):
+def apply_tuple(host, nats, cover=False):
     """Value on a box-basis symbol of the map induced by one natural
     transformation per slot, flattened through the coherence map.  Returns a
-    vector {Symbol: coeff} at the same level.  Each part is cut once; the
-    choices of one part per slot are glued in the product loop."""
+    vector {Symbol: coeff} at the same level.  With ``cover``, only the
+    choices of one part per slot that reach every value in [1..r] are
+    glued, the part of the value that the cokernel projection keeps; each
+    part that a glued choice uses is cut once."""
     if len(nats) != host.k:
         raise GradingMismatch("one transformation per slot", host, len(nats))
     degs = host.fiber_degrees()
     comps = [nat.components.get(d) for nat, d in zip(nats, degs)]
     if not all(comps):
         return {}
-    sign0 = 1
-    acc = 0
-    for i, nat in enumerate(nats):
-        if nat.degree % 2 and acc % 2:
-            sign0 = -sign0
-        acc += degs[i]
-    cut, glue = _flattening(host, [nat.arity for nat in nats])
-    cuts = [[cut(i, s) for s in comp] for i, comp in enumerate(comps)]
-    coeffs = [list(comp.values()) for comp in comps]
-    flats = ((glue(parts), sign0 * prod(cs))
-             for parts, cs in zip(product(*cuts), product(*coeffs)))
+    odd = sum(nat.degree * sum(degs[:i]) for i, nat in enumerate(nats)) % 2
+    sign0 = -1 if odd else 1
+    cut, glue, reach = _flattening(host, [nat.arity for nat in nats])
+    full = (1 << host.r + 1) - 2 if cover else 0
+    # per term of a slot: [part, coeff, host values reached, its cut]
+    slots = [[[s, c, full and reach(i, s), None] for s, c in comp.items()]
+             for i, comp in enumerate(comps)]
+    flats = []
+    for choice in product(*slots):
+        if reduce(or_, [e[2] for e in choice]) & full == full:
+            for i, e in enumerate(choice):
+                e[3] = e[3] or cut(i, e[0])
+            flats.append((glue([e[3] for e in choice]),
+                          sign0 * prod([e[1] for e in choice])))
     return vec_sum((s, c) for s, c in flats if s is not None)
 
 

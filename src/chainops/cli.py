@@ -53,8 +53,10 @@ def _validate(args):
         if value is not None and value < least:
             raise ConfigError("--%s must be %s" %
                               (name.replace("_", "-"), _SAY[least]))
-    if getattr(args, "family", "T") == "Tn" and args.n is None:
+    if getattr(args, "family", None) == "Tn" and args.n is None:
         raise ConfigError("--n must be a positive integer for family Tn")
+    if getattr(args, "family", None) == "T" and args.n is not None:
+        raise ConfigError("--n applies only to --family Tn")
 
 
 def _parse_degrees(text):

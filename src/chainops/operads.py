@@ -85,13 +85,11 @@ def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
     twist = _multilinear_twist(h_vec, nats)
-    # the kernel terms of h share its fibers, so one check per h skips them;
-    # a flattened phi takes only its host's values, so a term whose phi
-    # misses a positive value gives only symbols the projection kills
-    out = vec_sum((t, twist * c * w * v) for h, c in h_vec.items()
-                  if levels_match(h, nats)
-                  for hk, w in ker_expand(h) if hk.phi_covers()
-                  for t, v in apply_tuple(hk, nats).items())
+    # a flattened phi takes only its host's values: of the kernel form of
+    # h, only h itself covers [r], and only covering choices are glued
+    out = vec_sum((t, twist * c * v) for h, c in h_vec.items()
+                  if levels_match(h, nats) and h.phi_covers()
+                  for t, v in apply_tuple(h, nats, cover=True).items())
     return cokernel_project(out, n)
 
 

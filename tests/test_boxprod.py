@@ -6,8 +6,9 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import prod
+from operator import eq
 
 import pytest
 
@@ -583,6 +584,61 @@ def test_ker_expand_equals_cosimplicial_action():
     assert checked == 45759
 
 
+def _staged_ker_expand(sym):
+    """The projection (1 - d^r s^{r-1}) ... (1 - d^1 s^0) stage by stage.
+    Every term keeps f, so the stages run on phi alone: d^{i+1} s^i sends
+    the value i + 1 to i and fixes the others, and the term dies when that
+    makes phi equal across a repeat of f (condition (d))."""
+    k, f, phi, r = sym
+    reps = [t for t in range(len(f) - 1) if f[t] == f[t + 1]]
+    vec = {phi: 1}
+    for i in range(r):
+        moved = ((tuple(i if v == i + 1 else v for v in p), -c)
+                 for p, c in vec.items())
+        vec = intmat.vec_sum(chain(vec.items(), (
+            (p, c) for p, c in moved
+            if not any(p[t] == p[t + 1] for t in reps))))
+    return tuple((_sym(k, f, p, r), c) for p, c in sorted(vec.items()))
+
+
+def test_ker_expand_closed_form_equals_staged_product():
+    # every symbol of the box bases (cover False) and of the conormalized
+    # bases (cover True) with k <= 3, q <= 5, r <= q + 1; a phi missing a
+    # positive value expands to ().  The staged product reads f only
+    # through its repeats, so it runs once per (repeats, phi, r); the
+    # uncached ker_expand keeps the half million symbols out of its cache
+    staged = {}
+    counts = {True: 0, False: 0}
+    empty = 0
+    for k in (1, 2, 3):
+        for q in range(k - 1, 6):
+            for r in range(q + 2):
+                for cover in (False, True):
+                    for sym in _symbols.__wrapped__(k, q, r, None, cover):
+                        _, f, phi, _ = sym
+                        key = (tuple(map(eq, f, f[1:])), phi, r)
+                        if key not in staged:
+                            staged[key] = [(t.phi, c) for t, c
+                                           in _staged_ker_expand(sym)]
+                        got = ker_expand.__wrapped__(sym)
+                        assert got == tuple((_sym(k, f, p, r), c)
+                                            for p, c in staged[key]), sym
+                        assert bool(got) == sym.phi_covers(), sym
+                        counts[cover] += 1
+                        empty += not got
+    assert counts == {True: 20548, False: 453839}
+    assert empty == 433291
+
+
+def test_ker_expand_closed_form_off_the_basis():
+    # symbols outside the box basis: a repeat of f with equal phi values
+    # kills every lowered term at once, whether phi covers or not
+    for sym in (Symbol(1, (1, 1), (0, 0), 0),
+                Symbol(1, (1, 1, 1), (0, 1, 1), 1),
+                Symbol(2, (1, 1, 2), (1, 1, 2), 2)):
+        assert ker_expand(sym) == _staged_ker_expand(sym) == ((sym, 1),)
+
+
 def test_ker_expand_against_generic_kernel():
     # the explicit projection lands in the SNF-computed kernel subspace
     for k, q, r in [(2, 1, 1), (2, 2, 1), (2, 2, 2), (1, 2, 2), (3, 2, 1)]:
@@ -786,6 +842,35 @@ def test_box_functorial_map_skipped_rows():
         with pytest.raises(KeyError):
             table[Symbol(2, (1, 2) * 4, (0,) * 8, r)]
     assert skipped > 50
+
+
+def test_apply_tuple_cover_keeps_the_covering_part():
+    # the box levels of the box_functorial_map tests (r <= 2, q <= 4),
+    # under their transformations and under arity-2 families whose
+    # components have several kernel terms: with cover=True the value is
+    # the covering part of the full one, the other choices unglued
+    mixed = NatTransform.from_vector(2, {
+        Symbol(2, (1, 2, 1), (0, 1, 1), 1): 1,
+        Symbol(2, (2, 1, 2), (0, 1, 1), 1): -2,
+        Symbol(2, (1, 2, 2), (0, 0, 1), 1): 3})
+    wide = NatTransform.from_vector(
+        2, {Symbol(2, (1, 2, 1, 2), (0, 1, 1, 2), 2): 1})
+    cases = [[_identity_nat(5), _identity_nat(5)],
+             [_scaling_nat((3,) * 6), _scaling_nat((1,) * 6)],
+             [_scaling_nat((1, 0, 1, 1, 0, 1)),
+              _scaling_nat((1, 1, 0, 1, 1, 0))],
+             [mixed, _identity_nat(5)], [_identity_nat(5), wide],
+             [mixed, wide]]
+    dropped = {True: 0, False: 0}       # by whether the host covers
+    for nats in cases:
+        for r in (0, 1, 2):
+            for m in range(4):
+                for sym in box_basis(2, m + 1, r):
+                    full = apply_tuple(sym, nats)
+                    kept = {t: c for t, c in full.items() if t.phi_covers()}
+                    assert apply_tuple(sym, nats, cover=True) == kept, sym
+                    dropped[sym.phi_covers()] += len(full) - len(kept)
+    assert dropped == {True: 304, False: 860}
 
 
 def test_from_vector_shared_and_read_only():

@@ -298,6 +298,12 @@ BAD_INPUT = [
     (["verify-operad", "--samples", "-5"], "--samples must be non-negative"),
     (["export-complex", "--k", "2", "--qmax", "2", "--out",
       "{tmp}/missing/t2.json"], "cannot write --out file"),
+    (["homology-operad", "--family", "T", "--n", "3", "--k", "2"],
+     "--n applies only to --family Tn"),
+    (["verify-operad", "--n", "2", "--kmax", "2", "--qmax", "2"],
+     "--n applies only to --family Tn"),
+    (["export-complex", "--n", "2", "--k", "2", "--qmax", "2"],
+     "--n applies only to --family Tn"),
 ]
 
 

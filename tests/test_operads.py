@@ -141,36 +141,58 @@ def test_cover_skip_on_sampled_tuples(monkeypatch):
     # the axiom sampler's tuples for T(3, q <= 4), seed 7.  A kernel term
     # whose phi misses a positive value flattens only to symbols missing
     # it too, which the projection kills; gamma_substitution applies the
-    # covering terms alone
+    # covering terms alone, with cover=True, and of their values glues only
+    # the choices whose flattened phi covers: the pruned value is the
+    # covering part of the full one
     op = TruncatedChainOperad(None, 3, 4)
     tuples = _composable_tuples(op, random.Random(7), 60, 40,
                                 *_symbol_pools(op))
-    applied = []
+    applied, glued = [], []
+    flattening = boxprod._flattening
 
-    def counted(host, nats):
+    def counted(host, nats, cover=False):
+        assert cover, host
         applied.append(host)
-        return apply_tuple(host, nats)
+        return apply_tuple(host, nats, cover=cover)
+
+    def counted_flattening(host, arities):
+        cut, glue, reach = flattening(host, arities)
+
+        def counted_glue(cuts):
+            glued.append(host)
+            return glue(cuts)
+        return cut, counted_glue, reach
     monkeypatch.setattr(operads, "apply_tuple", counted)
+    monkeypatch.setattr(boxprod, "_flattening", counted_flattening)
     covering = skipped = skipped_nonzero = 0
+    glued_full = glued_pruned = 0
     for h_vec, gs in tuples:
         nats = [NatTransform.from_vector(_arity_of(g), g) for g in gs]
         for h in h_vec:
             if not levels_match(h, nats):
                 continue
             for hk, _ in ker_expand(h):
+                glued.clear()
+                out = apply_tuple(hk, nats)
                 if hk.phi_covers():
                     covering += 1
+                    glued_full += len(glued)
+                    assert apply_tuple(hk, nats, cover=True) == {
+                        t: c for t, c in out.items() if t.phi_covers()}
                     continue
-                out = apply_tuple(hk, nats)
                 assert not any(t.phi_covers() for t in out), (hk, gs)
                 skipped += 1
                 skipped_nonzero += bool(out)
+        glued.clear()
         gamma_substitution(h_vec, gs)
+        glued_pruned += len(glued)
     assert all(hk.phi_covers() for hk in applied)
     assert len(applied) == covering
     # the sampler is seeded, so the counts are fixed: 49 applications
-    # skipped, each of them nonzero before the projection
+    # skipped, each of them nonzero before the projection, and of the
+    # 208 choices of the covering terms, the 41 that cover are glued
     assert (covering, skipped, skipped_nonzero) == (45, 49, 49)
+    assert (glued_full, glued_pruned) == (208, 41)
 
 
 def test_gamma_matrix_applies_each_kernel_term_once(monkeypatch):
