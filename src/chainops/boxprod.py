@@ -155,14 +155,6 @@ def complexity(seq):
     for v in values:
         if not isinstance(v, int) or v < 1:
             raise ValueOutOfRange(v)
-    if len(values) <= 1:
-        return 0
-    if len(values) == 2:
-        changes = 0
-        for a, b in zip(seq, seq[1:]):
-            if a != b:
-                changes += 1
-        return changes
     best = 0
     for a, b in combinations(values, 2):
         sub = [v for v in seq if v == a or v == b]

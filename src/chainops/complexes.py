@@ -120,7 +120,8 @@ class GradedIntComplex:
             "basis": {str(d): [label_str(x) for x in self.basis[d]]
                       for d in range(lo, hi + 1)},
             "differential": {
-                str(d): sorted([i, j, v] for (i, j), v in self.diff[d].data.items())
+                str(d): sorted([i, j, v] for j, col
+                               in self.diff[d].columns().items() for i, v in col)
                 for d in range(lo + 1, hi + 1)
             },
         }
@@ -142,7 +143,7 @@ class ChainMap:
     """Degree-shifting map of graded complexes, commuting with the
     differentials up to the Koszul sign (-1)^shift on the shared window."""
 
-    def __init__(self, source, target, matrices, degree_shift=0, check=True):
+    def __init__(self, source, target, matrices, degree_shift=0):
         self.source = source
         self.target = target
         self.shift = degree_shift
@@ -152,8 +153,7 @@ class ChainMap:
                                     source.rank(d)):
                 raise ShapeMismatch("chain map matrix %r in degree %d" % (m, d))
             self.matrices[d] = m
-        if check:
-            self.check_chain_map()
+        self.check_chain_map()
 
     def matrix(self, d):
         m = self.matrices.get(d)
@@ -238,10 +238,8 @@ def homology_basis(cx, degrees):
     for d in degrees:
         (diag, _, v), (image, u, _) = snf[d], snf[d + 1]
         r, s = len(diag), len(image)
-        kernel = IntMatrix._trusted(v.rows, v.cols - r, {
-            (i, j - r): x for (i, j), x in v.data.items() if j >= r})
-        classes = IntMatrix._trusted(u.rows - s, kernel.cols, {
-            (i - s, j): x for (i, j), x in (u * kernel).data.items() if i >= s})
+        kernel = v.submatrix(range(v.rows), range(r, v.cols))
+        classes = (u * kernel).submatrix(range(s, u.rows), range(kernel.cols))
         engine = intmat.Eliminator(classes, p)
         engine.run()
         labels, columns = cx.basis[d], kernel.columns()

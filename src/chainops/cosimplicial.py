@@ -97,6 +97,7 @@ class CosimplicialAbGroup:
 class KernelConormalization:
     complex: GradedIntComplex
     inclusions: dict   # m -> IntMatrix (A^m <- K^m)
+    retractions: dict  # m -> IntMatrix (K^m <- A^m), retraction o inclusion = id
 
 
 @dataclass
@@ -109,33 +110,39 @@ class CokernelConormalization:
 def conormalize_kernel(A):
     """Kernel form: degree-m group is the intersection of the kernels of the
     codegeneracies, with differential the alternating coface sum.  Stored
-    homologically in degree -m."""
+    homologically in degree -m.  One Smith normal form u * K * v of each
+    inclusion K checks that K splits (every factor 1) and gives the
+    retraction v * (rows 0..K.cols-1 of u), whose product with K is 1."""
     M = A.max_level
-    inclusions = {}
-    for m in range(M + 1):
-        if m == 0:
-            inclusions[0] = IntMatrix.identity(A.rank(0))
-            continue
+    inclusions = {0: IntMatrix.identity(A.rank(0))}
+    retractions = {0: inclusions[0]}
+    for m in range(1, M + 1):
         stacked = A.s(m, 0)
         for i in range(1, m):
             stacked = stacked.stack_rows(A.s(m, i))
         ker = intmat.kernel_basis(stacked)
-        inv = intmat.snf_diagonal(ker)
-        if any(f != 1 for f in inv):
+        diag, u, v = intmat.smith_normal_form(ker)
+        if any(f != 1 for f in diag):
             raise NonSplitKernel(m)
         inclusions[m] = ker
+        retractions[m] = v * u.submatrix(range(ker.cols), range(u.cols))
     basis = {-m: tuple("m%d:k%d" % (m, i) for i in range(inclusions[m].cols))
              for m in range(M + 1)}
     diff = {}
     for m in range(M):
         image = A.alternating_coface(m) * inclusions[m]
-        x = intmat.solve(inclusions[m + 1], image)
-        if x is None:
-            raise NonSplitKernel(m)
-        diff[-m] = x
+        diff[-m] = _restrict(inclusions[m + 1], retractions[m + 1], image, m)
     cx = GradedIntComplex((-M - 1, 1), basis, diff,
                           regrade="cochain (chain degree -m holds degree m)")
-    return KernelConormalization(cx, inclusions)
+    return KernelConormalization(cx, inclusions, retractions)
+
+
+def _restrict(inclusion, retraction, image, where):
+    """x with inclusion * x == image, else NonSplitKernel(where)."""
+    x = retraction * image
+    if inclusion * x != image:
+        raise NonSplitKernel(where)
+    return x
 
 
 def conormalize_cokernel(A):
@@ -158,11 +165,9 @@ def conormalize_cokernel(A):
         if any(f != 1 for f in diag):
             raise TorsionCokernel((m, diag))
         r = len(diag)
-        uinv = intmat.inverse_unimodular(u)
-        projections[m] = IntMatrix(n - r, n,
-                                   {(i - r, j): v for (i, j), v in u.data.items() if i >= r})
-        sections[m] = IntMatrix(n, n - r,
-                                {(i, j - r): v for (i, j), v in uinv.data.items() if j >= r})
+        projections[m] = u.submatrix(range(r, n), range(n))
+        sections[m] = intmat.inverse_unimodular(u).submatrix(range(n),
+                                                             range(r, n))
         labels[m] = tuple("m%d:q%d" % (m, i) for i in range(n - r))
     basis = {-m: labels[m] for m in range(M + 1)}
     diff = {}
@@ -309,10 +314,9 @@ def conormalize_bicomplex(B, level_cap):
     for m in range(mlo + 1, mhi + 1):
         for r in range(level_cap + 1):
             img = _diff_or_zero(B.levels[r], m) * kernels[m].inclusions[r]
-            x = intmat.solve(kernels[m - 1].inclusions[r], img)
-            if x is None:
-                raise NonSplitKernel(("internal", r, m))
-            internal[(r, m)] = x
+            internal[(r, m)] = _restrict(kernels[m - 1].inclusions[r],
+                                         kernels[m - 1].retractions[r], img,
+                                         ("internal", r, m))
     # the total complex on labels p:r:m:i, blocks of a degree in (r, m) order
     blocks = {}
     for m in range(mlo, mhi + 1):

@@ -303,10 +303,11 @@ def coordinates(R, p):
 
 def differential_matrix(R, p):
     """Matrix of d : C^p -> C^{p+1} on ``coordinates``, each coordinate
-    pushed straight through ``_differential_terms``."""
-    m = IntMatrix.from_images(coordinates(R, p), coordinates(R, p + 1),
-                              lambda label: _differential_terms(R, p, label))
-    return IntMatrix(m.rows, m.cols, vec_sum(m.data.items(), R.prime))
+    pushed straight through ``_differential_terms`` and reduced over R's
+    coefficients."""
+    return IntMatrix.from_images(
+        coordinates(R, p), coordinates(R, p + 1), lambda label: vec_sum(
+            _differential_terms(R, p, label), R.prime).items())
 
 
 def modp_eliminate(m, p):
@@ -394,8 +395,9 @@ def _cobound(R, target):
     x = intmat.solve(differential_matrix(R, p - 1), column, R.prime)
     if x is None:
         return None
-    return HochschildCochain.sum(R, p - 1, zip(coordinates(R, p - 1),
-                                               x.column(0)))
+    labels = coordinates(R, p - 1)
+    return HochschildCochain.sum(R, p - 1, ((labels[i], v)
+                                            for i, v in x.columns().get(0, ())))
 
 
 def gerstenhaber_report(R, p_max=3):

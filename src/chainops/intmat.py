@@ -81,8 +81,19 @@ class IntMatrix:
             out.setdefault(j, []).append((i, v))
         return out
 
-    def column(self, j):
-        return [self.data.get((i, j), 0) for i in range(self.rows)]
+    def submatrix(self, rows, cols):
+        """The entries at the given row and column indices, renumbered in
+        the order given.  Entries keep their order in this matrix, so an
+        ``Eliminator`` meets them as it would in the original."""
+        ri = {i: a for a, i in enumerate(rows)}
+        ci = {j: b for b, j in enumerate(cols)}
+        if (len(ri) != len(rows) or len(ci) != len(cols)
+                or not all(0 <= i < self.rows for i in ri)
+                or not all(0 <= j < self.cols for j in ci)):
+            raise ShapeMismatch("submatrix %r x %r of %r" % (rows, cols, self))
+        return IntMatrix._trusted(len(ri), len(ci), {
+            (ri[i], ci[j]): v for (i, j), v in self.data.items()
+            if i in ri and j in ci})
 
     def is_zero(self):
         return not self.data
@@ -411,9 +422,7 @@ def kernel_basis(m, prime=0):
     columns span ker(m).  Over Z the basis is saturated (the kernel is a
     direct summand)."""
     diag, _u, v = smith_normal_form(m, prime)
-    r = len(diag)
-    return IntMatrix(m.cols, m.cols - r,
-                     {(i, j - r): x for (i, j), x in v.data.items() if j >= r})
+    return v.submatrix(range(m.cols), range(len(diag), m.cols))
 
 
 def solve(m, b, prime=0):

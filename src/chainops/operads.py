@@ -32,7 +32,6 @@ from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       ker_expand, ker_expand_checked, koszul_sign,
                       levels_match, NatTransform, t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
-from .intmat import IntMatrix
 
 
 class NotStabilized(Exception):
@@ -228,16 +227,10 @@ def _below_level(cx, level_cap):
     their order.  It is ``level_truncated_complex`` at ``level_cap``."""
     keep = {d: [i for i, s in enumerate(labels) if s.r <= level_cap]
             for d, labels in cx.basis.items()}
-    index = {d: {i: a for a, i in enumerate(kept)} for d, kept in keep.items()}
-    diff = {}
-    for d, m in cx.diff.items():
-        rows, cols = index[d - 1], index[d]
-        diff[d] = IntMatrix._trusted(len(rows), len(cols), {
-            (rows[i], cols[j]): v for (i, j), v in m.data.items()
-            if i in rows and j in cols})
     return GradedIntComplex(
         cx.window, {d: tuple(cx.basis[d][i] for i in kept)
-                    for d, kept in keep.items()}, diff)
+                    for d, kept in keep.items()},
+        {d: m.submatrix(keep[d - 1], keep[d]) for d, m in cx.diff.items()})
 
 
 @dataclass

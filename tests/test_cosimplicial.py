@@ -9,12 +9,12 @@ import chainops
 from chainops import intmat
 from chainops.intmat import IntMatrix
 from chainops.complexes import GradedIntComplex
-from chainops.simplicial import (standard_simplex_sset,
+from chainops.simplicial import (simplicial_circle, standard_simplex_sset,
                                  standard_simplex_chains, from_simplicial_complex)
 from chainops.cosimplicial import (ComparisonFailed, CosimplicialAbGroup,
                                    CosimplicialChainComplex,
-                                   CosimplicialIdentityFails, TorsionCokernel,
-                                   WindowTooSmall,
+                                   CosimplicialIdentityFails, NonSplitKernel,
+                                   TorsionCokernel, WindowTooSmall,
                                    compare_conormalizations, conormalize_bicomplex,
                                    conormalize_cokernel, conormalize_kernel,
                                    stabilized_bicomplex_homology)
@@ -230,6 +230,46 @@ def test_torsion_cokernel_detected():
     A = CosimplicialAbGroup(lv, cofaces, codegens, check=False)
     with pytest.raises(TorsionCokernel):
         conormalize_cokernel(A)
+
+
+def assert_retractions(kres):
+    for m, inc in kres.inclusions.items():
+        assert kres.retractions[m] * inc == IntMatrix.identity(inc.cols), m
+
+
+def test_retractions_invert_the_inclusions():
+    # R * K = 1 at every level of the kernel form, on a zoo of cosimplicial
+    # groups: duals of simplices, the circle and simplicial complexes, the
+    # constant and zero groups, and a level group of the box product
+    sets = [standard_simplex_sset(m) for m in range(3)]
+    sets += [simplicial_circle(),
+             from_simplicial_complex(range(4), [(0, 1, 2), (2, 3)]),
+             from_simplicial_complex(range(5), [(0, 1, 2), (1, 3), (3, 4),
+                                                (0, 4)])]
+    groups = [W.dual_cosimplicial(W.max_dim() + 2) for W in sets]
+    groups += [constant_group(3), zero_group(2)]
+    from chainops.boxprod import box_cosimplicial
+    B = box_cosimplicial(2, None, 3, 4)
+    lo, hi = B.internal_degrees()
+    groups += [B.level_ab_group(m, 3) for m in range(lo, hi + 1)]
+    for A in groups:
+        assert_retractions(conormalize_kernel(A))
+    assert any(A.rank(3) for A in groups[-(hi - lo + 1):])
+
+
+def test_non_split_kernel_detected():
+    # fake input: K^1 = Z and K^2 = 0, but the alternating coface sends K^1
+    # onto A^2, outside K^2
+    one = from_rows([[1]])
+    lv = {m: ("a%d" % m,) for m in range(3)}
+    cofaces = {(0, 0): one, (0, 1): one, (1, 0): one,
+               (1, 1): IntMatrix(1, 1), (1, 2): IntMatrix(1, 1)}
+    codegens = {(1, 0): IntMatrix(1, 1), (2, 0): one,
+                (2, 1): IntMatrix(1, 1)}
+    A = CosimplicialAbGroup(lv, cofaces, codegens, check=False)
+    with pytest.raises(NonSplitKernel) as exc:
+        conormalize_kernel(A)
+    assert exc.value.args == (1,)
 
 
 def delta_cosimplicial_chain(levels):

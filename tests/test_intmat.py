@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -299,6 +300,49 @@ def test_from_images():
     assert m.data == {(0, 0): 4, (1, 0): 2}
     with pytest.raises(KeyError):
         IntMatrix.from_images(("u",), ("a",), image.__getitem__)
+
+
+def test_submatrix():
+    # the entries at the given rows and columns, renumbered in the order
+    # given, keep their order in the matrix
+    m = IntMatrix(3, 4, {(2, 3): 5, (0, 1): -1, (1, 3): 2, (2, 1): 7,
+                         (0, 0): 3})
+    sub = m.submatrix([2, 0], [3, 1])
+    assert (sub.rows, sub.cols) == (2, 2)
+    assert list(sub.data.items()) == [((0, 0), 5), ((1, 1), -1), ((0, 1), 7)]
+    whole = m.submatrix(range(3), range(4))
+    assert whole == m and list(whole.data) == list(m.data)
+    for rows, cols in (([], []), ([], [0, 2]), ([1], [])):
+        empty = m.submatrix(rows, cols)
+        assert (empty.rows, empty.cols) == (len(rows), len(cols))
+        assert empty.is_zero()
+    for rows, cols in (([0, 0], [1]), ([3], [0]), ([0], [-1])):
+        with pytest.raises(intmat.ShapeMismatch):
+            m.submatrix(rows, cols)
+    rng = random.Random(53)
+    for _ in range(40):
+        a = random_matrix(rng, rng.randrange(6), rng.randrange(6))
+        rows = rng.sample(range(a.rows), rng.randrange(a.rows + 1))
+        cols = rng.sample(range(a.cols), rng.randrange(a.cols + 1))
+        dense = to_rows(a)
+        assert to_rows(a.submatrix(rows, cols)) == [
+            [dense[i][j] for j in cols] for i in rows]
+
+
+def test_only_intmat_reads_matrix_entries():
+    # the entry dict is intmat's storage format; every other module goes
+    # through IntMatrix's methods (columns, submatrix, from_images, ...)
+    src = os.path.dirname(chainops.__file__)
+    modules = sorted(name for name in os.listdir(src)
+                     if name.endswith(".py") and name != "intmat.py")
+    assert len(modules) >= 10
+    readers = []
+    for name in modules:
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        readers += [(name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "data"]
+    assert readers == []
 
 
 def test_vec_sum_over_z_and_mod_p():

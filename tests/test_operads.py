@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -9,7 +10,7 @@ from chainops.boxprod import (GradingMismatch, NatTransform,
                               ker_expand_checked, levels_match, vec_sum)
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
                               _arity_of, _below_level, _composable_tuples,
-                              _multilinear_twist, _symbol_pools,
+                              _multilinear_twist, _sym_of, _symbol_pools,
                               act_perm_vec, boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
@@ -302,6 +303,94 @@ def test_axiom_suite_families():
         op = TruncatedChainOperad(n, kmax, 4)
         rep = verify_operad_axioms(op, seed=7, exhaustive_cap=30, samples=20)
         assert rep.passed, rep.to_dict()
+
+
+def _filler(by_r, cost):
+    """fill(levels, budget, rng): one argument drawn at each level, their
+    costs adding up to at most budget, or None when no such choice exists."""
+    tabs = {}
+    for m, vecs in by_r.items():
+        vecs = sorted(vecs, key=cost)
+        tabs[m] = vecs, [cost(v) for v in vecs]
+
+    def fill(levels, budget, rng):
+        slack = budget - sum(tabs[m][1][0] for m in levels)
+        if slack < 0:
+            return None
+        out = []
+        for m in levels:
+            vecs, costs = tabs[m]
+            i = rng.randrange(bisect_right(costs, costs[0] + slack))
+            slack -= costs[i] - costs[0]
+            out.append(vecs[i])
+        return out
+    return fill
+
+
+def _window_draws(operad, n_towers, n_tuples, rng):
+    """n_towers towers (h; g_i; e_ij) with h of arity 2 or 3, and n_tuples
+    tuples (h; g_i) with h of arity 3, each argument at the fiber degree of its
+    slot and the composite in the q window: a composite has q + 1 equal to
+    the sum of q + 1 over its arguments, which is at least max(m, 1) for an
+    argument at level m.  So the g_i of a tower are drawn by that least
+    cost of their own arguments, and then the e_ij by their q + 1."""
+    pool, by_r = _symbol_pools(operad)
+
+    def degrees(vec):
+        return _sym_of(vec).fiber_degrees()
+    by_q = _filler(by_r, lambda v: _sym_of(v).q + 1)
+    by_block = _filler(by_r, lambda g: sum(max(m, 1) for m in degrees(g)))
+    budget = operad.q_cap + 1
+    towers, tuples = [], []
+    while len(towers) < n_towers:
+        h = rng.choice(pool[rng.choice((2, 3))])
+        gs = by_block(degrees(h), budget, rng)
+        flat = gs and by_q([m for g in gs for m in degrees(g)], budget, rng)
+        if flat:
+            es = iter(flat)
+            towers.append((h, gs, [[next(es) for _ in degrees(g)]
+                                   for g in gs]))
+    while len(tuples) < n_tuples:
+        h = rng.choice(pool[3])
+        gs = by_q(degrees(h), budget, rng)
+        if gs:
+            tuples.append((h, gs))
+    return towers, tuples
+
+
+def _tower_sign(gs, es_list):
+    """(-1)^(sum over a < b of |g_b| * |e_a1 ... e_an|), the Koszul sign
+    of moving each g_b past the arguments of the slots before it."""
+    blocks = [sum(vec_degree(e) for e in es) for es in es_list]
+    return (-1) ** sum(vec_degree(g) * sum(blocks[:b])
+                       for b, g in enumerate(gs))
+
+
+@pytest.mark.parametrize("n", [1, 2, None])
+def test_axioms_on_hosts_of_arity_2_and_3(n, monkeypatch):
+    # the seeded sampler of verify_operad_axioms rarely draws such hosts;
+    # here it gets towers drawn to fit the window, and their (h; g_i) as
+    # the composable tuples, so associativity meets the sign -1 and outer
+    # equivariance every non-identity permutation of an arity-3 host
+    op = TruncatedChainOperad(n, 3, 5)
+    towers, tuples = _window_draws(op, 300, 150, random.Random(11))
+    flipped = 0
+    for h, gs, es_list in towers:
+        if _tower_sign(gs, es_list) == -1:
+            flipped += bool(op.gamma(op.gamma(h, gs),
+                                     [e for es in es_list for e in es]))
+    nonzero = sum(bool(op.gamma(h, gs)) for h, gs in tuples)
+    assert flipped >= 10 and nonzero >= 90, (flipped, nonzero)
+    monkeypatch.setattr(operads, "_symbol_pools",
+                        lambda operad: ({k: [] for k in (1, 2, 3)}, {}))
+    monkeypatch.setattr(operads, "_composable_tuples",
+                        lambda *args: tuples)
+    monkeypatch.setattr(operads, "_assoc_tuples", lambda *args: towers)
+    rep = verify_operad_axioms(op, cross_check=False)
+    assert rep.passed, rep.to_dict()
+    items = rep.items
+    assert items["associativity (composition diagram)"].instances == 300
+    assert items["equivariance (outer permutation)"].instances == 5 * 150
 
 
 def test_corrupted_gamma_detected():
