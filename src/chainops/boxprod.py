@@ -575,22 +575,24 @@ class NatTransform:
     __slots__ = ("arity", "degree", "components")
 
     def __init__(self, arity, degree, components):
+        for r, vec in components.items():
+            for s, c in vec.items():
+                if c:
+                    _check_term(s, arity, r, degree)
+        self._fill(arity, degree, components)
+
+    def _fill(self, arity, degree, components):
+        """Set the fields from checked terms: zero coefficients and empty
+        levels dropped, every mapping read-only."""
         comps = {}
         for r, vec in components.items():
             vec = {s: c for s, c in vec.items() if c}
-            if not vec:
-                continue
-            for s in vec:
-                if not (s.k == arity and s.r == r and s.total_degree == degree):
-                    raise GradingMismatch("term off its arity, level or "
-                                          "degree", s, (arity, r, degree))
-                # flattening is onto exactly when its parts are
-                if not s.is_onto():
-                    raise InvalidSymbol("term not onto", s)
-            comps[r] = MappingProxyType(vec)
+            if vec:
+                comps[r] = MappingProxyType(vec)
         _setattr(self, "arity", arity)
         _setattr(self, "degree", degree)
         _setattr(self, "components", MappingProxyType(comps))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("NatTransform is immutable")
@@ -612,6 +614,16 @@ class NatTransform:
 _setattr = object.__setattr__
 
 
+def _check_term(s, arity, r, degree):
+    """A term of a transformation of this arity and degree at level r."""
+    if not (s.k == arity and s.r == r and s.total_degree == degree):
+        raise GradingMismatch("term off its arity, level or degree", s,
+                              (arity, r, degree))
+    # flattening is onto exactly when its parts are
+    if not s.is_onto():
+        raise InvalidSymbol("term not onto", s)
+
+
 # Repeats come at short range (the unit in every gamma(g; 1..1), one
 # argument across the checks on one composite), so a small cache takes
 # nearly all of them; an unbounded one holds every argument ever seen.
@@ -626,9 +638,11 @@ def _family_of(arity, items):
     for s, c in items:
         if not s.phi_covers():
             raise InvalidSymbol("phi does not cover", s)
+        # ker_expand keeps s's f, k, r and degree: one check covers its terms
+        _check_term(s, arity, s.r, degree)
         terms.setdefault(s.r, []).extend((t, c * w) for t, w in ker_expand(s))
-    return NatTransform(arity, degree,
-                        {r: vec_sum(level) for r, level in terms.items()})
+    return object.__new__(NatTransform)._fill(
+        arity, degree, {r: vec_sum(level) for r, level in terms.items()})
 
 
 def levels_match(host, nats):

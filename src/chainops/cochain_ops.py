@@ -60,12 +60,16 @@ class AugmentedCochainSystem:
     """Levels of integer cochains on a finite simplicial set, with the full
     action of ordered maps and the fiberwise operations.  The empty level
     is [-1], with the single cell (); the action of an ordered map on a
-    whole level is tabulated once for the life of the system."""
+    whole level, the basis of a level and the products (push-forwards and
+    all operations) are each computed once for the life of the system."""
 
     def __init__(self, W, level_cap):
         self.W = W
         self.level_cap = level_cap
         self._tables = {}       # (m, values) -> pullback(m, values)
+        self._bases = {}        # m -> basis(m)
+        self._products = {}     # (m, xs, subsets) -> _product(...)
+        self._values = {}       # its results, interned by value
 
     def cells(self, m):
         if m > self.level_cap:
@@ -102,20 +106,18 @@ class AugmentedCochainSystem:
         return CochainElement.make(self.W.cell_dim(cell), {cell: 1})
 
     def basis(self, m):
-        if m == -1:
-            return [self.epsilon()]
-        return [self.dual(name) for name in self.W.nondegenerate(m)]
+        out = self._bases.get(m)
+        if out is None:
+            out = self._bases[m] = (self.epsilon(),) if m == -1 else tuple(
+                self.dual(name) for name in self.W.nondegenerate(m))
+        return out
 
     def pushforward(self, x, alpha):
         """The map of cochain levels induced by an ordered map of levels:
-        (alpha_* x)(sigma) = x(sigma o alpha)."""
+        (alpha_* x)(sigma) = x(sigma o alpha), the product of one factor."""
         if x.level != alpha.source.level:
             raise LevelMismatch((x.level, alpha.source.level))
-        m = alpha.target.level
-        value = x.value
-        return CochainElement.make(m, {
-            cell: value(face)
-            for cell, face in self.pullback(m, alpha.values).items()})
+        return self._product(alpha.target.level, (x,), (alpha.values,))
 
     def coface(self, x, i):
         return self.pushforward(x, delta.coface(x.level, i))
@@ -127,11 +129,17 @@ class AugmentedCochainSystem:
 
     def _product(self, m, xs, subsets):
         """The level-m cochain whose value on a cell is the product of the
-        x_i on its faces spanned by the vertex positions subsets[i]."""
+        x_i on its faces sigma o subsets[i] (maps into [m] by their values);
+        memoized, each result interned by value apart from the memo."""
+        cells = self.cells(m)       # refuses levels above the cap
+        key = (m, tuple(xs), subsets)
+        result = self._products.get(key)
+        if result is not None:
+            return result
         factors = [(x.value, self.pullback(m, subset))
                    for x, subset in zip(xs, subsets)]
         out = {}
-        for cell in self.cells(m):
+        for cell in cells:
             prod = 1
             for value, table in factors:
                 prod *= value(table[cell])
@@ -139,7 +147,9 @@ class AugmentedCochainSystem:
                     break
             if prod:
                 out[cell] = prod
-        return CochainElement.make(m, out)
+        result = CochainElement.make(m, out)
+        result = self._products[key] = self._values.setdefault(result, result)
+        return result
 
     def cup(self, x, y):
         """Front-face/back-face product: the vertex p is shared."""
@@ -164,8 +174,8 @@ class AugmentedCochainSystem:
             if not 1 <= v <= k:
                 raise LevelMismatch("f takes the value %d outside 1..%d"
                                     % (v, k))
-        fibers = [tuple(t for t, v in enumerate(f) if v == i + 1)
-                  for i in range(k)]
+        fibers = tuple(tuple(t for t, v in enumerate(f) if v == i + 1)
+                       for i in range(k))
         for fib, x in zip(fibers, xs):
             if x.level != len(fib) - 1:
                 raise LevelMismatch((x.level, len(fib) - 1))

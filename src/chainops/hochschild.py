@@ -14,7 +14,7 @@ asserted symbolically.
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import isqrt
 
@@ -405,38 +405,39 @@ def gerstenhaber_report(R, p_max=3):
     cohomology-level Gerstenhaber structure with explicit certificates."""
     rep = GerstenhaberReport(R.name, p_max)
     basis = {p: basis_cochains(R, p) for p in range(p_max + 1)}
+    # each differential is evaluated once per report; the lambda looks the
+    # module's hochschild_differential up at every evaluation
+    d = lru_cache(maxsize=None)(lambda rho: hochschild_differential(rho))
 
     # d o d = 0 and the Leibniz rule, exhaustively
+    dbasis = {p: [d(rho) for rho in basis[p]] for p in basis}
     for p in range(p_max + 1):
-        for rho in basis[p]:
-            rep.record("differential squares to zero",
-                       hochschild_differential(hochschild_differential(rho)).is_zero())
+        for drho in dbasis[p]:
+            rep.record("differential squares to zero", d(drho).is_zero())
     for p in range(0, min(2, p_max) + 1):
         for q in range(0, min(2, p_max - p) + 1):
-            for r1 in basis[p]:
-                for r2 in basis[q]:
-                    lhs = hochschild_differential(hochschild_cup(r1, r2))
-                    rhs = hochschild_cup(hochschild_differential(r1), r2) + \
-                        hochschild_cup(r1, hochschild_differential(r2)).scale(
-                            -1 if p % 2 else 1)
+            for r1, dr1 in zip(basis[p], dbasis[p]):
+                for r2, dr2 in zip(basis[q], dbasis[q]):
+                    lhs = d(hochschild_cup(r1, r2))
+                    rhs = hochschild_cup(dr1, r2) + hochschild_cup(
+                        r1, dr2).scale(-1 if p % 2 else 1)
                     rep.record("Leibniz rule for cup", lhs == rhs)
 
-    # cup associativity and unit, exhaustively in low degrees
+    # cup associativity and unit, exhaustively in low degrees; the few
+    # distinct r1 u r2 make most associativity cups repeats: memo them here
     e = unit_cochain(R)
+    cup = lru_cache(maxsize=None)(lambda a, b: hochschild_cup(a, b))
     low = range(min(1, p_max) + 1)
-    # each r2 u r3 is tabulated once per (q, r), each r1 u r2 once per r3 loop
-    right = {(q, r): [[hochschild_cup(r2, r3) for r3 in basis[r]]
-                      for r2 in basis[q]] for q in low for r in low}
     for p in low:
         for q in low:
             for r in low:
                 for r1 in basis[p]:
-                    for r2, cups in zip(basis[q], right[q, r]):
-                        left = hochschild_cup(r1, r2)
-                        for r3, r23 in zip(basis[r], cups):
-                            rep.record("cup associativity",
-                                       hochschild_cup(left, r3) ==
-                                       hochschild_cup(r1, r23))
+                    for r2 in basis[q]:
+                        left = cup(r1, r2)
+                        for r3 in basis[r]:
+                            rep.record("cup associativity", cup(left, r3) ==
+                                       cup(r1, cup(r2, r3)))
+    del cup
     for p in range(p_max + 1):
         for rho in basis[p]:
             rep.record("cup unit", hochschild_cup(e, rho) == rho and
@@ -452,10 +453,9 @@ def gerstenhaber_report(R, p_max=3):
             continue
         r1 = rng.choice(basis[p])
         r2 = rng.choice(basis[q])
-        lhs = hochschild_differential(gerstenhaber_bracket(r1, r2))
-        rhs = gerstenhaber_bracket(hochschild_differential(r1), r2).scale(
-            1 if q % 2 else -1) + \
-            gerstenhaber_bracket(r1, hochschild_differential(r2))
+        lhs = d(gerstenhaber_bracket(r1, r2))
+        rhs = gerstenhaber_bracket(d(r1), r2).scale(1 if q % 2 else -1) + \
+            gerstenhaber_bracket(r1, d(r2))
         rep.record("bracket is compatible with the differential", lhs == rhs)
 
     if R.prime:
@@ -481,7 +481,7 @@ def gerstenhaber_report(R, p_max=3):
                         # bracket of cocycles is a cocycle
                         br = gerstenhaber_bracket(x, y)
                         rep.record("bracket of cocycles is a cocycle",
-                                   hochschild_differential(br).is_zero())
+                                   d(br).is_zero())
                         # antisymmetry is strict for this convention
                         anti = gerstenhaber_bracket(y, x).scale(
                             1 if ((p - 1) * (q - 1)) % 2 else -1)

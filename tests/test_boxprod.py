@@ -14,7 +14,8 @@ import pytest
 
 import chainops
 from chainops import intmat
-from chainops.boxprod import (INFINITY, InvalidSymbol, NatTransform, Symbol,
+from chainops.boxprod import (INFINITY, GradingMismatch, InvalidSymbol,
+                              NatTransform, Symbol,
                               ValueOutOfRange, _family_of, _sym, _symbols, act_coface, act_codegeneracy,
                               act_perm, apply_tuple, box_basis, box_level,
                               box_cosimplicial, complexity, count_symbols,
@@ -906,6 +907,41 @@ def test_nat_transform_rejects_terms_not_onto():
         NatTransform(2, lonely.total_degree, {1: {lonely: 1}})
     onto = Symbol(2, (1, 2), (0, 1), 1)
     assert NatTransform(2, onto.total_degree, {1: {onto: 1}}).component(1)
+
+
+def test_family_checks_each_input_symbol():
+    # from_vector checks each input symbol once, since its kernel terms
+    # share its f, k, r and degree, and refuses what the per-term checks of
+    # the constructor refuse; the family it builds equals the checked one
+    onto = Symbol(2, (1, 2, 1), (0, 1, 1), 1)
+    wider = Symbol(2, (1, 2, 1, 2), (0, 1, 1, 1), 1)
+    assert (onto.total_degree, wider.total_degree) == (0, 1)
+    cases = [
+        (GradingMismatch, 3, {onto: 1}),                  # arity
+        (GradingMismatch, 2, {onto: 1, wider: 1}),        # not homogeneous
+        (InvalidSymbol, 2, {Symbol(2, (1, 1), (0, 1), 1): 1}),   # not onto
+        (InvalidSymbol, 2, {Symbol(2, (1, 2), (0, 0), 1): 1}),   # phi misses 1
+    ]
+    for exc, arity, vec in cases:
+        with pytest.raises(exc):
+            _family_of.__wrapped__(arity, tuple(vec.items()))
+        with pytest.raises(exc):
+            NatTransform.from_vector(arity, vec)
+    for vec in ({onto: 1}, {onto: 2, Symbol(2, (2, 1, 2), (0, 1, 1), 1): -1},
+                {wider: 1}):
+        terms = intmat.vec_sum((t, c * w) for s, c in vec.items()
+                               for t, w in ker_expand(s))
+        checked = NatTransform(2, next(iter(vec)).total_degree, {1: terms})
+        family = _family_of.__wrapped__(2, tuple(vec.items()))
+        assert type(family) is NatTransform
+        assert (family.arity, family.degree) == (2, checked.degree)
+        assert family.components == checked.components
+    # the constructor still checks every term
+    with pytest.raises(GradingMismatch):
+        NatTransform(2, 0, {0: {onto: 1}})
+    with pytest.raises(GradingMismatch):
+        NatTransform(2, 0, {1: {onto: 1, wider: 0, Symbol(3, (1, 2, 3),
+                                                          (0, 1, 1), 1): 1}})
 
 
 def test_incompatible_inputs():

@@ -1,8 +1,13 @@
+import os
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
+import chainops
 from chainops import delta
 from chainops.cochain_ops import (AugmentedCochainSystem, CochainElement,
                                   LevelMismatch, verify_identities)
@@ -65,8 +70,52 @@ def test_memoized_faces_equal_direct():
                                   for cell in sys_.cells(m)}
                         assert sys_.pushforward(x, alpha) == \
                             CochainElement.make(m, direct)
+        # cup, join and fiberwise operations against a direct evaluation;
+        # the second pass reads the memo and returns the first's cochains
+        first = {}
+        for _ in range(2):
+            for key, got, want in operations(sys_, cap):
+                assert got == want, key
+                assert first.setdefault(key, got) is got, key
+        assert {key[0] for key in first} == {"cup", "sqcup", "angle"}
         with pytest.raises(LevelMismatch):
             sys_.pullback(cap + 1, ())
+
+
+def direct_product(sys_, m, xs, subsets):
+    """The level-m product of the x_i on the faces spanned by subsets[i],
+    cell by cell through W.restrict (an empty subset reads the point ())."""
+    W = sys_.W
+    return CochainElement.make(m, {
+        cell: prod(x.value(W.restrict(cell, sub) if sub else ())
+                   for x, sub in zip(xs, subsets))
+        for cell in sys_.cells(m)})
+
+
+def operations(sys_, cap):
+    """(key, value, direct value) of every cup and join of basis cochains
+    within the cap, and of every two-valued fiberwise operation up to level
+    min(cap, 3), empty fibers included."""
+    for p in range(cap + 1):
+        for q in range(cap + 1 - p):
+            for x in sys_.basis(p):
+                for y in sys_.basis(q):
+                    yield (("cup", x, y), sys_.cup(x, y), direct_product(
+                        sys_, p + q, (x, y),
+                        (tuple(range(p + 1)), tuple(range(p, p + q + 1)))))
+                    if p + q + 1 <= cap:
+                        yield (("sqcup", x, y), sys_.sqcup(x, y),
+                               direct_product(sys_, p + q + 1, (x, y), (
+                                   tuple(range(p + 1)),
+                                   tuple(range(p + 1, p + q + 2)))))
+    for m in range(min(cap, 3) + 1):
+        for f in product((1, 2), repeat=m + 1):
+            fibers = tuple(tuple(t for t, v in enumerate(f) if v == i)
+                           for i in (1, 2))
+            for x in sys_.basis(len(fibers[0]) - 1):
+                for y in sys_.basis(len(fibers[1]) - 1):
+                    yield (("angle", f, x, y), sys_.angle(f, [x, y]),
+                           direct_product(sys_, m, (x, y), fibers))
 
 
 def test_identities_build_each_table_once(monkeypatch):
@@ -134,6 +183,66 @@ def test_sqcup_direct_evaluations(d1):
 def test_angle_level_mismatch(d1):
     with pytest.raises(LevelMismatch):
         d1.angle((1, 2), [d1.dual("0.1"), d1.dual("0")])
+
+
+def test_level_checks_under_optimize():
+    # python -O strips assert statements; the level checks run before every
+    # memo lookup and must still fire, also right after a memoized call
+    script = "\n".join([
+        "from chainops import delta",
+        "from chainops.cochain_ops import AugmentedCochainSystem, LevelMismatch",
+        "from chainops.simplicial import standard_simplex_sset",
+        "assert False, 'asserts are live'",
+        "sys_ = AugmentedCochainSystem(standard_simplex_sset(1), 3)",
+        "x, e = sys_.dual('0'), sys_.dual('0.1')",
+        "print(sys_.angle((1, 2), [x, x]) == sys_.angle((1, 2), [x, x]))",
+        "for case in (lambda: sys_.angle((1, 3), [x, x]),",
+        "             lambda: sys_.angle((1, 2), [e, x]),",
+        "             lambda: sys_.pushforward(x, delta.coface(1, 0)),",
+        "             lambda: sys_.cells(4)):",
+        "    try:",
+        "        case()",
+        "    except LevelMismatch as exc:",
+        "        print('rejected:', type(exc).__name__)",
+        "    else:",
+        "        print('accepted')",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True"] + ["rejected: LevelMismatch"] * 4
+
+
+# Instances per item of verify_identities, in the order the report makes
+# them; the graph is the one the benchmark draws from seed 1
+IDENTITY_ITEMS = (
+    "cofaces of a cup product", "shared middle coface",
+    "codegeneracies of a cup product", "cofaces of a join product",
+    "codegeneracies of a join product", "join unit", "join from cup",
+    "cup from join", "join is the block-partition operation",
+    "naturality of fiberwise operations (k=2)",
+    "symmetry of fiberwise operations",
+    "associativity of fiberwise operations (k=3)",
+    "3-ary operations decompose through 2-ary", "augmentation units")
+IDENTITY_COUNTS = {
+    "simplex2": (45, 27, 18, 36, 0, 6, 27, 27, 9, 757, 86, 399, 399, 14),
+    "circle": (8, 4, 4, 14, 2, 2, 4, 4, 3, 651, 18, 90, 90, 4),
+    "graph": (80, 48, 32, 64, 0, 8, 48, 48, 16, 1111, 144, 792, 792, 16),
+}
+
+
+def test_identity_instance_counts():
+    graph = from_simplicial_complex([0, 1, 2, 3],
+                                    [(0, 2), (1, 2), (1, 3), (2, 3)])
+    for name, W, cap in (("simplex2", standard_simplex_sset(2), 2),
+                         ("circle", simplicial_circle(), None),
+                         ("graph", graph, 2)):
+        rep = verify_identities(W, level_cap=cap, name=name)
+        assert rep.passed, rep.to_dict()
+        assert [(k, it.instances) for k, it in rep.items.items()] == \
+            list(zip(IDENTITY_ITEMS, IDENTITY_COUNTS[name])), name
 
 
 def test_identities_on_standard_simplices_and_circle():

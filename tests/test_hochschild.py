@@ -432,6 +432,57 @@ def test_gerstenhaber_reports_pass():
         assert rep.certificates
 
 
+# Instances of each item of gerstenhaber_report, all without failures
+REPORT_COUNTS = (
+    (upper_triangular_mod2, 3, (792, 32, 1728, 120, 120, 1)),
+    (matrix2_mod2, 2, (912, 28, 8000, 84, 84, 1)),
+    (lambda: truncated_polynomial(2), 3, (132, 35, 216, 30, 30, 1)))
+REPORT_ITEMS = ("Leibniz rule for cup",
+                "bracket is compatible with the differential",
+                "cup associativity", "cup unit",
+                "differential squares to zero",
+                "graded commutativity on cohomology")
+
+
+def test_report_instance_counts():
+    for algebra, p_max, counts in REPORT_COUNTS:
+        R = algebra()
+        rep = gerstenhaber_report(R, p_max)
+        assert sorted(rep.items.items()) == \
+            [(name, [n, 0]) for name, n in zip(REPORT_ITEMS, counts)], R.name
+
+
+def test_report_evaluates_through_the_module_functions(monkeypatch):
+    # the report's memos call hochschild_differential and hochschild_cup
+    # as module attributes: each differential once, and a corrupted cup is
+    # caught by the checks that read the memo
+    import chainops.hochschild as hh
+    R = matrix2_mod2()
+    differential, seen = hh.hochschild_differential, []
+
+    def counted(rho):
+        seen.append(rho)
+        return differential(rho)
+    monkeypatch.setattr(hh, "hochschild_differential", counted)
+    assert gerstenhaber_report(R, 2).passed
+    assert seen and len(seen) == len(set(seen))
+
+    cup = hh.hochschild_cup
+
+    def dropped(r1, r2):
+        # past degree 0 the second factor's values are dropped: only where
+        # it is nonzero is read (dropping it always keeps associativity)
+        if not r1.degree:
+            return cup(r1, r2)
+        keys = {l1[:-1] for l1, _ in r1.terms}
+        return HochschildCochain.make(R, r1.degree + r2.degree, {
+            k1 + l2[:-1]: r1.value(k1) for k1 in keys for l2, _ in r2.terms})
+    monkeypatch.setattr(hh, "hochschild_cup", dropped)
+    rep = gerstenhaber_report(R, 2)
+    failed = {name for name, (_, bad) in rep.items.items() if bad}
+    assert failed == {"cup associativity", "Leibniz rule for cup"}, failed
+
+
 def test_certificates_are_explicit():
     # every certificate re-verifies: a strict one certifies a zero cocycle,
     # any other carries zeta with d(zeta) equal to its cocycle.  F3[x]/(x^2)
