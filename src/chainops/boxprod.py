@@ -104,10 +104,10 @@ class Symbol(tuple):
         return self.q + 1 - self.k - self.r
 
     def fiber_sizes(self):
-        return _fiber_shape(self[0], self[1])[0]
+        return delta.fibers(self[0], self[1])[0]
 
     def fiber_degrees(self):
-        return _fiber_shape(self[0], self[1])[1]
+        return delta.fibers(self[0], self[1])[1]
 
     def is_onto(self):
         return set(self.f) == set(range(1, self.k + 1))
@@ -122,19 +122,6 @@ class Symbol(tuple):
     def __repr__(self):
         return "S(k=%d,f=%s,phi=%s,r=%d)" % (
             self.k, "".join(map(str, self.f)), "".join(map(str, self.phi)), self.r)
-
-
-@lru_cache(maxsize=1024)
-def _fiber_shape(k, f):
-    """(sizes, degrees, positions) of the fibers of f and the rank of each
-    position in fiber order, read over and over by composition."""
-    fibers = [[] for _ in range(k)]
-    for a, v in enumerate(f):
-        fibers[v - 1].append(a)
-    in_fiber_order = list(chain.from_iterable(fibers))
-    order = sorted(range(len(f)), key=in_fiber_order.__getitem__)
-    return (tuple(map(len, fibers)), tuple(len(p) - 1 for p in fibers),
-            tuple(map(tuple, fibers)), tuple(order))
 
 
 def _repeats(pairs):
@@ -487,7 +474,7 @@ def _flattening(host, arities):
     bit mask of the host phi values that the flattened phi takes from it."""
     # the runs of all parts, concatenated slot by slot, are in fiber order;
     # host position a reads run number order[a], the inverse permutation
-    _, _, fibers, order = _fiber_shape(host[0], host[1])
+    _, _, fibers, order = delta.fibers(host[0], host[1])
     offsets = list(accumulate(arities, initial=0))
     hphi = host.phi
     bits = [[1 << hphi[a] for a in fib] for fib in fibers]
@@ -547,7 +534,8 @@ def box_level(k, n, r, q_cap):
 
 def box_cosimplicial(k, n, level_cap, q_cap):
     """The whole family of box levels 0..level_cap as a cosimplicial chain
-    complex (generic machinery input; sizes stay moderate)."""
+    complex (generic machinery input; sizes stay moderate), complete
+    through internal degree q_cap + 1 - k."""
     from .cosimplicial import CosimplicialChainComplex, operator_tables
     levels = {r: box_level(k, n, r, q_cap) for r in range(level_cap + 1)}
 
@@ -560,7 +548,8 @@ def box_cosimplicial(k, n, level_cap, q_cap):
         return {m: IntMatrix.from_images(src.basis[m], tgt.basis[m], image)
                 for m in range(max(lo, 0), hi)}
 
-    return CosimplicialChainComplex(levels, *operator_tables(level_cap, op))
+    return CosimplicialChainComplex(levels, *operator_tables(level_cap, op),
+                                    complete_degree=q_cap + 1 - k)
 
 
 # -- natural transformations out of the standard cosimplicial chain complex --

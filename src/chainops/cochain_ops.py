@@ -12,6 +12,7 @@ the operations consume on empty fibers.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from . import delta
 from .delta import FinOrd, OrderedMap
@@ -174,11 +175,10 @@ class AugmentedCochainSystem:
             if not 1 <= v <= k:
                 raise LevelMismatch("f takes the value %d outside 1..%d"
                                     % (v, k))
-        fibers = tuple(tuple(t for t, v in enumerate(f) if v == i + 1)
-                       for i in range(k))
-        for fib, x in zip(fibers, xs):
-            if x.level != len(fib) - 1:
-                raise LevelMismatch((x.level, len(fib) - 1))
+        _, degrees, fibers, _ = delta.fibers(k, f)
+        for d, x in zip(degrees, xs):
+            if x.level != d:
+                raise LevelMismatch((x.level, d))
         return self._product(len(f) - 1, xs, fibers)
 
 
@@ -186,14 +186,9 @@ class AugmentedCochainSystem:
 
 def _restriction_map(f, g, phi):
     """The restriction of phi to the i-th fibers, skeletally renumbered."""
-    out = []
-    for i in (1, 2):
-        src = [t for t, v in enumerate(f) if v == i]
-        tgt = [t for t, v in enumerate(g) if v == i]
-        pos = {t: j for j, t in enumerate(tgt)}
-        out.append(OrderedMap(FinOrd(len(src)), FinOrd(len(tgt)),
-                              tuple(pos[phi.values[t]] for t in src)))
-    return out
+    return [OrderedMap(FinOrd(len(src)), FinOrd(len(tgt)),
+                       tuple(tgt.index(phi.values[t]) for t in src))
+            for src, tgt in zip(delta.fibers(2, f)[2], delta.fibers(2, g)[2])]
 
 
 def verify_identities(W, level_cap=None, name="complex"):
@@ -304,13 +299,14 @@ def verify_identities(W, level_cap=None, name="complex"):
         for m2 in range(-1, min(3, M) + 1):
             for phi in delta.all_ordered_maps(FinOrd.bracket(m1),
                                               FinOrd.bracket(m2)):
-                for gmask in range(2 ** (m2 + 1)):
-                    g = tuple(1 + (gmask >> t & 1) for t in range(m2 + 1))
-                    f = tuple(g[phi.values[t]] for t in range(m1 + 1))
+                for g in product((1, 2), repeat=m2 + 1):
+                    f = tuple(g[v] for v in phi.values)
+                    xbasis, ybasis = map(sys_.basis, delta.fibers(2, f)[1])
+                    if not (xbasis and ybasis):
+                        continue
                     phis = _restriction_map(f, g, phi)
-                    fib_f = [sum(1 for v in f if v == i) - 1 for i in (1, 2)]
-                    for x in sys_.basis(fib_f[0]):
-                        for y in sys_.basis(fib_f[1]):
+                    for x in xbasis:
+                        for y in ybasis:
                             lhs = sys_.pushforward(angle(f, [x, y]), phi)
                             xs2 = sys_.pushforward(x, phis[0])
                             ys2 = sys_.pushforward(y, phis[1])
@@ -321,10 +317,9 @@ def verify_identities(W, level_cap=None, name="complex"):
     # symmetry
     it_sym = report.item("symmetry of fiberwise operations")
     for m in range(0, min(4, M) + 1):
-        for fmask in range(2 ** (m + 1)):
-            f = tuple(1 + (fmask >> t & 1) for t in range(m + 1))
+        for f in product((1, 2), repeat=m + 1):
             tf = tuple(3 - v for v in f)
-            fib = [sum(1 for v in f if v == i) - 1 for i in (1, 2)]
+            fib = delta.fibers(2, f)[1]
             for x in sys_.basis(fib[0]):
                 for y in sys_.basis(fib[1]):
                     it_sym.record(angle(f, [x, y]) == angle(tf, [y, x]),
@@ -334,10 +329,8 @@ def verify_identities(W, level_cap=None, name="complex"):
     it_assoc = report.item("associativity of fiberwise operations (k=3)")
     it_decomp = report.item("3-ary operations decompose through 2-ary")
     for m in range(0, min(3, M) + 1):
-        for g in _all_functions(m + 1, 3):
-            fibs = [tuple(t for t, v in enumerate(g) if v == i)
-                    for i in (1, 2, 3)]
-            levels = [len(fb) - 1 for fb in fibs]
+        for g in product((1, 2, 3), repeat=m + 1):
+            levels = delta.fibers(3, g)[1]
             alpha_g = tuple(1 if v in (1, 2) else 2 for v in g)
             beta_g = tuple(1 if v == 1 else 2 for v in g)
             g1 = tuple(v for v in g if v in (1, 2))
@@ -362,11 +355,3 @@ def verify_identities(W, level_cap=None, name="complex"):
             it_unit.record(angle(f2, [eps, x]) == x, ("unit-left", m, x))
 
     return report
-
-
-def _all_functions(length, k):
-    out = [()]
-    for _ in range(length):
-        out = [f + (v,) for f in out for v in range(1, k + 1)]
-    return out
-

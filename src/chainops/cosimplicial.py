@@ -223,11 +223,13 @@ def compare_conormalizations(A, kernel_form=None, cokernel_form=None):
 
 class CosimplicialChainComplex:
     """Levelwise graded integer complexes with cosimplicial operators that
-    are chain maps satisfying the cosimplicial identities."""
+    are chain maps satisfying the cosimplicial identities; a truncation
+    records the top internal degree every level holds completely."""
 
-    def __init__(self, levels, cofaces, codegens):
+    def __init__(self, levels, cofaces, codegens, complete_degree=None):
         # levels: r -> GradedIntComplex; operators: (r, i) -> {m: IntMatrix}
         self.levels = dict(levels)
+        self.complete_degree = complete_degree
         self.max_level = max(self.levels)
         if sorted(self.levels) != list(range(self.max_level + 1)):
             raise ShapeMismatch("levels %r are not 0..top" % sorted(levels))
@@ -352,7 +354,12 @@ def conormalize_bicomplex(B, level_cap):
 def stabilized_bicomplex_homology(B, level_cap, degrees):
     """Homology of the truncated totalization, certified by comparing the
     truncations at level_cap and level_cap + 1.  Raises WindowTooSmall when
-    the groups do not agree on the requested degrees."""
+    the groups do not agree on the requested degrees, and before computing
+    when B is truncated below the internal degree d + level_cap + 2 that
+    H_d at cap level_cap + 1 reads (total degree d + 1 at the top level)."""
+    top = max(degrees) + level_cap + 2
+    if B.complete_degree is not None and top > B.complete_degree:
+        raise WindowTooSmall((top, B.complete_degree))
     h1 = reduced_homology(conormalize_bicomplex(B, level_cap), degrees)
     h2 = reduced_homology(conormalize_bicomplex(B, level_cap + 1), degrees)
     for d in h1:

@@ -9,7 +9,7 @@ ordered sets are always presented through their unique isomorphism to some
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from types import MappingProxyType
 
 
@@ -130,6 +130,22 @@ def two_letter_words(top):
         if beta.source == alpha.target:
             groups.setdefault(beta.compose(alpha), []).append((a, b))
     return MappingProxyType({c: tuple(words) for c, words in groups.items()})
+
+
+@lru_cache(maxsize=1024)
+def fibers(k, f):
+    """The fibers of f: [q] -> {1..k}, given by its values: (sizes, degrees,
+    positions, order), with degree size - 1 (an empty fiber is the level
+    [-1]), each fiber's positions as a sorted index list, and order[a] the
+    rank of position a when the fibers are laid out one after another.
+    The values must lie in 1..k, which callers check."""
+    positions = [[] for _ in range(k)]
+    for a, v in enumerate(f):
+        positions[v - 1].append(a)
+    in_fiber_order = list(chain.from_iterable(positions))
+    order = sorted(range(len(f)), key=in_fiber_order.__getitem__)
+    return (tuple(map(len, positions)), tuple(len(p) - 1 for p in positions),
+            tuple(map(tuple, positions)), tuple(order))
 
 
 def factor_epi_mono(phi):

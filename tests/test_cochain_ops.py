@@ -245,6 +245,27 @@ def test_identity_instance_counts():
             list(zip(IDENTITY_ITEMS, IDENTITY_COUNTS[name])), name
 
 
+def test_naturality_builds_restrictions_only_for_checked_pairs(monkeypatch):
+    # a (phi, g) whose fiber levels have no basis cochain checks nothing, and
+    # the naturality loop skips it before building its restriction maps
+    from chainops import cochain_ops
+    graph = from_simplicial_complex([0, 1, 2, 3],
+                                    [(0, 2), (1, 2), (1, 3), (2, 3)])
+    built = []
+    restriction_map = cochain_ops._restriction_map
+    monkeypatch.setattr(cochain_ops, "_restriction_map",
+                        lambda *args: built.append(args) or
+                        restriction_map(*args))
+    counts = {}
+    for name, W, cap in (("simplex2", standard_simplex_sset(2), 2),
+                         ("circle", simplicial_circle(), None),
+                         ("graph", graph, 2)):
+        built.clear()
+        assert verify_identities(W, level_cap=cap, name=name).passed
+        counts[name] = len(built)
+    assert counts == {"simplex2": 209, "circle": 651, "graph": 145}
+
+
 def test_identities_on_standard_simplices_and_circle():
     for W, name in [(standard_simplex_sset(2), "simplex2"),
                     (simplicial_circle(), "circle")]:

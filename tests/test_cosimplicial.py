@@ -348,3 +348,18 @@ def test_window_too_small():
     B = delta_cosimplicial_chain(3)
     with pytest.raises(WindowTooSmall):
         conormalize_bicomplex(B, 9)
+
+
+def test_window_rule_of_a_truncated_box_family():
+    # H_d at cap L + 1 reads internal degree d + L + 2, which the family must
+    # hold completely: q_cap + 1 - k for box_cosimplicial(k, n, L', q_cap)
+    from chainops.boxprod import box_cosimplicial
+    with pytest.raises(WindowTooSmall):
+        stabilized_bicomplex_homology(box_cosimplicial(2, None, 4, 3), 3, (0,))
+    with pytest.raises(WindowTooSmall):
+        stabilized_bicomplex_homology(box_cosimplicial(2, 2, 3, 5), 2, (0, 1))
+    # T(2) is contractible; T2(2) is F(R^2, 2), a circle
+    assert stabilized_bicomplex_homology(
+        box_cosimplicial(2, None, 3, 5), 2, (0,)) == {0: (1, ())}
+    assert stabilized_bicomplex_homology(
+        box_cosimplicial(2, 2, 3, 6), 2, (0, 1)) == {0: (1, ()), 1: (1, ())}

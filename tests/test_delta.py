@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -119,6 +120,21 @@ def test_ordered_map_counts():
         for t in range(6):
             assert len(delta.all_ordered_maps(FinOrd(s), FinOrd(t))) == \
                 (comb(s + t - 1, s) if s else 1)
+
+
+def test_fibers_match_their_definition():
+    # every f: [q] -> {1..k} with k <= 4 and q + 1 <= 6, the empty f too
+    for k in range(1, 5):
+        for length in range(7):
+            for f in product(range(1, k + 1), repeat=length):
+                positions = tuple(tuple(t for t in range(length)
+                                        if f[t] == i)
+                                  for i in range(1, k + 1))
+                laid_out = [t for fib in positions for t in fib]
+                assert delta.fibers(k, f) == (
+                    tuple(len(fib) for fib in positions),
+                    tuple(len(fib) - 1 for fib in positions), positions,
+                    tuple(laid_out.index(t) for t in range(length))), (k, f)
 
 
 def test_invalid_maps_and_cells_rejected_under_optimize():
