@@ -344,9 +344,10 @@ def conormalize_bicomplex(B, level_cap):
             outer = kernels[m].complex.differential(-r).columns()
             for j in range(kernels[m].inclusions[r].cols):
                 images[label(r, m, j)] = (
-                    [(label(r, m - 1, i), v) for i, v in inner.get(j, ())] +
+                    [(label(r, m - 1, i), v)
+                     for i, v in inner.get(j, {}).items()] +
                     [(label(r + 1, m, i), sign * v)
-                     for i, v in outer.get(j, ())])
+                     for i, v in outer.get(j, {}).items()])
     return GradedIntComplex.from_boundary((plo, phi), basis,
                                           lambda p, x: images[x])
 

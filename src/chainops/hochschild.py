@@ -396,8 +396,8 @@ def _cobound(R, target):
     if x is None:
         return None
     labels = coordinates(R, p - 1)
-    return HochschildCochain.sum(R, p - 1, ((labels[i], v)
-                                            for i, v in x.columns().get(0, ())))
+    return HochschildCochain.sum(R, p - 1, (
+        (labels[i], v) for i, v in x.columns().get(0, {}).items()))
 
 
 def gerstenhaber_report(R, p_max=3):

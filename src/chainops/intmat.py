@@ -28,32 +28,48 @@ def vec_sum(terms, prime=0):
     return {s: c for s, c in out.items() if c}
 
 
-class IntMatrix:
-    """A rows x cols integer matrix stored as {(i, j): value} with no zeros."""
+def _entry(v):
+    """v as an int; a value with a fractional part raises ValueError."""
+    if (n := int(v)) != v:
+        raise ValueError("non-integral matrix entry %r" % (v,))
+    return n
 
-    __slots__ = ("rows", "cols", "data")
+
+def _reduced(store, prime):
+    """A copy of a column store, reduced mod prime over Z/prime, with no
+    zeros or empty columns."""
+    if not prime:
+        return {j: dict(col) for j, col in store.items()}
+    return {j: c for j, col in store.items()
+            if (c := {i: r for i, v in col.items() if (r := v % prime)})}
+
+
+class IntMatrix:
+    """A rows x cols integer matrix stored by column: ``_store`` maps each
+    nonzero column j to {i: value}, no zeros, in the order written.  Matrices
+    may share columns, so a store is never written once built.  ``data`` is
+    a derived {(i, j): value} dict in column order, not the store."""
+
+    __slots__ = ("rows", "cols", "_store")
 
     def __init__(self, rows, cols, data=None):
         if rows < 0 or cols < 0:
             raise ShapeMismatch("negative size: %d x %d" % (rows, cols))
-        self.rows = rows
-        self.cols = cols
-        d = {}
-        if data:
-            for (i, j), v in data.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ShapeMismatch("entry %r outside %d x %d"
-                                        % ((i, j), rows, cols))
-                if v:
-                    d[(i, j)] = int(v)
-        self.data = d
+        self.rows, self.cols = rows, cols
+        self._store = store = {}
+        for (i, j), v in (data or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeMismatch("entry %r outside %d x %d"
+                                    % ((i, j), rows, cols))
+            if v:
+                store.setdefault(j, {})[i] = _entry(v)
 
     @classmethod
-    def _trusted(cls, rows, cols, data):
-        """A matrix on entries that are in range, nonzero and int by
+    def _trusted(cls, rows, cols, store):
+        """A matrix on a column store that is in range, nonzero and int by
         construction: the constructor for results of other matrices."""
         self = object.__new__(cls)
-        self.rows, self.cols, self.data = rows, cols, data
+        self.rows, self.cols, self._store = rows, cols, store
         return self
 
     @classmethod
@@ -62,24 +78,34 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._trusted(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def from_images(cls, sources, targets, image):
         """Matrix of the map sending the j-th source label to image(label),
         an iterable of (target label, coefficient) pairs.  Repeated targets
-        add up; a target outside ``targets`` raises KeyError."""
+        add up; a target outside ``targets`` raises KeyError, and a sum
+        with a fractional part ValueError."""
         index = {t: i for i, t in enumerate(targets)}
-        return cls._trusted(len(targets), len(sources), vec_sum(
-            ((index[t], j), int(c)) for j, s in enumerate(sources)
-            for t, c in image(s)))
+        store = {}
+        for j, s in enumerate(sources):
+            col = {}
+            for t, c in image(s):
+                i = index[t]
+                col[i] = col.get(i, 0) + c
+            if col := {i: x if type(x) is int else _entry(x)
+                       for i, x in col.items() if x}:
+                store[j] = col
+        return cls._trusted(len(targets), len(sources), store)
+
+    @property
+    def data(self):
+        return {(i, j): v for j, col in self._store.items()
+                for i, v in col.items()}
 
     def columns(self):
-        """Column view {j: [(i, value), ...]} of the nonzero entries."""
-        out = {}
-        for (i, j), v in self.data.items():
-            out.setdefault(j, []).append((i, v))
-        return out
+        """The column store {j: {i: value}} itself, for reading only."""
+        return self._store
 
     def submatrix(self, rows, cols):
         """The entries at the given row and column indices, renumbered in
@@ -92,71 +118,88 @@ class IntMatrix:
                 or not all(0 <= j < self.cols for j in ci)):
             raise ShapeMismatch("submatrix %r x %r of %r" % (rows, cols, self))
         return IntMatrix._trusted(len(ri), len(ci), {
-            (ri[i], ci[j]): v for (i, j), v in self.data.items()
-            if i in ri and j in ci})
+            ci[j]: c for j, col in self._store.items() if j in ci
+            and (c := {ri[i]: v for i, v in col.items() if i in ri})})
 
     def is_zero(self):
-        return not self.data
+        return not self._store
 
     def transpose(self):
-        return IntMatrix._trusted(self.cols, self.rows,
-                                  {(j, i): v for (i, j), v in self.data.items()})
+        return IntMatrix._trusted(self.cols, self.rows, _rows_of(self._store))
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._store == other._store)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("sum of %r and %r" % (self, other))
-        return IntMatrix._trusted(self.rows, self.cols, vec_sum(
-            chain(self.data.items(), other.data.items())))
+        a, b = self._store, other._store
+        return IntMatrix._trusted(self.rows, self.cols, {
+            j: c for j in dict.fromkeys(chain(a, b)) if (c := vec_sum(
+                chain(a.get(j, {}).items(), b.get(j, {}).items())))})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix._trusted(self.rows, self.cols,
-                                  {k: -v for k, v in self.data.items()})
+        return -1 * self
 
     def __rmul__(self, c):
-        c = int(c)
+        c = _entry(c)
         return IntMatrix._trusted(self.rows, self.cols, {
-            k: c * v for k, v in self.data.items()} if c else {})
+            j: {i: c * v for i, v in col.items()}
+            for j, col in self._store.items()} if c else {})
 
     def __mul__(self, other):
-        """Matrix product self @ other (sparse column-wise)."""
+        """Matrix product self @ other, one column of other at a time."""
         if self.cols != other.rows:
             raise ShapeMismatch("product of %r and %r" % (self, other))
-        rows_of = self.columns()
-        data = {}
-        for (j, l), w in other.data.items():
-            for i, v in rows_of.get(j, ()):
-                key = (i, l)
-                data[key] = data.get(key, 0) + v * w
-        return IntMatrix._trusted(self.rows, other.cols,
-                                  {key: x for key, x in data.items() if x})
+        left, store = self._store, {}
+        for l, col in other._store.items():
+            if len(col) == 1:   # as in most coface columns: no sums
+                (j, w), = col.items()
+                if j in left:
+                    store[l] = left[j] if w == 1 else {
+                        i: v * w for i, v in left[j].items()}
+                continue
+            acc = {}
+            for j, w in col.items():
+                for i, v in left.get(j, {}).items():
+                    acc[i] = acc.get(i, 0) + v * w
+            if any(acc.values()):
+                store[l] = {i: x for i, x in acc.items() if x}
+        return IntMatrix._trusted(self.rows, other.cols, store)
 
     def stack_rows(self, other):
         """Block matrix [self; other]."""
         if self.cols != other.cols:
             raise ShapeMismatch("rows of %r stacked on %r" % (other, self))
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i + self.rows, j)] = v
-        return IntMatrix._trusted(self.rows + other.rows, self.cols, data)
+        store = {j: dict(col) for j, col in self._store.items()}
+        for j, col in other._store.items():
+            store.setdefault(j, {}).update(
+                (i + self.rows, v) for i, v in col.items())
+        return IntMatrix._trusted(self.rows + other.rows, self.cols, store)
 
     def stack_cols(self, other):
         """Block matrix [self | other]."""
         if self.rows != other.rows:
             raise ShapeMismatch("columns of %r stacked on %r" % (other, self))
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i, j + self.cols)] = v
-        return IntMatrix._trusted(self.rows, self.cols + other.cols, data)
+        store = dict(self._store)
+        store.update((j + self.cols, col) for j, col in other._store.items())
+        return IntMatrix._trusted(self.rows, self.cols + other.cols, store)
 
     def __repr__(self):
         return "IntMatrix(%d, %d, nnz=%d)" % (self.rows, self.cols, len(self.data))
+
+
+def _rows_of(store):
+    """The row store {i: {j: value}} of a column store: the transpose."""
+    rows = {}
+    for j, col in store.items():
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    return rows
 
 
 class NotUnimodular(AssertionError):
@@ -192,16 +235,10 @@ class Eliminator:
     """
 
     def __init__(self, m, prime=0, track=False):
-        self.prime = p = prime
-        self.r = rows = {}   # i -> {j: value}
-        self.c = cols = {}   # j -> {i: value}
-        for (i, j), v in m.data.items():
-            if p:
-                v %= p
-                if not v:
-                    continue
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, {})[i] = v
+        self.prime = prime
+        # j -> {i: value}, copied: the work matrix is written in place
+        self.c = _reduced(m._store, prime)
+        self.r = _rows_of(self.c)   # i -> {j: value}
         self.size, self.width = m.rows * m.cols, m.cols
         self.heap = None
         self.pivots = []
@@ -401,10 +438,10 @@ def smith_normal_form(m, prime=0):
     done_cols = [j for _, j in e.pivots]
     row_order = done_rows + sorted(set(range(m.rows)).difference(done_rows))
     col_order = done_cols + sorted(set(range(m.cols)).difference(done_cols))
-    u = IntMatrix._trusted(m.rows, m.rows, {
-        (s, j): x for s, i in enumerate(row_order) for j, x in e.u[i].items()})
-    v = IntMatrix._trusted(m.cols, m.cols, {
-        (i, s): x for s, j in enumerate(col_order) for i, x in e.v[j].items()})
+    u = IntMatrix._trusted(m.rows, m.rows, _rows_of(
+        {s: e.u[i] for s, i in enumerate(row_order)}))
+    v = IntMatrix._trusted(m.cols, m.cols,
+                           {s: e.v[j] for s, j in enumerate(col_order)})
     return diag, u, v
 
 
@@ -432,15 +469,15 @@ def solve(m, b, prime=0):
     if b.rows != m.rows:
         raise ShapeMismatch("solving %r against %r" % (m, b))
     diag, u, v = smith_normal_form(m, prime)
-    y = {}
-    for (i, l), x in vec_sum((u * b).data.items(), prime).items():
-        if i >= len(diag) or x % diag[i]:
-            return None
-        y[(i, l)] = x // diag[i]
-    x = v * IntMatrix(m.cols, b.cols, y)
+    y = _reduced((u * b)._store, prime)
+    if any(i >= len(diag) or x % diag[i]
+           for col in y.values() for i, x in col.items()):
+        return None
+    x = v * IntMatrix._trusted(m.cols, b.cols, {
+        l: {i: x // diag[i] for i, x in col.items()} for l, col in y.items()})
     if prime:
-        x = IntMatrix(x.rows, x.cols, vec_sum(x.data.items(), prime))
-        if vec_sum((m * x - b).data.items(), prime):
+        x = IntMatrix._trusted(x.rows, x.cols, _reduced(x._store, prime))
+        if _reduced((m * x - b)._store, prime):
             return None
     return x
 

@@ -224,13 +224,15 @@ def _below_level(cx, level_cap):
     """The quotient of a level-truncated complex by its symbols above
     ``level_cap``, which span a subcomplex (d^0 raises the level, the
     internal part keeps it): the rows and columns of the other symbols, in
-    their order.  It is ``level_truncated_complex`` at ``level_cap``."""
+    their order.  It is ``level_truncated_complex`` at ``level_cap``, and
+    inherits d o d = 0 from ``cx``, which its constructor checked."""
     keep = {d: [i for i, s in enumerate(labels) if s.r <= level_cap]
             for d, labels in cx.basis.items()}
-    return GradedIntComplex(
+    return GradedIntComplex._trusted(
         cx.window, {d: tuple(cx.basis[d][i] for i in kept)
                     for d, kept in keep.items()},
-        {d: m.submatrix(keep[d - 1], keep[d]) for d, m in cx.diff.items()})
+        {d: m.submatrix(keep[d - 1], keep[d]) for d, m in cx.diff.items()},
+        cx.regrade, cx.prime)
 
 
 @dataclass

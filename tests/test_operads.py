@@ -488,6 +488,33 @@ def test_level_quotient_equals_truncation(k, n, window, caps):
         assert all(got.diff[d] == want.diff[d] for d in want.diff)
 
 
+def test_one_dd_check_per_operad_homology(monkeypatch):
+    # the cap L complex is the quotient of the cap L + 1 window by a
+    # subcomplex, so it inherits d o d = 0 from that window's check: the
+    # check runs once per call, on the complex the quotient is taken of
+    from chainops import operads as ops
+    from chainops.complexes import GradedIntComplex
+    checked, quotiented = [], []
+    check, below = GradedIntComplex.check_dd_zero, ops._below_level
+
+    def counted_check(cx):
+        checked.append(cx)
+        check(cx)
+
+    def counted_below(cx, level_cap):
+        quotiented.append(cx)
+        return below(cx, level_cap)
+
+    monkeypatch.setattr(GradedIntComplex, "check_dd_zero", counted_check)
+    monkeypatch.setattr(ops, "_below_level", counted_below)
+    for k, n, cap in ((2, None, 3), (3, 1, 2), (3, 2, 1)):
+        checked.clear()
+        quotiented.clear()
+        ops.operad_homology(k, n, (0, 1, 2), cap)
+        assert len(checked) == 1 and len(quotiented) == 1
+        assert quotiented[0] is checked[0]
+
+
 def test_family_t_window_guard(monkeypatch):
     # homology-operad --k 6 --qmax 2 builds T(6) at level cap 2 (cap 1 is
     # its quotient); the closed-form count refuses it before any symbol is
