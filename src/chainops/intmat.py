@@ -7,6 +7,7 @@ after construction; every operation returns a fresh matrix.
 """
 
 import heapq
+from collections.abc import Mapping
 from itertools import chain
 
 
@@ -44,11 +45,28 @@ def _reduced(store, prime):
             if (c := {i: r for i, v in col.items() if (r := v % prime)})}
 
 
+class _Entries(Mapping):
+    """The entries {(i, j): value} of a column store in column order: a
+    read-only view, read on demand."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def __getitem__(self, key):
+        return self._store[key[1]][key[0]]
+
+    def __iter__(self):
+        return ((i, j) for j, col in self._store.items() for i in col)
+
+    def __len__(self):
+        return sum(map(len, self._store.values()))
+
+
 class IntMatrix:
     """A rows x cols integer matrix stored by column: ``_store`` maps each
     nonzero column j to {i: value}, no zeros, in the order written.  Matrices
     may share columns, so a store is never written once built.  ``data`` is
-    a derived {(i, j): value} dict in column order, not the store."""
+    a read-only {(i, j): value} view of the store, in column order."""
 
     __slots__ = ("rows", "cols", "_store")
 
@@ -100,8 +118,7 @@ class IntMatrix:
 
     @property
     def data(self):
-        return {(i, j): v for j, col in self._store.items()
-                for i, v in col.items()}
+        return _Entries(self._store)
 
     def columns(self):
         """The column store {j: {i: value}} itself, for reading only."""

@@ -457,13 +457,18 @@ def test_non_integral_entries_raise():
     assert all(type(v) is int for v in m.data.values())
 
 
-def test_data_is_a_derived_view():
+def test_data_is_a_read_only_view():
     m = from_rows([[1, 0], [2, 3]])
     view = m.data
-    view[(0, 1)] = 5
-    assert m == from_rows([[1, 0], [2, 3]])
+    assert len(view) == 3 and (1, 1) in view and (0, 1) not in view
+    assert view[(1, 0)] == 2 and view.get((0, 1), 0) == 0
+    with pytest.raises(KeyError):
+        view[(0, 1)]
+    with pytest.raises(TypeError):
+        view[(0, 1)] = 5
     with pytest.raises(AttributeError):
         m.data = {}
+    assert m == from_rows([[1, 0], [2, 3]])
 
 
 def test_only_intmat_reads_matrix_entries():
