@@ -384,6 +384,43 @@ def t_boundary(sym, level_cap=None):
     return vec_sum(terms)
 
 
+def level_contraction(sym):
+    """A contraction s of level r >= 1 with its internal differential d =
+    t_boundary(., r), as {tau: c} or {}.  Write f as blocks w_0 | w_1 | ...
+    | w_r, w_j the letters over phi = j, and let x open w_1.  If w_0 ends
+    in x, s(sym) = 0; else tau is sym with x appended to w_0 and c is sym's
+    sign as a face of tau.  Appending x next to an x adds no change to any
+    pair, so s preserves T_n.
+
+    (ds + sd)(sym) = sym + N(sym), N lengthening w_0 by one.  The face
+    removing the i-th entry of value v has sign (-1)^(e(v) + i), e(v) the
+    sum of (fiber size - 1) below v.  Let p = |w_0|.  If w_0 does not end
+    in x: the face of tau at p is sym, with coefficient c * c = 1; the one
+    at p + 1 (w_1's x) lengthens w_0, and so does s of sym's face removing
+    that x.  Every other face of tau is s of the matching face of sym, both
+    killed by (d) or the cover, or neither, but for w_0 ending in xy:
+    removing y leaves xx over 0 in tau and kills s of sym's face.  Removing
+    v at t from tau moves c by (-1)^([v < x] + [v = x, t < p]); removing x
+    at p moves the face sign at t by (-1)^([x < v] + [v = x, t > p]); t !=
+    p makes the sum odd, so these pairs cancel.  If w_0 ends in x: s(sym) =
+    0, and the face removing that x, of sign e, has a w_0 not ending in x
+    (condition (d)), so s sends it to e * sym; other faces in w_0 or past
+    w_1's x keep w_0's last x and w_1's first, or die, and s kills them;
+    removing w_1's x lengthens w_0 under s.  Since |w_0| <= q + 1, ds + sd
+    = 1 + N is invertible in each degree and a polynomial in itself, so it
+    keeps the boundaries, and every cycle z = (1 + N)^-1 ds(z) is one: the
+    level is acyclic there."""
+    k, f, phi, r = sym
+    p = phi.count(0)
+    if p == len(f) or phi[p] != 1:
+        raise InvalidSymbol("no covering phi at a level r >= 1", sym)
+    if p and f[p - 1] == f[p]:
+        return {}
+    f2 = f[:p] + f[p:p + 1] + f[p:]
+    sign = next(c for t, c, _, _ in _f_table(k, f2)[1] if t == p)
+    return {_sym(k, f2, (0,) + phi, r): sign}
+
+
 # -- kernel form -----------------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -67,15 +67,6 @@ class GradedIntComplex:
         self.check_dd_zero()
 
     @classmethod
-    def _trusted(cls, window, basis, diff, regrade=None, prime=0):
-        """A complex whose labels, shapes and d o d = 0 hold by construction
-        (a quotient of a checked complex by a subcomplex): none is checked."""
-        self = object.__new__(cls)
-        self.window, self.basis, self.diff = window, basis, diff
-        self.regrade, self.prime = regrade, prime
-        return self
-
-    @classmethod
     def from_boundary(cls, window, basis, boundary):
         """The complex whose differential sends a label x of degree d to
         boundary(d, x), an iterable of (label of degree d - 1, coefficient)

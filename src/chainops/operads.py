@@ -18,9 +18,9 @@ whole box levels through ``boxprod.box_functorial_map`` in
 
 Truncations come in two flavors.  Axiom windows cap the simplex budget q
 (the symbols span a subcomplex since the differential never raises q).
-Homology caps the cosimplicial level r instead, as a quotient complex: the
-conormalization is an infinite product over levels, and level truncation is
-the approximation that stabilizes degreewise.
+Homology caps the cosimplicial level r instead, as a quotient complex, and
+each level r >= 1 has a contraction, so every cap has the homology of level
+0, which is all that is assembled.
 """
 
 import random
@@ -30,7 +30,8 @@ from . import boxprod, cubes
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       Symbol, act_perm, apply_tuple, enumerate_symbols,
                       ker_expand, ker_expand_checked, koszul_sign,
-                      levels_match, NatTransform, t_boundary, vec_sum)
+                      level_contraction, levels_match, NatTransform,
+                      t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
 
 
@@ -38,9 +39,9 @@ class NotStabilized(Exception):
     pass
 
 
-# operad_homology refuses a family-T window with more symbols than this; a
-# built window costs about 2.6 KB per symbol (T(2) at cap 6, 101,234
-# symbols, peaked at 259 MiB with its homology)
+# operad_homology refuses a family-T window with more symbols than this; its
+# certificate streams them in flat memory, about 30 us per counted symbol
+# (T(2) at cap 5, 101,234: 2.8 s, 23 MiB; CPython 3.11, 2-core x86-64)
 MAX_WINDOW_SYMBOLS = 400_000
 
 
@@ -220,21 +221,6 @@ def level_truncated_complex(k, n, level_cap, degree_window):
         (lo, hi), basis, lambda d, s: t_boundary(s, level_cap=level_cap).items())
 
 
-def _below_level(cx, level_cap):
-    """The quotient of a level-truncated complex by its symbols above
-    ``level_cap``, which span a subcomplex (d^0 raises the level, the
-    internal part keeps it): the rows and columns of the other symbols, in
-    their order.  It is ``level_truncated_complex`` at ``level_cap``, and
-    inherits d o d = 0 from ``cx``, which its constructor checked."""
-    keep = {d: [i for i, s in enumerate(labels) if s.r <= level_cap]
-            for d, labels in cx.basis.items()}
-    return GradedIntComplex._trusted(
-        cx.window, {d: tuple(cx.basis[d][i] for i in kept)
-                    for d, kept in keep.items()},
-        {d: m.submatrix(keep[d - 1], keep[d]) for d, m in cx.diff.items()},
-        cx.regrade, cx.prime)
-
-
 @dataclass
 class HomologyReport:
     family: str
@@ -242,7 +228,6 @@ class HomologyReport:
     level_cap: int
     degrees: tuple
     groups: dict            # degree -> (betti, torsion)
-    groups_next: dict       # recomputed at level_cap + 1
     stabilized: bool
 
     def to_dict(self):
@@ -255,14 +240,13 @@ class HomologyReport:
 
 
 def operad_homology(k, n, degrees, level_cap):
-    """Homology of the level-truncated operad arity with a stabilization
-    certificate: the groups must agree at level_cap and level_cap + 1, or
-    NotStabilized is raised with the report as its argument.  Only the
-    level_cap + 1 complex is assembled; the other is its quotient.
-    For family T (n None) a window above MAX_WINDOW_SYMBOLS, counted by
-    ``boxprod.count_symbols``, raises InfeasibleSize before anything is
-    built; for Tn that count is only an upper bound, and nothing is
-    refused."""
+    """Homology of the level-truncated operad arity, computed on level 0,
+    and certified: ``_contracts`` holds on every symbol of levels 1 ..
+    level_cap + 1 in degrees d - 1 and d for each d, so those levels are
+    acyclic there (``boxprod.level_contraction``) and every cap up to
+    level_cap + 1 has level 0's H_d; else NotStabilized carries the report.
+    A family-T window (n None) above MAX_WINDOW_SYMBOLS, counted by
+    ``boxprod.count_symbols``, raises InfeasibleSize before any enumeration."""
     degrees = tuple(degrees)
     window = (min(degrees), max(degrees))
     if n is None:
@@ -273,16 +257,28 @@ def operad_homology(k, n, degrees, level_cap):
             raise InfeasibleSize(
                 "the level-%d window of T(%d) has %d symbols, above the "
                 "limit %d" % (level_cap + 1, k, size, MAX_WINDOW_SYMBOLS))
-    cx2 = level_truncated_complex(k, n, level_cap + 1, window)
-    cx1 = _below_level(cx2, level_cap)
-    g1 = reduced_homology(cx1, degrees)
-    g2 = reduced_homology(cx2, degrees)
-    stable = g1 == g2
-    report = HomologyReport(family_name(n), k, level_cap, degrees, g1, g2,
+    groups = reduced_homology(level_truncated_complex(k, n, 0, window),
+                              degrees)
+    stable = all(_contracts(s) for r in range(1, level_cap + 2)
+                 for e in sorted({d + i for d in degrees for i in (-1, 0)})
+                 if e + r >= 0
+                 for s in enumerate_symbols(k, e + k - 1 + r, r, n))
+    report = HomologyReport(family_name(n), k, level_cap, degrees, groups,
                             stable)
     if not stable:
         raise NotStabilized(report)
     return report
+
+
+def _contracts(sym):
+    """Whether (ds + sd)(sym) is sym plus symbols with more zeros in phi,
+    for s = ``level_contraction`` and d = t_boundary(., sym.r)."""
+    r, w0 = sym.r, sym.phi.count(0)
+    ds = [(u, c * v) for t, c in level_contraction(sym).items()
+          for u, v in t_boundary(t, r).items()]
+    sd = [(u, c * v) for t, c in t_boundary(sym, r).items()
+          for u, v in level_contraction(t).items()]
+    return all(u.phi.count(0) > w0 for u in vec_sum(ds + sd + [(sym, -1)]))
 
 
 # -- axiom verification -------------------------------------------------------

@@ -94,14 +94,14 @@ def test_homology_operad_degree_list(capsys):
 
 
 def test_homology_operad_not_stabilized_exits_1(capsys, monkeypatch):
-    # groups that differ between level_cap and level_cap + 1 are reported,
-    # not raised; a stub stands in for a window that has not stabilized
+    # a failed stabilization certificate is reported, not raised; a stub
+    # stands in for a window that has not stabilized
     from chainops import operads
 
     def unstable(k, n, degrees, level_cap):
         raise operads.NotStabilized(operads.HomologyReport(
             "T2", k, level_cap, tuple(degrees), {0: (1, ()), 1: (2, ())},
-            {0: (1, ()), 1: (1, ())}, False))
+            False))
     monkeypatch.setattr(operads, "operad_homology", unstable)
     code, out = run(capsys, "--json", "homology-operad", "--family", "Tn",
                     "--n", "2", "--k", "2", "--qmax", "4", "--degrees", "0..1")

@@ -363,18 +363,17 @@ def test_one_homology_path_on_benchmark_bicomplexes():
 
 def test_one_homology_path_where_units_drop_rows_above(monkeypatch):
     # the cancellations of one degree drop rows of the differential above
-    # before that engine builds its heap: T(2) at cap 4 and T2(3) at cap 2,
-    # each with its quotient one level down
-    from chainops.operads import _below_level, level_truncated_complex
+    # before that engine builds its heap: T(2) at caps 4 and 3, T2(3) at
+    # caps 2 and 1
+    from chainops.operads import level_truncated_complex
     dropped = []
     drop_row = intmat.Eliminator.drop_row
     monkeypatch.setattr(intmat.Eliminator, "drop_row",
                         lambda self, i: dropped.append(i) or drop_row(self, i))
-    for args, cap in (((2, None, 4, (0, 2)), 3), ((3, 2, 2, (0, 2)), 1)):
-        cx = level_truncated_complex(*args)
-        for c in (cx, _below_level(cx, cap)):
+    for k, n, cap in ((2, None, 3), (3, 2, 1)):
+        for c in (cap + 1, cap):
             dropped.clear()
-            assert_one_homology_path(c)
+            assert_one_homology_path(level_truncated_complex(k, n, c, (0, 2)))
             assert dropped
 
 

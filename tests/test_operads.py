@@ -3,13 +3,14 @@ from bisect import bisect_right
 
 import pytest
 
-from chainops import boxprod, operads
+from chainops import boxprod, cubes, operads
 from chainops.boxprod import (GradingMismatch, NatTransform,
                               NormalizationFailure, Symbol, apply_tuple,
                               enumerate_symbols, ker_expand,
                               ker_expand_checked, levels_match, vec_sum)
+from chainops.complexes import reduced_homology
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              _arity_of, _below_level, _composable_tuples,
+                              _arity_of, _composable_tuples, _contracts,
                               _multilinear_twist, _sym_of, _symbol_pools,
                               act_perm_vec, boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
@@ -454,72 +455,162 @@ def test_homology_filtration_levels():
 
 
 def test_not_stabilized_raised(monkeypatch):
-    # manufactured mismatch between the two truncation levels: the groups
-    # of the second complex, the level-4 one, gain a rank
+    # the certificate is a check: a contraction with its sign flipped at
+    # level 2, or s = 0, breaks the identity on some symbol, and the call
+    # raises with the level-0 groups in a report that says so
     from chainops import operads as ops
-    real = ops.reduced_homology
-    seen = []
+    real = ops.level_contraction
 
-    def fake(cx, degrees):
-        seen.append(max(s.r for s in cx.basis[0]))
-        groups = real(cx, degrees)
-        if len(seen) == 2:
-            groups = {d: (b + 1, t) for d, (b, t) in groups.items()}
-        return groups
+    def flipped(sym):
+        sign = -1 if sym.r == 2 else 1
+        return {t: sign * c for t, c in real(sym).items()}
 
-    monkeypatch.setattr(ops, "reduced_homology", fake)
-    with pytest.raises(NotStabilized) as info:
-        ops.operad_homology(2, None, (0,), 3)
-    rep = info.value.args[0]
-    assert seen == [3, 4]
-    assert not rep.stabilized and rep.groups != rep.groups_next
+    for stub, args in ((flipped, (2, None, (0, 1, 2), 3)),
+                       (lambda sym: {}, (2, 2, (0, 1, 2), 1))):
+        monkeypatch.setattr(ops, "level_contraction", stub)
+        with pytest.raises(NotStabilized) as info:
+            ops.operad_homology(*args)
+        rep = info.value.args[0]
+        assert not rep.stabilized
+        monkeypatch.setattr(ops, "level_contraction", real)
+        assert rep.groups == ops.operad_homology(*args).groups
+
+
+def test_not_stabilized_raised_under_optimize():
+    # python -O strips assert statements; the certificate must still fail
+    # on both broken contractions
+    import os
+    import subprocess
+    import sys
+    import chainops
+    script = "\n".join([
+        "from chainops import operads as ops",
+        "assert False, 'asserts are live'",
+        "real = ops.level_contraction",
+        "def flipped(sym):",
+        "    sign = -1 if sym.r == 2 else 1",
+        "    return {t: sign * c for t, c in real(sym).items()}",
+        "for stub, args in ((flipped, (2, None, (0, 1, 2), 3)),",
+        "                   (lambda sym: {}, (2, 2, (0, 1, 2), 1))):",
+        "    ops.level_contraction = stub",
+        "    try:",
+        "        ops.operad_homology(*args)",
+        "    except ops.NotStabilized as exc:",
+        "        print('raised', exc.args[0].stabilized)",
+        "    else:",
+        "        print('accepted')",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised False", "raised False"]
+
+
+def test_level_contraction_identity_sweep():
+    # every symbol of levels >= 1 of T, T1, T2 and T3 up to (k, q) = (1, 7),
+    # (2, 7), (3, 5) and (4, 4): (ds + sd)(sym) is sym plus terms whose w_0
+    # is longer by exactly one, s stays in the family, and its sign is
+    # sym's coefficient in the internal boundary of its image
+    seen = 0
+    for n in (None, 1, 2, 3):
+        for k, q_max in ((1, 7), (2, 7), (3, 5), (4, 4)):
+            for q in range(k - 1, q_max + 1):
+                for r in range(1, q + 2):
+                    above = set(enumerate_symbols(k, q + 1, r, n))
+                    for sym in enumerate_symbols(k, q, r, n):
+                        seen += 1
+                        image = boxprod.level_contraction(sym)
+                        for t, c in image.items():
+                            assert t in above, (sym, t)
+                            assert boxprod.t_boundary(t, r)[sym] == c, sym
+                        w0 = sym.phi.count(0)
+                        ds = [(u, c * v) for t, c in image.items()
+                              for u, v in boxprod.t_boundary(t, r).items()]
+                        sd = [(u, c * v) for t, c in
+                              boxprod.t_boundary(sym, r).items()
+                              for u, v in boxprod.level_contraction(t).items()]
+                        rest = vec_sum(ds + sd + [(sym, -1)])
+                        assert all(u.phi.count(0) == w0 + 1 for u in rest), sym
+                        assert _contracts(sym)
+    assert seen == 82932
+
+
+@pytest.mark.parametrize("k,n,cap", [
+    (1, None, 4), (2, None, 3), (2, 1, 3), (2, 2, 3), (3, 1, 1), (3, 2, 1)])
+def test_level_zero_groups_are_the_capped_groups(k, n, cap):
+    # the groups operad_homology reads from level 0 are those of the
+    # assembled level_cap and level_cap + 1 complexes
+    groups = operad_homology(k, n, (0, 1, 2), cap).groups
+    for c in (cap, cap + 1):
+        cx = level_truncated_complex(k, n, c, (0, 2))
+        assert reduced_homology(cx, (0, 1, 2)) == groups, c
+
+
+def test_level_zero_homology_is_configuration_space():
+    # level 0 carries the homology of T_n(k), that of F(R^n, k), torsion
+    # free: every n <= 4 and k <= 4 but (4, 4), and T2(5)
+    cases = [(n, k) for n in (1, 2, 3, 4) for k in (1, 2, 3, 4)
+             if (n, k) != (4, 4)] + [(2, 5)]
+    for n, k in cases:
+        degrees = range((k - 1) * (n - 1) + 2)
+        cx = level_truncated_complex(k, n, 0, (0, degrees[-1]))
+        betti = cubes.configuration_betti(n, k)
+        assert reduced_homology(cx, degrees) == {
+            d: (betti.get(d, 0), ()) for d in degrees}, (n, k)
 
 
 @pytest.mark.parametrize("k,n,window,caps", [
     (2, None, (0, 2), (1, 3)), (3, 1, (0, 1), (0, 2)), (3, 2, (0, 3), (0, 1))])
 def test_level_quotient_equals_truncation(k, n, window, caps):
-    # the quotient of the cap L + 1 complex by its top level is the cap L
-    # complex: the same labels in the same order and the same matrices
+    # the symbols above cap L span a subcomplex of the cap L + 1 complex
+    # (d^0 raises the level, the internal part keeps it), and the quotient
+    # by it, the rows and columns with r <= L, is the cap L complex: the
+    # same labels in the same order and the same matrices.  That exact
+    # sequence is what lets the contraction of each level certify a cap
     for cap in caps:
-        got = _below_level(level_truncated_complex(k, n, cap + 1, window), cap)
+        cx = level_truncated_complex(k, n, cap + 1, window)
+        keep = {d: [i for i, s in enumerate(labels) if s.r <= cap]
+                for d, labels in cx.basis.items()}
         want = level_truncated_complex(k, n, cap, window)
-        assert got.window == want.window
-        assert got.basis == want.basis
-        assert all(got.diff[d] == want.diff[d] for d in want.diff)
+        assert want.window == cx.window
+        assert want.basis == {d: tuple(cx.basis[d][i] for i in kept)
+                              for d, kept in keep.items()}
+        for d, m in want.diff.items():
+            assert m == cx.diff[d].submatrix(keep[d - 1], keep[d])
+            top = set(range(cx.diff[d].cols)) - set(keep[d])
+            assert all(cx.basis[d - 1][i].r == cap + 1
+                       for j, col in cx.diff[d].columns().items() if j in top
+                       for i in col)
 
 
 def test_one_dd_check_per_operad_homology(monkeypatch):
-    # the cap L complex is the quotient of the cap L + 1 window by a
-    # subcomplex, so it inherits d o d = 0 from that window's check: the
-    # check runs once per call, on the complex the quotient is taken of
-    from chainops import operads as ops
+    # only level 0 is assembled, and the levels above it are certified
+    # symbol by symbol with no matrix: one d o d check per call, on the
+    # level-0 complex
     from chainops.complexes import GradedIntComplex
-    checked, quotiented = [], []
-    check, below = GradedIntComplex.check_dd_zero, ops._below_level
+    checked = []
+    check = GradedIntComplex.check_dd_zero
 
     def counted_check(cx):
         checked.append(cx)
         check(cx)
 
-    def counted_below(cx, level_cap):
-        quotiented.append(cx)
-        return below(cx, level_cap)
-
     monkeypatch.setattr(GradedIntComplex, "check_dd_zero", counted_check)
-    monkeypatch.setattr(ops, "_below_level", counted_below)
     for k, n, cap in ((2, None, 3), (3, 1, 2), (3, 2, 1)):
         checked.clear()
-        quotiented.clear()
-        ops.operad_homology(k, n, (0, 1, 2), cap)
-        assert len(checked) == 1 and len(quotiented) == 1
-        assert quotiented[0] is checked[0]
+        operad_homology(k, n, (0, 1, 2), cap)
+        assert len(checked) == 1
+        assert {s.r for labels in checked[0].basis.values()
+                for s in labels} == {0}
 
 
 def test_family_t_window_guard(monkeypatch):
-    # homology-operad --k 6 --qmax 2 builds T(6) at level cap 2 (cap 1 is
-    # its quotient); the closed-form count refuses it before any symbol is
-    # enumerated, while the largest family-T window of the tests, T(2) at
-    # cap 6, passes
+    # homology-operad --k 6 --qmax 2 reads T(6) through level 2 (level 0
+    # assembled, levels 1 and 2 certified); the closed-form count refuses it
+    # before any symbol is enumerated, while the largest family-T window of
+    # the tests, T(2) through level 6, passes
     from chainops import operads as ops
 
     class Built(Exception):
