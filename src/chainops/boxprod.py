@@ -34,6 +34,7 @@ operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` gives
 it in closed form, a signed sum over the sets of values of phi it lowers.
 """
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
@@ -340,13 +341,15 @@ def _phi_table(phi, r):
         for t, v in enumerate(phi))
 
 
-def _faces(sym):
+def _faces(sym, stop=None):
     """(sign, face, whether the face's phi covers) for each face of the
-    internal boundary that survives condition (d).  Removing position t of
-    an interleaved symbol creates only the adjacency (t-1, t+1), so only
-    that pair is checked; other symbols get the full check."""
+    internal boundary that survives condition (d), removing t < stop if given.
+    Removing position t of an interleaved symbol creates only the adjacency
+    (t-1, t+1), so only that pair is checked; others get the full check."""
     k, f, phi, r = sym
     repeats, f_faces = _f_table(k, f)
+    if stop is not None:    # f_faces is in position order
+        f_faces = f_faces[:bisect_left(f_faces, stop, key=itemgetter(0))]
     _, equal, phi_faces = _phi_table(phi, r)
     clean = not repeats & equal
     out = []

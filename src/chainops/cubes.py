@@ -274,13 +274,6 @@ def generated_operad_element(a, sigma):
     return sigma_cubes(cubes, sigma)
 
 
-def gamma_intervals(a, bs):
-    """Non-symmetric composition of interval elements (via the 1-cube
-    model, coming back to increasing order)."""
-    composed = gamma_cubes(intervals_to_cubes(a), [intervals_to_cubes(b) for b in bs])
-    return IntervalsElement(tuple(c.interval(0) for c in composed.cubes))
-
-
 # -- oracles for the arities -------------------------------------------------
 
 def configuration_betti(n, k):

@@ -17,9 +17,8 @@ from chainops.cubes import (CubesElement, DegenerateInterval,
                             InvalidCube, SampleTooLarge, TDMap,
                             _disjoint_interiors,
                             configuration_betti, count_components,
-                            gamma_cubes, gamma_intervals,
-                            generated_operad_element, intervals_to_cubes,
-                            sigma_cubes)
+                            gamma_cubes, generated_operad_element,
+                            intervals_to_cubes, sigma_cubes)
 
 
 def rand_td(rng, n, denom=24):
@@ -242,6 +241,14 @@ def test_generated_operad_element():
     both = {generated_operad_element(a, (1, 2)).cubes,
             generated_operad_element(a, (2, 1)).cubes}
     assert len(both) == 2   # the two components of C_1(2)
+
+
+def gamma_intervals(a, bs):
+    """Non-symmetric composition of interval elements (via the 1-cube
+    model, coming back to increasing order)."""
+    composed = gamma_cubes(intervals_to_cubes(a),
+                           [intervals_to_cubes(b) for b in bs])
+    return IntervalsElement(tuple(c.interval(0) for c in composed.cubes))
 
 
 def test_nonsymmetric_operad_closure():

@@ -454,45 +454,70 @@ def test_homology_filtration_levels():
     assert rep.groups == {0: (1, ()), 1: (1, ()), 2: (0, ())}
 
 
+# stand-ins for boxprod.level_contraction.  The broken ones keep s's shape:
+# sign flipped at level 2 or 1, s = 0, a constant sign +1.  The misshapen
+# ones do not: zeros_kept puts the new letter over 1, so phi keeps sym's
+# zeros; two_terms gives sym beside s(sym).
+def signed(sign):
+    return lambda sym: {t: sign(sym, c)
+                        for t, c in boxprod.level_contraction(sym).items()}
+
+
+def zeros_kept(sym):
+    p = sym.phi.count(0)
+    phi = sym.phi[:p] + (1,) + sym.phi[p:]
+    return {Symbol(t.k, t.f, phi, t.r): c
+            for t, c in boxprod.level_contraction(sym).items()}
+
+
+STUBS = {"flipped_2": signed(lambda sym, c: -c if sym.r == 2 else c),
+         "flipped_1": signed(lambda sym, c: -c if sym.r == 1 else c),
+         "zero": lambda sym: {},
+         "plus_one": signed(lambda sym, c: 1),
+         "zeros_kept": zeros_kept,
+         "two_terms": lambda sym: {**boxprod.level_contraction(sym), sym: 1}}
+# the broken stubs, each with the one level it breaks (None: every level)
+BROKEN = (("flipped_2", 2), ("flipped_1", 1), ("zero", None),
+          ("plus_one", None))
+MISSHAPEN = ("zeros_kept", "two_terms")
+
+# each stub with a call it must make raise: flipped_2 on T(2) at cap 3, the
+# others on T2(2) at cap 1
+BREAKS = (("flipped_2", (2, None, (0, 1, 2), 3)),
+          ("zero", (2, 2, (0, 1, 2), 1)),
+          ("zeros_kept", (2, 2, (0, 1, 2), 1)),
+          ("two_terms", (2, 2, (0, 1, 2), 1)))
+
+
 def test_not_stabilized_raised(monkeypatch):
     # the certificate is a check: a contraction with its sign flipped at
-    # level 2, or s = 0, breaks the identity on some symbol, and the call
-    # raises with the level-0 groups in a report that says so
+    # level 2, s = 0, or an s off its shape fails on some symbol, and the
+    # call raises with the level-0 groups in a report that says so
     from chainops import operads as ops
     real = ops.level_contraction
-
-    def flipped(sym):
-        sign = -1 if sym.r == 2 else 1
-        return {t: sign * c for t, c in real(sym).items()}
-
-    for stub, args in ((flipped, (2, None, (0, 1, 2), 3)),
-                       (lambda sym: {}, (2, 2, (0, 1, 2), 1))):
-        monkeypatch.setattr(ops, "level_contraction", stub)
+    for name, args in BREAKS:
+        monkeypatch.setattr(ops, "level_contraction", STUBS[name])
         with pytest.raises(NotStabilized) as info:
             ops.operad_homology(*args)
         rep = info.value.args[0]
-        assert not rep.stabilized
+        assert not rep.stabilized, name
         monkeypatch.setattr(ops, "level_contraction", real)
-        assert rep.groups == ops.operad_homology(*args).groups
+        assert rep.groups == ops.operad_homology(*args).groups, name
 
 
 def test_not_stabilized_raised_under_optimize():
     # python -O strips assert statements; the certificate must still fail
-    # on both broken contractions
+    # on every broken or misshapen contraction
     import os
     import subprocess
     import sys
     import chainops
     script = "\n".join([
+        "import test_operads as t",
         "from chainops import operads as ops",
         "assert False, 'asserts are live'",
-        "real = ops.level_contraction",
-        "def flipped(sym):",
-        "    sign = -1 if sym.r == 2 else 1",
-        "    return {t: sign * c for t, c in real(sym).items()}",
-        "for stub, args in ((flipped, (2, None, (0, 1, 2), 3)),",
-        "                   (lambda sym: {}, (2, 2, (0, 1, 2), 1))):",
-        "    ops.level_contraction = stub",
+        "for name, args in t.BREAKS:",
+        "    ops.level_contraction = t.STUBS[name]",
         "    try:",
         "        ops.operad_homology(*args)",
         "    except ops.NotStabilized as exc:",
@@ -501,40 +526,97 @@ def test_not_stabilized_raised_under_optimize():
         "        print('accepted')",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised False", "raised False"]
+    assert proc.stdout.splitlines() == ["raised False"] * len(BREAKS)
+
+
+# the sweep's shapes: T, T1, T2 and T3 at these (k, q_max), levels >= 1
+SWEEP = ((1, 7), (2, 7), (3, 5), (4, 4))
+
+
+def sweep_shapes(k_max):
+    """(k, q, r, n) of each shape of the sweep with k <= k_max."""
+    for n in (None, 1, 2, 3):
+        for k, q_max in SWEEP:
+            if k <= k_max:
+                for q in range(k - 1, q_max + 1):
+                    for r in range(1, q + 2):
+                        yield k, q, r, n
+
+
+def identity_rest(sym, s):
+    """(ds + sd)(sym) - sym, every term, for d = t_boundary(., sym.r)."""
+    r = sym.r
+    ds = [(u, c * v) for t, c in s(sym).items()
+          for u, v in boxprod.t_boundary(t, r).items()]
+    sd = [(u, c * v) for t, c in boxprod.t_boundary(sym, r).items()
+          for u, v in s(t).items()]
+    return vec_sum(ds + sd + [(sym, -1)])
 
 
 def test_level_contraction_identity_sweep():
-    # every symbol of levels >= 1 of T, T1, T2 and T3 up to (k, q) = (1, 7),
-    # (2, 7), (3, 5) and (4, 4): (ds + sd)(sym) is sym plus terms whose w_0
-    # is longer by exactly one, s stays in the family, and its sign is
-    # sym's coefficient in the internal boundary of its image
+    # every symbol of levels >= 1 of the sweep's shapes: (ds + sd)(sym) is
+    # sym plus terms whose w_0 is longer by exactly one, s stays in the
+    # family, and its sign is sym's coefficient in the internal boundary of
+    # its image; so _contracts' verdict is the full identity's under s
     seen = 0
-    for n in (None, 1, 2, 3):
-        for k, q_max in ((1, 7), (2, 7), (3, 5), (4, 4)):
-            for q in range(k - 1, q_max + 1):
-                for r in range(1, q + 2):
-                    above = set(enumerate_symbols(k, q + 1, r, n))
-                    for sym in enumerate_symbols(k, q, r, n):
-                        seen += 1
-                        image = boxprod.level_contraction(sym)
-                        for t, c in image.items():
-                            assert t in above, (sym, t)
-                            assert boxprod.t_boundary(t, r)[sym] == c, sym
-                        w0 = sym.phi.count(0)
-                        ds = [(u, c * v) for t, c in image.items()
-                              for u, v in boxprod.t_boundary(t, r).items()]
-                        sd = [(u, c * v) for t, c in
-                              boxprod.t_boundary(sym, r).items()
-                              for u, v in boxprod.level_contraction(t).items()]
-                        rest = vec_sum(ds + sd + [(sym, -1)])
-                        assert all(u.phi.count(0) == w0 + 1 for u in rest), sym
-                        assert _contracts(sym)
+    for k, q, r, n in sweep_shapes(4):
+        above = set(enumerate_symbols(k, q + 1, r, n))
+        for sym in enumerate_symbols(k, q, r, n):
+            seen += 1
+            for t, c in boxprod.level_contraction(sym).items():
+                assert t in above, (sym, t)
+                assert boxprod.t_boundary(t, r)[sym] == c, sym
+            w0 = sym.phi.count(0)
+            rest = identity_rest(sym, boxprod.level_contraction)
+            assert all(u.phi.count(0) == w0 + 1 for u in rest), sym
+            assert _contracts(sym)
     assert seen == 82932
+
+
+def test_contracts_verdict_is_the_full_identity(monkeypatch):
+    # _contracts reads only the terms over phi = 0; on the sweep's shapes
+    # with k <= 3 its verdict is the full identity's under each broken
+    # contraction, and a misshapen s is refused on every symbol.  Both
+    # sides call s at sym's level only, so where a stub is s they hold, as
+    # the sweep shows, and only the levels a stub breaks are compared
+    from chainops import operads as ops
+    syms = [sym for shape in sweep_shapes(3)
+            for sym in enumerate_symbols(*shape)]
+    for name, level in BROKEN:
+        stub = STUBS[name]
+        monkeypatch.setattr(ops, "level_contraction", stub)
+        for sym in (s for s in syms if level in (None, s.r)):
+            held = all(u.phi.count(0) > sym.phi.count(0)
+                       for u in identity_rest(sym, stub))
+            assert _contracts(sym) == held, (name, sym)
+    for name in MISSHAPEN:
+        monkeypatch.setattr(ops, "level_contraction", STUBS[name])
+        assert not any(map(_contracts, syms)), name
+
+
+def test_contracts_reads_s_over_phi_zero_only(monkeypatch):
+    # _contracts calls s at most 1 + |w_0| times per symbol: on sym and on
+    # its faces that remove a zero of phi.  The full-identity form of
+    # _contracts called s on every face of sym as well and fails this
+    from chainops import operads as ops
+    calls = []
+
+    def counted(sym):
+        calls.append(sym)
+        return boxprod.level_contraction(sym)
+
+    monkeypatch.setattr(ops, "level_contraction", counted)
+    for n, k, q in ((None, 2, 6), (2, 3, 5), (1, 3, 5)):
+        for r in range(1, q + 2):
+            for sym in enumerate_symbols(k, q, r, n):
+                calls.clear()
+                assert _contracts(sym)
+                assert len(calls) <= 1 + sym.phi.count(0), sym
 
 
 @pytest.mark.parametrize("k,n,cap", [
