@@ -12,8 +12,8 @@ from .cosimplicial import (CosimplicialAbGroup, CosimplicialChainComplex,
                            compare_conormalizations, conormalize_bicomplex,
                            conormalize_cokernel, conormalize_kernel)
 from .boxprod import (Symbol, box_level, complexity, enumerate_symbols)
-from .operads import (TruncatedChainOperad, little_cubes_comparison,
-                      operad_homology, verify_operad_axioms)
+from .operads import (TruncatedChainOperad, operad_homology,
+                      verify_operad_axioms)
 from .cochain_ops import AugmentedCochainSystem, verify_identities
 from .hochschild import (FiniteRankAlgebra, gerstenhaber_bracket,
                          gerstenhaber_report, hochschild_cohomology,
@@ -32,10 +32,9 @@ __all__ = [
     "compare_conormalizations", "conormalize_bicomplex",
     "conormalize_cokernel", "conormalize_kernel", "Symbol", "box_level",
     "complexity", "enumerate_symbols", "TruncatedChainOperad",
-    "little_cubes_comparison", "operad_homology", "verify_operad_axioms",
-    "AugmentedCochainSystem", "verify_identities", "FiniteRankAlgebra",
-    "gerstenhaber_bracket", "gerstenhaber_report", "hochschild_cohomology",
-    "hochschild_cup", "hochschild_differential", "CubesElement",
-    "IntervalsElement", "TDMap", "count_components", "gamma_cubes",
-    "sigma_cubes",
+    "operad_homology", "verify_operad_axioms", "AugmentedCochainSystem",
+    "verify_identities", "FiniteRankAlgebra", "gerstenhaber_bracket",
+    "gerstenhaber_report", "hochschild_cohomology", "hochschild_cup",
+    "hochschild_differential", "CubesElement", "IntervalsElement", "TDMap",
+    "count_components", "gamma_cubes", "sigma_cubes",
 ]

@@ -135,15 +135,20 @@ def cmd_homology_operad(args):
 
 def cmd_verify_operad(args):
     from .boxprod import BoundsExceeded
-    from .operads import TruncatedChainOperad, verify_operad_axioms
+    from .operads import (InfeasibleSize, TruncatedChainOperad,
+                          verify_operad_axioms)
     try:
         op = TruncatedChainOperad(_complexity_bound(args), args.kmax,
                                   args.qmax)
     except BoundsExceeded as exc:
         raise _no_symbols(exc)
-    rep = verify_operad_axioms(op, seed=args.seed,
-                               exhaustive_cap=args.exhaustive_cap,
-                               samples=args.samples)
+    try:
+        rep = verify_operad_axioms(op, seed=args.seed,
+                                   exhaustive_cap=args.exhaustive_cap,
+                                   samples=args.samples)
+    except InfeasibleSize as exc:
+        raise ConfigError("--kmax %d --qmax %d is too large: %s"
+                          % (args.kmax, args.qmax, exc))
     lines = ["operad axioms for %s, arities <= %d, q <= %d (seed %d)" %
              (op.family, args.kmax, args.qmax, args.seed)]
     lines += _check_lines(_check_rows(rep), 44, 6)

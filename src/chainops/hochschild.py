@@ -81,9 +81,6 @@ class FiniteRankAlgebra:
     def _red(self, c):
         return c % self.prime if self.prime else int(c)
 
-    def basis_product(self, i, j):
-        return self.structure[i][j]
-
     def mult(self, u, v):
         out = [0] * self.n
         for i, a in enumerate(u):

@@ -1,6 +1,6 @@
 """The chain operads built from conormalized box products: truncated
-arities, the two composition pipelines, axiom verification, homology with
-stabilization certificates, and the little-cubes comparison.
+arities, the two composition pipelines, axiom verification, and homology with
+stabilization certificates.
 
 Composition is implemented twice and cross-validated:
 
@@ -26,12 +26,12 @@ each level r >= 1 has a contraction, so every cap has the homology of level
 import random
 from dataclasses import dataclass, field
 
-from . import boxprod, cubes
+from . import boxprod
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
-                      Symbol, act_perm, apply_tuple, enumerate_symbols,
-                      ker_expand, ker_expand_checked, koszul_sign,
-                      level_contraction, levels_match, NatTransform,
-                      t_boundary, vec_sum)
+                      Symbol, act_perm, apply_tuple, count_symbols,
+                      enumerate_symbols, ker_expand, ker_expand_checked,
+                      koszul_sign, level_contraction_holds, levels_match,
+                      NatTransform, t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
 
 
@@ -39,9 +39,10 @@ class NotStabilized(Exception):
     pass
 
 
-# operad_homology refuses a family-T window with more symbols than this; its
-# certificate streams them in flat memory, about 10 us per counted symbol
-# (T(2) at cap 5, 101,234: 0.95 s, 24 MiB; CPython 3.11, 2-core x86-64)
+# operad_homology and verify_operad_axioms refuse a family-T window with more
+# symbols than this; the homology certificate streams them in flat memory,
+# about 10 us per counted symbol (T(2) at cap 5, 101,234: 0.95 s, 24 MiB;
+# CPython 3.11, 2-core x86-64)
 MAX_WINDOW_SYMBOLS = 400_000
 
 
@@ -49,11 +50,17 @@ class InfeasibleSize(Exception):
     pass
 
 
+def _refuse_above_limit(size, window):
+    if size > MAX_WINDOW_SYMBOLS:
+        raise InfeasibleSize("the %s has %d symbols, above the limit %d"
+                             % (window, size, MAX_WINDOW_SYMBOLS))
+
+
 # -- vectors over the symbol basis -------------------------------------------
 
-def boundary_vec(vec, level_cap=None):
+def boundary_vec(vec):
     return vec_sum((t, c * v) for s, c in vec.items()
-                   for t, v in t_boundary(s, level_cap).items())
+                   for t, v in t_boundary(s).items())
 
 
 def vec_degree(vec):
@@ -241,26 +248,23 @@ class HomologyReport:
 
 def operad_homology(k, n, degrees, level_cap):
     """Homology of the level-truncated operad arity, computed on level 0,
-    and certified: ``_contracts``, which reads the faces over phi = 0 only,
-    holds on every symbol of levels 1 .. level_cap + 1 in degrees d - 1 and
-    d for each d, so those levels are acyclic there (``level_contraction``)
-    and every cap up to level_cap + 1 has level 0's H_d; else NotStabilized
-    carries the report.  A family-T window (n None) above
-    MAX_WINDOW_SYMBOLS, counted by ``boxprod.count_symbols``, raises
+    and certified: ``boxprod.level_contraction_holds`` on every symbol of
+    levels 1 .. level_cap + 1 in degrees d - 1 and d for each d, so those
+    levels are acyclic there and every cap up to level_cap + 1 has level
+    0's H_d; else NotStabilized carries the report.  A family-T window (n
+    None) above MAX_WINDOW_SYMBOLS, counted by ``count_symbols``, raises
     InfeasibleSize before any enumeration."""
     degrees = tuple(degrees)
     window = (min(degrees), max(degrees))
     if n is None:
-        size = sum(boxprod.count_symbols(k, d + k - 1 + r, r)
-                   for d in range(window[0] - 1, window[1] + 2)
-                   for r in range(level_cap + 2) if d + r >= 0)
-        if size > MAX_WINDOW_SYMBOLS:
-            raise InfeasibleSize(
-                "the level-%d window of T(%d) has %d symbols, above the "
-                "limit %d" % (level_cap + 1, k, size, MAX_WINDOW_SYMBOLS))
+        _refuse_above_limit(
+            sum(count_symbols(k, d + k - 1 + r, r)
+                for d in range(window[0] - 1, window[1] + 2)
+                for r in range(level_cap + 2) if d + r >= 0),
+            "level-%d window of T(%d)" % (level_cap + 1, k))
     groups = reduced_homology(level_truncated_complex(k, n, 0, window),
                               degrees)
-    stable = all(_contracts(s) for r in range(1, level_cap + 2)
+    stable = all(level_contraction_holds(s) for r in range(1, level_cap + 2)
                  for e in sorted({d + i for d in degrees for i in (-1, 0)})
                  if e + r >= 0
                  for s in enumerate_symbols(k, e + k - 1 + r, r, n))
@@ -269,34 +273,6 @@ def operad_homology(k, n, degrees, level_cap):
     if not stable:
         raise NotStabilized(report)
     return report
-
-
-def _contracts(sym):
-    """Whether (ds + sd)(sym) is sym plus terms with more zeros in phi, for
-    s = ``level_contraction`` and d = t_boundary(., sym.r), reading only
-    the terms that can break it.  Let p = |w_0|.  s has one shape: {} or one
-    term with sym's k and r, a 0 prepended to phi and one letter more; each
-    s output read is checked for it, and any other fails.  d has no coface
-    part at level r, so the faces of tau = s(sym) removing a t > p keep
-    p + 1 zeros, and those of sym removing a t >= p keep p, which s raises
-    to p + 1: those terms are skipped.  What is left, tau's faces at t <= p
-    and s of sym's at t < p, all has sym's phi, so the identity holds when
-    it sums to sym."""
-    p = sym.phi.count(0)
-    def s(u):   # s(u) as items, or None off s's shape
-        out = level_contraction(u)
-        if len(out) < 2 and all((t.k, t.phi, t.r, t.q) == (
-                u.k, (0,) + u.phi, u.r, u.q + 1) for t in out):
-            return out.items()
-
-    top = s(sym)
-    below = [(v, s(u)) for v, u, covers in boxprod._faces(sym, p) if covers]
-    if top is None or any(out is None for _, out in below):
-        return False
-    terms = [(u, c * v) for t, c in top
-             for v, u, covers in boxprod._faces(t, p + 1) if covers]
-    terms += [(t, c * v) for v, out in below for t, c in out]
-    return not vec_sum(terms + [(sym, -1)])
 
 
 # -- axiom verification -------------------------------------------------------
@@ -357,7 +333,14 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
     pentagon of multivariable composition, equivariance, and agreement of
     the two composition pipelines.  Exhaustive below the caps, seeded random
     sampling above them; every failure is recorded with a replayable
-    witness."""
+    witness.  A family-T window above MAX_WINDOW_SYMBOLS, counted by
+    ``count_symbols``, raises InfeasibleSize before any enumeration."""
+    if operad.n is None:
+        _refuse_above_limit(
+            sum(count_symbols(k, q, r) for k in range(1, operad.k_max + 1)
+                for q in range(k - 1, operad.q_cap + 1) for r in range(q + 2)),
+            "q <= %d window of T through arity %d"
+            % (operad.q_cap, operad.k_max))
     rng = random.Random(seed)
     report = CheckReport({"family": operad.family, "q_cap": operad.q_cap,
                           "seed": seed})
@@ -555,27 +538,3 @@ def _assoc_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
         if sum(inner_q) + len(gs) - 1 <= operad.q_cap:
             out.append((h, gs, es_list))
     return out
-
-
-# -- little cubes comparison ---------------------------------------------------
-
-@dataclass
-class CubesComparisonReport:
-    n: int
-    k: int
-    operad_groups: dict
-    expected: dict
-    match: bool
-
-
-def little_cubes_comparison(n, k, level_cap=6):
-    """Compare the homology of the level-truncated arity T_n(k) with the
-    closed form of the configuration space F(R^n, k), torsion included, in
-    degrees 0 through one above its top degree (k-1)(n-1), so that the
-    vanishing above it is compared too."""
-    betti = cubes.configuration_betti(n, k)
-    degrees = range((k - 1) * (n - 1) + 2)
-    hom = operad_homology(k, n, degrees, level_cap)
-    expected = {d: (betti.get(d, 0), ()) for d in degrees}
-    return CubesComparisonReport(n, k, hom.groups, expected,
-                                 hom.groups == expected)

@@ -451,6 +451,23 @@ def test_oversized_family_t_window_exits_2(capsys, monkeypatch):
             "29492 symbols, above the limit 1000") in err
 
 
+def test_oversized_verify_window_exits_2(capsys, monkeypatch):
+    # the family-T pool of verify-operad is counted in closed form and
+    # refused before _symbol_pools enumerates it; a Tn window is not
+    # counted, so it reaches the pools
+    from chainops import operads
+
+    def never(*args):
+        raise AssertionError("enumerated an oversized window")
+    monkeypatch.setattr(operads, "_symbol_pools", never)
+    err = _config_error(capsys, "verify-operad", "--kmax", "4", "--qmax", "8")
+    assert ("--kmax 4 --qmax 8 is too large: the q <= 8 window of T through "
+            "arity 4 has 45173170 symbols, above the limit 400000") in err
+    with pytest.raises(AssertionError, match="enumerated"):
+        main(["verify-operad", "--family", "Tn", "--n", "1", "--kmax", "4",
+              "--qmax", "8"])
+
+
 def test_oversized_enumeration_exits_2(capsys, monkeypatch):
     # without a complexity bound the closed-form count is exact, and a shape
     # above the limit is refused before any symbol is enumerated; with a

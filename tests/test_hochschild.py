@@ -69,7 +69,7 @@ def dense_differential(rho):
         add(key, R.mult(basis[key[0]], rho.value(key[1:])), 1)
         # inner multiplications
         for i in range(1, p + 1):
-            prod_vec = R.basis_product(key[i - 1], key[i])
+            prod_vec = R.structure[key[i - 1]][key[i]]
             acc = [0] * R.n
             for t, c in enumerate(prod_vec):
                 if c:
@@ -147,7 +147,7 @@ def brute_dims(R, p_max):
                 for s in range(n):
                     val[s] += prod_v[s]
                 for i in range(1, p + 1):
-                    cvec = R.basis_product(out_key[i - 1], out_key[i])
+                    cvec = R.structure[out_key[i - 1]][out_key[i]]
                     sgn = -1 if i % 2 else 1
                     for m, c in enumerate(cvec):
                         if c:

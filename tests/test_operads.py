@@ -7,16 +7,16 @@ from chainops import boxprod, cubes, operads
 from chainops.boxprod import (GradingMismatch, NatTransform,
                               NormalizationFailure, Symbol, apply_tuple,
                               enumerate_symbols, ker_expand,
-                              ker_expand_checked, levels_match, vec_sum)
+                              ker_expand_checked, level_contraction_holds,
+                              levels_match, t_boundary, vec_sum)
 from chainops.complexes import reduced_homology
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              _arity_of, _composable_tuples, _contracts,
+                              _arity_of, _composable_tuples,
                               _multilinear_twist, _sym_of, _symbol_pools,
                               act_perm_vec, boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
                               gamma_substitution, level_truncated_complex,
-                              little_cubes_comparison, operad_homology,
-                              symbol_complex, vec_degree,
+                              operad_homology, symbol_complex, vec_degree,
                               verify_operad_axioms)
 
 
@@ -30,7 +30,8 @@ def test_unit_is_a_cycle():
     op = TruncatedChainOperad(None, 2, 4)
     unit = op.unit()
     cap = op.q_cap + 1
-    assert boundary_vec(unit, level_cap=cap) == {}
+    assert vec_sum((t, c * v) for s, c in unit.items()
+                   for t, v in t_boundary(s, cap).items()) == {}
     residual = boundary_vec(unit)
     assert all(s.r == cap + 1 for s in residual)
 
@@ -454,20 +455,24 @@ def test_homology_filtration_levels():
     assert rep.groups == {0: (1, ()), 1: (1, ()), 2: (0, ())}
 
 
-# stand-ins for boxprod.level_contraction.  The broken ones keep s's shape:
-# sign flipped at level 2 or 1, s = 0, a constant sign +1.  The misshapen
-# ones do not: zeros_kept puts the new letter over 1, so phi keeps sym's
-# zeros; two_terms gives sym beside s(sym).
+# stand-ins for boxprod.level_contraction, which the tests patch; each
+# calls the real one, bound here before any patch.  The broken ones keep
+# s's shape: sign flipped at level 2 or 1, s = 0, a constant sign +1.  The
+# misshapen ones do not: zeros_kept puts the new letter over 1, so phi
+# keeps sym's zeros; two_terms gives sym beside s(sym).
+level_contraction = boxprod.level_contraction
+
+
 def signed(sign):
     return lambda sym: {t: sign(sym, c)
-                        for t, c in boxprod.level_contraction(sym).items()}
+                        for t, c in level_contraction(sym).items()}
 
 
 def zeros_kept(sym):
     p = sym.phi.count(0)
     phi = sym.phi[:p] + (1,) + sym.phi[p:]
     return {Symbol(t.k, t.f, phi, t.r): c
-            for t, c in boxprod.level_contraction(sym).items()}
+            for t, c in level_contraction(sym).items()}
 
 
 STUBS = {"flipped_2": signed(lambda sym, c: -c if sym.r == 2 else c),
@@ -475,7 +480,7 @@ STUBS = {"flipped_2": signed(lambda sym, c: -c if sym.r == 2 else c),
          "zero": lambda sym: {},
          "plus_one": signed(lambda sym, c: 1),
          "zeros_kept": zeros_kept,
-         "two_terms": lambda sym: {**boxprod.level_contraction(sym), sym: 1}}
+         "two_terms": lambda sym: {**level_contraction(sym), sym: 1}}
 # the broken stubs, each with the one level it breaks (None: every level)
 BROKEN = (("flipped_2", 2), ("flipped_1", 1), ("zero", None),
           ("plus_one", None))
@@ -493,16 +498,14 @@ def test_not_stabilized_raised(monkeypatch):
     # the certificate is a check: a contraction with its sign flipped at
     # level 2, s = 0, or an s off its shape fails on some symbol, and the
     # call raises with the level-0 groups in a report that says so
-    from chainops import operads as ops
-    real = ops.level_contraction
     for name, args in BREAKS:
-        monkeypatch.setattr(ops, "level_contraction", STUBS[name])
+        monkeypatch.setattr(boxprod, "level_contraction", STUBS[name])
         with pytest.raises(NotStabilized) as info:
-            ops.operad_homology(*args)
+            operad_homology(*args)
         rep = info.value.args[0]
         assert not rep.stabilized, name
-        monkeypatch.setattr(ops, "level_contraction", real)
-        assert rep.groups == ops.operad_homology(*args).groups, name
+        monkeypatch.setattr(boxprod, "level_contraction", level_contraction)
+        assert rep.groups == operad_homology(*args).groups, name
 
 
 def test_not_stabilized_raised_under_optimize():
@@ -514,10 +517,10 @@ def test_not_stabilized_raised_under_optimize():
     import chainops
     script = "\n".join([
         "import test_operads as t",
-        "from chainops import operads as ops",
+        "from chainops import boxprod, operads as ops",
         "assert False, 'asserts are live'",
         "for name, args in t.BREAKS:",
-        "    ops.level_contraction = t.STUBS[name]",
+        "    boxprod.level_contraction = t.STUBS[name]",
         "    try:",
         "        ops.operad_homology(*args)",
         "    except ops.NotStabilized as exc:",
@@ -562,60 +565,71 @@ def test_level_contraction_identity_sweep():
     # every symbol of levels >= 1 of the sweep's shapes: (ds + sd)(sym) is
     # sym plus terms whose w_0 is longer by exactly one, s stays in the
     # family, and its sign is sym's coefficient in the internal boundary of
-    # its image; so _contracts' verdict is the full identity's under s
+    # its image; so level_contraction_holds' verdict is the full identity's
     seen = 0
     for k, q, r, n in sweep_shapes(4):
         above = set(enumerate_symbols(k, q + 1, r, n))
         for sym in enumerate_symbols(k, q, r, n):
             seen += 1
-            for t, c in boxprod.level_contraction(sym).items():
+            for t, c in level_contraction(sym).items():
                 assert t in above, (sym, t)
                 assert boxprod.t_boundary(t, r)[sym] == c, sym
             w0 = sym.phi.count(0)
-            rest = identity_rest(sym, boxprod.level_contraction)
+            rest = identity_rest(sym, level_contraction)
             assert all(u.phi.count(0) == w0 + 1 for u in rest), sym
-            assert _contracts(sym)
+            assert level_contraction_holds(sym)
     assert seen == 82932
 
 
+def test_level_contraction_builds_no_f_table():
+    # s's sign is a closed form, so s builds no f-table: on every symbol of
+    # the sweep's T(4) shape at q = 4, level 2, it adds no cache miss
+    syms = enumerate_symbols(4, 4, 2)
+    misses = boxprod._f_table.cache_info().misses
+    assert sum(bool(level_contraction(sym)) for sym in syms) > 1000
+    assert boxprod._f_table.cache_info().misses == misses
+
+
 def test_contracts_verdict_is_the_full_identity(monkeypatch):
-    # _contracts reads only the terms over phi = 0; on the sweep's shapes
-    # with k <= 3 its verdict is the full identity's under each broken
-    # contraction, and a misshapen s is refused on every symbol.  Both
-    # sides call s at sym's level only, so where a stub is s they hold, as
-    # the sweep shows, and only the levels a stub breaks are compared
-    from chainops import operads as ops
+    # level_contraction_holds reads only the terms over phi = 0; on the
+    # sweep's shapes with k <= 3 its verdict is the full identity's under
+    # each broken contraction, and a misshapen s is refused on every
+    # symbol.  Both sides call s at sym's level only, so where a stub is s
+    # they hold, as the sweep shows, and only the levels a stub breaks are
+    # compared
     syms = [sym for shape in sweep_shapes(3)
             for sym in enumerate_symbols(*shape)]
     for name, level in BROKEN:
         stub = STUBS[name]
-        monkeypatch.setattr(ops, "level_contraction", stub)
+        monkeypatch.setattr(boxprod, "level_contraction", stub)
+        verdicts = []
         for sym in (s for s in syms if level in (None, s.r)):
             held = all(u.phi.count(0) > sym.phi.count(0)
                        for u in identity_rest(sym, stub))
-            assert _contracts(sym) == held, (name, sym)
+            verdicts.append(level_contraction_holds(sym))
+            assert verdicts[-1] == held, (name, sym)
+        assert not all(verdicts), name
     for name in MISSHAPEN:
-        monkeypatch.setattr(ops, "level_contraction", STUBS[name])
-        assert not any(map(_contracts, syms)), name
+        monkeypatch.setattr(boxprod, "level_contraction", STUBS[name])
+        assert not any(map(level_contraction_holds, syms)), name
 
 
 def test_contracts_reads_s_over_phi_zero_only(monkeypatch):
-    # _contracts calls s at most 1 + |w_0| times per symbol: on sym and on
-    # its faces that remove a zero of phi.  The full-identity form of
-    # _contracts called s on every face of sym as well and fails this
-    from chainops import operads as ops
+    # level_contraction_holds calls s at most 1 + |w_0| times per symbol:
+    # on sym and on its faces that remove a zero of phi.  A full-identity
+    # form of the check calls s on every face of sym as well and fails this
     calls = []
 
     def counted(sym):
         calls.append(sym)
-        return boxprod.level_contraction(sym)
+        return level_contraction(sym)
 
-    monkeypatch.setattr(ops, "level_contraction", counted)
+    monkeypatch.setattr(boxprod, "level_contraction", counted)
     for n, k, q in ((None, 2, 6), (2, 3, 5), (1, 3, 5)):
         for r in range(1, q + 2):
             for sym in enumerate_symbols(k, q, r, n):
                 calls.clear()
-                assert _contracts(sym)
+                assert level_contraction_holds(sym)
                 assert len(calls) <= 1 + sym.phi.count(0), sym
 
 
@@ -717,14 +731,16 @@ def test_family_t_window_guard(monkeypatch):
 
 def test_little_cubes_comparison():
     # every T_n(k) with n, k <= 3 but T_3(3) against the closed form of
-    # F(R^n, k), in degrees 0 .. (k-1)(n-1) + 1
+    # F(R^n, k), torsion included, in degrees 0 .. (k-1)(n-1) + 1, so that
+    # the vanishing above its top degree is compared too
     for n in (1, 2, 3):
         for k in (1, 2, 3):
             if (n, k) == (3, 3):
                 continue
-            rep = little_cubes_comparison(n, k, level_cap=3)
-            assert sorted(rep.expected) == list(range((k - 1) * (n - 1) + 2))
-            assert rep.match, rep
+            degrees = range((k - 1) * (n - 1) + 2)
+            betti = cubes.configuration_betti(n, k)
+            rep = operad_homology(k, n, degrees, 3)
+            assert rep.groups == {d: (betti.get(d, 0), ()) for d in degrees}
 
 
 def test_sigma_freeness_T2():
