@@ -24,12 +24,13 @@ each level r >= 1 has a contraction, so every cap has the homology of level
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import boxprod
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       Symbol, act_perm, apply_tuple, count_symbols,
-                      enumerate_symbols, ker_expand, ker_expand_checked,
+                      enumerate_symbols, ker_expand_checked,
                       koszul_sign, level_contraction_holds, levels_match,
                       NatTransform, t_boundary, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
@@ -314,15 +315,14 @@ class CheckReport:
 
 def _symbol_pools(operad):
     """The basis vectors {s: 1} of each arity, and the same vectors by
-    level."""
-    pool, by_r = {}, {}
-    for k in range(1, operad.k_max + 1):
-        vecs = pool[k] = []
-        for q in range(k - 1, operad.q_cap + 1):
+    level, each level's in increasing q (``_draw_args`` bisects on it)."""
+    pool, by_r = {k: [] for k in range(1, operad.k_max + 1)}, {}
+    for q in range(operad.q_cap + 1):
+        for k in range(1, min(q + 1, operad.k_max) + 1):
             for r in range(q + 2):
                 for s in enumerate_symbols(k, q, r, operad.n):
-                    vecs.append({s: 1})
-                    by_r.setdefault(r, []).append(vecs[-1])
+                    pool[k].append({s: 1})
+                    by_r.setdefault(r, []).append(pool[k][-1])
     return pool, by_r
 
 
@@ -331,9 +331,10 @@ def verify_operad_axioms(operad, seed=0, exhaustive_cap=60, samples=40,
     """Mechanical verification of the chain-operad axioms on the truncated
     windows: unit laws, the chain-map property of gamma, the associativity
     pentagon of multivariable composition, equivariance, and agreement of
-    the two composition pipelines.  Exhaustive below the caps, seeded random
-    sampling above them; every failure is recorded with a replayable
-    witness.  A family-T window above MAX_WINDOW_SYMBOLS, counted by
+    the two composition pipelines.  Exhaustive below the caps; above them
+    each tuple and each tower is one seeded draw inside the q window
+    (``_draw_args``).  Every failure is recorded with a replayable witness.
+    A family-T window above MAX_WINDOW_SYMBOLS, counted by
     ``count_symbols``, raises InfeasibleSize before any enumeration."""
     if operad.n is None:
         _refuse_above_limit(
@@ -460,27 +461,40 @@ def _sym_of(vec):
     return next(iter(vec))
 
 
+def _q_of(vec):
+    return _sym_of(vec).q
+
+
 def _q_of_composite(gs):
     # flattening glues one part per kernel-term fiber; expansions preserve q
-    return sum(_sym_of(g).q for g in gs) + len(gs) - 1
+    return sum(_q_of(g) for g in gs) + len(gs) - 1
 
 
-def _pick_matching_args(h, rng, by_r):
-    """Arguments with levels matching the fiber degrees of h, which every
-    kernel term of h shares, so the composite has a chance to be nonzero.
-    Every such level m holds the arity-1 symbol (1^(m+1), id_[m]), so
-    there is always a candidate.  A kernel term is still drawn, as the
-    seeded samples were drawn so."""
-    h_sym = _sym_of(h)
-    rng.randrange(len(ker_expand(h_sym)))
-    pools = [by_r[m] for m in h_sym.fiber_degrees()]
-    return [cands[rng.randrange(len(cands))] for cands in pools]
+def _draw_args(hosts, by_r, q_cap, rng):
+    """One argument at each fiber degree of the hosts, in order, with the
+    composite inside the q window: its q + 1 is the sum of q + 1 over the
+    arguments.  From the slack q_cap - (least such q), each level draws
+    uniformly among its vectors whose q exceeds its least q by at most the
+    slack left, and spends the excess.  Every level m <= q_cap holds the
+    arity-1 symbol (1^(m+1), id_[m]) at q = m, and the fibers of a host
+    hold its q + 1 letters, so the least q is at most that of the hosts'
+    own composite: the slack is not negative while that is in the window."""
+    levels = [m for h in hosts for m in _sym_of(h).fiber_degrees()]
+    least = [_q_of(by_r[m][0]) for m in levels]
+    slack = q_cap + 1 - sum(q + 1 for q in least)
+    out = []
+    for m, q in zip(levels, least):
+        cands = by_r[m]
+        out.append(cands[rng.randrange(
+            bisect_right(cands, q + slack, key=_q_of))])
+        slack -= _q_of(out[-1]) - q
+    return out
 
 
 def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
     """(h; g_1..g_k) tuples with the composite inside the q window:
-    exhaustive over the smallest symbols (bounded by the cap), then seeded
-    random sampling biased toward level-matched (nonzero) composites.
+    exhaustive over the smallest symbols (bounded by the cap), then one
+    ``_draw_args`` per sampled tuple, with a host of uniform arity.
     ``pool`` and ``by_r`` are the pair ``_symbol_pools`` returns."""
     from itertools import product as iproduct
     tiny = {k: [v for v in pool[k] if _sym_of(v).q <= max(1, k - 1)]
@@ -512,29 +526,24 @@ def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
             break
     rng.shuffle(out)
     out = out[:exhaustive_cap]
-    tries = 0
-    while len(out) < exhaustive_cap + samples and tries < 50 * samples:
-        tries += 1
+    for _ in range(exhaustive_cap + samples - len(out)):
         k = rng.randrange(1, operad.k_max + 1)
         h = pool[k][rng.randrange(len(pool[k]))]
-        gs = _pick_matching_args(h, rng, by_r)
-        if _q_of_composite(gs) <= operad.q_cap:
-            out.append((h, gs))
+        out.append((h, _draw_args([h], by_r, operad.q_cap, rng)))
     return out
 
 
 def _assoc_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
-    """(h; g_i; e_{i,n}) towers with the flattened composite in window."""
+    """max(exhaustive_cap // 2, samples) towers (h; g_i; e_ij), each one
+    draw: a host of uniform arity, its g_i by ``_draw_args``, which keeps
+    gamma(h; g) inside the q window, then every e_ij by one more, which
+    keeps the flattened composite there."""
     out = []
-    tries = 0
-    want = max(exhaustive_cap // 2, samples)
-    while len(out) < want and tries < 100 * want:
-        tries += 1
+    for _ in range(max(exhaustive_cap // 2, samples)):
         k = rng.randrange(1, operad.k_max + 1)
         h = pool[k][rng.randrange(len(pool[k]))]
-        gs = _pick_matching_args(h, rng, by_r)
-        es_list = [_pick_matching_args(g, rng, by_r) for g in gs]
-        inner_q = [_q_of_composite(es) for es in es_list]
-        if sum(inner_q) + len(gs) - 1 <= operad.q_cap:
-            out.append((h, gs, es_list))
+        gs = _draw_args([h], by_r, operad.q_cap, rng)
+        es = iter(_draw_args(gs, by_r, operad.q_cap, rng))
+        out.append((h, gs, [[next(es) for _ in _sym_of(g).fiber_degrees()]
+                            for g in gs]))
     return out

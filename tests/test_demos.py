@@ -20,7 +20,7 @@ DIGESTS = {
     "02_conormalization.py":
         "b137eb5ada46a51e8b0e7b8551a52d9105317688f4bbe913980c85cd6ed752a6",
     "03_operads_T_and_Tn.py":
-        "fcf4d6bb3828cb2e6baf5e3b17f14294f791a2549e7b06619434b6c274a2b9c9",
+        "027782f689ffa9d202c1c6822800d538d0dfa73e76a862725b7345ee91212349",
     "04_cochain_calculus.py":
         "3b1eb27ec32156cf991a906f986f2b8ae4507dd27fc9c22e04906eff60b30fe4",
     "05_hochschild.py":

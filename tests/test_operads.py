@@ -1,5 +1,5 @@
+import json
 import random
-from bisect import bisect_right
 
 import pytest
 
@@ -9,9 +9,10 @@ from chainops.boxprod import (GradingMismatch, NatTransform,
                               enumerate_symbols, ker_expand,
                               ker_expand_checked, level_contraction_holds,
                               levels_match, t_boundary, vec_sum)
+from chainops.cli import main
 from chainops.complexes import reduced_homology
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
-                              _arity_of, _composable_tuples,
+                              _arity_of, _assoc_tuples, _composable_tuples,
                               _multilinear_twist, _sym_of, _symbol_pools,
                               act_perm_vec, boundary_vec, block_permutation,
                               cokernel_project, gamma_matrix,
@@ -191,11 +192,12 @@ def test_cover_skip_on_sampled_tuples(monkeypatch):
         glued_pruned += len(glued)
     assert all(hk.phi_covers() for hk in applied)
     assert len(applied) == covering
-    # the sampler is seeded, so the counts are fixed: 49 applications
+    # the sampler is seeded, so the counts are fixed: 176 applications
     # skipped, each of them nonzero before the projection, and of the
-    # 208 choices of the covering terms, the 41 that cover are glued
-    assert (covering, skipped, skipped_nonzero) == (45, 49, 49)
-    assert (glued_full, glued_pruned) == (208, 41)
+    # 171 choices of the covering terms, the 61 that cover are glued
+    assert 0 < skipped == skipped_nonzero and glued_pruned < glued_full
+    assert (covering, skipped, skipped_nonzero) == (45, 176, 176)
+    assert (glued_full, glued_pruned) == (171, 61)
 
 
 def test_gamma_matrix_applies_each_kernel_term_once(monkeypatch):
@@ -307,57 +309,68 @@ def test_axiom_suite_families():
         assert rep.passed, rep.to_dict()
 
 
-def _filler(by_r, cost):
-    """fill(levels, budget, rng): one argument drawn at each level, their
-    costs adding up to at most budget, or None when no such choice exists."""
-    tabs = {}
-    for m, vecs in by_r.items():
-        vecs = sorted(vecs, key=cost)
-        tabs[m] = vecs, [cost(v) for v in vecs]
-
-    def fill(levels, budget, rng):
-        slack = budget - sum(tabs[m][1][0] for m in levels)
-        if slack < 0:
-            return None
-        out = []
-        for m in levels:
-            vecs, costs = tabs[m]
-            i = rng.randrange(bisect_right(costs, costs[0] + slack))
-            slack -= costs[i] - costs[0]
-            out.append(vecs[i])
-        return out
-    return fill
+# (n, k_max, q_cap, exhaustive_cap, samples, seed): the three windows of the
+# benchmark's axioms workload and the three of acceptance 4, with their
+# sampler settings
+SAMPLER_WINDOWS = [(1, 3, 5, 30, 20, 7), (2, 3, 4, 30, 20, 7),
+                   (None, 3, 4, 30, 20, 7), (1, 3, 6, 60, 40, 2026),
+                   (2, 3, 6, 60, 40, 2026), (None, 3, 6, 60, 40, 2026)]
 
 
-def _window_draws(operad, n_towers, n_tuples, rng):
-    """n_towers towers (h; g_i; e_ij) with h of arity 2 or 3, and n_tuples
-    tuples (h; g_i) with h of arity 3, each argument at the fiber degree of its
-    slot and the composite in the q window: a composite has q + 1 equal to
-    the sum of q + 1 over its arguments, which is at least max(m, 1) for an
-    argument at level m.  So the g_i of a tower are drawn by that least
-    cost of their own arguments, and then the e_ij by their q + 1."""
-    pool, by_r = _symbol_pools(operad)
+@pytest.mark.parametrize("n,k_max,q_cap,cap,samples,seed", SAMPLER_WINDOWS)
+def test_sampler_draws_inside_the_window(n, k_max, q_cap, cap, samples, seed,
+                                         monkeypatch):
+    # one draw per tuple and per tower: each composite is in the window,
+    # the towers are exactly as many as asked, hosts of every arity occur,
+    # and no host is expanded into its kernel form
+    op = TruncatedChainOperad(n, k_max, q_cap)
+    pools = _symbol_pools(op)
+    expanded = []
 
-    def degrees(vec):
-        return _sym_of(vec).fiber_degrees()
-    by_q = _filler(by_r, lambda v: _sym_of(v).q + 1)
-    by_block = _filler(by_r, lambda g: sum(max(m, 1) for m in degrees(g)))
-    budget = operad.q_cap + 1
-    towers, tuples = [], []
-    while len(towers) < n_towers:
-        h = rng.choice(pool[rng.choice((2, 3))])
-        gs = by_block(degrees(h), budget, rng)
-        flat = gs and by_q([m for g in gs for m in degrees(g)], budget, rng)
-        if flat:
-            es = iter(flat)
-            towers.append((h, gs, [[next(es) for _ in degrees(g)]
-                                   for g in gs]))
-    while len(tuples) < n_tuples:
-        h = rng.choice(pool[3])
-        gs = by_q(degrees(h), budget, rng)
-        if gs:
-            tuples.append((h, gs))
-    return towers, tuples
+    def counted(s):
+        expanded.append(s)
+        return ker_expand(s)
+    for module in (boxprod, operads):
+        monkeypatch.setattr(module, "ker_expand", counted, raising=False)
+    rng = random.Random(seed)
+    tuples = _composable_tuples(op, rng, cap, samples, *pools)
+    towers = _assoc_tuples(op, rng, cap, samples, *pools)
+    assert not expanded
+    assert len(tuples) == cap + samples
+    assert len(towers) == max(cap // 2, samples)
+
+    def fits(args):
+        # a composite has q + 1 equal to the sum of q + 1 over its arguments
+        return sum(_sym_of(a).q + 1 for a in args) <= q_cap + 1
+    assert all(fits(gs) for _, gs in tuples)
+    for h, gs, es_list in towers:
+        assert [len(es) for es in es_list] == [len(_sym_of(g).fiber_degrees())
+                                               for g in gs]
+        assert fits(gs) and fits([e for es in es_list for e in es])
+    for drawn in (tuples[cap:], towers):
+        assert {_arity_of(t[0]) for t in drawn} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("args", [
+    ["--exhaustive-cap", "0", "--samples", "0"],
+    ["--kmax", "3", "--qmax", "2"]])
+def test_verify_operad_smallest_draws_return(args, capsys):
+    # no tuple or tower at all, and the smallest window holding arity 3
+    assert main(["--json", "verify-operad"] + args) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    config, items = report["config"], report["results"]["items"]
+    towers = items["associativity (composition diagram)"]["instances"]
+    assert towers == max(config["exhaustive_cap"] // 2, config["samples"])
+
+
+def _window_draws(operad, rng):
+    """The sampler's towers with a host of arity 2 or 3, and its sampled
+    tuples with a host of arity 3."""
+    pools = _symbol_pools(operad)
+    towers = _assoc_tuples(operad, rng, 0, 450, *pools)
+    tuples = _composable_tuples(operad, rng, 0, 450, *pools)
+    return ([t for t in towers if _arity_of(t[0]) > 1],
+            [t for t in tuples if _arity_of(t[0]) == 3])
 
 
 def _tower_sign(gs, es_list):
@@ -370,12 +383,11 @@ def _tower_sign(gs, es_list):
 
 @pytest.mark.parametrize("n", [1, 2, None])
 def test_axioms_on_hosts_of_arity_2_and_3(n, monkeypatch):
-    # the seeded sampler of verify_operad_axioms rarely draws such hosts;
-    # here it gets towers drawn to fit the window, and their (h; g_i) as
-    # the composable tuples, so associativity meets the sign -1 and outer
-    # equivariance every non-identity permutation of an arity-3 host
+    # verify_operad_axioms on many of the sampler's draws with such hosts,
+    # so associativity meets the sign -1 and outer equivariance every
+    # non-identity permutation of an arity-3 host
     op = TruncatedChainOperad(n, 3, 5)
-    towers, tuples = _window_draws(op, 300, 150, random.Random(11))
+    towers, tuples = _window_draws(op, random.Random(11))
     flipped = 0
     for h, gs, es_list in towers:
         if _tower_sign(gs, es_list) == -1:
@@ -391,8 +403,10 @@ def test_axioms_on_hosts_of_arity_2_and_3(n, monkeypatch):
     rep = verify_operad_axioms(op, cross_check=False)
     assert rep.passed, rep.to_dict()
     items = rep.items
-    assert items["associativity (composition diagram)"].instances == 300
-    assert items["equivariance (outer permutation)"].instances == 5 * 150
+    assert items["associativity (composition diagram)"].instances == \
+        len(towers)
+    assert items["equivariance (outer permutation)"].instances == \
+        5 * len(tuples)
 
 
 def test_corrupted_gamma_detected():
