@@ -22,9 +22,10 @@ appending v adds one change to the pair {u, v} exactly when u occurred
 after the last v.  A Symbol is the tuple (k, f, phi, r); results are
 sorted in that order and cached.
 
-The faces of a symbol merge two cached tables.  The f-table holds the
-repeats of f as a bit mask and, per position t of a fiber of two or more
-entries, the Koszul sign, f without t and whether f[t-1] == f[t+1]; the
+The faces of a symbol merge two tables.  The f-table holds the repeats
+of f as a bit mask and, per position t of a fiber of two or more entries,
+the Koszul sign, f without t and whether f[t-1] == f[t+1]; it is cached,
+and a prefix read (the faces at t < stop) builds no table.  The cached
 phi-table holds whether phi covers [1..r], its equal steps as a bit mask
 and, per t, phi without t and whether that still covers.  Condition (d)
 holds when the two masks share no bit.
@@ -39,7 +40,6 @@ the blocks w_0 | w_1 | ... of f over each value of phi, and
 ``level_contraction_holds`` checks its identity on one symbol.
 """
 
-from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
@@ -311,24 +311,30 @@ def _steps(seq):
                if e)
 
 
+def _f_faces(k, f, stop):
+    """For each position t < stop of a fiber of two or more entries, (t,
+    Koszul sign, f without t, whether f[t - 1] == f[t + 1]); the i-th entry
+    of v has sign (-1)^(e(v) + i), e(v) the sum of (fiber size - 1) below v."""
+    sizes = [0] * (k + 1)
+    for v in f:
+        sizes[v] += 1
+    # e[v] starts at e(v) - 1, as sizes[0] - 1 = -1
+    e = list(accumulate((s - 1 for s in sizes), initial=0))
+    q = len(f) - 1
+    for t, v in enumerate(f[:stop]):
+        e[v] += 1
+        if sizes[v] > 1:
+            yield (t, -1 if e[v] % 2 else 1, f[:t] + f[t + 1:],
+                   0 < t < q and f[t - 1] == f[t + 1])
+
+
 # A basis is sorted by (k, f, phi, r), so the symbols of one f come together
 # and a few f-tables serve a whole assembly.
 @lru_cache(maxsize=16)
 def _f_table(k, f):
-    """The faces' share of f: its repeats as a bit mask, and for each
-    position t whose fiber has two or more entries, (t, Koszul sign, f
-    without t, whether f[t - 1] == f[t + 1])."""
-    sizes = [0] * k
-    pos_in_fiber = []
-    for v in f:
-        pos_in_fiber.append(sizes[v - 1])
-        sizes[v - 1] += 1
-    prefix = list(accumulate((s - 1 for s in sizes), initial=0))
-    q = len(f) - 1
-    return _steps(f), tuple(
-        (t, -1 if (prefix[v - 1] + pos_in_fiber[t]) % 2 else 1,
-         f[:t] + f[t + 1:], 0 < t < q and f[t - 1] == f[t + 1])
-        for t, v in enumerate(f) if sizes[v - 1] > 1)
+    """The faces' share of f: its repeats as a bit mask, and ``_f_faces``
+    over every position."""
+    return _steps(f), tuple(_f_faces(k, f, None))
 
 
 @lru_cache(maxsize=4096)
@@ -349,12 +355,12 @@ def _phi_table(phi, r):
 def _faces(sym, stop=None):
     """(sign, face, whether the face's phi covers) for each face of the
     internal boundary that survives condition (d), removing t < stop if given.
+    A prefix read builds no f-table: it reads ``_f_faces`` at t < stop only.
     Removing position t of an interleaved symbol creates only the adjacency
     (t-1, t+1), so only that pair is checked; others get the full check."""
     k, f, phi, r = sym
-    repeats, f_faces = _f_table(k, f)
-    if stop is not None:    # f_faces is in position order
-        f_faces = f_faces[:bisect_left(f_faces, stop, key=itemgetter(0))]
+    repeats, f_faces = (_f_table(k, f) if stop is None
+                        else (_steps(f), _f_faces(k, f, stop)))
     _, equal, phi_faces = _phi_table(phi, r)
     clean = not repeats & equal
     out = []
@@ -427,7 +433,7 @@ def level_contraction(sym):
     x = f[p]
     if p and f[p - 1] == x:
         return {}
-    c = sum(v < x for v in f) - (x - 1) + f[:p].count(x)
+    c = sum(map(x.__gt__, f)) - (x - 1) + f[:p].count(x)
     return {_sym(k, f[:p + 1] + f[p:], (0,) + phi, r): -1 if c % 2 else 1}
 
 
@@ -441,23 +447,27 @@ def level_contraction_holds(sym):
     p + 1 zeros, and those of sym removing a t >= p keep p, which s raises
     to p + 1: those terms are skipped.  What is left, tau's faces at t <= p
     and s of sym's at t < p, all has sym's phi, so the identity holds when
-    it sums to sym.  The sign of tau's face at p is read from the f-table,
-    so that term compares c with the Koszul sign."""
-    p = sym.phi.count(0)
-    def s(u):   # s(u) as items, or None off s's shape
+    it sums to sym.  Both face reads are prefix reads, which build no
+    f-table, and the sign of tau's face at p comes from ``_f_faces``, so
+    that term compares c with the Koszul sign.  s runs once per symbol."""
+    k, _, phi, r = sym
+    p = phi.count(0)
+    below = [(v, u) for v, u, covers in _faces(sym, p) if covers] if p else []
+    terms = [(sym, -1)]
+    for v, u in [(1, sym)] + below:
         out = level_contraction(u)
-        if len(out) < 2 and all((t.k, t.phi, t.r, t.q) == (
-                u.k, (0,) + u.phi, u.r, u.q + 1) for t in out):
-            return out.items()
-
-    top = s(sym)
-    below = [(v, s(u)) for v, u, covers in _faces(sym, p) if covers]
-    if top is None or any(out is None for _, out in below):
-        return False
-    terms = [(u, c * v) for t, c in top
-             for v, u, covers in _faces(t, p + 1) if covers]
-    terms += [(t, c * v) for v, out in below for t, c in out]
-    return not vec_sum(terms + [(sym, -1)])
+        _, uf, uphi, _ = u
+        shape = (k, (0,) + uphi, r, len(uf) + 1)
+        for t, c in out.items():
+            tk, tf, tphi, tr = t
+            if len(out) > 1 or (tk, tphi, tr, len(tf)) != shape:
+                return False
+            if u is sym:
+                terms += [(w, c * e) for e, w, covers in _faces(t, p + 1)
+                          if covers]
+            else:
+                terms.append((t, c * v))
+    return not vec_sum(terms)
 
 
 # -- kernel form -----------------------------------------------------------

@@ -265,9 +265,9 @@ def operad_homology(k, n, degrees, level_cap):
             "level-%d window of T(%d)" % (level_cap + 1, k))
     groups = reduced_homology(level_truncated_complex(k, n, 0, window),
                               degrees)
+    edges = sorted({d + i for d in degrees for i in (-1, 0)})
     stable = all(level_contraction_holds(s) for r in range(1, level_cap + 2)
-                 for e in sorted({d + i for d in degrees for i in (-1, 0)})
-                 if e + r >= 0
+                 for e in edges if e + r >= 0
                  for s in enumerate_symbols(k, e + k - 1 + r, r, n))
     report = HomologyReport(family_name(n), k, level_cap, degrees, groups,
                             stable)

@@ -523,8 +523,10 @@ def test_not_stabilized_raised(monkeypatch):
 
 
 def test_not_stabilized_raised_under_optimize():
-    # python -O strips assert statements; the certificate must still fail
-    # on every broken or misshapen contraction
+    # python -O strips assert statements; the certificate must still hold
+    # for the contraction on T2(3) at cap 1, fail on every broken or
+    # misshapen one, and give the full identity's verdict under each broken
+    # one on T(2) at q <= 5
     import os
     import subprocess
     import sys
@@ -533,6 +535,7 @@ def test_not_stabilized_raised_under_optimize():
         "import test_operads as t",
         "from chainops import boxprod, operads as ops",
         "assert False, 'asserts are live'",
+        "print('held', ops.operad_homology(3, 2, (0, 1, 2), 1).stabilized)",
         "for name, args in t.BREAKS:",
         "    boxprod.level_contraction = t.STUBS[name]",
         "    try:",
@@ -541,6 +544,13 @@ def test_not_stabilized_raised_under_optimize():
         "        print('raised', exc.args[0].stabilized)",
         "    else:",
         "        print('accepted')",
+        "syms = [s for q in range(1, 6) for r in range(1, q + 2)",
+        "        for s in t.enumerate_symbols(2, q, r)]",
+        "for name, _ in t.BROKEN:",
+        "    stub = boxprod.level_contraction = t.STUBS[name]",
+        "    print(name, sum(boxprod.level_contraction_holds(s) != all(",
+        "        u.phi.count(0) > s.phi.count(0)",
+        "        for u in t.identity_rest(s, stub)) for s in syms))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
@@ -548,7 +558,9 @@ def test_not_stabilized_raised_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised False"] * len(BREAKS)
+    assert proc.stdout.splitlines() == (
+        ["held True"] + ["raised False"] * len(BREAKS)
+        + ["%s 0" % name for name, _ in BROKEN])
 
 
 # the sweep's shapes: T, T1, T2 and T3 at these (k, q_max), levels >= 1
@@ -596,12 +608,43 @@ def test_level_contraction_identity_sweep():
 
 
 def test_level_contraction_builds_no_f_table():
-    # s's sign is a closed form, so s builds no f-table: on every symbol of
-    # the sweep's T(4) shape at q = 4, level 2, it adds no cache miss
+    # s's sign is a closed form and the check's face reads are prefix
+    # reads, so neither builds an f-table: on every symbol of the sweep's
+    # T(4) shape at q = 4, level 2, they add no cache miss
     syms = enumerate_symbols(4, 4, 2)
     misses = boxprod._f_table.cache_info().misses
     assert sum(bool(level_contraction(sym)) for sym in syms) > 1000
+    assert all(map(level_contraction_holds, syms))
     assert boxprod._f_table.cache_info().misses == misses
+
+
+def table_faces(sym):
+    """(t, (sign, face, covers)) for each face of the cached f-table's
+    entries whose face is interleaved, in the table's order."""
+    k, f, phi, r = sym
+    phi_faces = boxprod._phi_table(phi, r)[2]
+    out = []
+    for t, sign, f2, _ in boxprod._f_table(k, f)[1]:
+        phi2, covers, _ = phi_faces[t]
+        face = Symbol(k, f2, phi2, r)
+        if face.interleaved():
+            out.append((t, (sign, face, covers)))
+    return out
+
+
+def test_prefix_faces_read_the_f_table_entries():
+    # a prefix read builds no table but gives the table's faces at t < stop,
+    # with the same signs, faces, covers and order, for every stop
+    seen = 0
+    for shape in sweep_shapes(3):
+        for sym in enumerate_symbols(*shape):
+            table = table_faces(sym)
+            for stop in range(sym.q + 2):
+                assert boxprod._faces(sym, stop) == [
+                    face for t, face in table if t < stop], (sym, stop)
+            assert boxprod._faces(sym) == [face for _, face in table]
+            seen += 1
+    assert seen == 61956
 
 
 def test_contracts_verdict_is_the_full_identity(monkeypatch):
