@@ -22,13 +22,12 @@ appending v adds one change to the pair {u, v} exactly when u occurred
 after the last v.  A Symbol is the tuple (k, f, phi, r); results are
 sorted in that order and cached.
 
-The faces of a symbol merge two tables.  The f-table holds the repeats
-of f as a bit mask and, per position t of a fiber of two or more entries,
-the Koszul sign, f without t and whether f[t-1] == f[t+1]; it is cached,
-and a prefix read (the faces at t < stop) builds no table.  The cached
-phi-table holds whether phi covers [1..r], its equal steps as a bit mask
-and, per t, phi without t and whether that still covers.  Condition (d)
-holds when the two masks share no bit.
+The faces of a symbol merge two cached tables.  The f-table holds f's
+repeats as a bit mask and, per position t of a fiber of two or more entries,
+the Koszul sign, f without t and whether f[t-1] == f[t+1]; the phi-table
+whether phi covers [1..r], its equal steps as a bit mask and, per t, phi
+without t and whether that still covers.  Condition (d) holds when the two
+masks share no bit.
 
 The kernel form of the conormalization has an explicit section given by the
 operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` gives
@@ -36,8 +35,8 @@ it in closed form, a signed sum over the sets of values of phi it lowers.
 
 Every level r >= 1 of the conormalized complex is contractible under its
 internal differential: ``level_contraction`` is the contraction, read in
-the blocks w_0 | w_1 | ... of f over each value of phi, and
-``level_contraction_holds`` checks its identity on one symbol.
+the blocks w_0 | w_1 | ... of f over each value of phi; it and the check
+of its identity act on local types, which keep only what the check reads.
 """
 
 from functools import lru_cache, reduce
@@ -311,13 +310,10 @@ def _steps(seq):
                if e)
 
 
-def _f_faces(k, f, stop):
-    """For each position t < stop of a fiber of two or more entries, (t,
-    Koszul sign, f without t, whether f[t - 1] == f[t + 1]); the i-th entry
-    of v has sign (-1)^(e(v) + i), e(v) the sum of (fiber size - 1) below v."""
-    sizes = [0] * (k + 1)
-    for v in f:
-        sizes[v] += 1
+def _f_faces(sizes, f, stop):
+    """(t, Koszul sign, f without t, whether f[t - 1] == f[t + 1]) for each
+    t < stop with sizes[f[t]] > 1; the i-th entry of v has the sign
+    (-1)^(e(v) + i), e(v) the sum over u < v of sizes[u] - 1, read mod 2."""
     # e[v] starts at e(v) - 1, as sizes[0] - 1 = -1
     e = list(accumulate((s - 1 for s in sizes), initial=0))
     q = len(f) - 1
@@ -334,7 +330,10 @@ def _f_faces(k, f, stop):
 def _f_table(k, f):
     """The faces' share of f: its repeats as a bit mask, and ``_f_faces``
     over every position."""
-    return _steps(f), tuple(_f_faces(k, f, None))
+    sizes = [0] * (k + 1)
+    for v in f:
+        sizes[v] += 1
+    return _steps(f), tuple(_f_faces(sizes, f, None))
 
 
 @lru_cache(maxsize=4096)
@@ -352,15 +351,13 @@ def _phi_table(phi, r):
         for t, v in enumerate(phi))
 
 
-def _faces(sym, stop=None):
+def _faces(sym):
     """(sign, face, whether the face's phi covers) for each face of the
-    internal boundary that survives condition (d), removing t < stop if given.
-    A prefix read builds no f-table: it reads ``_f_faces`` at t < stop only.
-    Removing position t of an interleaved symbol creates only the adjacency
-    (t-1, t+1), so only that pair is checked; others get the full check."""
+    internal boundary that survives condition (d).  Removing position t of
+    an interleaved symbol creates only the adjacency (t-1, t+1), so only
+    that pair is checked; others get the full check."""
     k, f, phi, r = sym
-    repeats, f_faces = (_f_table(k, f) if stop is None
-                        else (_steps(f), _f_faces(k, f, stop)))
+    repeats, f_faces = _f_table(k, f)
     _, equal, phi_faces = _phi_table(phi, r)
     clean = not repeats & equal
     out = []
@@ -398,13 +395,39 @@ def t_boundary(sym, level_cap=None):
     return vec_sum(terms)
 
 
+def _clip(c):
+    """A fiber size as a local type keeps it: 1, 2 (even) or 3 (odd >= 3)."""
+    return c if c < 3 else 2 + c % 2
+
+
+def local_type(sym):
+    """sym's local type (k, r, w, sizes): w = f[:p + 1], w_0 then x, the
+    first letter over phi = 1, and sizes[v] v's fiber size, ``_clip``-ped."""
+    k, f, phi, r = sym
+    p = phi.count(0)
+    if p == len(f) or phi[p] != 1:
+        raise InvalidSymbol("no covering phi at a level r >= 1", sym)
+    return k, r, f[:p + 1], tuple(map(_clip, map(f.count, range(k + 1))))
+
+
+def type_contraction(t):
+    """``level_contraction`` on a local type, {w: c} or {}: t's w with x
+    appended to w_0; c reads the sizes' parities."""
+    _, _, w, sizes = t
+    x = w[-1]
+    if w[-2:] == (x, x):
+        return {}
+    c = sum(sizes[:x]) - (x - 1) + w.count(x) - 1
+    return {w + (x,): -1 if c % 2 else 1}
+
+
 def level_contraction(sym):
     """A contraction s of level r >= 1 with its internal differential d =
-    t_boundary(., r), as {tau: c} or {}.  Write f as blocks w_0 | w_1 | ...
-    | w_r, w_j the letters over phi = j, and let x open w_1.  If w_0 ends
-    in x, s(sym) = 0; else tau is sym with x appended to w_0 and c is sym's
-    sign as a face of tau.  Appending x next to an x adds no change to any
-    pair, so s preserves T_n.
+    t_boundary(., r), as {tau: c} or {}: ``type_contraction`` with sym's
+    suffix put back.  Write f as blocks w_0 | w_1 | ... | w_r, w_j the
+    letters over phi = j, and let x open w_1.  If w_0 ends in x, s(sym) =
+    0; else tau is sym with x appended to w_0, c sym's sign as a face of
+    tau.  Appending x next to an x adds no change to any pair: s keeps T_n.
 
     (ds + sd)(sym) = sym + N(sym), N lengthening w_0 by one.  The face
     removing the i-th entry (from 0) of value v has sign (-1)^(e(v) + i),
@@ -427,47 +450,53 @@ def level_contraction(sym):
     keeps the boundaries, and every cycle z = (1 + N)^-1 ds(z) is one: the
     level is acyclic there."""
     k, f, phi, r = sym
-    p = phi.count(0)
-    if p == len(f) or phi[p] != 1:
-        raise InvalidSymbol("no covering phi at a level r >= 1", sym)
-    x = f[p]
-    if p and f[p - 1] == x:
-        return {}
-    c = sum(map(x.__gt__, f)) - (x - 1) + f[:p].count(x)
-    return {_sym(k, f[:p + 1] + f[p:], (0,) + phi, r): -1 if c % 2 else 1}
+    t = local_type(sym)
+    p = len(t[2]) - 1
+    return {_sym(k, w[:-1] + f[p:], (0,) * (len(w) - 1) + phi[p:], r): c
+            for w, c in type_contraction(t).items()}
+
+
+def _type_faces(w, sizes, stop):
+    """(sign, w without i, w[i]) for each face of a type's w and sizes
+    removing an i < stop over phi = 0 that keeps condition (d) there."""
+    return [(sign, w2, w[i]) for i, sign, w2, _ in _f_faces(sizes, w, stop)
+            if all(map(ne, w2, w2[1:-1]))]
+
+
+def type_contraction_holds(t):
+    """Whether (ds + sd)(sym) is sym plus terms with more zeros in phi, for
+    s = ``type_contraction``, d = t_boundary(., r) and every sym of local
+    type t.  Let p = |w_0|.  s has one shape, {} or its w with x appended,
+    checked on each output read.  d has no coface part at level r, so the
+    faces of tau = s(sym) at i > p keep p + 1 zeros, and those of sym at
+    i >= p keep p, which s raises to p + 1: those terms are skipped.  The
+    rest, tau's faces at i <= p and s of sym's at i < p, keep sym's suffix
+    f[p:] and phi[p:], so a w names each.  A face exists where its fiber has
+    two or more entries, (d) reads w, and signs read parities: tau's sizes
+    are t's with x's grown, exact; a face's are t's with one lowered, right
+    in parity, all s reads.  So t fixes the verdict; s runs <= 1 + p times."""
+    k, r, w, sizes = t
+    p, x = len(w) - 1, w[-1]
+    below = [(e, (k, r, w2, sizes[:v] + (sizes[v] - 1,) + sizes[v + 1:]))
+             for e, w2, v in _type_faces(w, sizes, p)]
+    terms = [(w, -1)]
+    for v, u in [(1, t)] + below:
+        out = type_contraction(u)
+        for tw, c in out.items():
+            if len(out) > 1 or tw != u[2] + (x,):
+                return False
+            if u is t:
+                grown = sizes[:x] + (_clip(sizes[x] + 1),) + sizes[x + 1:]
+                faces = _type_faces(tw, grown, p + 1)
+                terms += [(w2, c * e) for e, w2, _ in faces]
+            else:
+                terms.append((tw, c * v))
+    return not vec_sum(terms)
 
 
 def level_contraction_holds(sym):
-    """Whether (ds + sd)(sym) is sym plus terms with more zeros in phi, for
-    s = ``level_contraction`` and d = t_boundary(., sym.r), reading only
-    the terms that can break it.  Let p = |w_0|.  s has one shape: {} or one
-    term with sym's k and r, a 0 prepended to phi and one letter more; each
-    s output read is checked for it, and any other fails.  d has no coface
-    part at level r, so the faces of tau = s(sym) removing a t > p keep
-    p + 1 zeros, and those of sym removing a t >= p keep p, which s raises
-    to p + 1: those terms are skipped.  What is left, tau's faces at t <= p
-    and s of sym's at t < p, all has sym's phi, so the identity holds when
-    it sums to sym.  Both face reads are prefix reads, which build no
-    f-table, and the sign of tau's face at p comes from ``_f_faces``, so
-    that term compares c with the Koszul sign.  s runs once per symbol."""
-    k, _, phi, r = sym
-    p = phi.count(0)
-    below = [(v, u) for v, u, covers in _faces(sym, p) if covers] if p else []
-    terms = [(sym, -1)]
-    for v, u in [(1, sym)] + below:
-        out = level_contraction(u)
-        _, uf, uphi, _ = u
-        shape = (k, (0,) + uphi, r, len(uf) + 1)
-        for t, c in out.items():
-            tk, tf, tphi, tr = t
-            if len(out) > 1 or (tk, tphi, tr, len(tf)) != shape:
-                return False
-            if u is sym:
-                terms += [(w, c * e) for e, w, covers in _faces(t, p + 1)
-                          if covers]
-            else:
-                terms.append((t, c * v))
-    return not vec_sum(terms)
+    """``type_contraction_holds`` on sym's local type."""
+    return type_contraction_holds(local_type(sym))
 
 
 # -- kernel form -----------------------------------------------------------

@@ -31,8 +31,8 @@ from . import boxprod
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       Symbol, act_perm, apply_tuple, count_symbols,
                       enumerate_symbols, ker_expand_checked,
-                      koszul_sign, level_contraction_holds, levels_match,
-                      NatTransform, t_boundary, vec_sum)
+                      koszul_sign, levels_match, local_type, NatTransform,
+                      t_boundary, type_contraction_holds, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
 
 
@@ -249,12 +249,12 @@ class HomologyReport:
 
 def operad_homology(k, n, degrees, level_cap):
     """Homology of the level-truncated operad arity, computed on level 0,
-    and certified: ``boxprod.level_contraction_holds`` on every symbol of
-    levels 1 .. level_cap + 1 in degrees d - 1 and d for each d, so those
-    levels are acyclic there and every cap up to level_cap + 1 has level
-    0's H_d; else NotStabilized carries the report.  A family-T window (n
-    None) above MAX_WINDOW_SYMBOLS, counted by ``count_symbols``, raises
-    InfeasibleSize before any enumeration."""
+    and certified: ``boxprod.type_contraction_holds`` once on each local
+    type of each (level, degree) cell of levels 1 .. level_cap + 1, degrees
+    d - 1 and d for each d, so those levels are acyclic there and every cap
+    up to level_cap + 1 has level 0's H_d; else NotStabilized carries the
+    report.  A family-T window (n None) above MAX_WINDOW_SYMBOLS, counted by
+    ``count_symbols``, raises InfeasibleSize before any enumeration."""
     degrees = tuple(degrees)
     window = (min(degrees), max(degrees))
     if n is None:
@@ -266,9 +266,10 @@ def operad_homology(k, n, degrees, level_cap):
     groups = reduced_homology(level_truncated_complex(k, n, 0, window),
                               degrees)
     edges = sorted({d + i for d in degrees for i in (-1, 0)})
-    stable = all(level_contraction_holds(s) for r in range(1, level_cap + 2)
-                 for e in edges if e + r >= 0
-                 for s in enumerate_symbols(k, e + k - 1 + r, r, n))
+    cells = (enumerate_symbols(k, e + k - 1 + r, r, n)
+             for r in range(1, level_cap + 2) for e in edges if e + r >= 0)
+    stable = all(all(map(type_contraction_holds, set(map(local_type, cell))))
+                 for cell in cells)
     report = HomologyReport(family_name(n), k, level_cap, degrees, groups,
                             stable)
     if not stable:

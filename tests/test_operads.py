@@ -8,7 +8,8 @@ from chainops.boxprod import (GradingMismatch, NatTransform,
                               NormalizationFailure, Symbol, apply_tuple,
                               enumerate_symbols, ker_expand,
                               ker_expand_checked, level_contraction_holds,
-                              levels_match, t_boundary, vec_sum)
+                              levels_match, local_type, t_boundary,
+                              type_contraction_holds, vec_sum)
 from chainops.cli import main
 from chainops.complexes import reduced_homology
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
@@ -469,32 +470,31 @@ def test_homology_filtration_levels():
     assert rep.groups == {0: (1, ()), 1: (1, ()), 2: (0, ())}
 
 
-# stand-ins for boxprod.level_contraction, which the tests patch; each
-# calls the real one, bound here before any patch.  The broken ones keep
-# s's shape: sign flipped at level 2 or 1, s = 0, a constant sign +1.  The
-# misshapen ones do not: zeros_kept puts the new letter over 1, so phi
-# keeps sym's zeros; two_terms gives sym beside s(sym).
+# stand-ins for boxprod.type_contraction, s on local types (k, r, w,
+# sizes) giving {w: c}, which the tests patch; each calls the real one,
+# bound here before any patch, and the symbol form boxprod.level_contraction
+# reads the patched one.  The broken ones keep s's shape: sign flipped at
+# level 2 or 1, s = 0, a constant sign +1.  The misshapen ones do not:
+# zeros_kept gives t's own w, so s(sym) keeps sym's zeros (it is c * sym);
+# two_terms gives t's w beside s's.
+type_contraction = boxprod.type_contraction
 level_contraction = boxprod.level_contraction
 
 
 def signed(sign):
-    return lambda sym: {t: sign(sym, c)
-                        for t, c in level_contraction(sym).items()}
+    return lambda t: {u: sign(t, c) for u, c in type_contraction(t).items()}
 
 
-def zeros_kept(sym):
-    p = sym.phi.count(0)
-    phi = sym.phi[:p] + (1,) + sym.phi[p:]
-    return {Symbol(t.k, t.f, phi, t.r): c
-            for t, c in level_contraction(sym).items()}
+def zeros_kept(t):
+    return {t[2]: c for c in type_contraction(t).values()}
 
 
-STUBS = {"flipped_2": signed(lambda sym, c: -c if sym.r == 2 else c),
-         "flipped_1": signed(lambda sym, c: -c if sym.r == 1 else c),
-         "zero": lambda sym: {},
-         "plus_one": signed(lambda sym, c: 1),
+STUBS = {"flipped_2": signed(lambda t, c: -c if t[1] == 2 else c),
+         "flipped_1": signed(lambda t, c: -c if t[1] == 1 else c),
+         "zero": lambda t: {},
+         "plus_one": signed(lambda t, c: 1),
          "zeros_kept": zeros_kept,
-         "two_terms": lambda sym: {**level_contraction(sym), sym: 1}}
+         "two_terms": lambda t: {**type_contraction(t), t[2]: 1}}
 # the broken stubs, each with the one level it breaks (None: every level)
 BROKEN = (("flipped_2", 2), ("flipped_1", 1), ("zero", None),
           ("plus_one", None))
@@ -513,12 +513,12 @@ def test_not_stabilized_raised(monkeypatch):
     # level 2, s = 0, or an s off its shape fails on some symbol, and the
     # call raises with the level-0 groups in a report that says so
     for name, args in BREAKS:
-        monkeypatch.setattr(boxprod, "level_contraction", STUBS[name])
+        monkeypatch.setattr(boxprod, "type_contraction", STUBS[name])
         with pytest.raises(NotStabilized) as info:
             operad_homology(*args)
         rep = info.value.args[0]
         assert not rep.stabilized, name
-        monkeypatch.setattr(boxprod, "level_contraction", level_contraction)
+        monkeypatch.setattr(boxprod, "type_contraction", type_contraction)
         assert rep.groups == operad_homology(*args).groups, name
 
 
@@ -537,7 +537,7 @@ def test_not_stabilized_raised_under_optimize():
         "assert False, 'asserts are live'",
         "print('held', ops.operad_homology(3, 2, (0, 1, 2), 1).stabilized)",
         "for name, args in t.BREAKS:",
-        "    boxprod.level_contraction = t.STUBS[name]",
+        "    boxprod.type_contraction = t.STUBS[name]",
         "    try:",
         "        ops.operad_homology(*args)",
         "    except ops.NotStabilized as exc:",
@@ -547,10 +547,10 @@ def test_not_stabilized_raised_under_optimize():
         "syms = [s for q in range(1, 6) for r in range(1, q + 2)",
         "        for s in t.enumerate_symbols(2, q, r)]",
         "for name, _ in t.BROKEN:",
-        "    stub = boxprod.level_contraction = t.STUBS[name]",
+        "    boxprod.type_contraction = t.STUBS[name]",
         "    print(name, sum(boxprod.level_contraction_holds(s) != all(",
-        "        u.phi.count(0) > s.phi.count(0)",
-        "        for u in t.identity_rest(s, stub)) for s in syms))",
+        "        u.phi.count(0) > s.phi.count(0) for u in t.identity_rest(",
+        "            s, boxprod.level_contraction)) for s in syms))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
@@ -587,19 +587,32 @@ def identity_rest(sym, s):
     return vec_sum(ds + sd + [(sym, -1)])
 
 
+def image_types(t):
+    """{type: c}: the local type of s's output on type t, x's fiber grown
+    as ``type_contraction_holds`` grows it, with s's sign."""
+    k, r, w, sizes = t
+    x = w[-1]
+    grown = sizes[:x] + (boxprod._clip(sizes[x] + 1),) + sizes[x + 1:]
+    return {(k, r, w2, grown): c for w2, c in type_contraction(t).items()}
+
+
 def test_level_contraction_identity_sweep():
     # every symbol of levels >= 1 of the sweep's shapes: (ds + sd)(sym) is
     # sym plus terms whose w_0 is longer by exactly one, s stays in the
-    # family, and its sign is sym's coefficient in the internal boundary of
-    # its image; so level_contraction_holds' verdict is the full identity's
+    # family, its sign is sym's coefficient in the internal boundary of its
+    # image, and the image's local type is s of sym's, sized as the check
+    # sizes it; so level_contraction_holds' verdict is the full identity's
     seen = 0
     for k, q, r, n in sweep_shapes(4):
         above = set(enumerate_symbols(k, q + 1, r, n))
         for sym in enumerate_symbols(k, q, r, n):
             seen += 1
-            for t, c in level_contraction(sym).items():
+            image = level_contraction(sym)
+            for t, c in image.items():
                 assert t in above, (sym, t)
                 assert boxprod.t_boundary(t, r)[sym] == c, sym
+            assert {local_type(t): c for t, c in image.items()} == (
+                image_types(local_type(sym))), sym
             w0 = sym.phi.count(0)
             rest = identity_rest(sym, level_contraction)
             assert all(u.phi.count(0) == w0 + 1 for u in rest), sym
@@ -608,9 +621,9 @@ def test_level_contraction_identity_sweep():
 
 
 def test_level_contraction_builds_no_f_table():
-    # s's sign is a closed form and the check's face reads are prefix
-    # reads, so neither builds an f-table: on every symbol of the sweep's
-    # T(4) shape at q = 4, level 2, they add no cache miss
+    # s's sign is a closed form and the check reads its faces from the
+    # local type, so neither builds an f-table: on every symbol of the
+    # sweep's T(4) shape at q = 4, level 2, they add no cache miss
     syms = enumerate_symbols(4, 4, 2)
     misses = boxprod._f_table.cache_info().misses
     assert sum(bool(level_contraction(sym)) for sym in syms) > 1000
@@ -632,19 +645,71 @@ def table_faces(sym):
     return out
 
 
+def symbol_contraction_holds(sym):
+    """The certificate on one symbol, with no local type: s on sym and on
+    its faces at t < p = |w_0|, the faces of tau = s(sym) at t <= p (those
+    with fewer zeros in phi), read from the cached f-table, each s output
+    checked for s's shape; the oracle of ``type_contraction_holds``."""
+    k, _, phi, r = sym
+    p = phi.count(0)
+    below = [(v, u) for v, u, covers in boxprod._faces(sym)
+             if covers and u.phi.count(0) < p]
+    terms = [(sym, -1)]
+    for v, u in [(1, sym)] + below:
+        out = level_contraction(u)
+        _, uf, uphi, _ = u
+        shape = (k, (0,) + uphi, r, len(uf) + 1)
+        for t, c in out.items():
+            tk, tf, tphi, tr = t
+            if len(out) > 1 or (tk, tphi, tr, len(tf)) != shape:
+                return False
+            if u is sym:
+                terms += [(w, c * e) for e, w, covers in boxprod._faces(t)
+                          if covers and w.phi.count(0) <= p]
+            else:
+                terms.append((t, c * v))
+    return not vec_sum(terms)
+
+
 def test_prefix_faces_read_the_f_table_entries():
-    # a prefix read builds no table but gives the table's faces at t < stop,
-    # with the same signs, faces, covers and order, for every stop
+    # the type-level face read gives the cached f-table's faces at t < stop
+    # over phi = 0, with the same signs, faces and order, for every stop,
+    # on sym's local type and on the type s gives; those faces cover.  The
+    # full read gives every entry of the table, covers and order included
     seen = 0
     for shape in sweep_shapes(3):
         for sym in enumerate_symbols(*shape):
-            table = table_faces(sym)
-            for stop in range(sym.q + 2):
-                assert boxprod._faces(sym, stop) == [
-                    face for t, face in table if t < stop], (sym, stop)
-            assert boxprod._faces(sym) == [face for _, face in table]
+            assert boxprod._faces(sym) == [
+                face for _, face in table_faces(sym)], sym
+            p = sym.phi.count(0)
+            image = level_contraction(sym)
+            types = image_types(local_type(sym))
+            for u, t in [(sym, local_type(sym))] + list(zip(image, types)):
+                k, f, phi, r = u
+                zeros = phi.count(0)
+                table = table_faces(u)
+                for stop in range(zeros + 1):
+                    read = boxprod._type_faces(*t[2:], stop)
+                    assert [(e, Symbol(k, w + f[zeros + 1:], phi[1:], r), True)
+                            for e, w, _ in read] == [
+                        face for i, face in table if i < stop], (u, stop)
+                assert zeros == p + (u is not sym)
             seen += 1
     assert seen == 61956
+
+
+def test_type_verdict_is_the_symbol_verdict(monkeypatch):
+    # level_contraction_holds reads sym's local type only; on the sweep's
+    # shapes with k <= 3 its verdict is the symbol oracle's, with the real
+    # s and under each broken one
+    syms = [sym for shape in sweep_shapes(3)
+            for sym in enumerate_symbols(*shape)]
+    for name, _ in ((None, None),) + BROKEN:
+        monkeypatch.setattr(boxprod, "type_contraction",
+                            STUBS.get(name, type_contraction))
+        for sym in syms:
+            assert level_contraction_holds(sym) == (
+                symbol_contraction_holds(sym)), (name, sym)
 
 
 def test_contracts_verdict_is_the_full_identity(monkeypatch):
@@ -657,37 +722,94 @@ def test_contracts_verdict_is_the_full_identity(monkeypatch):
     syms = [sym for shape in sweep_shapes(3)
             for sym in enumerate_symbols(*shape)]
     for name, level in BROKEN:
-        stub = STUBS[name]
-        monkeypatch.setattr(boxprod, "level_contraction", stub)
+        monkeypatch.setattr(boxprod, "type_contraction", STUBS[name])
         verdicts = []
         for sym in (s for s in syms if level in (None, s.r)):
             held = all(u.phi.count(0) > sym.phi.count(0)
-                       for u in identity_rest(sym, stub))
+                       for u in identity_rest(sym, level_contraction))
             verdicts.append(level_contraction_holds(sym))
             assert verdicts[-1] == held, (name, sym)
         assert not all(verdicts), name
     for name in MISSHAPEN:
-        monkeypatch.setattr(boxprod, "level_contraction", STUBS[name])
+        monkeypatch.setattr(boxprod, "type_contraction", STUBS[name])
         assert not any(map(level_contraction_holds, syms)), name
+
+
+def test_check_refuses_a_moved_x(monkeypatch):
+    # an s that puts the new x first in w_0, not last, keeps every fiber
+    # size, the length and the last letter, but names another symbol
+    # wherever w_0 is not empty: the check reads tau's sizes as t's with
+    # x's grown only for s's own w, so it refuses that s wherever it calls
+    # it on such a w_0 and s is not 0 there
+    monkeypatch.setattr(boxprod, "type_contraction", lambda t: {
+        w[-1:] + w[:-1]: c for w, c in type_contraction(t).items()})
+    refused = 0
+    for shape in sweep_shapes(3):
+        for sym in enumerate_symbols(*shape):
+            p = sym.phi.count(0)
+            held = p == 0 or p == 1 and not level_contraction(sym)
+            assert level_contraction_holds(sym) == held, sym
+            refused += not held
+    assert refused == 22576
 
 
 def test_contracts_reads_s_over_phi_zero_only(monkeypatch):
     # level_contraction_holds calls s at most 1 + |w_0| times per symbol:
-    # on sym and on its faces that remove a zero of phi.  A full-identity
-    # form of the check calls s on every face of sym as well and fails this
+    # on sym's type and on its faces that remove a zero of phi.  A
+    # full-identity form of the check calls s on every face of sym as well
+    # and fails this
     calls = []
 
-    def counted(sym):
-        calls.append(sym)
-        return level_contraction(sym)
+    def counted(t):
+        calls.append(t)
+        return type_contraction(t)
 
-    monkeypatch.setattr(boxprod, "level_contraction", counted)
+    monkeypatch.setattr(boxprod, "type_contraction", counted)
     for n, k, q in ((None, 2, 6), (2, 3, 5), (1, 3, 5)):
         for r in range(1, q + 2):
             for sym in enumerate_symbols(k, q, r, n):
                 calls.clear()
                 assert level_contraction_holds(sym)
                 assert len(calls) <= 1 + sym.phi.count(0), sym
+
+
+# the windows (k, n, level cap) of the benchmark's homology jobs, each at
+# degrees 0, 1, 2
+HOMOLOGY_WINDOWS = ((3, 2, 1), (3, 1, 1), (2, None, 3), (2, 2, 5),
+                    (2, 1, 5), (1, None, 6))
+
+
+def test_each_type_is_checked_once(monkeypatch):
+    # operad_homology checks each local type of a (level, degree) cell
+    # once, and s at most 1 + p times per type: fewer checks than symbols
+    from chainops import operads as ops
+    checked, calls = [], []
+
+    def counted_check(t):
+        checked.append(t)
+        calls.append(0)
+        return type_contraction_holds(t)
+
+    def counted_s(t):
+        calls[-1] += 1
+        return type_contraction(t)
+
+    monkeypatch.setattr(ops, "type_contraction_holds", counted_check)
+    monkeypatch.setattr(boxprod, "type_contraction", counted_s)
+    counts = []
+    for k, n, cap in HOMOLOGY_WINDOWS:
+        checked.clear()
+        calls.clear()
+        assert operad_homology(k, n, (0, 1, 2), cap).stabilized
+        cells = [enumerate_symbols(k, e + k - 1 + r, r, n)
+                 for r in range(1, cap + 2) for e in (-1, 0, 1, 2)
+                 if e + r >= 0]
+        types = [t for cell in cells for t in set(map(local_type, cell))]
+        assert sorted(checked) == sorted(types), (k, n, cap)
+        assert all(c <= len(t[2]) for t, c in zip(checked, calls))
+        counts.append((len(checked), sum(map(len, cells))))
+    assert all(c <= syms for c, syms in counts)
+    assert tuple(map(sum, zip(*counts))) == (1718, 6678)
 
 
 @pytest.mark.parametrize("k,n,cap", [
