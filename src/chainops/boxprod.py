@@ -14,13 +14,14 @@ the symbols whose phi misses a value in {1,...,r}; what survives is exactly
 the normal-form basis used throughout the operad layer.
 
 Enumeration is one depth-first search over f, position by position, for
-all phi at once: where f repeats, phi must step up (condition (d)).  A
-prefix is cut when its repeats force more up steps than any phi has, when
-its remaining positions cannot reach every unseen value (onto), or, under
-a complexity bound n, once a pair of values has more than n changes;
-appending v adds one change to the pair {u, v} exactly when u occurred
-after the last v.  A Symbol is the tuple (k, f, phi, r); results are
-sorted in that order and cached.
+all phi at once: where f repeats, phi must step up (condition (d)), so each
+f keeps the phi whose equal steps miss its repeats.  A prefix is cut when
+its repeats force more up steps than any phi has, when its remaining
+positions cannot reach every unseen value (onto), or, under a complexity
+bound n, once a pair of values has more than n changes; appending v adds
+one change to the pair {u, v} exactly when u occurred after the last v.
+A Symbol is the tuple (k, f, phi, r); results are sorted in that order and
+cached.
 
 The faces of a symbol merge two cached tables.  The f-table holds f's
 repeats as a bit mask and, per position t of a fiber of two or more entries,
@@ -179,33 +180,29 @@ def _symbols(k, q, r, n, cover):
     fixed, so sorting on (f, phi) is sorting on the symbols' order.  One
     cache serves enumerate_symbols (cover) and box_basis (not cover).
 
-    The search (see the module notes) grows f for every phi of ``_phis(q,
-    r, cover)`` at once.  Each f found chooses its other up steps among its
-    non-repeats and reads the phis of each step pattern from a table; the f
-    come in lexicographic order and each f's phis are sorted, so the
-    symbols come sorted.  ``complexity`` is the reference."""
-    by_steps = {}                   # equal steps of phi -> the phis
-    for phi in _phis(q, r, cover):
-        by_steps.setdefault(tuple(map(eq, phi, islice(phi, 1, None))),
-                            []).append(phi)
-    counts = {steps.count(False) for steps in by_steps}     # up steps
-    if not counts or (n is not None and n < 0):
+    The search (see the module notes) grows f and its repeats' mask for
+    every phi of ``_phis(q, r, cover)`` at once.  Each f found keeps the
+    phis, in sorted order, whose equal steps miss its repeats; the f come
+    in lexicographic order, so the symbols come sorted.  ``complexity`` is
+    the reference."""
+    phis = [(_steps(phi), phi) for phi in sorted(_phis(q, r, cover))]
+    if not phis or (n is not None and n < 0):
         return ()
-    lo, hi = min(counts), max(counts)
+    most = q - min(steps.bit_count() for steps, _ in phis)   # most up steps
     out = []
     seq = [0] * (q + 1)
     last = [-1] * (k + 1)           # last position of each value, -1 unseen
     values = range(1, k + 1)
     changes = None if n is None else [[0] * (k + 1) for _ in range(k + 1)]
 
-    def grow(t, unseen, forced):
+    def grow(t, unseen, repeats):
         prev = seq[t - 1] if t else 0
         slack = q - t               # positions after t
         for v in values:
             lv = last[v]
             rest = unseen - 1 if lv < 0 else unseen
-            ups = forced + (v == prev)
-            if rest > slack or ups > hi:
+            mask = repeats | 1 << (t - 1) if v == prev else repeats
+            if rest > slack or mask.bit_count() > most:
                 continue
             bumped = ()
             if changes is not None and v != prev:
@@ -219,26 +216,15 @@ def _symbols(k, q, r, n, cover):
             seq[t] = v
             if slack:
                 last[v] = t
-                grow(t + 1, rest, ups)
+                grow(t + 1, rest, mask)
                 last[v] = lv
             else:
-                expand(tuple(seq), ups)
+                f = tuple(seq)
+                out.extend(_sym(k, f, phi, r)
+                           for steps, phi in phis if not steps & mask)
             for u in bumped:
                 row[u] -= 1
                 changes[u][v] -= 1
-
-    def expand(f, forced):
-        equal = list(map(ne, f, islice(f, 1, None)))    # where phi may stay
-        free = [s for s, e in enumerate(equal) if e]
-        phis = []
-        for u in range(max(lo, forced), hi + 1):
-            for extra in combinations(free, u - forced):
-                steps = equal.copy()
-                for s in extra:
-                    steps[s] = False
-                phis += by_steps.get(tuple(steps), ())
-        phis.sort()
-        out.extend(_sym(k, f, phi, r) for phi in phis)
 
     grow(0, k, 0)
     return tuple(out)

@@ -303,12 +303,15 @@ def cmd_cubes(args):
 
 def cmd_export_complex(args):
     from .boxprod import BoundsExceeded
-    from .operads import family_name, symbol_complex
+    from .operads import InfeasibleSize, family_name, symbol_complex
     n = _complexity_bound(args)
     try:
         cx = symbol_complex(args.k, n, args.qmax)
     except BoundsExceeded as exc:
         raise _no_symbols(exc)
+    except InfeasibleSize as exc:
+        raise ConfigError("--k %d --qmax %d is too large: %s"
+                          % (args.k, args.qmax, exc))
     text = cx.to_json()
     if args.out:
         try:

@@ -470,6 +470,19 @@ def test_oversized_verify_window_exits_2(capsys, monkeypatch):
               "--qmax", "8"])
 
 
+def test_oversized_export_window_exits_2(capsys, monkeypatch):
+    # export-complex counts its family-T window in closed form and refuses
+    # it before symbol_complex enumerates a single cell
+    from chainops import operads
+
+    def never(*args):
+        raise AssertionError("enumerated an oversized window")
+    monkeypatch.setattr(operads, "enumerate_symbols", never)
+    err = _config_error(capsys, "export-complex", "--k", "3", "--qmax", "10")
+    assert ("--k 3 --qmax 10 is too large: the q <= 10 window of T(3) has "
+            "72179376 symbols, above the limit 400000") in err
+
+
 def test_oversized_enumeration_exits_2(capsys, monkeypatch):
     # without a complexity bound the closed-form count is exact, and a shape
     # above the limit is refused before any symbol is enumerated; with a

@@ -998,3 +998,17 @@ def test_sigma_freeness_T3():
                 for sigma in perms:
                     moved, _sign = boxprod.act_perm(s, sigma)
                     assert moved != s
+
+
+def test_outer_equivariance_on_hosts_of_arity_4(monkeypatch):
+    # every non-identity sigma of the host's arity is checked, arity 4 too
+    seen = []
+
+    def counted(sigma, arities):
+        seen.append(len(sigma))
+        return block_permutation(sigma, arities)
+    monkeypatch.setattr(operads, "block_permutation", counted)
+    rep = verify_operad_axioms(TruncatedChainOperad(1, 4, 4), seed=7)
+    assert 4 in seen
+    assert rep.items["equivariance (outer permutation)"].failures == []
+    assert rep.passed, rep.to_dict()
