@@ -14,14 +14,14 @@ the symbols whose phi misses a value in {1,...,r}; what survives is exactly
 the normal-form basis used throughout the operad layer.
 
 Enumeration is one depth-first search over f, position by position, for
-all phi at once: where f repeats, phi must step up (condition (d)), so each
-f keeps the phi whose equal steps miss its repeats.  A prefix is cut when
-its repeats force more up steps than any phi has, when its remaining
-positions cannot reach every unseen value (onto), or, under a complexity
-bound n, once a pair of values has more than n changes; appending v adds
-one change to the pair {u, v} exactly when u occurred after the last v.
-A Symbol is the tuple (k, f, phi, r); results are sorted in that order and
-cached.
+all phi at once: where f repeats, phi must step up (condition (d)).  A
+prefix is cut when its repeats force more up steps than any phi has, when
+its remaining positions cannot reach every unseen value (onto), or, under a
+complexity bound n, once a pair of values has more than n changes; appending
+v adds one change to the pair {u, v} exactly when u occurred after the last
+v.  The search has two leaves: each f keeps the phi whose equal steps miss
+its repeats, as Symbols (k, f, phi, r) sorted in that order and cached, or,
+at a level r >= 1, gives the local types of those symbols, with none built.
 
 The faces of a symbol merge two cached tables.  The f-table holds f's
 repeats as a bit mask and, per position t of a fiber of two or more entries,
@@ -180,16 +180,26 @@ def _symbols(k, q, r, n, cover):
     fixed, so sorting on (f, phi) is sorting on the symbols' order.  One
     cache serves enumerate_symbols (cover) and box_basis (not cover).
 
-    The search (see the module notes) grows f and its repeats' mask for
-    every phi of ``_phis(q, r, cover)`` at once.  Each f found keeps the
-    phis, in sorted order, whose equal steps miss its repeats; the f come
-    in lexicographic order, so the symbols come sorted.  ``complexity`` is
-    the reference."""
+    Each f of ``_search``, in lexicographic order, keeps the sorted phis of
+    ``_phis(q, r, cover)`` whose equal steps miss its repeats, so the
+    symbols come sorted.  ``complexity`` is the reference."""
     phis = [(_steps(phi), phi) for phi in sorted(_phis(q, r, cover))]
-    if not phis or (n is not None and n < 0):
-        return ()
-    most = q - min(steps.bit_count() for steps, _ in phis)   # most up steps
     out = []
+
+    def leaf(f, mask):
+        out.extend(_sym(k, f, phi, r)
+                   for steps, phi in phis if not steps & mask)
+
+    if phis:
+        _search(k, q, r, n, leaf)
+    return tuple(out)
+
+
+def _search(k, q, r, n, leaf):
+    """leaf(f, mask) for each onto f: [q] -> {1..k} of complexity <= n, in
+    order, whose repeats (bits t - 1 of mask: f[t] == f[t - 1]) are <= r."""
+    if n is not None and n < 0:
+        return
     seq = [0] * (q + 1)
     last = [-1] * (k + 1)           # last position of each value, -1 unseen
     values = range(1, k + 1)
@@ -202,7 +212,7 @@ def _symbols(k, q, r, n, cover):
             lv = last[v]
             rest = unseen - 1 if lv < 0 else unseen
             mask = repeats | 1 << (t - 1) if v == prev else repeats
-            if rest > slack or mask.bit_count() > most:
+            if rest > slack or mask.bit_count() > r:
                 continue
             bumped = ()
             if changes is not None and v != prev:
@@ -219,15 +229,12 @@ def _symbols(k, q, r, n, cover):
                 grow(t + 1, rest, mask)
                 last[v] = lv
             else:
-                f = tuple(seq)
-                out.extend(_sym(k, f, phi, r)
-                           for steps, phi in phis if not steps & mask)
+                leaf(tuple(seq), mask)
             for u in bumped:
                 row[u] -= 1
                 changes[u][v] -= 1
 
     grow(0, k, 0)
-    return tuple(out)
 
 
 def _check_shape(k, q, r):
@@ -396,6 +403,25 @@ def local_type(sym):
     return k, r, f[:p + 1], tuple(map(_clip, map(f.count, range(k + 1))))
 
 
+def cell_types(k, q, r, n=INFINITY):
+    """{local_type(s) for s in enumerate_symbols(k, q, r, n)}, r >= 1, with
+    no symbol built: an f of ``_search`` has a covering phi with p zeros iff
+    p <= q + 1 - r, f[:p] has no repeat and f[p:] at most r - 1 repeats."""
+    if not (k >= 1 and q >= 0 and r >= 1):
+        raise InvalidSymbol("no local types of shape (k, q, r)", (k, q, r))
+    types = set()
+
+    def leaf(f, mask):
+        sizes = tuple(map(_clip, map(f.count, range(k + 1))))
+        low = (mask & -mask).bit_length() or q   # first t, f[t] == f[t - 1]
+        types.update((k, r, f[:p + 1], sizes)
+                     for p in range(min(low, q + 1 - r) + 1)
+                     if (mask >> p).bit_count() < r)
+
+    _search(k, q, r, n, leaf)
+    return types
+
+
 def type_contraction(t):
     """``level_contraction`` on a local type, {w: c} or {}: t's w with x
     appended to w_0; c reads the sizes' parities."""
@@ -478,11 +504,6 @@ def type_contraction_holds(t):
             else:
                 terms.append((tw, c * v))
     return not vec_sum(terms)
-
-
-def level_contraction_holds(sym):
-    """``type_contraction_holds`` on sym's local type."""
-    return type_contraction_holds(local_type(sym))
 
 
 # -- kernel form -----------------------------------------------------------

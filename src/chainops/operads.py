@@ -32,7 +32,7 @@ from . import boxprod
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       Symbol, act_perm, apply_tuple, count_symbols,
                       enumerate_symbols, ker_expand_checked,
-                      koszul_sign, levels_match, local_type, NatTransform,
+                      koszul_sign, levels_match, NatTransform,
                       t_boundary, type_contraction_holds, vec_sum)
 from .complexes import GradedIntComplex, reduced_homology
 
@@ -42,10 +42,9 @@ class NotStabilized(Exception):
 
 
 # operad_homology, verify_operad_axioms and symbol_complex refuse a family-T
-# window with more symbols than this.  The homology certificate checks each
-# local type of a cell once, and every cell it enumerates stays in the
-# symbol cache: T(2) at cap 5, 101,234 counted symbols, takes 0.13-0.15 s
-# at 21 MiB max RSS (CPython 3.11, 2-core x86-64)
+# window with more symbols than this.  Homology builds level 0's alone: T(3)
+# at cap 2, degrees 0-2, 311,244 counted, takes 0.10 s at 18 MiB max RSS
+# (CPython 3.11, 2-core x86-64; 0.26 s at 28 MiB when every cell was built)
 MAX_WINDOW_SYMBOLS = 400_000
 
 
@@ -258,12 +257,13 @@ class HomologyReport:
 
 def operad_homology(k, n, degrees, level_cap):
     """Homology of the level-truncated operad arity, computed on level 0,
-    and certified: ``boxprod.type_contraction_holds`` once on each local
-    type of each (level, degree) cell of levels 1 .. level_cap + 1, degrees
-    d - 1 and d for each d, so those levels are acyclic there and every cap
-    up to level_cap + 1 has level 0's H_d; else NotStabilized carries the
-    report.  A family-T window (n None) above MAX_WINDOW_SYMBOLS, counted by
-    ``count_symbols``, raises InfeasibleSize before any enumeration."""
+    and certified: ``boxprod.type_contraction_holds`` once on each of the
+    ``cell_types`` of each (level, degree) cell of levels 1 .. level_cap +
+    1, degrees d - 1 and d for each d, so those levels are acyclic there and
+    every cap up to level_cap + 1 has level 0's H_d; else NotStabilized
+    carries the report.  A family-T window (n None) above
+    MAX_WINDOW_SYMBOLS, counted by ``count_symbols``, raises InfeasibleSize
+    before any enumeration."""
     degrees = tuple(degrees)
     window = (min(degrees), max(degrees))
     if n is None:
@@ -275,10 +275,9 @@ def operad_homology(k, n, degrees, level_cap):
     groups = reduced_homology(level_truncated_complex(k, n, 0, window),
                               degrees)
     edges = sorted({d + i for d in degrees for i in (-1, 0)})
-    cells = (enumerate_symbols(k, e + k - 1 + r, r, n)
+    cells = (boxprod.cell_types(k, e + k - 1 + r, r, n)
              for r in range(1, level_cap + 2) for e in edges if e + r >= 0)
-    stable = all(all(map(type_contraction_holds, set(map(local_type, cell))))
-                 for cell in cells)
+    stable = all(all(map(type_contraction_holds, cell)) for cell in cells)
     report = HomologyReport(family_name(n), k, level_cap, degrees, groups,
                             stable)
     if not stable:

@@ -7,9 +7,8 @@ from chainops import boxprod, cubes, operads
 from chainops.boxprod import (GradingMismatch, NatTransform,
                               NormalizationFailure, Symbol, apply_tuple,
                               enumerate_symbols, ker_expand,
-                              ker_expand_checked, level_contraction_holds,
-                              levels_match, local_type, t_boundary,
-                              type_contraction_holds, vec_sum)
+                              ker_expand_checked, levels_match, local_type,
+                              t_boundary, type_contraction_holds, vec_sum)
 from chainops.cli import main
 from chainops.complexes import reduced_homology
 from chainops.operads import (NotStabilized, TruncatedChainOperad,
@@ -481,6 +480,12 @@ type_contraction = boxprod.type_contraction
 level_contraction = boxprod.level_contraction
 
 
+def level_contraction_holds(sym):
+    """``type_contraction_holds`` on sym's local type: the certificate on
+    one symbol."""
+    return type_contraction_holds(local_type(sym))
+
+
 def signed(sign):
     return lambda t: {u: sign(t, c) for u, c in type_contraction(t).items()}
 
@@ -548,7 +553,7 @@ def test_not_stabilized_raised_under_optimize():
         "        for s in t.enumerate_symbols(2, q, r)]",
         "for name, _ in t.BROKEN:",
         "    boxprod.type_contraction = t.STUBS[name]",
-        "    print(name, sum(boxprod.level_contraction_holds(s) != all(",
+        "    print(name, sum(t.level_contraction_holds(s) != all(",
         "        u.phi.count(0) > s.phi.count(0) for u in t.identity_rest(",
         "            s, boxprod.level_contraction)) for s in syms))",
     ])
@@ -810,6 +815,46 @@ def test_each_type_is_checked_once(monkeypatch):
         counts.append((len(checked), sum(map(len, cells))))
     assert all(c <= syms for c, syms in counts)
     assert tuple(map(sum, zip(*counts))) == (1718, 6678)
+
+
+def test_cell_types_are_the_symbols_types():
+    # cell_types finds a cell's local types with no symbol built: they are
+    # those of the cell's symbols on every shape of the sweep, at n = 0,
+    # and on empty cells (not onto: k > q + 1; no covering phi: r > q + 1)
+    shapes = list(sweep_shapes(4))
+    shapes += [(k, q, r, 0) for k, q, r, n in shapes if n is None]
+    empty = [(3, 1, 1, None), (4, 2, 2, 2), (2, 3, 5, None), (1, 0, 2, 1)]
+    sizes = []
+    for k, q, r, n in shapes + empty:
+        types = boxprod.cell_types(k, q, r, n)
+        assert types == set(map(local_type, enumerate_symbols(k, q, r, n))), (
+            k, q, r, n)
+        sizes.append(len(types))
+    assert not any(sizes[len(shapes):])
+    assert sum(sizes) == 13533
+    with pytest.raises(boxprod.InvalidSymbol):
+        boxprod.cell_types(2, 3, 0)
+
+
+def test_certificate_builds_no_symbol(monkeypatch):
+    # operad_homology enumerates symbols for level 0 alone; the levels it
+    # certifies come from cell_types.  A broken s still raises
+    # NotStabilized with no symbol of a level r >= 1 built
+    asked = []
+    symbols = boxprod._symbols
+
+    def recorded(k, q, r, n, cover):
+        asked.append(r)
+        return symbols(k, q, r, n, cover)
+
+    monkeypatch.setattr(boxprod, "_symbols", recorded)
+    for k, n, cap in HOMOLOGY_WINDOWS:
+        assert operad_homology(k, n, (0, 1, 2), cap).stabilized
+    for name, args in BREAKS:
+        monkeypatch.setattr(boxprod, "type_contraction", STUBS[name])
+        with pytest.raises(NotStabilized):
+            operad_homology(*args)
+    assert asked and not any(asked)
 
 
 @pytest.mark.parametrize("k,n,cap", [
