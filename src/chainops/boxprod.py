@@ -35,9 +35,10 @@ operator product (1 - d^r s^{r-1}) ... (1 - d^1 s^0); ``ker_expand`` gives
 it in closed form, a signed sum over the sets of values of phi it lowers.
 
 Every level r >= 1 of the conormalized complex is contractible under its
-internal differential: ``level_contraction`` is the contraction, read in
+internal differential: ``type_contraction`` is the contraction, read in
 the blocks w_0 | w_1 | ... of f over each value of phi; it and the check
-of its identity act on local types, which keep only what the check reads.
+of its identity act on local types, which keep only what the check reads,
+and ``cell_types`` finds the local types of a cell.
 """
 
 from functools import lru_cache, reduce
@@ -393,20 +394,12 @@ def _clip(c):
     return c if c < 3 else 2 + c % 2
 
 
-def local_type(sym):
-    """sym's local type (k, r, w, sizes): w = f[:p + 1], w_0 then x, the
-    first letter over phi = 1, and sizes[v] v's fiber size, ``_clip``-ped."""
-    k, f, phi, r = sym
-    p = phi.count(0)
-    if p == len(f) or phi[p] != 1:
-        raise InvalidSymbol("no covering phi at a level r >= 1", sym)
-    return k, r, f[:p + 1], tuple(map(_clip, map(f.count, range(k + 1))))
-
-
 def cell_types(k, q, r, n=INFINITY):
-    """{local_type(s) for s in enumerate_symbols(k, q, r, n)}, r >= 1, with
-    no symbol built: an f of ``_search`` has a covering phi with p zeros iff
-    p <= q + 1 - r, f[:p] has no repeat and f[p:] at most r - 1 repeats."""
+    """The local types (k, r, f[:p + 1], clipped fiber sizes) of the
+    symbols of enumerate_symbols(k, q, r, n), r >= 1, p the zeros of phi,
+    with no symbol built: an f of ``_search`` has a covering phi with p
+    zeros iff p <= q + 1 - r, f[:p] has no repeat and f[p:] at most r - 1
+    repeats."""
     if not (k >= 1 and q >= 0 and r >= 1):
         raise InvalidSymbol("no local types of shape (k, q, r)", (k, q, r))
     types = set()
@@ -423,49 +416,42 @@ def cell_types(k, q, r, n=INFINITY):
 
 
 def type_contraction(t):
-    """``level_contraction`` on a local type, {w: c} or {}: t's w with x
-    appended to w_0; c reads the sizes' parities."""
+    """The contraction s of a level r >= 1 with its internal differential
+    d = t_boundary(., r), on local types, as {w: c} or {}.  Write a symbol
+    sym's f as blocks w_0 | w_1 | ... | w_r, w_j the letters over phi = j,
+    let x open w_1 and p = |w_0|; sym's local type t is (k, r, w_0 + (x,),
+    sizes), sizes[v] v's fiber size ``_clip``-ped.  If w_0 ends in x, s =
+    0; else s(t) = {w_0 + (x, x): c} and s(sym) = c * tau, tau = (k, w_0 +
+    (x,) + f[p:], (0,) * (p + 1) + phi[p:], r): s(t) with sym's suffix
+    f[p:], phi[p:] put back, c sym's sign as a face of tau.  Appending x
+    next to an x adds no change to any pair: s keeps T_n.
+
+    (ds + sd)(sym) = sym + N(sym), N lengthening w_0 by one.  The face
+    removing the i-th entry (from 0) of value v has sign (-1)^(e(v) + i),
+    e(v) the sum of (fiber size - 1) below v; f is onto, so e(x) is
+    #{letters below x} - (x - 1) and c = (-1)^(e(x) + #{x in w_0}), the
+    closed form computed here from the sizes' parities.  If w_0 does not
+    end in x: the face of tau at p is sym, with coefficient c * c = 1; the
+    one at p + 1 (w_1's x) lengthens w_0, and so does s of sym's face
+    removing that x.  Every other face of tau is s of the matching face of
+    sym, both killed by (d) or the cover, or neither, but for w_0 ending in
+    xy: removing y leaves xx over 0 in tau and kills s of sym's face.
+    Removing v at m from tau moves c by (-1)^([v < x] + [v = x, m < p]);
+    removing x at p moves the face sign at m by (-1)^([x < v] + [v = x, m >
+    p]); m != p makes the sum odd, so these pairs cancel.  If w_0 ends in
+    x: s(sym) = 0, and the face removing that x, of sign e, has a w_0 not
+    ending in x (condition (d)), so s sends it to e * sym; other faces in
+    w_0 or past w_1's x keep w_0's last x and w_1's first, or die, and s
+    kills them; removing w_1's x lengthens w_0 under s.  Since |w_0| <= q +
+    1, ds + sd = 1 + N is invertible in each degree and a polynomial in
+    itself, so it keeps the boundaries, and every cycle z = (1 + N)^-1
+    ds(z) is one: the level is acyclic there."""
     _, _, w, sizes = t
     x = w[-1]
     if w[-2:] == (x, x):
         return {}
     c = sum(sizes[:x]) - (x - 1) + w.count(x) - 1
     return {w + (x,): -1 if c % 2 else 1}
-
-
-def level_contraction(sym):
-    """A contraction s of level r >= 1 with its internal differential d =
-    t_boundary(., r), as {tau: c} or {}: ``type_contraction`` with sym's
-    suffix put back.  Write f as blocks w_0 | w_1 | ... | w_r, w_j the
-    letters over phi = j, and let x open w_1.  If w_0 ends in x, s(sym) =
-    0; else tau is sym with x appended to w_0, c sym's sign as a face of
-    tau.  Appending x next to an x adds no change to any pair: s keeps T_n.
-
-    (ds + sd)(sym) = sym + N(sym), N lengthening w_0 by one.  The face
-    removing the i-th entry (from 0) of value v has sign (-1)^(e(v) + i),
-    e(v) the sum of (fiber size - 1) below v; f is onto, so e(x) is
-    #{letters below x} - (x - 1) and c = (-1)^(e(x) + #{x in w_0}), the
-    closed form computed here.  Let p = |w_0|.  If w_0 does not end in x:
-    the face of tau at p is sym, with coefficient c * c = 1; the one at
-    p + 1 (w_1's x) lengthens w_0, and so does s of sym's face removing
-    that x.  Every other face of tau is s of the matching face of sym, both
-    killed by (d) or the cover, or neither, but for w_0 ending in xy:
-    removing y leaves xx over 0 in tau and kills s of sym's face.  Removing
-    v at t from tau moves c by (-1)^([v < x] + [v = x, t < p]); removing x
-    at p moves the face sign at t by (-1)^([x < v] + [v = x, t > p]); t !=
-    p makes the sum odd, so these pairs cancel.  If w_0 ends in x: s(sym)
-    = 0, and the face removing that x, of sign e, has a w_0 not ending in x
-    (condition (d)), so s sends it to e * sym; other faces in w_0 or past
-    w_1's x keep w_0's last x and w_1's first, or die, and s kills them;
-    removing w_1's x lengthens w_0 under s.  Since |w_0| <= q + 1, ds + sd
-    = 1 + N is invertible in each degree and a polynomial in itself, so it
-    keeps the boundaries, and every cycle z = (1 + N)^-1 ds(z) is one: the
-    level is acyclic there."""
-    k, f, phi, r = sym
-    t = local_type(sym)
-    p = len(t[2]) - 1
-    return {_sym(k, w[:-1] + f[p:], (0,) * (len(w) - 1) + phi[p:], r): c
-            for w, c in type_contraction(t).items()}
 
 
 def _type_faces(w, sizes, stop):

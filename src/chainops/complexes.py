@@ -18,6 +18,11 @@ class DegreeOutsideWindow(Exception):
     pass
 
 
+class InfeasibleSize(Exception):
+    """A request refused before any work because its size is above a
+    limit: symbols of an operad window, or a Hochschild cochain space."""
+
+
 class NotSquareZero(AssertionError):
     """d o d != 0.  Raised explicitly, so the check also runs under
     ``python -O``; an AssertionError, as the check used to be an assert."""

@@ -19,7 +19,8 @@ from itertools import product
 from math import isqrt
 
 from . import intmat
-from .complexes import GradedIntComplex, homology_basis, reduced_homology
+from .complexes import (GradedIntComplex, InfeasibleSize, homology_basis,
+                        reduced_homology)
 from .intmat import IntMatrix, vec_sum
 
 
@@ -27,10 +28,6 @@ from .intmat import IntMatrix, vec_sum
 # gerstenhaber_report takes cohomology representatives up to this degree
 MAX_COCHAIN_DIM = 6561
 MAX_REPRESENTATIVE_DEGREE = 2
-
-
-class InfeasibleSize(Exception):
-    pass
 
 
 class InvalidAlgebra(AssertionError):

@@ -34,7 +34,7 @@ from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       enumerate_symbols, ker_expand_checked,
                       koszul_sign, levels_match, NatTransform,
                       t_boundary, type_contraction_holds, vec_sum)
-from .complexes import GradedIntComplex, reduced_homology
+from .complexes import GradedIntComplex, InfeasibleSize, reduced_homology
 
 
 class NotStabilized(Exception):
@@ -46,10 +46,6 @@ class NotStabilized(Exception):
 # at cap 2, degrees 0-2, 311,244 counted, takes 0.10 s at 18 MiB max RSS
 # (CPython 3.11, 2-core x86-64; 0.26 s at 28 MiB when every cell was built)
 MAX_WINDOW_SYMBOLS = 400_000
-
-
-class InfeasibleSize(Exception):
-    pass
 
 
 def _refuse_above_limit(size, window):

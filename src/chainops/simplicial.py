@@ -256,19 +256,7 @@ def vertex_name(vertices):
 def standard_simplex_sset(n):
     """Delta^n as a simplicial set: nondegenerate j-simplices are the
     (j+1)-subsets of {0..n}."""
-    from itertools import combinations
-    simplices = {}
-    faces = {}
-    for j in range(n + 1):
-        names = []
-        for verts in combinations(range(n + 1), j + 1):
-            names.append(vertex_name(verts))
-            if j >= 1:
-                faces[vertex_name(verts)] = tuple(
-                    Cell((), vertex_name(verts[:i] + verts[i + 1:]))
-                    for i in range(j + 1))
-        simplices[j] = tuple(names)
-    return FiniteSimplicialSet(simplices, faces)
+    return from_simplicial_complex(range(n + 1), [tuple(range(n + 1))])
 
 
 def simplicial_circle():

@@ -39,6 +39,36 @@ def test_simplex_sset_counts():
         assert len(W.cells(m)) == comb(m + 3, 2)
 
 
+def subset_simplex_sset(n):
+    """Delta^n built directly: its j-simplices are the (j+1)-subsets of
+    {0..n}, each face dropping one vertex; the oracle of
+    ``standard_simplex_sset``."""
+    from itertools import combinations
+    from chainops.simplicial import vertex_name
+    simplices = {}
+    faces = {}
+    for j in range(n + 1):
+        names = []
+        for verts in combinations(range(n + 1), j + 1):
+            names.append(vertex_name(verts))
+            if j >= 1:
+                faces[vertex_name(verts)] = tuple(
+                    Cell((), vertex_name(verts[:i] + verts[i + 1:]))
+                    for i in range(j + 1))
+        simplices[j] = tuple(names)
+    return FiniteSimplicialSet(simplices, faces)
+
+
+def test_standard_simplex_is_the_subset_construction():
+    # Delta^n as the simplicial complex of one facet is the (j+1)-subset
+    # construction, names, faces and their order included
+    for n in range(6):
+        W, V = standard_simplex_sset(n), subset_simplex_sset(n)
+        assert W.simplices == V.simplices and W.faces == V.faces, n
+        assert list(W.faces) == list(V.faces), n
+        assert W.to_json() == V.to_json(), n
+
+
 def test_face_degeneracy_identities_random_cells():
     W = standard_simplex_sset(3)
     rng = random.Random(5)
