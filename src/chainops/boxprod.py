@@ -111,13 +111,13 @@ class Symbol(tuple):
         return self.q + 1 - self.k - self.r
 
     def fiber_sizes(self):
-        return delta.fibers(self[0], self[1])[0]
+        return _f_record(self[0], self[1])[0]
 
     def fiber_degrees(self):
-        return delta.fibers(self[0], self[1])[1]
+        return _f_record(self[0], self[1])[1]
 
     def is_onto(self):
-        return set(self.f) == set(range(1, self.k + 1))
+        return _f_record(self[0], self[1])[4]
 
     def phi_covers(self):
         return set(range(1, self.r + 1)) <= set(self.phi)
@@ -494,7 +494,9 @@ def type_contraction_holds(t):
 
 # -- kernel form -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# An argument recurs in the checks on one composite or much later: 1024
+# entries keep 98% of the hits of the axiom windows, and bound the memory.
+@lru_cache(maxsize=1024)
 def ker_expand(sym):
     """The kernel-form representative of a symbol: the image of the
     projection (1 - d^r s^{r-1}) ... (1 - d^1 s^0), a vector over the box
@@ -567,62 +569,45 @@ def act_perm(sym, sigma):
 
 # -- flattening (the coherence map on symbols) ------------------------------
 
-def _flattening(host, arities):
-    """The flattening through ``host`` of one part per slot, the parts of
-    the given arities, prepared once per host: returns (cut, glue, reach).
+# A composition's hosts, arguments and composites share few f's (about 200
+# in each axiom window), so a small cache takes them.
+@lru_cache(maxsize=4096)
+def _f_record(k, f):
+    """What a symbol's f determines: the sizes, degrees, positions and
+    layout order of its fibers (``delta.fibers``, called uncached so that
+    they are held once), whether f is onto, its complexity and its repeats
+    as a bit mask."""
+    fibers = delta.fibers.__wrapped__(k, f)
+    return fibers + (0 not in fibers[0], complexity(f), _steps(f))
 
-    Part i sits on the i-th fiber of host, position j of that fiber
-    receiving the part's positions over phi value j, in order.
-    ``cut(i, part)`` checks the part's level and turns it into one run of
-    (value, phi) pairs per fiber position, values shifted past the earlier
-    slots; ``glue(cuts)`` takes one cut per slot, lays the runs out in host
-    order and returns the flattened symbol, or None when condition (d)
-    kills it.  The symbol is onto when every part is, which NatTransform
-    and ``flatten`` check, so ``glue`` does not.  ``reach(i, part)`` is the
-    bit mask of the host phi values that the flattened phi takes from it."""
-    # the runs of all parts, concatenated slot by slot, are in fiber order;
-    # host position a reads run number order[a], the inverse permutation
-    _, _, fibers, order = delta.fibers(host[0], host[1])
-    offsets = list(accumulate(arities, initial=0))
-    hphi = host.phi
-    bits = [[1 << hphi[a] for a in fib] for fib in fibers]
 
-    def reach(i, part):
-        return reduce(or_, map(bits[i].__getitem__, part.phi))
-
-    def cut(i, part):
-        fib = fibers[i]
-        if part.r != len(fib) - 1:
-            raise NormalizationFailure(("level mismatch", host, i, part))
-        runs = [[] for _ in fib]
-        off = offsets[i]
-        for v, p in zip(part.f, part.phi):
-            runs[p].append((v + off, hphi[fib[p]]))
-        return runs
-
-    def glue(cuts):
-        runs = list(chain.from_iterable(cuts))
-        pairs = list(chain.from_iterable(map(runs.__getitem__, order)))
-        if _repeats(pairs):
-            return None
-        f2, phi2 = zip(*pairs)
-        return _sym(offsets[-1], f2, phi2, host.r)
-
-    return cut, glue, reach
+def _glue(runs, order, k, r):
+    """The symbol of arity k at level r whose host position a reads the
+    (value, phi) pairs runs[order[a]], or None when condition (d) kills
+    it."""
+    pairs = list(chain.from_iterable(map(runs.__getitem__, order)))
+    if _repeats(pairs):
+        return None
+    f, phi = zip(*pairs)
+    return _sym(k, f, phi, r)
 
 
 def flatten(host, parts):
     """Compose a host symbol of arity k with one part symbol per slot; part
     i must live at level equal to the internal degree of the i-th fiber.
     Returns the flattened symbol (arity = sum of part arities) or None when
-    the class dies in the colimit."""
+    the class dies in the colimit: ``apply_tuple`` on one-term
+    transformations."""
     if len(parts) != host.k:
         raise GradingMismatch("one part per slot", host, parts)
     for part in parts:
         if not part.is_onto():
             raise InvalidSymbol("part not onto", host, part)
-    cut, glue, _ = _flattening(host, [part.k for part in parts])
-    return glue([cut(i, part) for i, part in enumerate(parts)])
+    # each part at its fiber's degree, where apply_tuple checks its level;
+    # the degrees only sign the value, which is dropped
+    nats = [object.__new__(NatTransform)._fill(part.k, 0, {d: {part: 1}})
+            for part, d in zip(parts, host.fiber_degrees())]
+    return next(iter(apply_tuple(host, nats)), None)
 
 
 # -- evaluated box levels ----------------------------------------------------
@@ -733,13 +718,15 @@ def _family_of(arity, items):
     degree = degs.pop() if degs else 0
     terms = {}
     for s, c in items:
-        if not s.phi_covers():
+        _, _, phi, r = s
+        if not _phi_table(phi, r)[0]:
             raise InvalidSymbol("phi does not cover", s)
         # ker_expand keeps s's f, k, r and degree: one check covers its terms
-        _check_term(s, arity, s.r, degree)
-        terms.setdefault(s.r, []).extend((t, c * w) for t, w in ker_expand(s))
-    return object.__new__(NatTransform)._fill(
-        arity, degree, {r: vec_sum(level) for r, level in terms.items()})
+        _check_term(s, arity, r, degree)
+        level = terms.setdefault(r, {})
+        for t, w in ker_expand(s):
+            level[t] = level.get(t, 0) + c * w
+    return object.__new__(NatTransform)._fill(arity, degree, terms)
 
 
 def levels_match(host, nats):
@@ -755,32 +742,56 @@ def levels_match(host, nats):
 
 def apply_tuple(host, nats, cover=False):
     """Value on a box-basis symbol of the map induced by one natural
-    transformation per slot, flattened through the coherence map.  Returns a
-    vector {Symbol: coeff} at the same level.  With ``cover``, only the
-    choices of one part per slot that reach every value in [1..r] are
-    glued, the part of the value that the cokernel projection keeps; each
+    transformation per slot, flattened through the coherence map: a vector
+    {Symbol: coeff} at the same level.  Part i, a term of slot i at the i-th
+    fiber's degree, is cut into one run of (value, phi) pairs per position j
+    of that fiber, its positions over phi value j, values shifted past the
+    earlier slots; one part per slot is glued by laying the runs out in host
+    order, onto when every part is (NatTransform and ``flatten`` check it).
+    With ``cover``, only the choices that reach every value in [1..r] of the
+    host's phi are glued, the part that the cokernel projection keeps; each
     part that a glued choice uses is cut once."""
-    if len(nats) != host.k:
+    k, f, phi, r = host
+    if len(nats) != k:
         raise GradingMismatch("one transformation per slot", host, len(nats))
-    degs = host.fiber_degrees()
+    _, degs, fibers, order, *_ = _f_record(k, f)
     comps = [nat.components.get(d) for nat, d in zip(nats, degs)]
-    if not all(comps):
+    if not all(comps) or cover and not _phi_table(phi, r)[0]:
         return {}
-    odd = sum(nat.degree * sum(degs[:i]) for i, nat in enumerate(nats)) % 2
-    sign0 = -1 if odd else 1
-    cut, glue, reach = _flattening(host, [nat.arity for nat in nats])
-    full = (1 << host.r + 1) - 2 if cover else 0
-    # per term of a slot: [part, coeff, host values reached, its cut]
-    slots = [[[s, c, full and reach(i, s), None] for s, c in comp.items()]
-             for i, comp in enumerate(comps)]
+    full = (1 << r + 1) - 2 if cover else 0
+    # per slot: its index, the host's phi over its fiber and the values
+    # before it, and per term [part, coeff, host values reached, its cut]
+    slots, odd, before, off = [], 0, 0, 0
+    for i, (nat, comp, fib) in enumerate(zip(nats, comps, fibers)):
+        hphi = [phi[a] for a in fib]
+        bits = [1 << v for v in hphi]
+        slots.append((i, hphi, off, [
+            [s, c, full and reduce(or_, map(bits.__getitem__, s[2])), None]
+            for s, c in comp.items()]))
+        odd += nat.degree * before
+        before += degs[i]
+        off += nat.arity
+    sign0 = -1 if odd % 2 else 1
     flats = []
-    for choice in product(*slots):
-        if reduce(or_, [e[2] for e in choice]) & full == full:
-            for i, e in enumerate(choice):
-                e[3] = e[3] or cut(i, e[0])
-            flats.append((glue([e[3] for e in choice]),
-                          sign0 * prod([e[1] for e in choice])))
-    return vec_sum((s, c) for s, c in flats if s is not None)
+    coeff, reach = itemgetter(1), itemgetter(2)
+    for choice in product(*[slot[3] for slot in slots]):
+        if full and reduce(or_, map(reach, choice)) & full != full:
+            continue
+        runs = []
+        for (i, hphi, o, _), e in zip(slots, choice):
+            if e[3] is None:
+                part = e[0]
+                if part[3] != degs[i]:
+                    raise NormalizationFailure(
+                        ("level mismatch", host, i, part))
+                e[3] = [[] for _ in hphi]
+                for v, p in zip(part[1], part[2]):
+                    e[3][p].append((v + o, hphi[p]))
+            runs += e[3]
+        flat = _glue(runs, order, off, r)
+        if flat is not None:
+            flats.append((flat, sign0 * prod(map(coeff, choice))))
+    return vec_sum(flats)
 
 
 def box_functorial_map(k, nats, r, q_cap):

@@ -4,9 +4,12 @@ stabilization certificates.
 
 Composition is implemented twice and cross-validated:
 
-* substitution: expand each factor into its kernel form, substitute along
-  matching fiber sizes, flatten through the coherence map, and project back
-  to the symbol basis, skipping the kernel terms that cannot survive;
+* substitution: compose each term h of the first factor with the kernel
+  forms of the arguments in one pass of ``boxprod.apply_tuple`` with
+  ``cover``, which glues only the choices whose flattened phi covers [r]
+  (of the kernel form of h only h covers, so no other term is expanded),
+  and project back to the symbol basis, the checks read from the cached
+  per-phi and per-f tables of ``boxprod``;
 * matrix composite: apply the map that the arguments induce on the box
   product (``boxprod.apply_tuple``) to every term of the kernel form of the
   first factor, checked to be killed by the codegeneracies and to lie in
@@ -32,7 +35,7 @@ from . import boxprod
 from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
                       Symbol, act_perm, apply_tuple, count_symbols,
                       enumerate_symbols, ker_expand_checked,
-                      koszul_sign, levels_match, NatTransform,
+                      koszul_sign, NatTransform,
                       t_boundary, type_contraction_holds, vec_sum)
 from .complexes import GradedIntComplex, InfeasibleSize, reduced_homology
 
@@ -72,37 +75,49 @@ def vec_degree(vec):
 
 def cokernel_project(vec, n=INFINITY):
     """Projection from the box basis to the conormalized symbol basis: kill
-    the symbols whose phi misses a positive value."""
-    kept = [(s, c) for s, c in vec.items() if s.phi_covers()]
-    for s, _ in kept:
-        if not (s.is_onto() and s.interleaved()):
-            raise NormalizationFailure(s)
-        if n is not INFINITY and boxprod.complexity(s.f) > n:
-            raise NormalizationFailure(("complexity overflow", s, n))
-    return vec_sum(kept)
+    the symbols whose phi misses a positive value, and check that each kept
+    symbol is onto, interleaved and of complexity <= n."""
+    kept = {}
+    for s, c in vec.items():
+        k, f, phi, r = s
+        covers, steps, _ = boxprod._phi_table(phi, r)
+        if c and covers:
+            *_, onto, complexity, repeats = boxprod._f_record(k, f)
+            # interleaved: no repeat of f on an equal step of phi
+            if not onto or repeats & steps:
+                raise NormalizationFailure(s)
+            if n is not INFINITY and complexity > n:
+                raise NormalizationFailure(("complexity overflow", s, n))
+            kept[s] = c
+    return kept
 
 
 def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
     """Composition by symbol substitution.  Arguments are vectors over the
     conormalized symbol basis, the operad unit included (the top cell at
-    every level, as ``TruncatedChainOperad.unit`` builds it)."""
+    every level, as ``TruncatedChainOperad.unit`` builds it).  A flattened
+    phi takes only its host's values: of the kernel form of h, only h itself
+    covers [r], so each term of h is applied alone, with ``cover``."""
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
-    twist = _multilinear_twist(h_vec, nats)
-    # a flattened phi takes only its host's values: of the kernel form of
-    # h, only h itself covers [r], and only covering choices are glued
-    out = vec_sum((t, twist * c * v) for h, c in h_vec.items()
-                  if levels_match(h, nats) and h.phi_covers()
-                  for t, v in apply_tuple(h, nats, cover=True).items())
+    degree = _sym_of(h_vec).total_degree
+    twist = _multilinear_twist(degree, nats)
+    out = {}
+    for h, c in h_vec.items():
+        if len(h[1]) - h[0] - h[3] != degree:
+            raise GradingMismatch("inhomogeneous vector",
+                                  {s.total_degree for s in h_vec})
+        for t, v in apply_tuple(h, nats, cover=True).items():
+            out[t] = out.get(t, 0) + twist * c * v
     return cokernel_project(out, n)
 
 
-def _multilinear_twist(h_vec, nats):
+def _multilinear_twist(degree, nats):
     """Sign converting the composite-of-maps convention into the standard
     multilinear one, so that gamma is a chain map for the tensor-product
-    differential: (-1)^(|h| * sum |g_i|)."""
-    if vec_degree(h_vec) % 2 and sum(nat.degree for nat in nats) % 2:
+    differential: (-1)^(|h| * sum |g_i|), |h| the degree given."""
+    if degree % 2 and sum(nat.degree for nat in nats) % 2:
         return -1
     return 1
 
@@ -115,7 +130,7 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
-    twist = _multilinear_twist(h_vec, nats)
+    twist = _multilinear_twist(vec_degree(h_vec), nats)
     kvec = vec_sum((hk, c * w) for h, c in h_vec.items()
                    for hk, w in ker_expand_checked(h).items())
     return cokernel_project(vec_sum(
@@ -124,7 +139,7 @@ def gamma_matrix(h_vec, arg_vecs, n=INFINITY):
 
 
 def _arity_of(vec):
-    ks = {s.k for s in vec}
+    ks = {s[0] for s in vec}
     if len(ks) != 1:
         raise GradingMismatch("empty or mixed-arity argument", ks)
     return ks.pop()

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from chainops import boxprod, cubes, operads
-from chainops.boxprod import (GradingMismatch, NatTransform,
+from chainops.boxprod import (GradingMismatch, InvalidSymbol, NatTransform,
                               NormalizationFailure, Symbol, apply_tuple,
                               enumerate_symbols, ker_expand,
                               ker_expand_checked, levels_match, t_boundary,
@@ -82,7 +83,7 @@ def _gamma_unskipped(h_vec, arg_vecs):
     if not h_vec or any(not v for v in arg_vecs):
         return {}
     nats = [NatTransform.from_vector(_arity_of(v), v) for v in arg_vecs]
-    twist = _multilinear_twist(h_vec, nats)
+    twist = _multilinear_twist(vec_degree(h_vec), nats)
     return cokernel_project(vec_sum(
         (t, twist * c * w * v) for h, c in h_vec.items()
         for hk, w in ker_expand(h)
@@ -147,27 +148,31 @@ def test_cover_skip_on_sampled_tuples(monkeypatch):
     # it too, which the projection kills; gamma_substitution applies the
     # covering terms alone, with cover=True, and of their values glues only
     # the choices whose flattened phi covers: the pruned value is the
-    # covering part of the full one
+    # covering part of the full one.  Every term of h is handed to
+    # apply_tuple, which returns {} at once when the levels do not match;
+    # the applications counted are those past that test, and the glued
+    # choices are the calls of boxprod._glue
     op = TruncatedChainOperad(None, 3, 4)
     tuples = _composable_tuples(op, random.Random(7), 60, 40,
                                 *_symbol_pools(op))
-    applied, glued = [], []
-    flattening = boxprod._flattening
+    called, applied, glued = [], [], []
+    glue = boxprod._glue
 
     def counted(host, nats, cover=False):
         assert cover, host
-        applied.append(host)
-        return apply_tuple(host, nats, cover=cover)
+        called.append(host)
+        out = apply_tuple(host, nats, cover=cover)
+        if levels_match(host, nats):
+            applied.append(host)
+        else:
+            assert out == {}, host
+        return out
 
-    def counted_flattening(host, arities):
-        cut, glue, reach = flattening(host, arities)
-
-        def counted_glue(cuts):
-            glued.append(host)
-            return glue(cuts)
-        return cut, counted_glue, reach
+    def counted_glue(runs, order, k, r):
+        glued.append(runs)
+        return glue(runs, order, k, r)
     monkeypatch.setattr(operads, "apply_tuple", counted)
-    monkeypatch.setattr(boxprod, "_flattening", counted_flattening)
+    monkeypatch.setattr(boxprod, "_glue", counted_glue)
     covering = skipped = skipped_nonzero = 0
     glued_full = glued_pruned = 0
     for h_vec, gs in tuples:
@@ -191,6 +196,7 @@ def test_cover_skip_on_sampled_tuples(monkeypatch):
         gamma_substitution(h_vec, gs)
         glued_pruned += len(glued)
     assert all(hk.phi_covers() for hk in applied)
+    assert len(called) == sum(len(h_vec) for h_vec, _ in tuples) == 100
     assert len(applied) == covering
     # the sampler is seeded, so the counts are fixed: 176 applications
     # skipped, each of them nonzero before the projection, and of the
@@ -273,6 +279,90 @@ def test_wrong_argument_count_raises():
         levels_match(next(iter(h)), nats)
     with pytest.raises(GradingMismatch):
         apply_tuple(next(iter(h)), nats)
+
+
+# sha256 over the sorted composites, call by call: gamma(1; g) and
+# gamma(g; 1..1) for every pool symbol g of T1(3, q <= 5) and T2(3, q <= 4),
+# and gamma on the sampler's tuples for T(3, q <= 4), seed 7.  A change to
+# any composite, coefficient or sign shows
+COMPOSITION_DIGESTS = {
+    "T1 unit laws":
+        "afa6729948f77d73571305db1cb630ad0c0674cc2d89f373c46cafdd556e4cc3",
+    "T2 unit laws":
+        "edb2241de97851aff95340ddda8f922a4e3219c8dc3b671083a0d93085b90502",
+    "T tuples":
+        "b1d1d703a4212859023b59420fa8807c692bc27f0fb65181c3e640b772330880",
+}
+
+
+def _composites_digest(op, calls):
+    digest = hashlib.sha256()
+    for h_vec, gs in calls:
+        out = op.gamma(h_vec, gs)
+        digest.update(repr([(tuple(s), c)
+                            for s, c in sorted(out.items())]).encode())
+    return digest.hexdigest()
+
+
+def test_composition_digests():
+    got = {}
+    for name, n, q_cap in (("T1 unit laws", 1, 5), ("T2 unit laws", 2, 4)):
+        op = TruncatedChainOperad(n, 3, q_cap)
+        unit = op.unit()
+        pool, _ = _symbol_pools(op)
+        got[name] = _composites_digest(op, [
+            call for k in sorted(pool) for g in pool[k]
+            for call in ((unit, [g]), (g, [unit] * k))])
+    op = TruncatedChainOperad(None, 3, 4)
+    got["T tuples"] = _composites_digest(op, _composable_tuples(
+        op, random.Random(7), 60, 40, *_symbol_pools(op)))
+    assert got == COMPOSITION_DIGESTS
+
+
+def test_substitution_refusals(monkeypatch):
+    # each refusal of the substitution path raises its own type
+    g0, g1 = sym_vec(1, (1,), (0,), 0), sym_vec(1, (1, 1), (0, 1), 1)
+    h = sym_vec(2, (1, 2), (0, 0), 0)
+    wider = sym_vec(2, (1, 2, 1), (0, 0, 0), 0)
+    cases = [
+        (GradingMismatch, h, [g0]),                          # slot count
+        (GradingMismatch, {**h, **sym_vec(2, (1, 2), (0, 1), 1)},
+         [g0, g0]),                                          # inhomogeneous
+        (GradingMismatch, h, [g0, {**g0, **sym_vec(2, (1, 2), (0, 0), 0)}]),
+        (InvalidSymbol, g1, [sym_vec(1, (1, 1), (0, 0), 1)]),  # no cover
+        (InvalidSymbol, g1, [sym_vec(2, (1, 1), (0, 1), 1)]),  # not onto
+        (NormalizationFailure, h, [g0, g0], 0),              # complexity 1
+        (NormalizationFailure, wider, [g1, g0], 1),          # complexity 2
+    ]
+    for exc, h_vec, gs, *n in cases:
+        with pytest.raises(exc):
+            gamma_substitution(h_vec, gs, *n)
+    assert gamma_substitution(h, [g0, g0], 1) == h
+    assert gamma_substitution(wider, [g1, g0], 2) == wider
+    # a part off its fiber's level: the family of low is misplaced to
+    # level 1, and the choice with the level-0 part of slot 2 covers
+    host = sym_vec(2, (1, 2, 1), (0, 1, 1), 1)
+    low, two = g0, sym_vec(2, (1, 2), (0, 0), 0)
+    real = boxprod._family_of
+
+    def misplaced(arity, items):
+        if items == tuple(low.items()):
+            return object.__new__(NatTransform)._fill(arity, 0,
+                                                      {1: dict(items)})
+        return real(arity, items)
+    monkeypatch.setattr(boxprod, "_family_of", misplaced)
+    with pytest.raises(NormalizationFailure, match="level mismatch"):
+        gamma_substitution(host, [low, two])
+    with pytest.raises(NormalizationFailure, match="level mismatch"):
+        boxprod.flatten(Symbol(1, (1, 1), (0, 1), 1), (Symbol(1, (1,),
+                                                              (0,), 0),))
+    # the projection checks what it keeps: onto and interleaved; a phi
+    # that misses a value is dropped
+    for bad in (Symbol(2, (1, 1), (0, 1), 1), Symbol(2, (1, 2, 2),
+                                                       (0, 1, 1), 1)):
+        with pytest.raises(NormalizationFailure):
+            cokernel_project({bad: 1})
+    assert cokernel_project({Symbol(2, (1, 2), (0, 0), 1): 1}) == {}
 
 
 def test_degree_additivity_random():
