@@ -604,7 +604,7 @@ def flatten(host, parts):
         if not part.is_onto():
             raise InvalidSymbol("part not onto", host, part)
     # each part at its fiber's degree, where apply_tuple checks its level;
-    # the degrees only sign the value, which is dropped
+    # the transformations' degrees only sign the value, which is dropped
     nats = [object.__new__(NatTransform)._fill(part.k, 0, {d: {part: 1}})
             for part, d in zip(parts, host.fiber_degrees())]
     return next(iter(apply_tuple(host, nats)), None)
