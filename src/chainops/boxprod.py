@@ -11,7 +11,8 @@ with f arbitrary-but-onto, phi order-preserving, and no position where phi
 and f both repeat (such classes die in the colimit: the collapse morphism
 identifies them with degenerate tensors).  Conormalizing additionally kills
 the symbols whose phi misses a value in {1,...,r}; what survives is exactly
-the normal-form basis used throughout the operad layer.
+the normal-form basis used throughout the operad layer (``cokernel_project``
+is that projection, and checks what it keeps).
 
 Enumeration is one depth-first search over f, position by position, for
 all phi at once: where f repeats, phi must step up (condition (d)).  A
@@ -120,7 +121,7 @@ class Symbol(tuple):
         return _f_record(self[0], self[1])[4]
 
     def phi_covers(self):
-        return set(range(1, self.r + 1)) <= set(self.phi)
+        return _phi_table(self[2], self[3])[0]
 
     def interleaved(self):
         """Condition (d): phi(i) = phi(i+1) implies f(i) != f(i+1)."""
@@ -511,7 +512,7 @@ def ker_expand(sym):
     reps = [t for t in range(len(f) - 1) if f[t] == f[t + 1]]
     if any(phi[t] == phi[t + 1] for t in reps):
         return ((_sym(k, f, phi, r), 1),)   # every lowered term dies
-    if not set(range(1, r + 1)) <= set(phi):
+    if not _phi_table(phi, r)[0]:
         return ()
     tied = {phi[t + 1] for t in reps if phi[t + 1] == phi[t] + 1}
     terms = [((0,) * phi.count(0), 1, False)]  # (phi_S to v, sign, v in S)
@@ -711,11 +712,9 @@ def _check_term(s, arity, r, degree):
 # nearly all of them; an unbounded one holds every argument ever seen.
 @lru_cache(maxsize=64)
 def _family_of(arity, items):
-    """NatTransform.from_vector on the vector's items."""
-    degs = {s.total_degree for s, _ in items}
-    if len(degs) > 1:
-        raise GradingMismatch("vector not homogeneous", degs)
-    degree = degs.pop() if degs else 0
+    """NatTransform.from_vector on the vector's items, of the first
+    term's degree (``_check_term`` refuses any other)."""
+    degree = items[0][0].total_degree if items else 0
     terms = {}
     for s, c in items:
         _, _, phi, r = s
@@ -727,17 +726,6 @@ def _family_of(arity, items):
         for t, w in ker_expand(s):
             level[t] = level.get(t, 0) + c * w
     return object.__new__(NatTransform)._fill(arity, degree, terms)
-
-
-def levels_match(host, nats):
-    """Whether every fiber degree of ``host`` is a level of the
-    transformation in its slot; when not, ``apply_tuple(host, nats)`` is 0,
-    and so it is on every kernel term of host (ker_expand changes only phi,
-    so the terms share host's fibers)."""
-    if len(nats) != host.k:
-        raise GradingMismatch("one transformation per slot", host, len(nats))
-    return all(d in nat.components
-               for nat, d in zip(nats, host.fiber_degrees()))
 
 
 def apply_tuple(host, nats, cover=False):
@@ -794,24 +782,30 @@ def apply_tuple(host, nats, cover=False):
     return vec_sum(flats)
 
 
+def cokernel_project(vec, n=INFINITY):
+    """Projection from the box basis to the conormalized symbol basis: kill
+    the symbols whose phi misses a positive value, and check that each kept
+    symbol is onto, interleaved and of complexity <= n."""
+    kept = {}
+    for s, c in vec.items():
+        k, f, phi, r = s
+        covers, steps, _ = _phi_table(phi, r)
+        if c and covers:
+            *_, onto, complexity, repeats = _f_record(k, f)
+            # interleaved: no repeat of f on an equal step of phi
+            if not onto or repeats & steps:
+                raise NormalizationFailure(s)
+            if n is not INFINITY and complexity > n:
+                raise NormalizationFailure(("complexity overflow", s, n))
+            kept[s] = c
+    return kept
+
+
 def box_functorial_map(k, nats, r, q_cap):
     """Matrix data of the induced map on the level-[r] box product for a
-    tuple of per-slot natural transformations: {source Symbol: vector}.
-    Every basis symbol has a row; the box basis runs through each f over
-    all its phis, and a row whose fiber degrees are not levels of the
-    transformations (``levels_match``, checked once per f) is 0 without
-    applying them.  Raises IncompatibleInputs when arities do not match."""
-    if len(nats) != k:
-        raise IncompatibleInputs((k, len(nats)))
-    table = {}
-    for m in range(q_cap + 2 - k):
-        f = live = None
-        for sym in box_basis(k, m + k - 1, r, INFINITY):
-            if sym[1] != f:
-                f, live = sym[1], levels_match(sym, nats)
-            table[sym] = apply_tuple(sym, nats) if live else {}
-    return table
-
-
-class IncompatibleInputs(Exception):
-    pass
+    tuple of per-slot natural transformations: {source Symbol: vector}, a
+    row for every basis symbol.  ``apply_tuple`` refuses a wrong slot count
+    and gives {} to a row whose fiber degrees are no levels of the
+    transformations."""
+    return {sym: apply_tuple(sym, nats) for m in range(q_cap + 2 - k)
+            for sym in box_basis(k, m + k - 1, r, INFINITY)}

@@ -76,7 +76,8 @@ class FiniteRankAlgebra:
         self.preimages = tuple(tuple(pre) for pre in preimages)
 
     def _red(self, c):
-        return c % self.prime if self.prime else int(c)
+        c = intmat.exact_int(c)
+        return c % self.prime if self.prime else c
 
     def mult(self, u, v):
         out = [0] * self.n

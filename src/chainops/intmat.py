@@ -29,10 +29,10 @@ def vec_sum(terms, prime=0):
     return {s: c for s, c in out.items() if c}
 
 
-def _entry(v):
+def exact_int(v):
     """v as an int; a value with a fractional part raises ValueError."""
     if (n := int(v)) != v:
-        raise ValueError("non-integral matrix entry %r" % (v,))
+        raise ValueError("non-integral entry %r" % (v,))
     return n
 
 
@@ -80,7 +80,7 @@ class IntMatrix:
                 raise ShapeMismatch("entry %r outside %d x %d"
                                     % ((i, j), rows, cols))
             if v:
-                store.setdefault(j, {})[i] = _entry(v)
+                store.setdefault(j, {})[i] = exact_int(v)
 
     @classmethod
     def _trusted(cls, rows, cols, store):
@@ -111,7 +111,7 @@ class IntMatrix:
             for t, c in image(s):
                 i = index[t]
                 col[i] = col.get(i, 0) + c
-            if col := {i: x if type(x) is int else _entry(x)
+            if col := {i: x if type(x) is int else exact_int(x)
                        for i, x in col.items() if x}:
                 store[j] = col
         return cls._trusted(len(targets), len(sources), store)
@@ -163,7 +163,7 @@ class IntMatrix:
         return -1 * self
 
     def __rmul__(self, c):
-        c = _entry(c)
+        c = exact_int(c)
         return IntMatrix._trusted(self.rows, self.cols, {
             j: {i: c * v for i, v in col.items()}
             for j, col in self._store.items()} if c else {})

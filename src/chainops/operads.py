@@ -8,8 +8,8 @@ Composition is implemented twice and cross-validated:
   forms of the arguments in one pass of ``boxprod.apply_tuple`` with
   ``cover``, which glues only the choices whose flattened phi covers [r]
   (of the kernel form of h only h covers, so no other term is expanded),
-  and project back to the symbol basis, the checks read from the cached
-  per-phi and per-f tables of ``boxprod``;
+  and project back to the symbol basis with ``boxprod.cokernel_project``,
+  which checks each symbol it keeps;
 * matrix composite: apply the map that the arguments induce on the box
   product (``boxprod.apply_tuple``) to every term of the kernel form of the
   first factor, checked to be killed by the codegeneracies and to lie in
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from itertools import islice, permutations
 
 from . import boxprod
-from .boxprod import (INFINITY, GradingMismatch, NormalizationFailure,
-                      Symbol, act_perm, apply_tuple, count_symbols,
+from .boxprod import (INFINITY, GradingMismatch, Symbol, act_perm,
+                      apply_tuple, cokernel_project, count_symbols,
                       enumerate_symbols, ker_expand_checked,
                       koszul_sign, NatTransform,
                       t_boundary, type_contraction_holds, vec_sum)
@@ -72,25 +72,6 @@ def vec_degree(vec):
 
 
 # -- composition --------------------------------------------------------------
-
-def cokernel_project(vec, n=INFINITY):
-    """Projection from the box basis to the conormalized symbol basis: kill
-    the symbols whose phi misses a positive value, and check that each kept
-    symbol is onto, interleaved and of complexity <= n."""
-    kept = {}
-    for s, c in vec.items():
-        k, f, phi, r = s
-        covers, steps, _ = boxprod._phi_table(phi, r)
-        if c and covers:
-            *_, onto, complexity, repeats = boxprod._f_record(k, f)
-            # interleaved: no repeat of f on an equal step of phi
-            if not onto or repeats & steps:
-                raise NormalizationFailure(s)
-            if n is not INFINITY and complexity > n:
-                raise NormalizationFailure(("complexity overflow", s, n))
-            kept[s] = c
-    return kept
-
 
 def gamma_substitution(h_vec, arg_vecs, n=INFINITY):
     """Composition by symbol substitution.  Arguments are vectors over the

@@ -45,6 +45,8 @@ class FiniteSimplicialSet:
         self.simplices = {d: tuple(names) for d, names in sorted(simplices.items())}
         self.dim_of = {}
         for d, names in self.simplices.items():
+            if d < 0:
+                raise InvalidSimplicialSet("negative dimension %r" % (d,))
             for name in names:
                 if not isinstance(name, str):
                     raise InvalidSimplicialSet("simplex name %r is not a "

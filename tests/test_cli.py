@@ -178,9 +178,16 @@ def test_hochschild_invalid_algebra_file(tmp_path, capsys):
     e0, e1, e2, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
     nonassoc = {"ring": "Zp", "p": 2, "unit": [1, 0, 0],
                 "structure": [[e0, e1, e2], [e1, e2, z], [e2, e1, z]]}
+    # 1.5 was read as 1: over Z the run gave the cohomology of Z, over Z/2
+    # it was refused only as a failed unit law
+    half = {"structure": [[[1.5]]], "unit": [1]}
     for name, text, why in (
             ("u.json", json.dumps(nonunital), "left unit fails"),
             ("a.json", json.dumps(nonassoc), "associativity fails"),
+            ("h.json", json.dumps(dict(half, ring="Z")),
+             "non-integral entry 1.5"),
+            ("h2.json", json.dumps(dict(half, ring="Zp", p=2)),
+             "non-integral entry 1.5"),
             ("list.json", "[]", '"structure" and "unit"'),
             ("text.json", "not json", "invalid algebra file")):
         path = tmp_path / name
@@ -259,7 +266,9 @@ def test_bad_simplicial_set_file_rejected(tmp_path, capsys):
     for name, text in (("text.json", "not json"), ("list.json", "[]"),
                        ("empty.json", "{}"),
                        ("face.json", '{"simplices": {"0": ["a"], "1": ["e"]},'
-                                     ' "faces": {"e": [[[0], "zz"]]}}')):
+                                     ' "faces": {"e": [[[0], "zz"]]}}'),
+                       # once a run that checked 0 instances
+                       ("negative.json", '{"simplices": {"-1": ["v"]}}')):
         path = tmp_path / name
         path.write_text(text)
         err = _config_error(capsys, "verify-cochain-ops", "--complex",

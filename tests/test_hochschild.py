@@ -549,6 +549,13 @@ def test_invalid_algebra_rejected():
     # malformed shape
     with pytest.raises(InvalidAlgebra):
         FiniteRankAlgebra([[(1, 0)], [(0, 1)]], (1, 0), 2)
+    # a non-integral entry: 1.5 was read as 1, so over Z these were Z
+    # itself, and over Z/2 they were refused only as a failed unit law
+    for prime in (0, 2):
+        for s, unit in (([[(1.5,)]], (1,)), ([[(1,)]], (1.5,))):
+            with pytest.raises(ValueError, match="non-integral entry 1.5"):
+                FiniteRankAlgebra(s, unit, prime)
+    assert FiniteRankAlgebra([[(1.0,)]], (3.0,), 2).unit == (1,)
 
 
 def test_invalid_algebra_rejected_under_optimize():

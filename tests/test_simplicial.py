@@ -182,6 +182,14 @@ def test_broken_face_identity_rejected():
     assert FiniteSimplicialSet(simplices, faces).max_dim() == 2
 
 
+def test_negative_dimension_rejected():
+    # a simplex of dimension -1 used to be taken as a set with no cells
+    with pytest.raises(InvalidSimplicialSet, match="negative dimension -1"):
+        FiniteSimplicialSet({-1: ("v",)}, {})
+    with pytest.raises(InvalidSimplicialSet, match="negative dimension -1"):
+        FiniteSimplicialSet.from_json('{"simplices": {"-1": ["v"]}}')
+
+
 def test_wrong_face_count_named():
     with pytest.raises(InvalidSimplicialSet, match="needs 2 faces, got 1"):
         FiniteSimplicialSet({0: ("a",), 1: ("e",)}, {"e": (Cell((), "a"),)})
