@@ -21,8 +21,8 @@ its remaining positions cannot reach every unseen value (onto), or, under a
 complexity bound n, once a pair of values has more than n changes; appending
 v adds one change to the pair {u, v} exactly when u occurred after the last
 v.  The search has two leaves: each f keeps the phi whose equal steps miss
-its repeats, as Symbols (k, f, phi, r) sorted in that order and cached, or,
-at a level r >= 1, gives the local types of those symbols, with none built.
+its repeats, as Symbols (k, f, phi, r), sorted and cached, or gives the local
+types at levels r >= 1 of a whole window's symbols in one search, none built.
 
 The faces of a symbol merge two cached tables.  The f-table holds f's
 repeats as a bit mask and, per position t of a fiber of two or more entries,
@@ -39,7 +39,7 @@ Every level r >= 1 of the conormalized complex is contractible under its
 internal differential: ``type_contraction`` is the contraction, read in
 the blocks w_0 | w_1 | ... of f over each value of phi; it and the check
 of its identity act on local types, which keep only what the check reads,
-and ``cell_types`` finds the local types of a cell.
+and ``cell_types`` finds the local types of a window's cells.
 """
 
 from functools import lru_cache, reduce
@@ -193,15 +193,17 @@ def _symbols(k, q, r, n, cover):
                    for steps, phi in phis if not steps & mask)
 
     if phis:
-        _search(k, q, r, n, leaf)
+        _search(k, (q,), r, n, leaf)
     return tuple(out)
 
 
-def _search(k, q, r, n, leaf):
-    """leaf(f, mask) for each onto f: [q] -> {1..k} of complexity <= n, in
-    order, whose repeats (bits t - 1 of mask: f[t] == f[t - 1]) are <= r."""
+def _search(k, qs, r, n, leaf):
+    """leaf(f, mask) for each onto f: [q] -> {1..k}, q in qs, of complexity
+    <= n, in order, whose repeats (bits t - 1 of mask: f[t] == f[t - 1]) are
+    <= r: one tree cut at max(qs), each f visited before its extensions."""
     if n is not None and n < 0:
         return
+    q = max(qs, default=-1)
     seq = [0] * (q + 1)
     last = [-1] * (k + 1)           # last position of each value, -1 unseen
     values = range(1, k + 1)
@@ -210,6 +212,7 @@ def _search(k, q, r, n, leaf):
     def grow(t, unseen, repeats):
         prev = seq[t - 1] if t else 0
         slack = q - t               # positions after t
+        ends = t in qs
         for v in values:
             lv = last[v]
             rest = unseen - 1 if lv < 0 else unseen
@@ -226,12 +229,12 @@ def _search(k, q, r, n, leaf):
                     row[u] += 1
                     changes[u][v] += 1
             seq[t] = v
+            if ends and not rest:
+                leaf(tuple(seq[:t + 1]) if slack else tuple(seq), mask)
             if slack:
                 last[v] = t
                 grow(t + 1, rest, mask)
                 last[v] = lv
-            else:
-                leaf(tuple(seq), mask)
             for u in bumped:
                 row[u] -= 1
                 changes[u][v] -= 1
@@ -395,24 +398,28 @@ def _clip(c):
     return c if c < 3 else 2 + c % 2
 
 
-def cell_types(k, q, r, n=INFINITY):
+def cell_types(k, window, n=INFINITY):
     """The local types (k, r, f[:p + 1], clipped fiber sizes) of the
-    symbols of enumerate_symbols(k, q, r, n), r >= 1, p the zeros of phi,
-    with no symbol built: an f of ``_search`` has a covering phi with p
-    zeros iff p <= q + 1 - r, f[:p] has no repeat and f[p:] at most r - 1
-    repeats."""
-    if not (k >= 1 and q >= 0 and r >= 1):
-        raise InvalidSymbol("no local types of shape (k, q, r)", (k, q, r))
-    types = set()
+    symbols of enumerate_symbols(k, q, r, n) over the cells of a window {q:
+    levels r >= 1}, p the zeros of phi, from one search with no symbol
+    built: an f of ``_search`` has a covering phi at r with p zeros iff p <=
+    q + 1 - r, f[:p] has no repeat and f[p:] at most r - 1 repeats, so at
+    most r in all, and a search cut at the top level loses no cell's f."""
+    levels = [r for rs in window.values() for r in rs]
+    if k < 1 or min(window, default=0) < 0 or min(levels, default=1) < 1:
+        raise InvalidSymbol("no local types of shape (k, window)", (k, window))
+    types, shared = set(), {}     # shared: one copy of each sizes tuple
 
     def leaf(f, mask):
+        q = len(f) - 1
         sizes = tuple(map(_clip, map(f.count, range(k + 1))))
+        sizes = shared.setdefault(sizes, sizes)
         low = (mask & -mask).bit_length() or q   # first t, f[t] == f[t - 1]
-        types.update((k, r, f[:p + 1], sizes)
+        types.update((k, r, f[:p + 1], sizes) for r in window[q]
                      for p in range(min(low, q + 1 - r) + 1)
                      if (mask >> p).bit_count() < r)
 
-    _search(k, q, r, n, leaf)
+    _search(k, window, max(levels, default=0), n, leaf)
     return types
 
 

@@ -29,7 +29,7 @@ each level r >= 1 has a contraction, so every cap has the homology of level
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 from . import boxprod
 from .boxprod import (INFINITY, GradingMismatch, Symbol, act_perm,
@@ -249,9 +249,10 @@ class HomologyReport:
 
 def operad_homology(k, n, degrees, level_cap):
     """Homology of the level-truncated operad arity, computed on level 0,
-    and certified: ``boxprod.type_contraction_holds`` once on each of the
-    ``cell_types`` of each (level, degree) cell of levels 1 .. level_cap +
-    1, degrees d - 1 and d for each d, so those levels are acyclic there and
+    and certified: ``boxprod.type_contraction_holds`` once on each local
+    type of the (level, degree) cells of levels 1 .. level_cap + 1, degrees
+    d - 1 and d for each d, found by one ``cell_types`` search over them all
+    (the check reads no degree), so those levels are acyclic there and
     every cap up to level_cap + 1 has level 0's H_d; else NotStabilized
     carries the report.  A family-T window (n None) above
     MAX_WINDOW_SYMBOLS, counted by ``count_symbols``, raises InfeasibleSize
@@ -266,10 +267,11 @@ def operad_homology(k, n, degrees, level_cap):
             "level-%d window of T(%d)" % (level_cap + 1, k))
     groups = reduced_homology(level_truncated_complex(k, n, 0, window),
                               degrees)
-    edges = sorted({d + i for d in degrees for i in (-1, 0)})
-    cells = (boxprod.cell_types(k, e + k - 1 + r, r, n)
-             for r in range(1, level_cap + 2) for e in edges if e + r >= 0)
-    stable = all(all(map(type_contraction_holds, cell)) for cell in cells)
+    cells = {}
+    for r, d, i in product(range(1, level_cap + 2), degrees, (-1, 0)):
+        if d + i + r >= 0:
+            cells.setdefault(d + i + k - 1 + r, set()).add(r)
+    stable = all(map(type_contraction_holds, boxprod.cell_types(k, cells, n)))
     report = HomologyReport(family_name(n), k, level_cap, degrees, groups,
                             stable)
     if not stable:
@@ -497,14 +499,13 @@ def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
     exhaustive over the smallest symbols (bounded by the cap), then one
     ``_draw_args`` per sampled tuple, with a host of uniform arity.
     ``pool`` and ``by_r`` are the pair ``_symbol_pools`` returns."""
-    from itertools import product as iproduct
     tiny = {k: [v for v in pool[k] if _sym_of(v).q <= max(1, k - 1)]
             for k in range(1, operad.k_max + 1)}
     out = []
     budget = exhaustive_cap * 20
     for k in range(1, operad.k_max + 1):
         for h in tiny[k]:
-            for js in iproduct(range(1, operad.k_max + 1), repeat=k):
+            for js in product(range(1, operad.k_max + 1), repeat=k):
                 pools = [tiny[j] for j in js]
                 size = 1
                 for p in pools:
@@ -512,7 +513,7 @@ def _composable_tuples(operad, rng, exhaustive_cap, samples, pool, by_r):
                 if size == 0:
                     continue
                 if size <= 3000:
-                    combos = iproduct(*pools)
+                    combos = product(*pools)
                 else:
                     combos = (tuple(p[rng.randrange(len(p))] for p in pools)
                               for _ in range(100))

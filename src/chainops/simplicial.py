@@ -243,7 +243,9 @@ class FiniteSimplicialSet:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
-        simplices = {int(d): tuple(names) for d, names in obj["simplices"].items()}
+        simplices = {int(d): names for d, names in obj["simplices"].items()}
+        if not all(isinstance(names, list) for names in simplices.values()):
+            raise InvalidSimplicialSet("simplex names must be a JSON list")
         faces = {name: tuple(Cell(tuple(w), b) for w, b in fs)
                  for name, fs in obj.get("faces", {}).items()}
         return cls(simplices, faces)

@@ -268,7 +268,9 @@ def test_bad_simplicial_set_file_rejected(tmp_path, capsys):
                        ("face.json", '{"simplices": {"0": ["a"], "1": ["e"]},'
                                      ' "faces": {"e": [[[0], "zz"]]}}'),
                        # once a run that checked 0 instances
-                       ("negative.json", '{"simplices": {"-1": ["v"]}}')):
+                       ("negative.json", '{"simplices": {"-1": ["v"]}}'),
+                       # once read as the two vertices a and b
+                       ("string.json", '{"simplices": {"0": "ab"}}')):
         path = tmp_path / name
         path.write_text(text)
         err = _config_error(capsys, "verify-cochain-ops", "--complex",

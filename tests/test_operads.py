@@ -900,8 +900,9 @@ HOMOLOGY_WINDOWS = ((3, 2, 1), (3, 1, 1), (2, None, 3), (2, 2, 5),
 
 
 def test_each_type_is_checked_once(monkeypatch):
-    # operad_homology checks each local type of a (level, degree) cell
-    # once, and s at most 1 + p times per type: fewer checks than symbols
+    # operad_homology checks each local type of its window once, however
+    # many (level, degree) cells share it, and s at most 1 + p times per
+    # type: fewer checks than symbols
     from chainops import operads as ops
     checked, calls = [], []
 
@@ -924,31 +925,43 @@ def test_each_type_is_checked_once(monkeypatch):
         cells = [enumerate_symbols(k, e + k - 1 + r, r, n)
                  for r in range(1, cap + 2) for e in (-1, 0, 1, 2)
                  if e + r >= 0]
-        types = [t for cell in cells for t in set(map(local_type, cell))]
-        assert sorted(checked) == sorted(types), (k, n, cap)
+        assert len(set(checked)) == len(checked), (k, n, cap)
+        assert set(checked) == {local_type(s) for cell in cells
+                                for s in cell}, (k, n, cap)
         assert all(c <= len(t[2]) for t, c in zip(checked, calls))
         counts.append((len(checked), sum(map(len, cells))))
     assert all(c <= syms for c, syms in counts)
-    assert tuple(map(sum, zip(*counts))) == (1718, 6678)
+    assert tuple(map(sum, zip(*counts))) == (1572, 6678)
 
 
 def test_cell_types_are_the_symbols_types():
-    # cell_types finds a cell's local types with no symbol built: they are
-    # those of the cell's symbols on every shape of the sweep, at n = 0,
-    # and on empty cells (not onto: k > q + 1; no covering phi: r > q + 1)
+    # cell_types finds the local types of a window {q: levels} with no
+    # symbol built, from one search: they are those of the window's
+    # symbols on each (k, n) of the sweep taken as one window, at n = 0
+    # too, on each of its shapes as a one-cell window, and on empty cells
+    # (not onto: k > q + 1; no covering phi: r > q + 1)
     shapes = list(sweep_shapes(4))
     shapes += [(k, q, r, 0) for k, q, r, n in shapes if n is None]
+    windows = {}
+    for k, q, r, n in shapes:
+        windows.setdefault((k, n), {}).setdefault(q, []).append(r)
+    for (k, n), window in windows.items():
+        assert boxprod.cell_types(k, window, n) == {
+            local_type(s) for q, levels in window.items() for r in levels
+            for s in enumerate_symbols(k, q, r, n)}, (k, n)
     empty = [(3, 1, 1, None), (4, 2, 2, 2), (2, 3, 5, None), (1, 0, 2, 1)]
     sizes = []
     for k, q, r, n in shapes + empty:
-        types = boxprod.cell_types(k, q, r, n)
+        types = boxprod.cell_types(k, {q: (r,)}, n)
         assert types == set(map(local_type, enumerate_symbols(k, q, r, n))), (
             k, q, r, n)
         sizes.append(len(types))
     assert not any(sizes[len(shapes):])
     assert sum(sizes) == 13533
-    with pytest.raises(boxprod.InvalidSymbol):
-        boxprod.cell_types(2, 3, 0)
+    assert boxprod.cell_types(2, {}) == set()
+    for window in ({3: (0,)}, {3: (1,), 4: (2, 0)}, {-1: (1,)}):
+        with pytest.raises(boxprod.InvalidSymbol):
+            boxprod.cell_types(2, window)
 
 
 def test_certificate_builds_no_symbol(monkeypatch):

@@ -190,6 +190,14 @@ def test_negative_dimension_rejected():
         FiniteSimplicialSet.from_json('{"simplices": {"-1": ["v"]}}')
 
 
+def test_simplex_names_not_a_list_rejected():
+    # a string of names used to be split into one-letter simplices
+    for text in ('{"simplices": {"0": "ab"}}',
+                 '{"simplices": {"0": ["a"], "1": {"e": 1}}}'):
+        with pytest.raises(InvalidSimplicialSet, match="JSON list"):
+            FiniteSimplicialSet.from_json(text)
+
+
 def test_wrong_face_count_named():
     with pytest.raises(InvalidSimplicialSet, match="needs 2 faces, got 1"):
         FiniteSimplicialSet({0: ("a",), 1: ("e",)}, {"e": (Cell((), "a"),)})
