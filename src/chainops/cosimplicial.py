@@ -86,11 +86,22 @@ class CosimplicialAbGroup:
                                                     ma, ia, ib)
 
     def alternating_coface(self, m):
-        """sum_i (-1)^i d^i : A^m -> A^{m+1}."""
-        out = IntMatrix.zeros(self.rank(m + 1), self.rank(m))
+        """sum_i (-1)^i d^i : A^m -> A^{m+1} in one pass over the cofaces'
+        columns; a cancelled entry or column that comes back is written
+        last, as the sum of whole matrices one coface at a time writes it."""
+        store = {}
         for i in range(m + 2):
-            out = out + (-1) ** i * self.d(m, i)
-        return out
+            for j, col in self.d(m, i).columns().items():
+                acc = store.setdefault(j, {})
+                for r, v in col.items():
+                    if x := acc.get(r, 0) + (-v if i % 2 else v):
+                        acc[r] = x
+                    else:
+                        del acc[r]
+                if not acc:
+                    del store[j]
+        return IntMatrix(self.rank(m + 1), self.rank(m), {
+            (r, j): x for j, col in store.items() for r, x in col.items()})
 
 
 @dataclass

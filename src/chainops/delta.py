@@ -159,9 +159,10 @@ def factor_epi_mono(phi):
     return epi, mono
 
 
+@lru_cache(maxsize=4096)
 def decompose(phi):
-    """Write phi as a list of generators (composed left to right as listed):
-    first codegeneracies, then cofaces.  Empty list for identities."""
+    """Write phi as a tuple of generators (composed left to right as
+    listed): first codegeneracies, then cofaces; empty for identities."""
     epi, mono = factor_epi_mono(phi)
     gens = []
     # epi = product of s^i: collapse repeated values one at a time
@@ -179,7 +180,7 @@ def decompose(phi):
     for i in sorted(missing):
         gens.append(("d", level, i))
         level += 1
-    return gens
+    return tuple(gens)
 
 
 def all_ordered_maps(src, tgt):
@@ -197,7 +198,3 @@ def all_ordered_maps(src, tgt):
 
 def all_injections(src, tgt):
     return [f for f in all_ordered_maps(src, tgt) if f.is_injective()]
-
-
-def all_surjections(src, tgt):
-    return [f for f in all_ordered_maps(src, tgt) if f.is_surjective()]

@@ -10,7 +10,7 @@ identities, which are verified on all generators when the set is built.
 
 import json
 from collections import namedtuple
-from itertools import product
+from itertools import combinations, product
 
 from . import delta
 from .delta import FinOrd, OrderedMap
@@ -30,6 +30,14 @@ class Cell(namedtuple("Cell", "word base")):
         return bool(self.word)
 
 
+def _push(word, i):
+    """The word of s_i applied to a cell with this word, by
+    s_i s_j = s_(j+1) s_i for i <= j; i is not checked."""
+    if not word or i > word[0]:
+        return (i,) + word
+    return (word[0] + 1,) + _push(word[1:], i)
+
+
 class InvalidSimplicialSet(AssertionError):
     """Simplices and faces that do not form a simplicial set, or a face,
     degeneracy, action or restriction that a cell does not have.  Raised
@@ -42,6 +50,7 @@ class FiniteSimplicialSet:
 
     def __init__(self, simplices, faces):
         self._cells = {}        # m -> cells(m); the set does not change
+        self._face_table = {}   # (cell, i) -> d_i cell
         self.simplices = {d: tuple(names) for d, names in sorted(simplices.items())}
         self.dim_of = {}
         for d, names in self.simplices.items():
@@ -71,6 +80,11 @@ class FiniteSimplicialSet:
                     raise InvalidSimplicialSet(
                         "face %r of %r is not a cell of dimension %d" %
                         (c, name, d - 1))
+                w = c.word      # normal: strictly decreasing in 0..d-2
+                if not (all(type(a) is int and 0 <= a < d - 1 for a in w)
+                        and all(a > b for a, b in zip(w, w[1:]))):
+                    raise InvalidSimplicialSet("face %r of %r is not in normal "
+                                               "form" % (c, name))
         for d, names in self.simplices.items():
             if d >= 1:
                 for name in names:
@@ -101,15 +115,23 @@ class FiniteSimplicialSet:
         if not (0 <= i <= n and n >= 1):
             raise InvalidSimplicialSet("no face d_%d of the %d-cell %r" %
                                        (i, n, c))
-        if not c.word:
-            return self.faces[c.base][i]
-        j = c.word[0]
-        tail = Cell(c.word[1:], c.base)
-        if i < j:
-            return self.degeneracy(self.face(tail, i), j - 1)
-        if i in (j, j + 1):
-            return tail
-        return self.degeneracy(self.face(tail, i - 1), j)
+        return self._face(c, i)
+
+    def _face(self, c, i):
+        """d_i c for i in range; memoized per (c, i), tails included."""
+        out = self._face_table.get((c, i))
+        if out is None:
+            word, base = c
+            if not word:
+                out = self.faces[base][i]
+            elif i - word[0] in (0, 1):
+                out = Cell(word[1:], base)
+            else:   # d_i s_j = s_(j-1) d_i for i < j, s_j d_(i-1) for i > j+1
+                j = word[0]
+                f = self._face(Cell(word[1:], base), i if i < j else i - 1)
+                out = Cell(_push(f.word, j - 1 if i < j else j), f.base)
+            self._face_table[c, i] = out
+        return out
 
     def degeneracy(self, c, i):
         """s_i of a cell, in normal form."""
@@ -117,12 +139,7 @@ class FiniteSimplicialSet:
         if not 0 <= i <= n:
             raise InvalidSimplicialSet("no degeneracy s_%d of the %d-cell %r"
                                        % (i, n, c))
-        word = c.word
-        if not word or i > word[0]:
-            return Cell((i,) + word, c.base)
-        # s_i s_j = s_{j+1} s_i for i <= j
-        inner = self.degeneracy(Cell(word[1:], c.base), i)
-        return Cell((word[0] + 1,) + inner.word, inner.base)
+        return Cell(_push(c.word, i), c.base)
 
     def act(self, c, alpha):
         """Contravariant action: the cell c o alpha for alpha : [m] -> [m']
@@ -139,7 +156,8 @@ class FiniteSimplicialSet:
         cells)."""
         out = c
         for kind, _m, i in reversed(gens):
-            out = self.face(out, i) if kind == "d" else self.degeneracy(out, i)
+            out = (self._face(out, i) if kind == "d"
+                   else Cell(_push(out.word, i), out.base))
         return out
 
     def restrict(self, c, subset):
@@ -171,15 +189,11 @@ class FiniteSimplicialSet:
         found = self._cells.get(m)
         if found is not None:
             return found
-        out = []
-        for j in sorted(self.simplices):
-            if j > m:
-                break
-            etas = [delta.decompose(eta) for eta in delta.all_surjections(
-                FinOrd.bracket(m), FinOrd.bracket(j))]
-            for name in self.simplices[j]:
-                base = self.cell(name)
-                out.extend(self._apply(base, gens) for gens in etas)
+        # the words of the surjections [m] -> [j]: the (m - j)-subsets of
+        # range(m), read in decreasing order
+        out = [Cell(sub[::-1], name) for j, names in self.simplices.items()
+               if j <= m for sub in combinations(range(m), m - j)
+               for name in names]
         if len(set(out)) != len(out):
             raise InvalidSimplicialSet("two normal forms of one %d-cell" % m)
         found = self._cells[m] = tuple(sorted(out))
@@ -275,7 +289,6 @@ def from_simplicial_complex(vertices, facets):
     faces); vertices are sorted to fix the ordering."""
     verts = sorted(vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    from itertools import combinations
     all_faces = set()
     for f in facets:
         f = tuple(sorted(f, key=lambda v: pos[v]))

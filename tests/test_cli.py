@@ -276,6 +276,23 @@ def test_bad_simplicial_set_file_rejected(tmp_path, capsys):
         err = _config_error(capsys, "verify-cochain-ops", "--complex",
                             str(path))
         assert "invalid simplicial set file" in err
+    edge = {"e": [[[], "v"], [[], "v"]]}
+    for name, obj in (
+            # once a run with 64 naturality failures: s_0 s_0 is no word
+            ("unnormal.json", {"simplices": {"0": ["v"], "1": ["e"],
+                                             "3": ["T"]},
+                               "faces": dict(edge, T=[[[0, 0], "v"]] * 4)}),
+            # once refused as "no face d_0 of the 0-cell": s_1 of a vertex
+            ("outside.json", {"simplices": {"0": ["v"], "1": ["e"],
+                                            "2": ["t"]},
+                              "faces": dict(edge, t=[[[1], "v"], [[0], "v"],
+                                                     [[0], "v"]])})):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        err = _config_error(capsys, "verify-cochain-ops", "--complex",
+                            str(path))
+        assert "invalid simplicial set file" in err
+        assert "is not in normal form" in err
     for spec in ("simplex:x", "simplex:\u00b2", "simplex:-1", "simplex:"):
         err = _config_error(capsys, "verify-cochain-ops", "--complex", spec)
         assert "simplex:N" in err

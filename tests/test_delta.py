@@ -80,6 +80,10 @@ def test_factor_epi_mono_examples():
     assert epi.values == (0, 0, 1) and mono.values == (0, 2)
 
 
+def all_surjections(src, tgt):
+    return [f for f in delta.all_ordered_maps(src, tgt) if f.is_surjective()]
+
+
 def test_factor_epi_mono_bijection_counts():
     # ordered maps <-> composable (epi, mono) pairs, sizes <= 6
     for s in range(7):
@@ -95,7 +99,7 @@ def test_factor_epi_mono_bijection_counts():
             assert len(seen) == len(maps)
             pairs = 0
             for mid in range(min(s, t) + 1):
-                epis = delta.all_surjections(src, FinOrd(mid))
+                epis = all_surjections(src, FinOrd(mid))
                 monos = delta.all_injections(FinOrd(mid), tgt)
                 pairs += len(epis) * len(monos)
             assert pairs == len(maps)
@@ -186,3 +190,13 @@ def test_invalid_maps_and_cells_rejected_under_optimize():
         "InvalidSimplicialSet: vertex positions (0, 2) outside the 1-cell " + e,
         "InvalidSimplicialSet: a map out of [-1] pulls back to the "
         "augmentation point"]
+
+
+def test_decompose_is_cached():
+    # each ordered map is factored once per process, for every set that
+    # reads it: an equal map gets the same tuple back
+    f = OrderedMap(FinOrd(4), FinOrd(3), (0, 0, 1, 2))
+    gens = delta.decompose(f)
+    assert isinstance(gens, tuple)
+    assert delta.decompose(OrderedMap(FinOrd(4), FinOrd(3), (0, 0, 1, 2))) \
+        is gens

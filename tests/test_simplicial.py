@@ -11,6 +11,7 @@ from chainops.simplicial import (Cell, FiniteSimplicialSet,
                                  InvalidSimplicialSet, simplicial_circle,
                                  standard_simplex_chains, standard_simplex_sset,
                                  from_simplicial_complex)
+from tests.test_delta import all_surjections
 
 
 def test_standard_simplex_chains_ranks():
@@ -217,11 +218,137 @@ def test_invalid_simplicial_set_rejected_under_optimize():
         "                        {'e': (Cell((), 'a'),)})",
         "except InvalidSimplicialSet as exc:",
         "    print('rejected:', exc)",
+        "v = Cell((), 'v')",
+        "try:",
+        "    FiniteSimplicialSet({0: ('v',), 1: ('e',), 3: ('T',)},",
+        "                        {'e': (v, v), 'T': (Cell((0, 0), 'v'),) * 4})",
+        "except InvalidSimplicialSet as exc:",
+        "    print('rejected:', exc)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(chainops.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(
-        "rejected: 'e' has dimension 1, so it needs 2 faces, got 1")
+    assert proc.stdout.splitlines() == [
+        "rejected: 'e' has dimension 1, so it needs 2 faces, got 1",
+        "rejected: face Cell(word=(0, 0), base='v') of 'T' is not in normal "
+        "form"]
+
+
+def test_face_not_in_normal_form_rejected():
+    # s_0 s_0 v is no normal word: such a 3-simplex used to pass and give
+    # 64 naturality failures; s_1 of a vertex used to be refused only as
+    # "no face d_0 of the 0-cell"
+    v, e = Cell((), "v"), Cell((), "e")
+    for simplices, faces in (
+            ({0: ("v",), 1: ("e",), 3: ("T",)},
+             {"e": (v, v), "T": (Cell((0, 0), "v"),) * 4}),
+            ({0: ("v",), 1: ("e",), 2: ("t",)},
+             {"e": (v, v), "t": (Cell((1,), "v"), Cell((0,), "v"),
+                                 Cell((0,), "v"))}),
+            ({0: ("v",), 1: ("e",), 2: ("t",)},
+             {"e": (v, v), "t": (Cell((-1,), "v"), e, e)})):
+        with pytest.raises(InvalidSimplicialSet,
+                           match="of '[Tt]' is not in normal form"):
+            FiniteSimplicialSet(simplices, faces)
+
+
+# The generator-by-generator rewriting that the face table and the subset
+# words replace: the oracle of faces, degeneracies, cells and pullbacks.
+
+def oracle_degeneracy(c, i):
+    word = c.word
+    if not word or i > word[0]:
+        return Cell((i,) + word, c.base)
+    # s_i s_j = s_{j+1} s_i for i <= j
+    inner = oracle_degeneracy(Cell(word[1:], c.base), i)
+    return Cell((word[0] + 1,) + inner.word, inner.base)
+
+
+def oracle_face(W, c, i):
+    if not c.word:
+        return W.faces[c.base][i]
+    j = c.word[0]
+    tail = Cell(c.word[1:], c.base)
+    if i < j:
+        return oracle_degeneracy(oracle_face(W, tail, i), j - 1)
+    if i in (j, j + 1):
+        return tail
+    return oracle_degeneracy(oracle_face(W, tail, i - 1), j)
+
+
+def oracle_act(W, c, alpha):
+    out = c
+    for kind, _m, i in reversed(delta.decompose(alpha)):
+        out = oracle_face(W, out, i) if kind == "d" else \
+            oracle_degeneracy(out, i)
+    return out
+
+
+def oracle_cells(W, m):
+    out = []
+    for j in sorted(W.simplices):
+        if j <= m:
+            for eta in all_surjections(FinOrd.bracket(m),
+                                       FinOrd.bracket(j)):
+                out += [oracle_act(W, W.cell(name), eta)
+                        for name in W.simplices[j]]
+    assert len(set(out)) == len(out)
+    return tuple(sorted(out))
+
+
+def oracle_sets():
+    sets = [standard_simplex_sset(n) for n in range(4)]
+    sets.append(simplicial_circle())
+    # the 2-sphere as one triangle with every face degenerate
+    sets.append(FiniteSimplicialSet({0: ("v",), 2: ("t",)},
+                                    {"t": (Cell((0,), "v"),) * 3}))
+    rng = random.Random(38)
+    for _ in range(10):
+        verts = list(range(rng.randrange(3, 6)))
+        facets = [tuple(rng.sample(verts, rng.randrange(1, 4)))
+                  for _ in range(rng.randrange(1, 4))]
+        sets.append(from_simplicial_complex(verts, facets + [(v,) for v in
+                                                             verts]))
+    return sets
+
+
+def test_tables_match_generator_rewriting():
+    for W in oracle_sets():
+        top = W.max_dim() + 2
+        for m in range(top + 1):
+            cells = W.cells(m)
+            assert cells == oracle_cells(W, m), (W.simplices, m)
+            for c in cells:
+                for i in range(m + 1):
+                    if m:
+                        assert W.face(c, i) == oracle_face(W, c, i)
+                    assert W.degeneracy(c, i) == oracle_degeneracy(c, i)
+            for m2 in range(top + 1):
+                for alpha in delta.all_ordered_maps(FinOrd.bracket(m2),
+                                                    FinOrd.bracket(m)):
+                    want = [(c, oracle_act(W, c, alpha)) for c in cells]
+                    assert list(W.pullback(alpha).items()) == want
+
+
+def test_alternating_coface_is_the_sequential_sum():
+    # entry order feeds the eliminator's tie-breaks, so the columns and
+    # their entries are compared in order, not as dicts
+    from chainops.boxprod import box_cosimplicial
+    from chainops.intmat import IntMatrix
+
+    def ordered(mat):
+        return [(j, list(col.items())) for j, col in mat.columns().items()]
+    groups = [W.dual_cosimplicial(W.max_dim() + 2) for W in oracle_sets()]
+    B = box_cosimplicial(2, None, 2, 4)
+    lo, hi = B.internal_degrees()
+    groups += [B.level_ab_group(m, 2) for m in range(lo, hi + 1)]
+    for A in groups:
+        for m in range(A.max_level):
+            want = IntMatrix.zeros(A.rank(m + 1), A.rank(m))
+            for i in range(m + 2):
+                want = want + (-1) ** i * A.d(m, i)
+            got = A.alternating_coface(m)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert ordered(got) == ordered(want), m
