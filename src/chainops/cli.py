@@ -10,6 +10,7 @@ bad input exits with status 2 and a message.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -163,7 +164,8 @@ def cmd_enumerate_basis(args):
     from .boxprod import count_symbols, enumerate_symbols
     from .operads import MAX_WINDOW_SYMBOLS
     n = args.max_complexity
-    # exact without a complexity bound; with one, only an upper bound
+    # the count is exact without a complexity bound; a bounded enumeration
+    # is not guarded at all, and a large shape can hang (ROADMAP item 15)
     size = count_symbols(args.k, args.q, args.r) if n is None else 0
     if size > MAX_WINDOW_SYMBOLS:
         raise ConfigError("--k %d --q %d --r %d is too large: %d symbols, "
@@ -182,8 +184,9 @@ def cmd_enumerate_basis(args):
     return Report("enumerate-basis", config, results, True), lines
 
 
-def _load_simplicial(spec):
+def _load_simplicial(spec, level_cap):
     from . import simplicial
+    from .cochain_ops import MAX_LEVEL_CELLS
     if spec == "circle":
         return simplicial.simplicial_circle(), "circle"
     if spec.startswith("simplex:"):
@@ -194,6 +197,14 @@ def _load_simplicial(spec):
         if dim < 0:
             raise ConfigError("simplex:N needs a non-negative integer N, "
                               "got %r" % spec)
+        # Delta^N has 2^(N+1) - 1 simplices, and the identities read its
+        # levels t <= min(cap, 2N + 2), each holding the comb(N + t + 1, N)
+        # maps [t] -> [N], more than N + t
+        top = min(dim + 2 if level_cap is None else level_cap, 2 * dim + 2)
+        if (dim + top >= MAX_LEVEL_CELLS or 2 ** (dim + 1) > MAX_LEVEL_CELLS
+                or math.comb(dim + top + 1, dim) > MAX_LEVEL_CELLS):
+            raise ConfigError("%s is too large: more than %d cells on levels "
+                              "0..%d" % (spec, MAX_LEVEL_CELLS, max(top, dim)))
         return simplicial.standard_simplex_sset(dim), spec
     text = _read(spec, "simplicial set")
     try:
@@ -205,7 +216,7 @@ def _load_simplicial(spec):
 
 def cmd_verify_cochain_ops(args):
     from .cochain_ops import verify_identities
-    W, name = _load_simplicial(args.complex)
+    W, name = _load_simplicial(args.complex, args.max_dim)
     rep = verify_identities(W, level_cap=args.max_dim, name=name)
     lines = ["cochain identities on %s (levels <= %d)" %
              (name, rep.header["level_cap"])]
@@ -266,13 +277,16 @@ def _compose_cubes(path):
         n = obj["n"]
 
         def element(spec):
+            # a string would be read one character per coordinate
+            if any(type(td["a"]) is not list for td in spec):
+                raise TypeError("a must be a list")
             return cubes.CubesElement(n, tuple(
                 cubes.TDMap(n, td["a"], td["b"]) for td in spec))
 
         return cubes.gamma_cubes(element(obj["outer"]),
                                  [element(spec) for spec in obj["inner"]])
-    except (AssertionError, cubes.DisjointnessViolation, AttributeError,
-            KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, AssertionError, cubes.DisjointnessViolation,
+            AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("invalid compose file %r: %r" % (path, exc))
 
 

@@ -20,6 +20,10 @@ from .intmat import vec_sum
 from .operads import CheckReport
 
 
+# simplex:N is refused with more simplices, or cells on a level it reads
+MAX_LEVEL_CELLS = 2000
+
+
 class LevelMismatch(AssertionError):
     """Cochains at levels an operation does not take, or a fiber function
     with a value that names no cochain (raised explicitly, so the checks
@@ -202,6 +206,7 @@ def verify_identities(W, level_cap=None, name="complex"):
     report = CheckReport({"complex": name, "level_cap": level_cap})
     eps = sys_.epsilon()
     M = level_cap
+    top = W.max_dim() + 1       # no basis cochain at a level above max_dim
 
     # unit 0-cochain: the constant function 1 on vertices
     e = sys_.zero(0)
@@ -217,8 +222,8 @@ def verify_identities(W, level_cap=None, name="complex"):
     it_join_e = report.item("join unit")
     it_join_cup = report.item("join from cup")
     it_cup_join = report.item("cup from join")
-    for p in range(0, M):
-        for q in range(0, M - p):
+    for p in range(min(M, top)):
+        for q in range(min(M - p, top)):
             for x in sys_.basis(p):
                 for y in sys_.basis(q):
                     if p + q + 1 <= M:
@@ -285,8 +290,8 @@ def verify_identities(W, level_cap=None, name="complex"):
 
     # the join is the fiberwise operation of the two-block partition
     it_block = report.item("join is the block-partition operation")
-    for p in range(0, M - 1):
-        for q in range(0, M - 1 - p):
+    for p in range(min(M - 1, top)):
+        for q in range(min(M - 1 - p, top)):
             f = tuple([1] * (p + 1) + [2] * (q + 1))
             for x in sys_.basis(p):
                 for y in sys_.basis(q):

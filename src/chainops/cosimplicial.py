@@ -121,9 +121,8 @@ class CokernelConormalization:
 def conormalize_kernel(A):
     """Kernel form: degree-m group is the intersection of the kernels of the
     codegeneracies, with differential the alternating coface sum.  Stored
-    homologically in degree -m.  One Smith normal form u * K * v of each
-    inclusion K checks that K splits (every factor 1) and gives the
-    retraction v * (rows 0..K.cols-1 of u), whose product with K is 1."""
+    homologically in degree -m.  Each retraction is one solve: R = X^T for
+    K^T X = 1, K the inclusion; with no X, K does not split."""
     M = A.max_level
     inclusions = {0: IntMatrix.identity(A.rank(0))}
     retractions = {0: inclusions[0]}
@@ -132,11 +131,10 @@ def conormalize_kernel(A):
         for i in range(1, m):
             stacked = stacked.stack_rows(A.s(m, i))
         ker = intmat.kernel_basis(stacked)
-        diag, u, v = intmat.smith_normal_form(ker)
-        if any(f != 1 for f in diag):
+        x = intmat.solve(ker.transpose(), IntMatrix.identity(ker.cols))
+        if x is None:
             raise NonSplitKernel(m)
-        inclusions[m] = ker
-        retractions[m] = v * u.submatrix(range(ker.cols), range(u.cols))
+        inclusions[m], retractions[m] = ker, x.transpose()
     basis = {-m: tuple("m%d:k%d" % (m, i) for i in range(inclusions[m].cols))
              for m in range(M + 1)}
     diff = {}
@@ -158,15 +156,15 @@ def _restrict(inclusion, retraction, image, where):
 
 def conormalize_cokernel(A):
     """Cokernel form: degree-m group is the cokernel of the positive
-    cofaces, with differential induced by d^0.  Stored homologically in
-    degree -m.  Raises TorsionCokernel if the cokernel is not free."""
+    cofaces, with differential P d^0 S induced by d^0, the same for every
+    section S (P * S = 1) as d^0 d^i = d^(i+1) d^0.  Stored homologically
+    in degree -m.  Raises TorsionCokernel if the cokernel is not free."""
     M = A.max_level
     projections, sections, labels = {}, {}, {}
     for m in range(M + 1):
         n = A.rank(m)
         if m == 0:
-            projections[0] = IntMatrix.identity(n)
-            sections[0] = IntMatrix.identity(n)
+            projections[0] = sections[0] = IntMatrix.identity(n)
             labels[0] = tuple(A.levels[0])
             continue
         stacked = A.d(m - 1, 1)
@@ -177,8 +175,7 @@ def conormalize_cokernel(A):
             raise TorsionCokernel((m, diag))
         r = len(diag)
         projections[m] = u.submatrix(range(r, n), range(n))
-        sections[m] = intmat.inverse_unimodular(u).submatrix(range(n),
-                                                             range(r, n))
+        sections[m] = intmat.solve(projections[m], IntMatrix.identity(n - r))
         labels[m] = tuple("m%d:q%d" % (m, i) for i in range(n - r))
     basis = {-m: labels[m] for m in range(M + 1)}
     diff = {}
@@ -221,12 +218,10 @@ def compare_conormalizations(A, kernel_form=None, cokernel_form=None):
     M = A.max_level
     iso, inverse = {}, {}
     for m in range(M + 1):
-        c = cokernel_form.projections[m] * kernel_form.inclusions[m]
-        try:
-            inverse[m] = intmat.inverse_unimodular(c)
-        except intmat.NotUnimodular:
+        iso[m] = c = cokernel_form.projections[m] * kernel_form.inclusions[m]
+        inverse[m] = intmat.solve(c, IntMatrix.identity(c.rows))
+        if inverse[m] is None:
             raise ComparisonFailed(m)
-        iso[m] = c
     cert = ConormalizationCertificate(iso, inverse, M)
     cert.verify(kernel_form, cokernel_form)
     return cert

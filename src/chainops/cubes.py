@@ -190,6 +190,8 @@ class CubesElement:
     cubes: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise InvalidCube(("dimension", self.n))
         for c in self.cubes:
             if not (isinstance(c, TDMap) and c.n == self.n):
                 raise InvalidCube(c)

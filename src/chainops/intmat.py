@@ -219,12 +219,6 @@ def _rows_of(store):
     return rows
 
 
-class NotUnimodular(AssertionError):
-    """A matrix taken to be unimodular is not.  Raised explicitly, so the
-    check also runs under ``python -O``; an AssertionError, as the check
-    used to be an assert."""
-
-
 class Eliminator:
     """Exact sparse elimination of one matrix, over Z (prime 0) or Z/p,
     indexed by its row and column positions.
@@ -498,14 +492,3 @@ def solve(m, b, prime=0):
             return None
     return x
 
-
-def inverse_unimodular(m):
-    """Exact inverse of a unimodular square matrix; raises NotUnimodular
-    for any other matrix."""
-    if m.rows != m.cols:
-        raise NotUnimodular("matrix is not square")
-    diag, u, v = smith_normal_form(m)
-    if len(diag) != m.rows or any(d != 1 for d in diag):
-        raise NotUnimodular("matrix is not unimodular")
-    # u m v = I  =>  m^{-1} = v u
-    return v * u

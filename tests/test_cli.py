@@ -307,12 +307,26 @@ BAD_INPUT = [
      "--q must be non-negative"),
     (["verify-cochain-ops", "--complex", "simplex:1", "--max-dim", "-3"],
      "--max-dim must be non-negative"),
+    # refused before Delta^N is built: an OverflowError, a run past 60 s,
+    # and 8191 simplices built for a run that reads level 0 only
+    (["verify-cochain-ops", "--complex", "simplex:99999999999999999999"],
+     "simplex:99999999999999999999 is too large"),
+    (["verify-cochain-ops", "--complex", "simplex:6"],
+     "simplex:6 is too large: more than 2000 cells on levels 0..8"),
+    (["verify-cochain-ops", "--complex", "simplex:12", "--max-dim", "0"],
+     "simplex:12 is too large: more than 2000 cells on levels 0..12"),
     (["verify-cochain-ops", "--complex", "{tmp}/short.json"],
      "'e' has dimension 1, so it needs 2 faces, got 1"),
     (["cubes", "--compose", "/nonexistent.json"],
      "cannot read compose file '/nonexistent.json'"),
     (["cubes", "--compose", "{tmp}/overlap.json"],
      "DisjointnessViolation((0, 1))"),
+    (["cubes", "--compose", "{tmp}/huge.json"], "OverflowError("),
+    (["cubes", "--compose", "{tmp}/string.json"],
+     "TypeError('a must be a list')"),
+    (["cubes", "--compose", "{tmp}/n0.json"], "InvalidCube(('dimension', 0))"),
+    (["cubes", "--compose", "{tmp}/n-1.json"],
+     "InvalidCube(('dimension', -1))"),
     (["cubes", "--n", "1", "--k", "3", "--resolution", "2"],
      "--resolution 2 is too coarse"),
     (["cubes", "--n", "3", "--k", "2", "--resolution", "4"],
@@ -344,6 +358,16 @@ def test_bad_input_exits_2(tmp_path, capsys, args, message):
         "n": 2, "inner": [[], []],
         "outer": [{"a": ["0", "0"], "b": "1/2"},
                   {"a": ["1/4", "1/4"], "b": "1/2"}]}))
+    # b is the float infinity
+    (tmp_path / "huge.json").write_text(
+        '{"n": 1, "outer": [{"a": [0], "b": 1e400}], "inner": [[]]}')
+    # once read as a = (0, 0)
+    (tmp_path / "string.json").write_text(json.dumps({
+        "n": 2, "outer": [{"a": "00", "b": "1/2"}], "inner": [[]]}))
+    # once "composite of 0 cubes"
+    for n in (0, -1):
+        (tmp_path / ("n%d.json" % n)).write_text(json.dumps({
+            "n": n, "outer": [], "inner": []}))
     err = _config_error(capsys, *[a.replace("{tmp}", str(tmp_path))
                                   for a in args])
     assert message in err

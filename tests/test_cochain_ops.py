@@ -139,6 +139,23 @@ def test_identities_build_each_table_once(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def test_identity_loops_stop_above_the_top_basis_level(monkeypatch):
+    # no basis cochain lives above max_dim, so raising the cap past the
+    # levels the identities read neither adds checks nor reads more bases
+    calls = []
+    basis = AugmentedCochainSystem.basis
+    monkeypatch.setattr(AugmentedCochainSystem, "basis",
+                        lambda self, m: calls.append(m) or basis(self, m))
+    counts, items = [], []
+    for cap in (40, 400):
+        calls.clear()
+        rep = verify_identities(simplicial_circle(), level_cap=cap)
+        counts.append(len(calls))
+        items.append(rep.to_dict()["items"])
+    assert counts[0] == counts[1]
+    assert items[0] == items[1]
+
+
 def test_pushforward_between_augmentation_points(d1):
     eps = d1.epsilon().scale(3)
     empty = delta.all_ordered_maps(FinOrd(0), FinOrd(0))[0]

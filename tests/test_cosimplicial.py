@@ -237,10 +237,16 @@ def assert_retractions(kres):
         assert kres.retractions[m] * inc == IntMatrix.identity(inc.cols), m
 
 
+def assert_sections(qres):
+    for m, proj in qres.projections.items():
+        assert proj * qres.sections[m] == IntMatrix.identity(proj.rows), m
+
+
 def test_retractions_invert_the_inclusions():
-    # R * K = 1 at every level of the kernel form, on a zoo of cosimplicial
-    # groups: duals of simplices, the circle and simplicial complexes, the
-    # constant and zero groups, and a level group of the box product
+    # R * K = 1 at every level of the kernel form, and P * S = 1 at every
+    # level of the cokernel form, on a zoo of cosimplicial groups: duals of
+    # simplices, the circle and simplicial complexes, the constant and zero
+    # groups, and a level group of the box product
     sets = [standard_simplex_sset(m) for m in range(3)]
     sets += [simplicial_circle(),
              from_simplicial_complex(range(4), [(0, 1, 2), (2, 3)]),
@@ -254,6 +260,7 @@ def test_retractions_invert_the_inclusions():
     groups += [B.level_ab_group(m, 3) for m in range(lo, hi + 1)]
     for A in groups:
         assert_retractions(conormalize_kernel(A))
+        assert_sections(conormalize_cokernel(A))
     assert any(A.rank(3) for A in groups[-(hi - lo + 1):])
 
 
